@@ -8,13 +8,19 @@ else.  Detection itself runs in four steps: enumerate candidate paths,
 drop impossible orderings, aggregate per sink statement, then resolve
 branch alternatives down to the flow that actually reaches the sink.
 
-The same four steps run over plaintext dependency pairs (see the oracle
-module) by swapping the reader; field values only need ==, < and >, which
-both plain integers and order-revealing ciphertexts provide.
+The same four steps run in every mode and over plaintext dependency pairs
+(see the oracle module); only the reader differs.  The steps see field
+values as ints.  The plain and std readers decode them as such.  The ore
+reader, once a file's walk is done, sorts the field ciphertexts it read
+for that file, one field at a time, with the comparison order-revealing
+encryption already offers, and replaces each by its rank.  Ranks within
+one file tell the analyser nothing the comparisons did not; reports still
+name ore fields by ciphertext digest, never by rank (docs/formats.md).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import struct
@@ -30,12 +36,12 @@ from .crypto import (
     det_encrypt,
     ore_ciphertext_bytes,
     ore_compare,
+    ore_left_bytes,
     rnd_decrypt,
 )
 from .errors import (
     AuthorizationError,
     FormatError,
-    IntegrityError,
     KeyMismatchError,
     UsageError,
 )
@@ -53,58 +59,28 @@ _TASK_TOKENS = {
 
 _D_BYTES = 32
 
-
-class OreValue:
-    """Order-revealing ciphertext that behaves like a number under ==, <, >."""
-
-    __slots__ = ("ct", "width")
-
-    def __init__(self, ct: bytes) -> None:
-        n, rem = divmod(len(ct) - 16, 81)
-        if rem != 0 or n <= 0:
-            raise FormatError("malformed order-revealing ciphertext")
-        self.ct = ct
-        self.width = n * 8
-
-    def compare(self, other: "OreValue") -> int:
-        return ore_compare(self.ct, other.ct, self.width)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OreValue) and self.compare(other) == 0
-
-    def __lt__(self, other) -> bool:
-        return self.compare(other) < 0
-
-    def __gt__(self, other) -> bool:
-        return self.compare(other) > 0
-
-    def __le__(self, other) -> bool:
-        return self.compare(other) <= 0
-
-    def __ge__(self, other) -> bool:
-        return self.compare(other) >= 0
-
-    __hash__ = None  # ciphertexts of equal values differ; never hash-group
+if yaml.__with_libyaml__:
+    _YAML_DUMPER, _YAML_LOADER = yaml.CSafeDumper, yaml.CSafeLoader
+else:  # pragma: no cover - PyYAML built without libyaml
+    _YAML_DUMPER, _YAML_LOADER = yaml.SafeDumper, yaml.SafeLoader
 
 
-@dataclass
-class Edge:
-    """One decoded index entry: the right-hand token and its flow fields."""
-
-    right: object  # (D, R) tuple in encrypted modes, token identity in plain
-    line: object
-    depth: object
-    order: object
-    cf_type: object
-
-
-@dataclass
+@dataclass(slots=True)
 class PathNode:
+    """One token occurrence on a flow: its identity and its flow fields.
+
+    A reader hands out one node per decoded index entry, and every path
+    through that entry shares it.  The ore reader fills the four fields
+    with ranks once the file's walk is done; until then they are None.
+    """
+
     token: object  # opaque identity: D bytes or plain token identity
-    line: object
-    depth: object
-    order: object
-    cf_type: object
+    line: int
+    depth: int
+    order: int
+    cf_type: int
+    ref: object = None  # expands the token: (D, R) keys, or plain identity
+    cts: tuple[bytes, ...] | None = None  # ore field ciphertexts
 
     def same_scope(self, other: "PathNode") -> bool:
         return (self.depth == other.depth and self.order == other.order
@@ -269,80 +245,113 @@ def load_query(path) -> Query:
 
 # --- index readers ------------------------------------------------------------
 
-class IndexReader:
-    """Counter-probing reader for the encrypted modes."""
+class Reader:
+    """Lists a token's entries in counter order, reading each token once.
+
+    Subclasses supply `_read`.  `rank` makes the field values read since
+    its last call comparable as ints; it has nothing to do where they are
+    ints already.
+    """
 
     def __init__(self, index: EncryptedIndex) -> None:
         self.index = index
-        self.field_bytes = (4 if index.mode == "std"
-                            else ore_ciphertext_bytes(index.ore_width))
-        self._cache: dict[bytes, list[Edge]] = {}
+        self._cache: dict[object, list[PathNode]] = {}
 
-    def entries(self, ref) -> list[Edge]:
+    def entries(self, ref) -> list[PathNode]:
+        key = ref_identity(ref)
+        edges = self._cache.get(key)
+        if edges is None:
+            edges = self._cache[key] = self._read(ref)
+        return edges
+
+    def rank(self) -> None:
+        pass
+
+
+class PlainReader(Reader):
+    """Reader for the unencrypted debugging mode."""
+
+    def _read(self, ref: str) -> list[PathNode]:
+        edges: list[PathNode] = []
+        while (blob := self.index.lookup(
+                f"{ref}#{len(edges) + 1}".encode())) is not None:
+            right, *fields = blob.decode().split("|")
+            edges.append(PathNode(right, *map(int, fields), ref=right))
+        return edges
+
+
+class IndexReader(Reader):
+    """Counter-probing reader for std mode: fields are plain integers."""
+
+    field_bytes = 4
+
+    def _read(self, ref) -> list[PathNode]:
         d_key, r_key = ref
-        cached = self._cache.get(d_key)
-        if cached is not None:
-            return cached
-        edges: list[Edge] = []
-        counter = 1
+        edges: list[PathNode] = []
         while True:
-            probe = det_encrypt(d_key, counter.to_bytes(4, "big"),
+            probe = det_encrypt(d_key, (len(edges) + 1).to_bytes(4, "big"),
                                 self.index.det_hash)
             blob = self.index.lookup(probe)
             if blob is None:
-                break
-            edges.append(self._decode(rnd_decrypt(r_key, blob)))
-            counter += 1
-        self._cache[d_key] = edges
-        return edges
+                return edges
+            payload = rnd_decrypt(r_key, blob)
+            if len(payload) != 2 * _D_BYTES + 4 * self.field_bytes:
+                raise FormatError("index value has unexpected payload size")
+            right = (payload[:_D_BYTES], payload[_D_BYTES:2 * _D_BYTES])
+            edges.append(self._node(right, payload[2 * _D_BYTES:]))
 
-    def _decode(self, payload: bytes) -> Edge:
-        need = 2 * _D_BYTES + 4 * self.field_bytes
-        if len(payload) != need:
-            raise FormatError("index value has unexpected payload size")
-        d_right = payload[:_D_BYTES]
-        r_right = payload[_D_BYTES:2 * _D_BYTES]
-        rest = payload[2 * _D_BYTES:]
-        if self.index.mode == "std":
-            line, depth, order, cf_type = struct.unpack(">iiii", rest)
-        else:
-            fb = self.field_bytes
-            line, depth, order, cf_type = (
-                OreValue(rest[0:fb]),
-                OreValue(rest[fb:2 * fb]),
-                OreValue(rest[2 * fb:3 * fb]),
-                OreValue(rest[3 * fb:4 * fb]),
-            )
-        return Edge((d_right, r_right), line, depth, order, cf_type)
+    def _node(self, right, fields: bytes) -> PathNode:
+        return PathNode(right[0], *struct.unpack(">iiii", fields), ref=right)
 
 
-class PlainReader:
-    """Reader for the unencrypted debugging mode."""
+class OreReader(IndexReader):
+    """Reader for ore mode: field ciphertexts become per-file ranks."""
 
     def __init__(self, index: EncryptedIndex) -> None:
-        self.index = index
-        self._cache: dict[str, list[Edge]] = {}
+        super().__init__(index)
+        self.field_bytes = ore_ciphertext_bytes(index.ore_width)
+        self._walked: dict[bytes, list[PathNode]] = {}
 
-    def entries(self, ref: str) -> list[Edge]:
-        cached = self._cache.get(ref)
-        if cached is not None:
-            return cached
-        edges: list[Edge] = []
-        counter = 1
-        while True:
-            blob = self.index.lookup(f"{ref}#{counter}".encode())
-            if blob is None:
-                break
-            right, line, depth, order, cf_type = blob.decode().split("|")
-            edges.append(Edge(right, int(line), int(depth), int(order),
-                              int(cf_type)))
-            counter += 1
-        self._cache[ref] = edges
+    def entries(self, ref) -> list[PathNode]:
+        edges = super().entries(ref)
+        self._walked[ref[0]] = edges
         return edges
 
+    def _node(self, right, fields: bytes) -> PathNode:
+        fb = self.field_bytes
+        cts = tuple(fields[k:k + fb] for k in range(0, 4 * fb, fb))
+        return PathNode(right[0], None, None, None, None, ref=right, cts=cts)
 
-def make_reader(index: EncryptedIndex):
-    return PlainReader(index) if index.mode == "plain" else IndexReader(index)
+    def rank(self) -> None:
+        """Rank, field by field, the entries handed out since the last call."""
+        nodes = [node for edges in self._walked.values() for node in edges]
+        self._walked.clear()
+        for k, name in enumerate(("line", "depth", "order", "cf_type")):
+            ranks = ore_ranks([node.cts[k] for node in nodes],
+                              self.index.ore_width)
+            for node, rank in zip(nodes, ranks):
+                setattr(node, name, rank)
+
+
+def ore_ranks(cts: list[bytes], width: int) -> list[int]:
+    """Dense ranks of order-revealing ciphertexts made under one key.
+
+    Ranks follow plaintext order and equal plaintexts share a rank.  Left
+    halves are deterministic, so they key out duplicates before the sort.
+    """
+    size, left = ore_ciphertext_bytes(width), ore_left_bytes(width)
+    if any(len(ct) != size for ct in cts):
+        raise FormatError("malformed order-revealing ciphertext")
+    distinct = {ct[:left]: ct for ct in cts}
+    ordered = sorted(distinct.values(), key=functools.cmp_to_key(
+        lambda a, b: ore_compare(a, b, width)))
+    rank_of = {ct[:left]: rank for rank, ct in enumerate(ordered)}
+    return [rank_of[ct[:left]] for ct in cts]
+
+
+def make_reader(index: EncryptedIndex) -> Reader:
+    readers = {"plain": PlainReader, "std": IndexReader, "ore": OreReader}
+    return readers[index.mode](index)
 
 
 # --- detection steps ----------------------------------------------------------
@@ -352,30 +361,32 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
 
     A path follows index entries token by token and stops at a token with
     no entries or one this path already expanded (a dependency cycle).
+    The walk compares token identities only; after it the reader ranks
+    the field values it read, so the later steps compare ints.
     """
-    paths: list[list[PathNode]] = []
     sens_id = ref_identity(fq.sens)
-
-    def walk(nodes: list[PathNode], ref, visited: frozenset) -> None:
-        rid = ref_identity(ref)
-        if rid in visited:
-            paths.append(nodes)
-            return
-        edges = reader.entries(ref)
+    paths: list[list[PathNode]] = []
+    sinks: list[tuple[PathNode, PathNode]] = []
+    stack: list[tuple[list[PathNode], frozenset]] = []
+    for edge in reversed(reader.entries(fq.sens)):
+        sink = PathNode(sens_id, edge.line, edge.depth, edge.order,
+                        edge.cf_type, fq.sens, edge.cts)
+        sinks.append((sink, edge))
+        stack.append(([sink, edge], frozenset((sens_id,))))
+    while stack:
+        nodes, visited = stack.pop()
+        last = nodes[-1]
+        edges = () if last.token in visited else reader.entries(last.ref)
         if not edges:
             paths.append(nodes)
-            return
-        deeper = visited | {rid}
-        for edge in edges:
-            node = PathNode(ref_identity(edge.right), edge.line, edge.depth,
-                            edge.order, edge.cf_type)
-            walk(nodes + [node], edge.right, deeper)
-
-    for edge in reader.entries(fq.sens):
-        sink = PathNode(sens_id, edge.line, edge.depth, edge.order, edge.cf_type)
-        first = PathNode(ref_identity(edge.right), edge.line, edge.depth,
-                         edge.order, edge.cf_type)
-        walk([sink, first], edge.right, frozenset((sens_id,)))
+            continue
+        deeper = visited | {last.token}
+        for edge in reversed(edges):
+            stack.append((nodes + [edge], deeper))
+    reader.rank()
+    for sink, edge in sinks:
+        sink.line, sink.depth = edge.line, edge.depth
+        sink.order, sink.cf_type = edge.order, edge.cf_type
     return paths
 
 
@@ -389,49 +400,25 @@ def remove_invalid_paths(paths: list[list[PathNode]]) -> list[list[PathNode]]:
     kept = []
     for nodes in paths:
         sink = nodes[0]
-        valid = True
-        for node in nodes[1:]:
-            if node.same_scope(sink) and node.line > sink.line:
-                valid = False
-                break
-        if valid:
+        if not any(node.same_scope(sink) and node.line > sink.line
+                   for node in nodes[1:]):
             kept.append(nodes)
     return kept
 
 
 def aggregate_paths(paths: list[list[PathNode]]) -> list[list[list[PathNode]]]:
     """Step 3: group paths by sink statement, ordered by sink line."""
-    groups: list[list] = []  # [token, line, [paths]]
+    groups: dict[tuple, list[list[PathNode]]] = {}
     for nodes in paths:
-        sink = nodes[0]
-        for group in groups:
-            if group[0] == sink.token and group[1] == sink.line:
-                group[2].append(nodes)
-                break
-        else:
-            groups.append([sink.token, sink.line, [nodes]])
-    groups.sort(key=lambda group: group[1])
-    return [group[2] for group in groups]
-
-
-class _FlowClasser:
-    """Assigns small ids to (depth, order, type) equality classes."""
-
-    def __init__(self) -> None:
-        self.reps: list[PathNode] = []
-
-    def class_of(self, node: PathNode) -> int:
-        for i, rep in enumerate(self.reps):
-            if node.same_scope(rep):
-                return i
-        self.reps.append(node)
-        return len(self.reps) - 1
+        groups.setdefault((nodes[0].token, nodes[0].line), []).append(nodes)
+    return sorted(groups.values(), key=lambda group: group[0][0].line)
 
 
 def _first_difference(a: list[PathNode], b: list[PathNode]) -> int | None:
     for k in range(min(len(a), len(b))):
         na, nb = a[k], b[k]
-        if na.token != nb.token or na.line != nb.line or not na.same_scope(nb):
+        if na is not nb and (na.token != nb.token or na.line != nb.line
+                             or not na.same_scope(nb)):
             return k
     if len(a) != len(b):
         return min(len(a), len(b))
@@ -454,10 +441,10 @@ def resolve_control_flow(
     """
     selected: list[list[PathNode]] = []
     for group in groups:
-        classer = _FlowClasser()
         buckets: dict[frozenset, list[list[PathNode]]] = {}
         for nodes in group:
-            signature = frozenset(classer.class_of(n) for n in nodes[1:])
+            signature = frozenset((n.depth, n.order, n.cf_type)
+                                  for n in nodes[1:])
             buckets.setdefault(signature, []).append(nodes)
         for bucket in buckets.values():
             survivors: list[list[PathNode]] = []
@@ -507,20 +494,21 @@ def check_vulnerability(paths: list[list[PathNode]],
 
 # --- full run and reports -------------------------------------------------------
 
-def _node_to_dict(node: PathNode) -> dict:
-    def fieldval(value):
-        if isinstance(value, OreValue):
-            return "ore:" + hashlib.sha256(value.ct).digest()[:16].hex()
-        return int(value)
-
+def _node_to_dict(node: PathNode, digests: dict[bytes, str]) -> dict:
+    """Report form of a node; ore fields are named by ciphertext digest."""
     token = node.token.hex() if isinstance(node.token, bytes) else node.token
-    return {
-        "token": token,
-        "line": fieldval(node.line),
-        "depth": fieldval(node.depth),
-        "order": fieldval(node.order),
-        "type": fieldval(node.cf_type),
-    }
+    if node.cts is None:
+        fields = (node.line, node.depth, node.order, node.cf_type)
+    else:
+        fields = []
+        for ct in node.cts:
+            name = digests.get(ct)
+            if name is None:
+                name = digests[ct] = (
+                    "ore:" + hashlib.sha256(ct).digest()[:16].hex())
+            fields.append(name)
+    return {"token": token, "line": fields[0], "depth": fields[1],
+            "order": fields[2], "type": fields[3]}
 
 
 def analyse(index: EncryptedIndex, query: Query) -> dict:
@@ -534,6 +522,7 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
                                   or query.ore_width != index.ore_width):
         raise FormatError("query and index disagree on scheme parameters")
     reader = make_reader(index)
+    digests: dict[bytes, str] = {}
     report: dict = {"task": query.task, "mode": query.mode, "files": []}
     probed_any = False
     for fq in sorted(query.files, key=lambda f: f.file_id):
@@ -547,9 +536,9 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
         entry = {"file": fq.file_id, "findings": []}
         for nodes in findings:
             entry["findings"].append({
-                "sink": _node_to_dict(nodes[0]),
-                "source": _node_to_dict(nodes[-1]),
-                "path": [_node_to_dict(n) for n in nodes],
+                "sink": _node_to_dict(nodes[0], digests),
+                "source": _node_to_dict(nodes[-1], digests),
+                "path": [_node_to_dict(n, digests) for n in nodes],
             })
         report["files"].append(entry)
     if not probed_any and len(index) > 0:
@@ -561,12 +550,13 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
 
 
 def save_report(path, report: dict) -> None:
-    atomic_write(path, yaml.safe_dump(report, sort_keys=False).encode())
+    text = yaml.dump(report, Dumper=_YAML_DUMPER, sort_keys=False)
+    atomic_write(path, text.encode())
 
 
 def load_report(path) -> dict:
     with open(path, encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
+        data = yaml.load(handle, Loader=_YAML_LOADER)
     if not isinstance(data, dict) or "files" not in data:
         raise FormatError(f"{path}: not an analysis report")
     return data

@@ -31,12 +31,13 @@ from .analysis import (
 from .crypto import (
     DEFAULT_ORE_WIDTH,
     DET_HASHES,
+    ORE_BLOCK_BITS,
     generate_master_keys,
     load_keys,
     save_keys,
 )
 from .errors import AuthorizationError, CcaError, UsageError
-from .dcfg import build_dcfg
+from .dcfg import annotate_control_flow, build_dcfg
 from .frontend import collect_sources, dump_lextokens, lex
 from .index import build_index, index_stats, load_index, save_index
 from .itl import dump_itl, load_rules, load_task_knowledge, translate
@@ -54,6 +55,29 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+
+def _int_flag(check, requirement: str):
+    """argparse type: an int that passes check, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not check(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_reps = _int_flag(lambda n: n >= 1, "an integer of at least 1")
+# the container headers store the width in one byte
+_ore_width = _int_flag(
+    lambda n: n % ORE_BLOCK_BITS == 0 and ORE_BLOCK_BITS <= n <= 248,
+    f"a multiple of {ORE_BLOCK_BITS} from {ORE_BLOCK_BITS} to 248")
 
 
 def _mode_from_flags(args) -> str:
@@ -184,7 +208,7 @@ def _bench_once(sources, rules, tk) -> tuple[dict, list]:
         t1 = time.perf_counter()
         itl_tokens, ctx = translate(lex_tokens, rules, tk, source.rel)
         t2 = time.perf_counter()
-        dcfg = build_dcfg(itl_tokens, ctx, source.rel)
+        dcfg = build_dcfg(annotate_control_flow(itl_tokens, source.rel), ctx)
         t3 = time.perf_counter()
         times["lex"] += t1 - t0
         times["translate"] += t2 - t1
@@ -270,7 +294,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--no-ore", action="store_true",
                    help="encrypt but keep flow fields as plain integers")
     p.add_argument("--det-hash", choices=DET_HASHES, default="sha1")
-    p.add_argument("--ore-width", type=int, default=DEFAULT_ORE_WIDTH,
+    p.add_argument("--ore-width", type=_ore_width, default=DEFAULT_ORE_WIDTH,
                    help="plaintext bit width for order-revealing fields")
     p.add_argument("--dump-lextokens", action="store_true")
     p.add_argument("--dump-itl", action="store_true")
@@ -306,9 +330,10 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("bench", help="timing and storage comparison of modes")
     p.add_argument("--src", required=True, help="source directory")
-    p.add_argument("--reps", type=int, default=5, help="repetitions to average")
+    p.add_argument("--reps", type=_reps, default=5,
+                   help="repetitions to average")
     p.add_argument("--det-hash", choices=DET_HASHES, default="sha1")
-    p.add_argument("--ore-width", type=int, default=DEFAULT_ORE_WIDTH)
+    p.add_argument("--ore-width", type=_ore_width, default=DEFAULT_ORE_WIDTH)
     add_db_options(p)
     p.set_defaults(func=cmd_bench)
 

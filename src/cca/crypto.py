@@ -276,9 +276,14 @@ def ore_encrypt(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
             + ore_encrypt_right(key, value, width, signed))
 
 
+def ore_left_bytes(width: int = DEFAULT_ORE_WIDTH) -> int:
+    """Size of the left half: a 16-byte tag and a slot byte per block."""
+    return width // ORE_BLOCK_BITS * 17
+
+
 def ore_ciphertext_bytes(width: int = DEFAULT_ORE_WIDTH) -> int:
     n = width // ORE_BLOCK_BITS
-    return n * 17 + 16 + n * (ORE_BLOCK_DOMAIN // 4)
+    return ore_left_bytes(width) + 16 + n * (ORE_BLOCK_DOMAIN // 4)
 
 
 def ore_compare(a: bytes, b: bytes, width: int = DEFAULT_ORE_WIDTH) -> int:
@@ -288,7 +293,7 @@ def ore_compare(a: bytes, b: bytes, width: int = DEFAULT_ORE_WIDTH) -> int:
     significant first and the first unequal block decides.
     """
     n = width // ORE_BLOCK_BITS
-    left_len = n * 17
+    left_len = ore_left_bytes(width)
     expected = ore_ciphertext_bytes(width)
     if len(a) != expected or len(b) != expected:
         raise ValueError("ORE ciphertext length does not match width")

@@ -306,10 +306,9 @@ def find_data_dependencies(tokens: list[ExtendedITLToken],
     return pairs
 
 
-def build_dcfg(tokens: list[ITLToken], ctx: TranslationContext,
-               path: str = "<string>") -> DCFG:
-    """Annotate the stream and extract its dependency pairs."""
-    extended = annotate_control_flow(tokens, path)
+def build_dcfg(extended: list[ExtendedITLToken],
+               ctx: TranslationContext) -> DCFG:
+    """Extract the dependency pairs of an annotated stream."""
     return DCFG(find_data_dependencies(extended, ctx))
 
 

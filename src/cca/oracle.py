@@ -3,8 +3,8 @@
 Two oracles with different trust stories:
 
 * `plaintext_analyse` runs the exact detection steps from the analysis
-  module directly over dependency pairs, with plain integers where the
-  encrypted run uses order-revealing ciphertexts.  Agreement with a
+  module directly over dependency pairs, with the plaintext integers where
+  an ore run uses ranks of order-revealing ciphertexts.  Agreement with a
   decrypted encrypted-mode report shows the cryptographic layer is
   transparent.
 
@@ -17,7 +17,6 @@ Two oracles with different trust stories:
 from __future__ import annotations
 
 from .analysis import (
-    Edge,
     FileQuery,
     PathNode,
     aggregate_paths,
@@ -41,12 +40,15 @@ class DcfgReader:
     def __init__(self, dcfg: DCFG) -> None:
         self._groups = dcfg.by_left()
 
-    def entries(self, ref: str) -> list[Edge]:
+    def entries(self, ref: str) -> list[PathNode]:
         return [
-            Edge(pair.right.token, pair.right.line, pair.right.depth,
-                 pair.right.order, pair.right.cf_type)
+            PathNode(pair.right.token, pair.right.line, pair.right.depth,
+                     pair.right.order, pair.right.cf_type, ref=pair.right.token)
             for pair in self._groups.get(ref, [])
         ]
+
+    def rank(self) -> None:
+        """Plain integers need no ranking."""
 
 
 def _node_dict(node: PathNode) -> dict:

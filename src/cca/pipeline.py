@@ -57,7 +57,7 @@ def process_file(
     lex_tokens = lex(source.text, source.rel)
     itl_tokens, ctx = translate(lex_tokens, rules, tk, source.rel)
     extended = annotate_control_flow(itl_tokens, source.rel)
-    dcfg = build_dcfg(itl_tokens, ctx, source.rel)
+    dcfg = build_dcfg(extended, ctx)
     return FileArtifacts(source, lex_tokens, itl_tokens, ctx, extended, dcfg)
 
 

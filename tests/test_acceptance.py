@@ -122,7 +122,7 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
         var2_d = next(key for key, named in res.keys.directory.items()
                       if named == (0, "VAR2"))
         assert survivor[-1].token == var2_d
-        line_digest = hashlib.sha256(survivor[-1].line.ct).digest()[:16]
+        line_digest = hashlib.sha256(survivor[-1].cts[0]).digest()[:16]
         assert res.keys.ore_values[line_digest] == 4
         (finding_path,) = check_vulnerability(resolved, fq)
         assert len(finding_path) == 3

@@ -5,10 +5,12 @@ import logging
 import os
 
 import pytest
+import yaml
+
+import cca.analysis
 
 from cca.analysis import (
     FileQuery,
-    OreValue,
     PathNode,
     Query,
     aggregate_paths,
@@ -19,11 +21,14 @@ from cca.analysis import (
     deserialize_query,
     find_paths,
     load_query,
+    load_report,
     make_reader,
+    ore_ranks,
     read_policy,
     remove_invalid_paths,
     resolve_control_flow,
     save_query,
+    save_report,
     serialize_query,
 )
 from cca.crypto import derive_ore_key, derive_token_keys, ore_encrypt
@@ -34,6 +39,7 @@ from cca.errors import (
     UsageError,
 )
 from cca.index import token_identity
+from cca.oracle import enumerate_findings
 from cca.pipeline import encrypt_application
 
 from conftest import flatten_findings, write_app
@@ -457,29 +463,27 @@ def test_task_without_tokens_warns_not_fails(tmp_path):
 # --- order revealing field values -------------------------------------------------
 
 
-def test_ore_values_compare_like_integers():
+def test_ore_ranks_follow_plaintext_order():
     key = derive_ore_key(os.urandom(16))
-    three = OreValue(ore_encrypt(key, 3))
-    nine = OreValue(ore_encrypt(key, 9))
-    again = OreValue(ore_encrypt(key, 3))
-    assert three < nine
-    assert nine > three
-    assert three <= again <= three
-    assert three == again
-    assert three.ct != again.ct  # equality via comparison, not bytes
-    assert three != nine
+    values = [9, 3, 200, 0, 41]
+    ranks = ore_ranks([ore_encrypt(key, v) for v in values], 32)
+    assert ranks == [2, 1, 4, 0, 3]
 
 
-def test_ore_values_never_hash():
+def test_ore_ranks_equal_values_share_a_rank():
     key = derive_ore_key(os.urandom(16))
-    value = OreValue(ore_encrypt(key, 1))
-    with pytest.raises(TypeError):
-        hash(value)
+    cts = [ore_encrypt(key, v, 16) for v in (7, 2, 7, 7)]
+    assert len(set(cts)) == 4  # equal values, different ciphertext bytes
+    assert ore_ranks(cts, 16) == [1, 0, 1, 1]
 
 
-def test_ore_value_rejects_malformed_ciphertext():
+def test_ore_ranks_reject_malformed_ciphertext():
+    key = derive_ore_key(os.urandom(16))
+    good = ore_encrypt(key, 1)
     with pytest.raises(FormatError):
-        OreValue(b"\x00" * 20)
+        ore_ranks([good, b"\x00" * 20], 32)
+    with pytest.raises(FormatError):
+        ore_ranks([good], 16)
 
 
 def test_encrypted_fields_stay_opaque_in_reports(tmp_path):
@@ -489,3 +493,82 @@ def test_encrypted_fields_stay_opaque_in_reports(tmp_path):
     assert finding["sink"]["line"].startswith("ore:")
     resolved = decrypt_report(report, res.keys)
     assert resolved["files"][0]["findings"][0]["sink"]["line"] == 5
+
+
+def test_encrypted_paths_carry_ranks_not_ciphertexts(tmp_path):
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="ore")
+    (fq,) = authorise(res.keys, "xss").files
+    raw = find_paths(make_reader(res.index), fq)
+    lines = [[n.line for n in path] for path in raw]
+    # plaintext lines 5/1, 6/3/1 and 6/4 rank 3/0, 4/1/0 and 4/2
+    assert lines == [[3, 3, 0], [4, 4, 1, 0], [4, 4, 2]]
+    assert all(isinstance(n.depth, int) for path in raw for n in path)
+
+
+# --- larger flows -----------------------------------------------------------------
+
+
+def chain_app(length: int, diamonds: set[int]) -> dict:
+    """A rewrite chain from $_GET to echo; diamonds assign in an if/else."""
+    lines = ["<?php $v0 = $_GET['q'];"]
+    for i in range(1, length + 1):
+        if i in diamonds:
+            lines += [f"if ($v{i - 1} == 'a') {{", f"$v{i} = $v{i - 1};",
+                      "} else {", f"$v{i} = $v{i - 1} . 'a';", "}"]
+        else:
+            lines += [f"$v{i} = $v{i - 1};", f"$v{i} = $v{i} . $v{i - 1};"]
+    lines.append(f"echo $v{length};")
+    return {"index.php": "\n".join(lines) + "\n"}
+
+
+def decrypted_paths(report: dict) -> set[tuple]:
+    return {
+        tuple((n["token"], n["line"], n["depth"], n["order"], n["type"])
+              for n in finding["path"])
+        for entry in report["files"] for finding in entry["findings"]
+    }
+
+
+def test_diamond_chain_agrees_across_modes_with_few_comparisons(
+        tmp_path, monkeypatch):
+    root = write_app(tmp_path, chain_app(7, diamonds={3, 5}))
+    calls = []
+    real_compare = cca.analysis.ore_compare
+
+    def counting_compare(a, b, width):
+        calls.append(1)
+        return real_compare(a, b, width)
+
+    monkeypatch.setattr(cca.analysis, "ore_compare", counting_compare)
+    found = {}
+    for mode in ("std", "ore"):
+        res = encrypt_application(root, mode=mode)
+        report = analyse(res.index, authorise(res.keys, "xss"))
+        found[mode] = decrypted_paths(decrypt_report(report, res.keys))
+    (fa,) = res.files
+    expected = enumerate_findings(fa.dcfg, "xss")
+    assert len(expected) == 4
+    assert found["ore"] == found["std"] == expected
+    assert 0 < len(calls) <= 1000
+
+
+def test_long_assignment_chain_gives_one_finding(tmp_path):
+    lines = ["<?php $v0 = $_GET['q'];"]
+    lines += [f"$v{i} = $v{i - 1};" for i in range(1, 1500)]
+    lines.append("echo $v1499;")
+    app = {"index.php": "\n".join(lines) + "\n"}
+    resolved = run_decrypted(tmp_path, "long", app, "xss")
+    assert flatten_findings(resolved) == {("index.php", 1501, 1)}
+
+
+def test_report_yaml_matches_safe_dump_and_round_trips(tmp_path):
+    for mode in ("std", "ore"):
+        res = encrypt_application(write_app(tmp_path / mode,
+                                            CORPUS["both_tasks"]), mode=mode)
+        report = analyse(res.index, authorise(res.keys, "xss"))
+        for doc in (report, decrypt_report(report, res.keys)):
+            path = tmp_path / f"{mode}.yaml"
+            save_report(path, doc)
+            text = path.read_text(encoding="utf-8")
+            assert text == yaml.safe_dump(doc, sort_keys=False)
+            assert load_report(path) == doc

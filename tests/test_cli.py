@@ -216,6 +216,30 @@ def test_usage_error_is_exit_code_1(tmp_path, app_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("bench", "--reps", "0"),
+    ("bench", "--reps", "two"),
+    ("bench", "--ore-width", "12"),
+    ("encrypt", "--ore-width", "12"),
+    ("encrypt", "--ore-width", "264"),
+    ("encrypt", "--ore-width", "0", "--no-ore"),
+])
+def test_bad_numeric_flags_are_usage_errors(tmp_path, app_dir, capsys,
+                                           monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    command, flag, value, *rest = argv
+    assert run(command, "--src", app_dir, flag, value, *rest) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and flag in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.cca*"))  # nothing was written
+
+
+def test_widest_ore_width_is_accepted(tmp_path, app_dir, capsys):
+    assert run("encrypt", "--src", app_dir, "--index", tmp_path / "i",
+               "--keys", tmp_path / "k", "--no-ore", "--ore-width", "248") == 0
+
+
 def test_missing_source_directory_is_exit_code_2(tmp_path, capsys):
     assert run("bench", "--src", tmp_path / "void") == 2
     assert "source directory not found" in capsys.readouterr().err

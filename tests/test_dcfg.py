@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import cca.dcfg
+import cca.pipeline
 from cca import lex, load_rules, load_task_knowledge, translate
 from cca.dcfg import (
     VALUE_FAMILIES,
@@ -14,13 +16,14 @@ from cca.dcfg import (
 )
 from cca.errors import StructureError
 from cca.itl import family
+from conftest import write_app
 from corpus import CORPUS
 
 
 def _dcfg(source: str):
     rules, tk = load_rules(), load_task_knowledge()
     tokens, ctx = translate(lex(source), rules, tk)
-    return build_dcfg(tokens, ctx)
+    return build_dcfg(annotate_control_flow(tokens), ctx)
 
 
 def _pairs(source: str) -> list[tuple]:
@@ -237,6 +240,20 @@ def test_dump_format():
 def test_build_is_deterministic():
     source = CORPUS["branching"]["index.php"]
     assert dump_dcfg(_dcfg(source)) == dump_dcfg(_dcfg(source))
+
+
+def test_pipeline_annotates_each_file_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return annotate_control_flow(*args, **kwargs)
+
+    monkeypatch.setattr(cca.pipeline, "annotate_control_flow", counting)
+    monkeypatch.setattr(cca.dcfg, "annotate_control_flow", counting)
+    res = cca.pipeline.encrypt_application(
+        write_app(tmp_path, CORPUS["multifile"]), mode="plain")
+    assert len(calls) == len(res.files) == 3
 
 
 # --- structural properties ----------------------------------------------------

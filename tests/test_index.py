@@ -17,7 +17,7 @@ from cca import (
     rnd_decrypt,
     translate,
 )
-from cca.dcfg import build_dcfg
+from cca.dcfg import annotate_control_flow, build_dcfg
 from cca.errors import FormatError
 from cca.index import (
     deserialize_index,
@@ -33,7 +33,7 @@ from corpus import CORPUS
 def _dcfg_for(source: str):
     rules, tk = load_rules(), load_task_knowledge()
     tokens, ctx = translate(lex(source), rules, tk)
-    return build_dcfg(tokens, ctx)
+    return build_dcfg(annotate_control_flow(tokens), ctx)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def test_entry_count_equals_pair_count(master):
     total = 0
     for file_id, name in enumerate(("fig_flow", "branching", "both_tasks")):
         tokens, ctx = translate(lex(CORPUS[name]["index.php"]), rules, tk)
-        dcfg = build_dcfg(tokens, ctx)
+        dcfg = build_dcfg(annotate_control_flow(tokens), ctx)
         per_file.append((file_id, dcfg))
         total += len(dcfg.pairs)
 

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cca.analysis import analyse, authorise, decrypt_report
-from cca.dcfg import DCFG, DCFGPair, ExtendedITLToken, build_dcfg
+from cca.dcfg import (
+    DCFG,
+    DCFGPair,
+    ExtendedITLToken,
+    annotate_control_flow,
+    build_dcfg,
+)
 from cca.errors import UsageError
 from cca.frontend import lex
 from cca.itl import load_rules, load_task_knowledge, translate
@@ -25,7 +31,7 @@ def build(text: str) -> DCFG:
     rules = load_rules()
     tk = load_task_knowledge()
     itl, ctx = translate(lex(text, "t.php"), rules, tk, "t.php")
-    return build_dcfg(itl, ctx, "t.php")
+    return build_dcfg(annotate_control_flow(itl, "t.php"), ctx)
 
 
 def oracle_paths(dcfg: DCFG, task: str) -> set[tuple]:
