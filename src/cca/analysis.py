@@ -29,14 +29,14 @@ from dataclasses import dataclass
 import yaml
 
 from .crypto import (
-    DET_HASHES,
-    MODES,
     KeyStore,
     derive_token_keys,
     det_encrypt,
     ore_ciphertext_bytes,
     ore_compare,
     ore_left_bytes,
+    pack_scheme,
+    read_scheme,
     rnd_decrypt,
 )
 from .errors import (
@@ -45,17 +45,11 @@ from .errors import (
     KeyMismatchError,
     UsageError,
 )
-from .fileio import atomic_write
+from .fileio import Cursor, atomic_write, blob
 from .index import EncryptedIndex, token_identity
+from .itl import TASKS
 
 log = logging.getLogger(__name__)
-
-TASKS = ("xss", "sqli")
-
-_TASK_TOKENS = {
-    "xss": ("XSS_SENS", "XSS_SAN"),
-    "sqli": ("SQLi_SENS", "SQLi_SAN"),
-}
 
 _D_BYTES = 32
 
@@ -139,12 +133,13 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
     """
     task = task.lower()
     if task not in TASKS:
-        raise UsageError(f"unknown task {task!r}; expected one of {TASKS}")
+        raise UsageError(
+            f"unknown task {task!r}; expected one of {tuple(TASKS)}")
     if policy_path is not None:
         decisions = read_policy(policy_path)
         if not decisions.get(task, False):
             raise AuthorizationError(f"policy denies task {task!r}")
-    sens_name, san_name = _TASK_TOKENS[task]
+    sens_name, san_name = TASKS[task]
     files = []
     for file_id in sorted(ks.files):
         if ks.mode == "plain":
@@ -171,67 +166,36 @@ _QRY_VERSION = 1
 
 
 def serialize_query(query: Query) -> bytes:
-    def blob(b: bytes) -> bytes:
-        return struct.pack(">H", len(b)) + b
-
-    out = bytearray()
-    out += _QRY_MAGIC
-    out += struct.pack(">BBBB", _QRY_VERSION, TASKS.index(query.task),
-                       MODES.index(query.mode), DET_HASHES.index(query.det_hash))
-    out += struct.pack(">B", query.ore_width)
+    out = bytearray(_QRY_MAGIC)
+    out += struct.pack(">BB", _QRY_VERSION, list(TASKS).index(query.task))
+    out += pack_scheme(query.mode, query.det_hash, query.ore_width)
     out += struct.pack(">I", len(query.files))
     for fq in query.files:
         out += struct.pack(">I", fq.file_id)
         if query.mode == "plain":
-            out += blob(fq.sens.encode())
-            out += blob(b"")
-            out += blob(fq.input_id.encode())
-            out += blob(fq.san_id.encode())
+            out += blob(fq.sens.encode()) + blob(b"")
+            out += blob(fq.input_id.encode()) + blob(fq.san_id.encode())
         else:
-            out += blob(fq.sens[0])
-            out += blob(fq.sens[1])
-            out += blob(fq.input_id)
-            out += blob(fq.san_id)
+            out += blob(fq.sens[0]) + blob(fq.sens[1])
+            out += blob(fq.input_id) + blob(fq.san_id)
     return bytes(out)
 
 
 def deserialize_query(data: bytes) -> Query:
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"query: truncated at byte {pos}")
-        chunk = data[pos:pos + n]
-        pos += n
-        return chunk
-
-    def blob() -> bytes:
-        (n,) = struct.unpack(">H", take(2))
-        return take(n)
-
-    if take(len(_QRY_MAGIC)) != _QRY_MAGIC:
-        raise FormatError("query: bad magic, not a query container")
-    version, task_code, mode_code, hash_code = struct.unpack(">BBBB", take(4))
-    if version != _QRY_VERSION:
-        raise FormatError(f"query: unsupported version {version}")
-    if task_code >= len(TASKS) or mode_code >= len(MODES) or hash_code >= len(DET_HASHES):
-        raise FormatError("query: unknown task, mode or hash code")
-    width = take(1)[0]
-    (count,) = struct.unpack(">I", take(4))
-    mode = MODES[mode_code]
+    cur = Cursor(data, "query", _QRY_MAGIC, _QRY_VERSION)
+    task = cur.code(TASKS, "task")
+    mode, det_hash, width = read_scheme(cur)
     files = []
-    for _ in range(count):
-        (file_id,) = struct.unpack(">I", take(4))
-        sens_d, sens_r, input_d, san_d = blob(), blob(), blob(), blob()
+    for _ in range(cur.unpack(">I")[0]):
+        (file_id,) = cur.unpack(">I")
         if mode == "plain":
-            files.append(FileQuery(file_id, sens_d.decode(),
-                                   input_d.decode(), san_d.decode()))
+            sens, _ = cur.text(), cur.blob()
+            files.append(FileQuery(file_id, sens, cur.text(), cur.text()))
         else:
-            files.append(FileQuery(file_id, (sens_d, sens_r), input_d, san_d))
-    if pos != len(data):
-        raise FormatError("query: trailing bytes after last entry")
-    return Query(TASKS[task_code], mode, DET_HASHES[hash_code], width, files)
+            sens = (cur.blob(), cur.blob())
+            files.append(FileQuery(file_id, sens, cur.blob(), cur.blob()))
+    cur.finish()
+    return Query(task, mode, det_hash, width, files)
 
 
 def save_query(path, query: Query) -> None:
@@ -275,8 +239,12 @@ class PlainReader(Reader):
         edges: list[PathNode] = []
         while (blob := self.index.lookup(
                 f"{ref}#{len(edges) + 1}".encode())) is not None:
-            right, *fields = blob.decode().split("|")
-            edges.append(PathNode(right, *map(int, fields), ref=right))
+            try:  # a ValueError also covers bad UTF-8 and a wrong field count
+                right, *fields = blob.decode().split("|")
+                line, depth, order, cf_type = map(int, fields)
+            except ValueError:
+                raise FormatError("index: malformed plain-mode value") from None
+            edges.append(PathNode(right, line, depth, order, cf_type, ref=right))
         return edges
 
 
@@ -492,6 +460,17 @@ def check_vulnerability(paths: list[list[PathNode]],
     return findings
 
 
+def detect(reader, fq: FileQuery) -> tuple[bool, list[list[PathNode]]]:
+    """Run every detection step over one file.
+
+    Returns whether any sink entry answered, and the findings.  Both
+    `analyse` and the plaintext oracle run each file through here.
+    """
+    paths = find_paths(reader, fq)
+    groups = aggregate_paths(remove_invalid_paths(paths))
+    return bool(paths), check_vulnerability(resolve_control_flow(groups), fq)
+
+
 # --- full run and reports -------------------------------------------------------
 
 def _node_to_dict(node: PathNode, digests: dict[bytes, str]) -> dict:
@@ -526,13 +505,8 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
     report: dict = {"task": query.task, "mode": query.mode, "files": []}
     probed_any = False
     for fq in sorted(query.files, key=lambda f: f.file_id):
-        paths = find_paths(reader, fq)
-        if paths:
-            probed_any = True
-        survivors = remove_invalid_paths(paths)
-        groups = aggregate_paths(survivors)
-        resolved = resolve_control_flow(groups)
-        findings = check_vulnerability(resolved, fq)
+        answered, findings = detect(reader, fq)
+        probed_any = probed_any or answered
         entry = {"file": fq.file_id, "findings": []}
         for nodes in findings:
             entry["findings"].append({
@@ -555,22 +529,39 @@ def save_report(path, report: dict) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        data = yaml.load(handle, Loader=_YAML_LOADER)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = yaml.load(handle, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise FormatError(f"{path}: not a readable YAML report: {exc}") from None
     if not isinstance(data, dict) or "files" not in data:
         raise FormatError(f"{path}: not an analysis report")
     return data
 
 
-def decrypt_report(report: dict, ks: KeyStore) -> dict:
-    """Resolve an analysis report into file paths, token names and lines."""
+def _get(mapping, key: str, kind):
+    """mapping[key], which must be an instance of kind (bools never are)."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise FormatError(f"report: missing field {key!r}")
+    value = mapping[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(f"report: field {key!r} has the wrong type")
+    return value
 
-    def resolve_token(value):
+
+def decrypt_report(report: dict, ks: KeyStore) -> dict:
+    """Resolve an analysis report into file paths, token names and lines.
+
+    The report comes back from the analyser, so each field is checked
+    where it is read: a malformed report raises FormatError.
+    """
+
+    def resolve_token(value: str) -> str:
         if ks.mode == "plain":
-            return str(value).split(":", 1)[1] if ":" in str(value) else value
+            return value.split(":", 1)[-1]
         try:
             raw = bytes.fromhex(value)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise KeyMismatchError(f"malformed token key {value!r}") from exc
         hit = ks.directory.get(raw)
         if hit is None:
@@ -580,40 +571,47 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
             )
         return hit[1]
 
-    def resolve_field(value):
-        if isinstance(value, str) and value.startswith("ore:"):
+    def resolve_field(value: int | str) -> int:
+        if isinstance(value, int):
+            return value
+        if not value.startswith("ore:"):
+            raise FormatError(f"report: field value {value!r} is neither an "
+                              "integer nor a ciphertext name")
+        try:
             digest = bytes.fromhex(value[4:])
-            if digest not in ks.ore_values:
-                raise KeyMismatchError(
-                    "ciphertext not present in this key store; the report "
-                    "was produced from an index built with different keys"
-                )
-            return ks.ore_values[digest]
-        return int(value)
+        except ValueError:
+            raise FormatError(
+                f"report: bad ciphertext name {value!r}") from None
+        if digest not in ks.ore_values:
+            raise KeyMismatchError(
+                "ciphertext not present in this key store; the report "
+                "was produced from an index built with different keys"
+            )
+        return ks.ore_values[digest]
 
-    def resolve_node(node: dict) -> dict:
-        return {
-            "token": resolve_token(node["token"]),
-            "line": resolve_field(node["line"]),
-            "depth": resolve_field(node["depth"]),
-            "order": resolve_field(node["order"]),
-            "type": resolve_field(node["type"]),
-        }
+    def resolve_node(node) -> dict:
+        out = {"token": resolve_token(_get(node, "token", str))}
+        for name in ("line", "depth", "order", "type"):
+            out[name] = resolve_field(_get(node, name, (int, str)))
+        return out
 
-    out = {"task": report.get("task"), "mode": report.get("mode"), "files": []}
-    for entry in report.get("files", []):
-        file_id = entry["file"]
+    task = _get(report, "task", str)
+    if task not in TASKS:
+        raise FormatError(f"report: unknown task {task!r}")
+    out = {"task": task, "mode": report.get("mode"), "files": []}
+    for entry in _get(report, "files", list):
+        file_id = _get(entry, "file", int)
         resolved = {
             "file": ks.files.get(file_id, f"<file {file_id}>"),
             "findings": [],
         }
-        for finding in entry.get("findings", []):
+        for finding in _get(entry, "findings", list):
             resolved["findings"].append({
-                "sink": resolve_node(finding["sink"]),
-                "source": resolve_node(finding["source"]),
-                "path": [resolve_node(n) for n in finding["path"]],
+                "sink": resolve_node(_get(finding, "sink", dict)),
+                "source": resolve_node(_get(finding, "source", dict)),
+                "path": [resolve_node(n) for n in _get(finding, "path", list)],
             })
         out["files"].append(resolved)
     if "warnings" in report:
-        out["warnings"] = list(report["warnings"])
+        out["warnings"] = list(_get(report, "warnings", list))
     return out

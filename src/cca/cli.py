@@ -31,7 +31,8 @@ from .analysis import (
 from .crypto import (
     DEFAULT_ORE_WIDTH,
     DET_HASHES,
-    ORE_BLOCK_BITS,
+    ORE_WIDTHS,
+    ORE_WIDTHS_TEXT,
     generate_master_keys,
     load_keys,
     save_keys,
@@ -40,13 +41,11 @@ from .errors import AuthorizationError, CcaError, UsageError
 from .dcfg import annotate_control_flow, build_dcfg
 from .frontend import collect_sources, dump_lextokens, lex
 from .index import build_index, index_stats, load_index, save_index
-from .itl import dump_itl, load_rules, load_task_knowledge, translate
+from .itl import TASKS, dump_itl, load_rules, load_task_knowledge, translate
 from .oracle import plaintext_analyse
 from .pipeline import encrypt_application, process_file
 
 log = logging.getLogger(__name__)
-
-_TASK_DISPLAY = {"xss": "XSS", "sqli": "SQLi"}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -74,10 +73,12 @@ def _int_flag(check, requirement: str):
 
 
 _reps = _int_flag(lambda n: n >= 1, "an integer of at least 1")
-# the container headers store the width in one byte
-_ore_width = _int_flag(
-    lambda n: n % ORE_BLOCK_BITS == 0 and ORE_BLOCK_BITS <= n <= 248,
-    f"a multiple of {ORE_BLOCK_BITS} from {ORE_BLOCK_BITS} to 248")
+_ore_width = _int_flag(lambda n: n in ORE_WIDTHS, ORE_WIDTHS_TEXT)
+
+
+def _task_display(task: str) -> str:
+    """Display name of a task, from its sink token: XSS_SENS gives XSS."""
+    return TASKS[task][0].removesuffix("_SENS")
 
 
 def _mode_from_flags(args) -> str:
@@ -135,7 +136,7 @@ def cmd_authorise(args) -> int:
     query = authorise(ks, args.task, args.policy)
     out = Path(args.out) if args.out else Path(f"{query.task}.ccaq")
     save_query(out, query)
-    print(f"authorised task {_TASK_DISPLAY[query.task]} "
+    print(f"authorised task {_task_display(query.task)} "
           f"for {len(query.files)} file(s) -> {out}")
     return 0
 
@@ -157,7 +158,7 @@ def cmd_decrypt_report(args) -> int:
     report = load_report(args.report)
     ks = load_keys(args.keys)
     resolved = decrypt_report(report, ks)
-    task = _TASK_DISPLAY.get(resolved.get("task"), str(resolved.get("task")))
+    task = _task_display(resolved["task"])
     lines = []
     for entry in resolved["files"]:
         for finding in entry["findings"]:

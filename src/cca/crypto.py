@@ -29,12 +29,16 @@ from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import ConfigError, FormatError, IntegrityError
-from .fileio import atomic_write
+from .fileio import Cursor, atomic_write, blob
 
 KEY_BYTES = 16
 ORE_BLOCK_BITS = 8
 ORE_BLOCK_DOMAIN = 1 << ORE_BLOCK_BITS  # 256 values per block
 DEFAULT_ORE_WIDTH = 32
+# Supported ORE bit widths: whole blocks, and one byte in container headers.
+ORE_WIDTHS = range(ORE_BLOCK_BITS, 256, ORE_BLOCK_BITS)
+ORE_WIDTHS_TEXT = (f"a multiple of {ORE_BLOCK_BITS} from {ORE_WIDTHS[0]} "
+                   f"to {ORE_WIDTHS[-1]}")
 
 MODES = ("plain", "std", "ore")
 DET_HASHES = ("sha1", "sha256")
@@ -217,8 +221,8 @@ def _mask(tag: bytes, nonce: bytes) -> int:
 
 
 def _check_range(value: int, width: int, signed: bool) -> int:
-    if width % ORE_BLOCK_BITS != 0 or width <= 0:
-        raise ValueError(f"ORE width must be a positive multiple of {ORE_BLOCK_BITS}")
+    if width not in ORE_WIDTHS:
+        raise ValueError(f"ORE width must be {ORE_WIDTHS_TEXT}, got {width}")
     if signed:
         value += 1 << (width - 1)
     if not 0 <= value < (1 << width):
@@ -338,28 +342,37 @@ class KeyStore:
     ore_values: dict[bytes, int] = field(default_factory=dict)
 
 
+def pack_scheme(mode: str, det_hash: str, ore_width: int) -> bytes:
+    """Mode, DET hash and ORE width codes, as every container header has them."""
+    return struct.pack(">BBB", MODES.index(mode), DET_HASHES.index(det_hash),
+                       ore_width)
+
+
+def read_scheme(cur: Cursor) -> tuple[str, str, int]:
+    """Read what `pack_scheme` wrote, rejecting unknown codes and widths."""
+    mode, det_hash = cur.code(MODES, "mode"), cur.code(DET_HASHES, "hash")
+    (width,) = cur.unpack(">B")
+    if width not in ORE_WIDTHS:
+        raise FormatError(f"{cur.what}: ORE width {width} is not "
+                          f"{ORE_WIDTHS_TEXT}")
+    return mode, det_hash, width
+
+
 def serialize_keys(ks: KeyStore) -> bytes:
-    out = bytearray()
-    out += _KEYS_MAGIC
-    out += struct.pack(">BBBB", _KEYS_VERSION, MODES.index(ks.mode),
-                       DET_HASHES.index(ks.det_hash), ks.ore_width)
+    out = bytearray(_KEYS_MAGIC)
+    out.append(_KEYS_VERSION)
+    out += pack_scheme(ks.mode, ks.det_hash, ks.ore_width)
     master = ks.master.as_tuple()
-    out += struct.pack(">B", len(master[0]))
+    out.append(len(master[0]))
     for key in master:
         out += key
     out += struct.pack(">I", len(ks.files))
     for file_id in sorted(ks.files):
-        path = ks.files[file_id].encode()
-        out += struct.pack(">IH", file_id, len(path))
-        out += path
+        out += struct.pack(">I", file_id) + blob(ks.files[file_id].encode())
     out += struct.pack(">I", len(ks.directory))
     for d_key in sorted(ks.directory):
         file_id, token = ks.directory[d_key]
-        token_b = token.encode()
-        out += struct.pack(">H", len(d_key))
-        out += d_key
-        out += struct.pack(">IH", file_id, len(token_b))
-        out += token_b
+        out += blob(d_key) + struct.pack(">I", file_id) + blob(token.encode())
     out += struct.pack(">I", len(ks.ore_values))
     for digest in sorted(ks.ore_values):
         out += digest
@@ -368,46 +381,25 @@ def serialize_keys(ks: KeyStore) -> bytes:
 
 
 def deserialize_keys(data: bytes) -> KeyStore:
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"key store: truncated at byte {pos}")
-        chunk = data[pos:pos + n]
-        pos = pos + n
-        return chunk
-
-    pos = 0
-    if take(len(_KEYS_MAGIC)) != _KEYS_MAGIC:
-        raise FormatError("key store: bad magic, not a key container")
-    version, mode_code, hash_code, width = struct.unpack(">BBBB", take(4))
-    if version != _KEYS_VERSION:
-        raise FormatError(f"key store: unsupported version {version}")
-    if mode_code >= len(MODES) or hash_code >= len(DET_HASHES):
-        raise FormatError("key store: unknown mode or hash code")
-    key_len = take(1)[0]
-    master = MasterKeys(*(take(key_len) for _ in range(6)))
+    cur = Cursor(data, "key store", _KEYS_MAGIC, _KEYS_VERSION)
+    mode, det_hash, width = read_scheme(cur)
+    (key_len,) = cur.unpack(">B")
+    master = MasterKeys(*(cur.take(key_len) for _ in range(6)))
     files: dict[int, str] = {}
-    (n_files,) = struct.unpack(">I", take(4))
-    for _ in range(n_files):
-        file_id, path_len = struct.unpack(">IH", take(6))
-        files[file_id] = take(path_len).decode()
+    for _ in range(cur.unpack(">I")[0]):
+        (file_id,) = cur.unpack(">I")
+        files[file_id] = cur.text()
     directory: dict[bytes, tuple[int, str]] = {}
-    (n_dir,) = struct.unpack(">I", take(4))
-    for _ in range(n_dir):
-        (d_len,) = struct.unpack(">H", take(2))
-        d_key = take(d_len)
-        file_id, tok_len = struct.unpack(">IH", take(6))
-        directory[d_key] = (file_id, take(tok_len).decode())
+    for _ in range(cur.unpack(">I")[0]):
+        d_key = cur.blob()
+        (file_id,) = cur.unpack(">I")
+        directory[d_key] = (file_id, cur.text())
     ore_values: dict[bytes, int] = {}
-    (n_ore,) = struct.unpack(">I", take(4))
-    for _ in range(n_ore):
-        digest = take(16)
-        (value,) = struct.unpack(">q", take(8))
-        ore_values[digest] = value
-    if pos != len(data):
-        raise FormatError("key store: trailing bytes after last table")
-    return KeyStore(master, MODES[mode_code], DET_HASHES[hash_code], width,
-                    files, directory, ore_values)
+    for _ in range(cur.unpack(">I")[0]):
+        digest = cur.take(16)
+        ore_values[digest] = cur.unpack(">q")[0]
+    cur.finish()
+    return KeyStore(master, mode, det_hash, width, files, directory, ore_values)
 
 
 def save_keys(path, ks: KeyStore) -> None:

@@ -18,18 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .itl import ITLToken, TranslationContext, family
+from .itl import CALL_TOKENS, ITLToken, TranslationContext, family
 
 # Token families that may appear as the value end of a dependency pair.
-VALUE_FAMILIES = frozenset(
-    {"VAR", "INPUT", "STRING", "FUNC_CALL",
-     "XSS_SENS", "SQLi_SENS", "XSS_SAN", "SQLi_SAN"}
-)
+VALUE_FAMILIES = frozenset({"VAR", "INPUT", "STRING", "FUNC_CALL", *CALL_TOKENS})
 
 # Families that open a call and collect the following arguments.
-OPENER_FAMILIES = frozenset(
-    {"FUNC_CALL", "XSS_SENS", "SQLi_SENS", "XSS_SAN", "SQLi_SAN"}
-)
+OPENER_FAMILIES = frozenset({"FUNC_CALL", *CALL_TOKENS})
 
 _COND_OPENERS = frozenset({"IF", "ELSEIF", "WHILE", "FOR", "SWITCH"})
 

@@ -24,25 +24,22 @@ from .crypto import (
     DEFAULT_ORE_WIDTH,
     DET_HASHES,
     MODES,
+    ORE_WIDTHS,
+    ORE_WIDTHS_TEXT,
     MasterKeys,
     derive_ore_key,
     derive_token_keys,
     det_encrypt,
-    ore_ciphertext_bytes,
     ore_encrypt,
+    pack_scheme,
+    read_scheme,
     rnd_encrypt,
 )
 from .dcfg import DCFG
-from .errors import FormatError
-from .fileio import atomic_write
-
-
-
+from .fileio import Cursor, atomic_write, blob
 
 _MAGIC = b"CCAIDX1\x00"
 _VERSION = 1
-
-_TOKEN_KEY_BYTES = 32  # derived D and R are HMAC-SHA256 outputs
 
 
 @dataclass
@@ -97,6 +94,8 @@ def build_index(
         raise ValueError(f"unknown index mode {mode!r}")
     if det_hash not in DET_HASHES:
         raise ValueError(f"unknown DET hash {det_hash!r}")
+    if ore_width not in ORE_WIDTHS:  # checked in every mode: headers store it
+        raise ValueError(f"ORE width must be {ORE_WIDTHS_TEXT}")
 
     tables = SideTables(directory={}, ore_values={})
     entries: list[IndexEntry] = []
@@ -155,78 +154,29 @@ def build_index(
     return EncryptedIndex(mode, det_hash, ore_width, entries), tables
 
 
-def payload_layout(mode: str, ore_width: int) -> tuple[int, int]:
-    """(offset of flow fields, bytes per flow field) inside a plaintext payload."""
-    if mode == "std":
-        return 2 * _TOKEN_KEY_BYTES, 4
-    return 2 * _TOKEN_KEY_BYTES, ore_ciphertext_bytes(ore_width)
-
-
 # --- container ----------------------------------------------------------------
 
-_MODE_CODES = {name: i for i, name in enumerate(MODES)}
-_HASH_CODES = {name: i for i, name in enumerate(DET_HASHES)}
-
-
 def serialize_index(index: EncryptedIndex) -> bytes:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack(">BBBB", _VERSION, _MODE_CODES[index.mode],
-                       _HASH_CODES[index.det_hash], index.ore_width)
+    out = bytearray(_MAGIC)
+    out.append(_VERSION)
+    out += pack_scheme(index.mode, index.det_hash, index.ore_width)
     out += struct.pack(">I", len(index.entries))
     for entry in index.entries:
-        out += struct.pack(">H", len(entry.key))
-        out += entry.key
+        out += blob(entry.key)
         out += struct.pack(">I", len(entry.value))
         out += entry.value
     return bytes(out)
 
 
-class _Cursor:
-    def __init__(self, data: bytes, what: str) -> None:
-        self.data = data
-        self.pos = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"{self.what}: truncated at byte {self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
 def deserialize_index(data: bytes) -> EncryptedIndex:
-    cur = _Cursor(data, "index")
-    if cur.take(len(_MAGIC)) != _MAGIC:
-        raise FormatError("index: bad magic, not an index container")
-    version = cur.u8()
-    if version != _VERSION:
-        raise FormatError(f"index: unsupported version {version}")
-    mode_code, hash_code, width = cur.u8(), cur.u8(), cur.u8()
-    if mode_code >= len(MODES) or hash_code >= len(DET_HASHES):
-        raise FormatError("index: unknown mode or hash code")
-    count = cur.u32()
+    cur = Cursor(data, "index", _MAGIC, _VERSION)
+    mode, det_hash, width = read_scheme(cur)
     entries = []
-    for _ in range(count):
-        key = cur.take(cur.u16())
-        value = cur.take(cur.u32())
-        entries.append(IndexEntry(key, value))
-    if not cur.done():
-        raise FormatError("index: trailing bytes after last entry")
-    return EncryptedIndex(MODES[mode_code], DET_HASHES[hash_code], width, entries)
+    for _ in range(cur.unpack(">I")[0]):
+        key = cur.blob()
+        entries.append(IndexEntry(key, cur.take(cur.unpack(">I")[0])))
+    cur.finish()
+    return EncryptedIndex(mode, det_hash, width, entries)
 
 
 def index_stats(index: EncryptedIndex) -> dict:

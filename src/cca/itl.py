@@ -20,8 +20,16 @@ import yaml
 from .errors import ConfigError, StructureError, TranslationError
 from .frontend import METACHAR_KINDS, LexToken
 
+# Analysis tasks in container code order (xss is 0, sqli 1), each with the
+# task tokens of its sensitive sinks and of its sanitizers.
+TASKS = {"xss": ("XSS_SENS", "XSS_SAN"), "sqli": ("SQLi_SENS", "SQLi_SAN")}
+
+# Task tokens that stand for a call: every sink, then every sanitizer.
+CALL_TOKENS = (tuple(sens for sens, _ in TASKS.values())
+               + tuple(san for _, san in TASKS.values()))
+
 # Task tokens applied from task knowledge.
-TASK_TOKENS = ("INPUT", "XSS_SENS", "SQLi_SENS", "XSS_SAN", "SQLi_SAN")
+TASK_TOKENS = ("INPUT",) + CALL_TOKENS
 
 # Ending tokens appended while translating (twelve).
 ENDING_TOKENS = (
@@ -98,6 +106,8 @@ class RuleSet:
 
 @dataclass(frozen=True)
 class TaskKnowledge:
+    """The names under each task token; fields follow TASK_TOKENS order."""
+
     inputs: frozenset[str]
     xss_sens: frozenset[str]
     sqli_sens: frozenset[str]
@@ -106,12 +116,8 @@ class TaskKnowledge:
 
     def function_token(self, name: str) -> str | None:
         name = name.lower()
-        for token, names in (
-            ("XSS_SENS", self.xss_sens),
-            ("SQLi_SENS", self.sqli_sens),
-            ("XSS_SAN", self.xss_san),
-            ("SQLi_SAN", self.sqli_san),
-        ):
+        for token, names in zip(CALL_TOKENS, (self.xss_sens, self.sqli_sens,
+                                              self.xss_san, self.sqli_san)):
             if name in names:
                 return token
         return None
@@ -193,13 +199,7 @@ def load_task_knowledge(path: Path | str | None = None) -> TaskKnowledge:
                     f"{where}: {name!r} appears under both {seen[name]} and {token}"
                 )
             seen[name] = token
-    return TaskKnowledge(
-        inputs=sets["INPUT"],
-        xss_sens=sets["XSS_SENS"],
-        sqli_sens=sets["SQLi_SENS"],
-        xss_san=sets["XSS_SAN"],
-        sqli_san=sets["SQLi_SAN"],
-    )
+    return TaskKnowledge(*(sets[token] for token in TASK_TOKENS))
 
 
 # --- translation -------------------------------------------------------------
@@ -243,8 +243,7 @@ _OP_KINDS = frozenset(
     }
 )
 
-_CALLABLE_FAMILIES = ("FUNC_CALL", "ARRAY", "XSS_SENS", "SQLi_SENS",
-                      "XSS_SAN", "SQLi_SAN")
+_CALLABLE_FAMILIES = ("FUNC_CALL", "ARRAY") + CALL_TOKENS
 
 
 class _Translator:

@@ -16,22 +16,10 @@ Two oracles with different trust stories:
 
 from __future__ import annotations
 
-from .analysis import (
-    FileQuery,
-    PathNode,
-    aggregate_paths,
-    check_vulnerability,
-    find_paths,
-    remove_invalid_paths,
-    resolve_control_flow,
-)
+from .analysis import FileQuery, PathNode, detect
 from .dcfg import DCFG
 from .errors import UsageError
-
-_TASK_NAMES = {
-    "xss": ("XSS_SENS", "XSS_SAN"),
-    "sqli": ("SQLi_SENS", "SQLi_SAN"),
-}
+from .itl import TASKS
 
 
 class DcfgReader:
@@ -69,19 +57,14 @@ def plaintext_analyse(per_file: list[tuple[int, DCFG]], task: str,
     two can be compared field for field.
     """
     task = task.lower()
-    if task not in _TASK_NAMES:
+    if task not in TASKS:
         raise UsageError(f"unknown task {task!r}")
-    sens_name, san_name = _TASK_NAMES[task]
+    sens_name, san_name = TASKS[task]
     report: dict = {"task": task, "mode": "oracle", "files": []}
     for file_id, dcfg in sorted(per_file, key=lambda item: item[0]):
-        reader = DcfgReader(dcfg)
         fq = FileQuery(file_id, sens=sens_name, input_id="INPUT",
                        san_id=san_name)
-        paths = find_paths(reader, fq)
-        survivors = remove_invalid_paths(paths)
-        groups = aggregate_paths(survivors)
-        resolved = resolve_control_flow(groups)
-        findings = check_vulnerability(resolved, fq)
+        _, findings = detect(DcfgReader(dcfg), fq)
         name = file_names.get(file_id) if file_names else file_id
         entry = {"file": name if name is not None else file_id, "findings": []}
         for nodes in findings:
@@ -102,9 +85,9 @@ def enumerate_findings(dcfg: DCFG, task: str) -> set[tuple]:
     semantics without calling into the analysis module.
     """
     task = task.lower()
-    if task not in _TASK_NAMES:
+    if task not in TASKS:
         raise UsageError(f"unknown task {task!r}")
-    sens_name, san_name = _TASK_NAMES[task]
+    sens_name, san_name = TASKS[task]
 
     adjacency: dict[str, list[tuple]] = {}
     for pair in dcfg:

@@ -11,6 +11,7 @@ import yaml
 import cca
 from cca import __version__
 from cca.cli import main
+from cca.index import load_index, save_index
 
 from conftest import write_app
 
@@ -250,6 +251,101 @@ def test_stage_failure_is_exit_code_2(tmp_path, capsys):
     mangled.write_bytes(b"not an index container")
     assert run("stats", "--index", mangled) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _first_finding(report: dict) -> dict:
+    return report["files"][0]["findings"][0]
+
+
+def _edit_report(change):
+    def damage(paths):
+        report = yaml.safe_load(paths["report"].read_text())
+        change(report)
+        paths["report"].write_text(yaml.safe_dump(report))
+    return damage
+
+
+def _set_sink_value(value: bytes):
+    def damage(paths):
+        index = load_index(paths["index"])
+        entry = next(e for e in index.entries if e.key == b"0:XSS_SENS#1")
+        entry.value = value
+        save_index(paths["index"], index)
+    return damage
+
+
+def _replace_bytes(name: str, old: bytes, new: bytes):
+    def damage(paths):
+        data = paths[name].read_bytes()
+        assert old in data
+        paths[name].write_bytes(data.replace(old, new, 1))
+    return damage
+
+
+def _set_byte(name: str, offset: int, value: int):
+    def damage(paths):
+        data = bytearray(paths[name].read_bytes())
+        data[offset] = value
+        paths[name].write_bytes(bytes(data))
+    return damage
+
+
+COMMANDS = {
+    "authorise": lambda p: ("authorise", "--keys", p["keys"], "--task", "xss",
+                            "--out", p["query"]),
+    "analyse": lambda p: ("analyse", "--index", p["index"], "--query",
+                          p["query"], "--out", p["report"]),
+    "decrypt-report": lambda p: ("decrypt-report", "--report", p["report"],
+                                 "--keys", p["keys"]),
+}
+
+# case -> (encrypt flag, damage to the artifacts, command that reads them)
+MALFORMED = {
+    "report finding without sink": (
+        "--no-ore", _edit_report(lambda r: _first_finding(r).pop("sink")),
+        "decrypt-report"),
+    "report files is a number": (
+        "--no-ore", _edit_report(lambda r: r.update(files=3)),
+        "decrypt-report"),
+    "report field ore:zz": (
+        "--no-ore",
+        _edit_report(lambda r: _first_finding(r)["sink"].update(line="ore:zz")),
+        "decrypt-report"),
+    "report line is a list": (
+        "--no-ore",
+        _edit_report(lambda r: _first_finding(r)["sink"].update(line=[1])),
+        "decrypt-report"),
+    "report is not YAML": (
+        "--no-ore", lambda p: p["report"].write_text("files: [\n"),
+        "decrypt-report"),
+    "plain value with too few fields": (
+        "--no-encryption", _set_sink_value(b"0:VAR1|5"), "analyse"),
+    "plain value with a non-integer field": (
+        "--no-encryption", _set_sink_value(b"0:VAR1|5|x|0|0"), "analyse"),
+    "plain query text not UTF-8": (
+        "--no-encryption", _replace_bytes("query", b"0:XSS_SENS", b"\xff:XSS_SENS"),
+        "analyse"),
+    "key store text not UTF-8": (
+        "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
+        "authorise"),
+    "key store ORE width 12": ("--no-ore", _set_byte("keys", 11, 12), "authorise"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_artifact_is_exit_code_2(tmp_path, app_dir, capsys, case):
+    flag, damage, command = MALFORMED[case]
+    paths = {name: tmp_path / name for name in ("index", "keys", "query",
+                                                "report")}
+    assert run("encrypt", "--src", app_dir, "--index", paths["index"],
+               "--keys", paths["keys"], flag) == 0
+    for step in ("authorise", "analyse"):
+        assert run(*COMMANDS[step](paths)) == 0
+    damage(paths)
+    capsys.readouterr()
+    assert run(*COMMANDS[command](paths)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_file_is_exit_code_2(tmp_path, capsys):

@@ -201,6 +201,8 @@ def test_ore_range_validation():
         ore_encrypt(key, 256, width=8)
     with pytest.raises(ValueError):
         ore_encrypt(key, 1, width=7)
+    with pytest.raises(ValueError):  # headers store the width in one byte
+        ore_encrypt(key, 1, width=256)
 
 
 def test_ore_length_validation_in_compare():

@@ -202,6 +202,14 @@ def test_serialize_roundtrip(fig_dcfg, master, mode, tmp_path):
         {(e.key, e.value) for e in index.entries}
 
 
+@pytest.mark.parametrize("option", [{"mode": "fast"}, {"det_hash": "md5"},
+                                    {"mode": "std", "ore_width": 12},
+                                    {"mode": "plain", "ore_width": 256}])
+def test_build_rejects_unsupported_parameters(fig_dcfg, master, option):
+    with pytest.raises(ValueError):
+        build_index([(0, fig_dcfg)], master, **option)
+
+
 def test_truncated_container_rejected(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
