@@ -15,18 +15,16 @@ reader, once a file's walk is done, sorts the field ciphertexts it read
 for that file, one field at a time, with the comparison order-revealing
 encryption already offers, and replaces each by its rank.  Ranks within
 one file tell the analyser nothing the comparisons did not; reports still
-name ore fields by ciphertext digest, never by rank (docs/formats.md).
+name ore fields by part of their left half, never by rank (docs/formats.md).
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
+import json
 import logging
 import struct
 from dataclasses import dataclass
-
-import yaml
 
 from .crypto import (
     KeyStore,
@@ -34,7 +32,10 @@ from .crypto import (
     det_encrypt,
     ore_ciphertext_bytes,
     ore_compare,
+    ore_field_keys,
     ore_left_bytes,
+    ore_name,
+    ore_name_value,
     pack_scheme,
     read_scheme,
     rnd_decrypt,
@@ -52,11 +53,6 @@ from .itl import TASKS
 log = logging.getLogger(__name__)
 
 _D_BYTES = 32
-
-if yaml.__with_libyaml__:
-    _YAML_DUMPER, _YAML_LOADER = yaml.CSafeDumper, yaml.CSafeLoader
-else:  # pragma: no cover - PyYAML built without libyaml
-    _YAML_DUMPER, _YAML_LOADER = yaml.SafeDumper, yaml.SafeLoader
 
 
 @dataclass(slots=True)
@@ -473,19 +469,13 @@ def detect(reader, fq: FileQuery) -> tuple[bool, list[list[PathNode]]]:
 
 # --- full run and reports -------------------------------------------------------
 
-def _node_to_dict(node: PathNode, digests: dict[bytes, str]) -> dict:
-    """Report form of a node; ore fields are named by ciphertext digest."""
+def _node_to_dict(node: PathNode, width: int) -> dict:
+    """Report form of a node; ore fields are named by `crypto.ore_name`."""
     token = node.token.hex() if isinstance(node.token, bytes) else node.token
     if node.cts is None:
         fields = (node.line, node.depth, node.order, node.cf_type)
     else:
-        fields = []
-        for ct in node.cts:
-            name = digests.get(ct)
-            if name is None:
-                name = digests[ct] = (
-                    "ore:" + hashlib.sha256(ct).digest()[:16].hex())
-            fields.append(name)
+        fields = ["ore:" + ore_name(ct, width).hex() for ct in node.cts]
     return {"token": token, "line": fields[0], "depth": fields[1],
             "order": fields[2], "type": fields[3]}
 
@@ -501,20 +491,14 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
                                   or query.ore_width != index.ore_width):
         raise FormatError("query and index disagree on scheme parameters")
     reader = make_reader(index)
-    digests: dict[bytes, str] = {}
     report: dict = {"task": query.task, "mode": query.mode, "files": []}
     probed_any = False
     for fq in sorted(query.files, key=lambda f: f.file_id):
         answered, findings = detect(reader, fq)
         probed_any = probed_any or answered
-        entry = {"file": fq.file_id, "findings": []}
-        for nodes in findings:
-            entry["findings"].append({
-                "sink": _node_to_dict(nodes[0], digests),
-                "source": _node_to_dict(nodes[-1], digests),
-                "path": [_node_to_dict(n, digests) for n in nodes],
-            })
-        report["files"].append(entry)
+        report["files"].append({"file": fq.file_id, "findings": [
+            {"path": [_node_to_dict(n, index.ore_width) for n in nodes]}
+            for nodes in findings]})
     if not probed_any and len(index) > 0:
         message = ("no sensitive entries answered any probe; the query keys "
                    "may not match this index")
@@ -524,16 +508,16 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
 
 
 def save_report(path, report: dict) -> None:
-    text = yaml.dump(report, Dumper=_YAML_DUMPER, sort_keys=False)
+    text = json.dumps(report, separators=(",", ":"))
     atomic_write(path, text.encode())
 
 
 def load_report(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = yaml.load(handle, Loader=_YAML_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:
-        raise FormatError(f"{path}: not a readable YAML report: {exc}") from None
+            data = json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: not a readable JSON report: {exc}") from None
     if not isinstance(data, dict) or "files" not in data:
         raise FormatError(f"{path}: not an analysis report")
     return data
@@ -553,11 +537,20 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
     """Resolve an analysis report into file paths, token names and lines.
 
     The report comes back from the analyser, so each field is checked
-    where it is read: a malformed report raises FormatError.
+    where it is read: a malformed report raises FormatError, and one made
+    under other keys or in another mode raises KeyMismatchError.  Each
+    finding's sink and source are the first and last node of its path.
     """
+    mode = _get(report, "mode", str)
+    if mode != ks.mode:
+        raise KeyMismatchError(f"report was made in mode {mode!r} but the "
+                               f"key store is for mode {ks.mode!r}")
+    field_kind = str if mode == "ore" else int
+    ore_keys = ore_field_keys(ks.master)
+    names: dict[tuple[str, str], int] = {}
 
     def resolve_token(value: str) -> str:
-        if ks.mode == "plain":
+        if mode == "plain":
             return value.split(":", 1)[-1]
         try:
             raw = bytes.fromhex(value)
@@ -571,34 +564,34 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
             )
         return hit[1]
 
-    def resolve_field(value: int | str) -> int:
-        if isinstance(value, int):
+    def resolve_field(field: str, value: int | str) -> int:
+        if mode != "ore":
             return value
-        if not value.startswith("ore:"):
-            raise FormatError(f"report: field value {value!r} is neither an "
-                              "integer nor a ciphertext name")
-        try:
-            digest = bytes.fromhex(value[4:])
-        except ValueError:
-            raise FormatError(
-                f"report: bad ciphertext name {value!r}") from None
-        if digest not in ks.ore_values:
-            raise KeyMismatchError(
-                "ciphertext not present in this key store; the report "
-                "was produced from an index built with different keys"
-            )
-        return ks.ore_values[digest]
+        got = names.get((field, value))
+        if got is None:
+            if not value.startswith("ore:"):
+                raise FormatError(f"report: field value {value!r} is not a "
+                                  "ciphertext name")
+            try:
+                name = bytes.fromhex(value[4:])
+            except ValueError:
+                raise FormatError(
+                    f"report: bad ciphertext name {value!r}") from None
+            key, signed = ore_keys[field]
+            got = ore_name_value(key, name, ks.ore_width, signed)
+            names[field, value] = got
+        return got
 
     def resolve_node(node) -> dict:
         out = {"token": resolve_token(_get(node, "token", str))}
-        for name in ("line", "depth", "order", "type"):
-            out[name] = resolve_field(_get(node, name, (int, str)))
+        for field in ("line", "depth", "order", "type"):
+            out[field] = resolve_field(field, _get(node, field, field_kind))
         return out
 
     task = _get(report, "task", str)
     if task not in TASKS:
         raise FormatError(f"report: unknown task {task!r}")
-    out = {"task": task, "mode": report.get("mode"), "files": []}
+    out = {"task": task, "mode": mode, "files": []}
     for entry in _get(report, "files", list):
         file_id = _get(entry, "file", int)
         resolved = {
@@ -606,11 +599,11 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
             "findings": [],
         }
         for finding in _get(entry, "findings", list):
-            resolved["findings"].append({
-                "sink": resolve_node(_get(finding, "sink", dict)),
-                "source": resolve_node(_get(finding, "source", dict)),
-                "path": [resolve_node(n) for n in _get(finding, "path", list)],
-            })
+            path = [resolve_node(n) for n in _get(finding, "path", list)]
+            if not path:
+                raise FormatError("report: finding with an empty path")
+            resolved["findings"].append(
+                {"sink": path[0], "source": path[-1], "path": path})
         out["files"].append(resolved)
     if "warnings" in report:
         out["warnings"] = list(_get(report, "warnings", list))

@@ -147,7 +147,7 @@ def cmd_analyse(args) -> int:
     report = analyse(index, query)
     for warning in report.get("warnings", ()):
         print(f"warning: {warning}", file=sys.stderr)
-    out = Path(args.out) if args.out else Path("report.yaml")
+    out = Path(args.out) if args.out else Path("report.json")
     save_report(out, report)
     total = sum(len(f["findings"]) for f in report["files"])
     print(f"analysis complete: {total} finding(s) -> {out}")
@@ -236,9 +236,9 @@ def cmd_bench(args) -> int:
         master = generate_master_keys()
         for mode in modes:
             t0 = time.perf_counter()
-            index, _tables = build_index(artifacts, master, mode=mode,
-                                         det_hash=args.det_hash,
-                                         ore_width=args.ore_width)
+            index, _ = build_index(artifacts, master, mode=mode,
+                                   det_hash=args.det_hash,
+                                   ore_width=args.ore_width)
             index_totals[mode] += time.perf_counter() - t0
             sizes[mode] = index_stats(index)["container_bytes"]
     front = {stage: total / reps for stage, total in stage_totals.items()}

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .errors import ConfigError, FormatError, IntegrityError
+from .errors import ConfigError, FormatError, IntegrityError, KeyMismatchError
 from .fileio import Cursor, atomic_write, blob
 
 KEY_BYTES = 16
@@ -45,6 +45,11 @@ DET_HASHES = ("sha1", "sha256")
 
 _RND_TAG_BYTES = 16
 _RND_IV_BYTES = 16
+
+# The four order-revealing flow fields, in index order: report field name,
+# the `MasterKeys` attribute that keys it, and whether its values are signed.
+ORE_FIELDS = (("line", "ore_line", False), ("depth", "ore_depth", False),
+              ("order", "ore_order", False), ("type", "ore_type", True))
 
 
 def _hmac(key: bytes, data: bytes, algo: str = "sha256") -> bytes:
@@ -136,34 +141,33 @@ def rnd_decrypt(key: bytes, blob: bytes) -> bytes:
 class OreKey:
     """Key material for the order-revealing scheme, with a derivation cache.
 
-    The cache maps (block index, prefix) to that block's slot permutation
-    and per-slot comparison tags; both are deterministic in the key, so the
-    cache only saves recomputation and never changes results.
+    The cache maps (derivation, block index, prefix) to that block's slot
+    permutation or per-slot comparison tags; both are deterministic in the
+    key, so the cache only saves recomputation and never changes results.
     """
 
     prf_key: bytes
     prp_key: bytes
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    _CACHE_CAP = 4096
+    _CACHE_CAP = 8192  # a permutation and a tag list per block
 
-    def block_setup(
-        self, index: int, prefix: bytes
-    ) -> tuple[list[int], list[int], list[bytes]]:
-        """Permutation (value -> slot), its inverse, and per-slot tags."""
-        cache_key = (index, prefix)
+    def permutation(self, index: int, prefix: bytes) -> list[int]:
+        """Slot of each value of one block (value -> slot)."""
+        return self._derived(_derive_permutation, self.prp_key, index, prefix)
+
+    def slot_tags(self, index: int, prefix: bytes) -> list[bytes]:
+        """Comparison tag of every slot of one block."""
+        return self._derived(_derive_slot_tags, self.prf_key, index, prefix)
+
+    def _derived(self, derive, secret: bytes, index: int, prefix: bytes):
+        cache_key = (derive, index, prefix)
         hit = self._cache.get(cache_key)
-        if hit is not None:
-            return hit
-        perm = _derive_permutation(self.prp_key, index, prefix)
-        inverse = [0] * ORE_BLOCK_DOMAIN
-        for value, slot in enumerate(perm):
-            inverse[slot] = value
-        tags = _derive_slot_tags(self.prf_key, index, prefix)
-        if len(self._cache) >= self._CACHE_CAP:
-            self._cache.clear()
-        self._cache[cache_key] = (perm, inverse, tags)
-        return perm, inverse, tags
+        if hit is None:
+            if len(self._cache) >= self._CACHE_CAP:
+                self._cache.clear()
+            hit = self._cache[cache_key] = derive(secret, index, prefix)
+        return hit
 
 
 def ore_keygen() -> OreKey:
@@ -173,6 +177,12 @@ def ore_keygen() -> OreKey:
 def derive_ore_key(master: bytes) -> OreKey:
     return OreKey(_hmac(master, b"prf")[:KEY_BYTES],
                   _hmac(master, b"prp")[:KEY_BYTES])
+
+
+def ore_field_keys(master: MasterKeys) -> dict[str, tuple[OreKey, bool]]:
+    """Field name -> (key, signed), in `ORE_FIELDS` order."""
+    return {name: (derive_ore_key(getattr(master, attr)), signed)
+            for name, attr, signed in ORE_FIELDS}
 
 
 def _derive_permutation(prp_key: bytes, index: int, prefix: bytes) -> list[int]:
@@ -203,13 +213,12 @@ def _derive_permutation(prp_key: bytes, index: int, prefix: bytes) -> list[int]:
     return perm
 
 
-def _derive_slot_tags(prf_key: bytes, index: int, prefix: bytes) -> list[bytes]:
-    """Comparison tag for every slot of one block position."""
-    seed = _hmac(prf_key, bytes([index]) + prefix)
-    base = hashlib.sha256()
-    base.update(seed)
+def _derive_slot_tags(prf_key: bytes, index: int, prefix: bytes,
+                      slots=range(ORE_BLOCK_DOMAIN)) -> list[bytes]:
+    """Comparison tag of each given slot of one block position."""
+    base = hashlib.sha256(_hmac(prf_key, bytes([index]) + prefix))
     tags = []
-    for slot in range(ORE_BLOCK_DOMAIN):
+    for slot in slots:
         h = base.copy()
         h.update(bytes([slot]))
         tags.append(h.digest()[:16])
@@ -239,9 +248,8 @@ def ore_encrypt_left(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
     out = bytearray()
     for i in range(n):
         prefix = raw[:i]
-        perm, _, tags = key.block_setup(i, prefix)
-        slot = perm[raw[i]]
-        out += tags[slot]
+        slot = key.permutation(i, prefix)[raw[i]]
+        out += key.slot_tags(i, prefix)[slot]
         out.append(slot)
     return bytes(out)
 
@@ -259,11 +267,10 @@ def ore_encrypt_right(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
     base_copy = base.copy
     for i in range(n):
         prefix = raw[:i]
-        _, inverse, tags = key.block_setup(i, prefix)
+        tags = key.slot_tags(i, prefix)
         y = raw[i]
         packed = bytearray(ORE_BLOCK_DOMAIN // 4)
-        for slot in range(ORE_BLOCK_DOMAIN):
-            x = inverse[slot]
+        for x, slot in enumerate(key.permutation(i, prefix)):
             cmp_code = 0 if x == y else (1 if x < y else 2)
             h = base_copy()
             h.update(tags[slot])
@@ -317,20 +324,53 @@ def ore_compare(a: bytes, b: bytes, width: int = DEFAULT_ORE_WIDTH) -> int:
     return 0
 
 
+# A report names an ORE ciphertext by its left half's slot bytes and the
+# first bytes of the last block's tag: part of the left half, so the name
+# shows the analyser nothing new, and the field key reads it back.
+_ORE_CHECK_BYTES = 8
+
+
+def ore_name(ct: bytes, width: int = DEFAULT_ORE_WIDTH) -> bytes:
+    """Report name of a ciphertext (see `_ORE_CHECK_BYTES`)."""
+    last = ore_left_bytes(width) - 17
+    return ct[16:last + 17:17] + ct[last:last + _ORE_CHECK_BYTES]
+
+
+def ore_name_value(key: OreKey, name: bytes, width: int = DEFAULT_ORE_WIDTH,
+                   signed: bool = False) -> int:
+    """The value an `ore_name` names; KeyMismatchError under another key.
+
+    Each slot inverts through its block's permutation, keyed by the bytes
+    already recovered; the last block's tag binds every byte.
+    """
+    n = width // ORE_BLOCK_BITS
+    if len(name) != n + _ORE_CHECK_BYTES:
+        raise FormatError(f"ORE name of {len(name)} bytes at width {width}")
+    raw = b""
+    for i in range(n):
+        raw += bytes([key.permutation(i, raw).index(name[i])])
+    (tag,) = _derive_slot_tags(key.prf_key, n - 1, raw[:-1], name[n - 1:n])
+    if not hmac_mod.compare_digest(tag[:_ORE_CHECK_BYTES], name[n:]):
+        raise KeyMismatchError(
+            "order-revealing name does not decrypt under this key store; "
+            "the report was produced from an index built with different keys")
+    value = int.from_bytes(raw, "big")
+    return value - (1 << (width - 1)) if signed else value
+
+
 # --- key store ----------------------------------------------------------------
 
 _KEYS_MAGIC = b"CCAKEYS1"
-_KEYS_VERSION = 1
+_KEYS_VERSION = 2
 
 
 @dataclass
 class KeyStore:
     """Everything the code owner keeps private after building an index.
 
-    Besides the master keys this carries the file registry, the reverse
-    directory from derived token keys back to token names, and the table
-    resolving order-revealing ciphertexts to the values they encrypt; the
-    last two exist so reports can be opened without touching source again.
+    Besides the master keys this carries the file registry and the
+    reverse directory from derived token keys back to token names, so
+    reports can be opened without touching source again.
     """
 
     master: MasterKeys
@@ -339,7 +379,6 @@ class KeyStore:
     ore_width: int
     files: dict[int, str] = field(default_factory=dict)
     directory: dict[bytes, tuple[int, str]] = field(default_factory=dict)
-    ore_values: dict[bytes, int] = field(default_factory=dict)
 
 
 def pack_scheme(mode: str, det_hash: str, ore_width: int) -> bytes:
@@ -373,10 +412,6 @@ def serialize_keys(ks: KeyStore) -> bytes:
     for d_key in sorted(ks.directory):
         file_id, token = ks.directory[d_key]
         out += blob(d_key) + struct.pack(">I", file_id) + blob(token.encode())
-    out += struct.pack(">I", len(ks.ore_values))
-    for digest in sorted(ks.ore_values):
-        out += digest
-        out += struct.pack(">q", ks.ore_values[digest])
     return bytes(out)
 
 
@@ -394,12 +429,8 @@ def deserialize_keys(data: bytes) -> KeyStore:
         d_key = cur.blob()
         (file_id,) = cur.unpack(">I")
         directory[d_key] = (file_id, cur.text())
-    ore_values: dict[bytes, int] = {}
-    for _ in range(cur.unpack(">I")[0]):
-        digest = cur.take(16)
-        ore_values[digest] = cur.unpack(">q")[0]
     cur.finish()
-    return KeyStore(master, mode, det_hash, width, files, directory, ore_values)
+    return KeyStore(master, mode, det_hash, width, files, directory)
 
 
 def save_keys(path, ks: KeyStore) -> None:

@@ -15,7 +15,6 @@ Three build modes share one container format:
 
 from __future__ import annotations
 
-import hashlib
 import random
 import struct
 from dataclasses import dataclass, field
@@ -27,10 +26,10 @@ from .crypto import (
     ORE_WIDTHS,
     ORE_WIDTHS_TEXT,
     MasterKeys,
-    derive_ore_key,
     derive_token_keys,
     det_encrypt,
     ore_encrypt,
+    ore_field_keys,
     pack_scheme,
     read_scheme,
     rnd_encrypt,
@@ -65,21 +64,9 @@ class EncryptedIndex:
         return len(self.entries)
 
 
-@dataclass
-class SideTables:
-    """Developer-side decryption aids collected while building."""
-
-    directory: dict[bytes, tuple[int, str]]
-    ore_values: dict[bytes, int]
-
-
 def token_identity(file_id: int, token: str) -> str:
     """Index-wide identity of a token: the same name in two files differs."""
     return f"{file_id}:{token}"
-
-
-def _ore_digest(ct: bytes) -> bytes:
-    return hashlib.sha256(ct).digest()[:16]
 
 
 def build_index(
@@ -88,8 +75,10 @@ def build_index(
     mode: str = "ore",
     det_hash: str = "sha1",
     ore_width: int = DEFAULT_ORE_WIDTH,
-) -> tuple[EncryptedIndex, SideTables]:
-    """Turn per-file dependency pairs into one index plus side tables."""
+) -> tuple[EncryptedIndex, dict[bytes, tuple[int, str]]]:
+    """Turn per-file dependency pairs into one index, and return it with
+    the directory from each derived D key to its file id and token name.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
     if det_hash not in DET_HASHES:
@@ -97,15 +86,10 @@ def build_index(
     if ore_width not in ORE_WIDTHS:  # checked in every mode: headers store it
         raise ValueError(f"ORE width must be {ORE_WIDTHS_TEXT}")
 
-    tables = SideTables(directory={}, ore_values={})
+    directory: dict[bytes, tuple[int, str]] = {}
     entries: list[IndexEntry] = []
     token_keys: dict[str, tuple[bytes, bytes]] = {}
-    ore_keys = {
-        "line": derive_ore_key(keys.ore_line),
-        "depth": derive_ore_key(keys.ore_depth),
-        "order": derive_ore_key(keys.ore_order),
-        "type": derive_ore_key(keys.ore_type),
-    }
+    ore_keys = ore_field_keys(keys).values()
 
     def keys_for(file_id: int, token: str) -> tuple[bytes, bytes]:
         ident = token_identity(file_id, token)
@@ -113,13 +97,8 @@ def build_index(
         if got is None:
             got = derive_token_keys(keys, ident)
             token_keys[ident] = got
-            tables.directory[got[0]] = (file_id, token)
+            directory[got[0]] = (file_id, token)
         return got
-
-    def ore_field(which: str, value: int, signed: bool) -> bytes:
-        ct = ore_encrypt(ore_keys[which], value, ore_width, signed)
-        tables.ore_values[_ore_digest(ct)] = value
-        return ct
 
     for file_id, dcfg in per_file:
         for left, pairs in dcfg.by_left().items():
@@ -128,30 +107,25 @@ def build_index(
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
                 d_right, r_right = keys_for(file_id, right.token)
+                values = (right.line, right.depth, right.order, right.cf_type)
                 if mode == "plain":
                     key = f"{left_ident}#{counter}".encode()
-                    value = "|".join(
-                        (token_identity(file_id, right.token), str(right.line),
-                         str(right.depth), str(right.order), str(right.cf_type))
-                    ).encode()
+                    value = "|".join((token_identity(file_id, right.token),
+                                      *map(str, values))).encode()
                 else:
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"), det_hash)
                     if mode == "std":
-                        fields = struct.pack(">iiii", right.line, right.depth,
-                                             right.order, right.cf_type)
+                        fields = struct.pack(">iiii", *values)
                     else:
-                        fields = (
-                            ore_field("line", right.line, False)
-                            + ore_field("depth", right.depth, False)
-                            + ore_field("order", right.order, False)
-                            + ore_field("type", right.cf_type, True)
-                        )
+                        fields = b"".join(
+                            ore_encrypt(ore_key, v, ore_width, signed)
+                            for (ore_key, signed), v in zip(ore_keys, values))
                     value = rnd_encrypt(r_left, d_right + r_right + fields)
                 entries.append(IndexEntry(key, value))
 
     if mode != "plain":
         random.SystemRandom().shuffle(entries)
-    return EncryptedIndex(mode, det_hash, ore_width, entries), tables
+    return EncryptedIndex(mode, det_hash, ore_width, entries), directory
 
 
 # --- container ----------------------------------------------------------------

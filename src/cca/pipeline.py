@@ -88,15 +88,14 @@ def encrypt_application(
             skipped.append((source.rel, str(exc)))
     master = generate_master_keys(security_bits)
     per_file = [(fa.source.file_id, fa.dcfg) for fa in files]
-    index, tables = build_index(per_file, master, mode=mode,
-                                det_hash=det_hash, ore_width=ore_width)
+    index, directory = build_index(per_file, master, mode=mode,
+                                   det_hash=det_hash, ore_width=ore_width)
     keys = KeyStore(
         master=master,
         mode=mode,
         det_hash=det_hash,
         ore_width=ore_width,
         files={fa.source.file_id: fa.source.rel for fa in files},
-        directory=tables.directory,
-        ore_values=tables.ore_values,
+        directory=directory,
     )
     return EncryptResult(index, keys, files, skipped)

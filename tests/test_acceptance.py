@@ -9,7 +9,6 @@ performance and storage gates; 9 records the replacement of dataset-scale
 evaluation by the oracle equivalences.
 """
 
-import hashlib
 import random
 import re
 import struct
@@ -38,6 +37,8 @@ from cca.crypto import (
     generate_master_keys,
     ore_compare,
     ore_encrypt,
+    ore_name,
+    ore_name_value,
     rnd_decrypt,
     rnd_encrypt,
 )
@@ -122,8 +123,8 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
         var2_d = next(key for key, named in res.keys.directory.items()
                       if named == (0, "VAR2"))
         assert survivor[-1].token == var2_d
-        line_digest = hashlib.sha256(survivor[-1].cts[0]).digest()[:16]
-        assert res.keys.ore_values[line_digest] == 4
+        line_key = derive_ore_key(res.keys.master.ore_line)
+        assert ore_name_value(line_key, ore_name(survivor[-1].cts[0])) == 4
         (finding_path,) = check_vulnerability(resolved, fq)
         assert len(finding_path) == 3
 
@@ -234,7 +235,7 @@ def test_criterion_5_index_leakage_properties(tmp_path):
         value_sets = []
         orders = []
         for _ in range(20):
-            index, _tables = build_index(per_file, master, mode="std")
+            index, _ = build_index(per_file, master, mode="std")
             key_multisets.append(sorted(e.key for e in index.entries))
             value_sets.append({e.value for e in index.entries})
             orders.append(tuple(e.key for e in index.entries))

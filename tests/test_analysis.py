@@ -1,6 +1,7 @@
 """Query issuing, the four detection steps, reports and their decryption."""
 
 import dataclasses
+import json
 import logging
 import os
 
@@ -425,15 +426,17 @@ def test_report_tokens_are_opaque_before_decryption(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     report = analyse(res.index, authorise(res.keys, "xss"))
     (finding,) = report["files"][0]["findings"]
-    token = finding["sink"]["token"]
+    assert list(finding) == ["path"]  # sink and source are path[0] and path[-1]
+    token = finding["path"][0]["token"]
     assert "XSS" not in token
     assert bytes.fromhex(token)  # hex encoded key, not a name
 
 
-def test_decrypt_with_foreign_keystore_is_detected(tmp_path):
+@pytest.mark.parametrize("mode", ["std", "ore"])
+def test_decrypt_with_foreign_keystore_is_detected(tmp_path, mode):
     root = write_app(tmp_path, FLOW_APP)
-    ours = encrypt_application(root, mode="std")
-    theirs = encrypt_application(root, mode="std")
+    ours = encrypt_application(root, mode=mode)
+    theirs = encrypt_application(root, mode=mode)
     report = analyse(ours.index, authorise(ours.keys, "xss"))
     assert decrypt_report(report, ours.keys)["files"][0]["findings"]
     with pytest.raises(KeyMismatchError):
@@ -490,9 +493,29 @@ def test_encrypted_fields_stay_opaque_in_reports(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="ore")
     report = analyse(res.index, authorise(res.keys, "xss"))
     (finding,) = report["files"][0]["findings"]
-    assert finding["sink"]["line"].startswith("ore:")
+    assert finding["path"][0]["line"].startswith("ore:")
     resolved = decrypt_report(report, res.keys)
     assert resolved["files"][0]["findings"][0]["sink"]["line"] == 5
+
+
+def test_ore_field_under_foreign_field_key_is_detected(tmp_path):
+    root = write_app(tmp_path, FLOW_APP)
+    ours = encrypt_application(root, mode="ore")
+    theirs = encrypt_application(root, mode="ore")
+    report = analyse(ours.index, authorise(ours.keys, "xss"))
+    # our directory, their order-revealing keys
+    mixed = dataclasses.replace(ours.keys, master=dataclasses.replace(
+        ours.keys.master, ore_line=theirs.keys.master.ore_line))
+    with pytest.raises(KeyMismatchError):
+        decrypt_report(report, mixed)
+
+
+def test_report_mode_must_match_the_key_store(tmp_path):
+    root = write_app(tmp_path, FLOW_APP)
+    std = encrypt_application(root, mode="std")
+    report = analyse(std.index, authorise(std.keys, "xss"))
+    with pytest.raises(KeyMismatchError, match="mode"):
+        decrypt_report(report, dataclasses.replace(std.keys, mode="plain"))
 
 
 def test_encrypted_paths_carry_ranks_not_ciphertexts(tmp_path):
@@ -561,14 +584,25 @@ def test_long_assignment_chain_gives_one_finding(tmp_path):
     assert flatten_findings(resolved) == {("index.php", 1501, 1)}
 
 
-def test_report_yaml_matches_safe_dump_and_round_trips(tmp_path):
+def test_report_json_round_trips(tmp_path):
     for mode in ("std", "ore"):
         res = encrypt_application(write_app(tmp_path / mode,
                                             CORPUS["both_tasks"]), mode=mode)
         report = analyse(res.index, authorise(res.keys, "xss"))
         for doc in (report, decrypt_report(report, res.keys)):
-            path = tmp_path / f"{mode}.yaml"
+            path = tmp_path / f"{mode}.json"
             save_report(path, doc)
             text = path.read_text(encoding="utf-8")
-            assert text == yaml.safe_dump(doc, sort_keys=False)
+            assert text == json.dumps(doc, separators=(",", ":"))
             assert load_report(path) == doc
+            assert yaml.safe_load(text) == doc  # any YAML loader reads it
+
+
+@pytest.mark.parametrize("text", ["files: []\ntask: xss\n", "{\"files\": [",
+                                  "[]", "\"files\""],
+                         ids=["yaml", "truncated", "list", "string"])
+def test_load_report_rejects_what_is_not_a_json_report(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError):
+        load_report(path)

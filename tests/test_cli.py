@@ -1,5 +1,6 @@
 """Command line interface: the full protocol, dumps, and exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -48,7 +49,7 @@ def test_protocol_roundtrip(tmp_path, app_dir, capsys):
     index = tmp_path / "app.ccaidx"
     keys = tmp_path / "app.ccakeys"
     query = tmp_path / "xss.ccaq"
-    report = tmp_path / "report.yaml"
+    report = tmp_path / "report.json"
 
     assert run("encrypt", "--src", app_dir, "--index", index,
                "--keys", keys) == 0
@@ -94,7 +95,7 @@ def test_default_artifact_names(app_dir, tmp_path, monkeypatch, capsys):
 def test_decrypted_report_file(tmp_path, app_dir, capsys):
     index, keys = tmp_path / "i", tmp_path / "k"
     query, report = tmp_path / "q", tmp_path / "r"
-    resolved = tmp_path / "resolved.yaml"
+    resolved = tmp_path / "resolved.json"
     run("encrypt", "--src", app_dir, "--index", index, "--keys", keys)
     run("authorise", "--keys", keys, "--task", "xss", "--out", query)
     run("analyse", "--index", index, "--query", query, "--out", report)
@@ -259,10 +260,14 @@ def _first_finding(report: dict) -> dict:
 
 def _edit_report(change):
     def damage(paths):
-        report = yaml.safe_load(paths["report"].read_text())
+        report = json.loads(paths["report"].read_text())
         change(report)
-        paths["report"].write_text(yaml.safe_dump(report))
+        paths["report"].write_text(json.dumps(report))
     return damage
+
+
+def _sink(report: dict) -> dict:
+    return _first_finding(report)["path"][0]
 
 
 def _set_sink_value(value: bytes):
@@ -302,22 +307,23 @@ COMMANDS = {
 # case -> (encrypt flag, damage to the artifacts, command that reads them)
 MALFORMED = {
     "report finding without sink": (
-        "--no-ore", _edit_report(lambda r: _first_finding(r).pop("sink")),
+        "--no-ore", _edit_report(lambda r: _first_finding(r).update(path=[])),
         "decrypt-report"),
     "report files is a number": (
         "--no-ore", _edit_report(lambda r: r.update(files=3)),
         "decrypt-report"),
     "report field ore:zz": (
-        "--no-ore",
-        _edit_report(lambda r: _first_finding(r)["sink"].update(line="ore:zz")),
+        "--ore-width=32",  # the default, ore mode
+        _edit_report(lambda r: _sink(r).update(line="ore:zz")),
         "decrypt-report"),
     "report line is a list": (
-        "--no-ore",
-        _edit_report(lambda r: _first_finding(r)["sink"].update(line=[1])),
+        "--no-ore", _edit_report(lambda r: _sink(r).update(line=[1])),
         "decrypt-report"),
-    "report is not YAML": (
-        "--no-ore", lambda p: p["report"].write_text("files: [\n"),
+    "report is not JSON": (
+        "--no-ore", lambda p: p["report"].write_text("files: []\ntask: xss\n"),
         "decrypt-report"),
+    "report mode differs from the key store": (
+        "--no-ore", _set_byte("keys", 9, 0), "decrypt-report"),
     "plain value with too few fields": (
         "--no-encryption", _set_sink_value(b"0:VAR1|5"), "analyse"),
     "plain value with a non-integer field": (
@@ -346,6 +352,22 @@ def test_malformed_artifact_is_exit_code_2(tmp_path, app_dir, capsys, case):
     assert run(*COMMANDS[command](paths)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_deeply_nested_report_is_exit_code_2(tmp_path, app_dir):
+    keys = tmp_path / "k"
+    assert run("encrypt", "--src", app_dir, "--index", tmp_path / "i",
+               "--keys", keys) == 0
+    report = tmp_path / "deep.json"
+    report.write_text("[" * 30000 + "]" * 30000)
+    # a child process, so a crash in the report parser cannot end the run
+    done = subprocess.run(
+        [sys.executable, "-m", "cca.cli", "decrypt-report", "--report",
+         str(report), "--keys", str(keys)],
+        capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
 
 
 def test_missing_file_is_exit_code_2(tmp_path, capsys):

@@ -26,10 +26,12 @@ from cca.crypto import (
     ore_encrypt_left,
     ore_encrypt_right,
     ore_keygen,
+    ore_name,
+    ore_name_value,
     save_keys,
     serialize_keys,
 )
-from cca.errors import ConfigError, FormatError, IntegrityError
+from cca.errors import ConfigError, FormatError, IntegrityError, KeyMismatchError
 
 
 # --- master keys ---------------------------------------------------------------
@@ -244,6 +246,53 @@ def test_ore_agrees_with_integer_order_on_words(x, y):
     assert cmp == (x > y) - (x < y)
 
 
+# --- ORE names -------------------------------------------------------------------
+
+NAME_KEY = OreKey(b"\x0e" * 16, b"\x0f" * 16)
+
+
+def test_ore_names_round_trip_every_8_bit_value():
+    for width in (8, 32):
+        for value in range(256):
+            name = ore_name(ore_encrypt(NAME_KEY, value, width), width)
+            assert len(name) == width // 8 + 8
+            assert ore_name_value(NAME_KEY, name, width) == value
+
+
+def test_ore_names_round_trip_signed_16_bit_values():
+    for value in range(-300, 300):
+        name = ore_name(ore_encrypt(NAME_KEY, value, 16, signed=True), 16)
+        assert ore_name_value(NAME_KEY, name, 16, signed=True) == value
+
+
+def test_ore_name_is_part_of_the_left_half():
+    left = ore_encrypt_left(NAME_KEY, 70000)
+    assert ore_name(ore_encrypt(NAME_KEY, 70000)) == left[16::17] + left[51:59]
+
+
+def test_flipped_ore_name_byte_is_a_key_mismatch():
+    name = ore_name(ore_encrypt(NAME_KEY, 70000))
+    for position in range(len(name)):  # four slot bytes, eight check bytes
+        flipped = bytearray(name)
+        flipped[position] ^= 1
+        with pytest.raises(KeyMismatchError):
+            ore_name_value(NAME_KEY, bytes(flipped))
+
+
+def test_ore_name_under_another_key_is_a_key_mismatch():
+    name = ore_name(ore_encrypt(NAME_KEY, 5))
+    with pytest.raises(KeyMismatchError):
+        ore_name_value(OreKey(b"\x0e" * 16, b"\x10" * 16), name)
+
+
+def test_ore_name_of_the_wrong_length_is_a_format_error():
+    name = ore_name(ore_encrypt(NAME_KEY, 5))
+    with pytest.raises(FormatError):
+        ore_name_value(NAME_KEY, name[:-1])
+    with pytest.raises(FormatError):
+        ore_name_value(NAME_KEY, name, width=16)
+
+
 # --- key store -----------------------------------------------------------------
 
 def _sample_store() -> KeyStore:
@@ -255,7 +304,6 @@ def _sample_store() -> KeyStore:
         ore_width=32,
         files={0: "index.php", 1: "lib/db.php"},
         directory={b"\x01" * 32: (0, "VAR0"), b"\x02" * 32: (1, "XSS_SENS")},
-        ore_values={b"\x03" * 16: 12, b"\x04" * 16: -1},
     )
 
 
@@ -269,7 +317,6 @@ def test_keystore_roundtrip(tmp_path):
     assert (back.mode, back.det_hash, back.ore_width) == ("ore", "sha1", 32)
     assert back.files == ks.files
     assert back.directory == ks.directory
-    assert back.ore_values == ks.ore_values
 
 
 def test_keystore_file_is_private(tmp_path):
@@ -283,6 +330,12 @@ def test_keystore_truncation_rejected():
     blob = serialize_keys(_sample_store())
     with pytest.raises(FormatError):
         deserialize_keys(blob[: len(blob) // 2])
+
+
+def test_keystore_version_1_rejected_by_name():
+    blob = serialize_keys(_sample_store())
+    with pytest.raises(FormatError, match="version 1"):
+        deserialize_keys(blob[:8] + b"\x01" + blob[9:])
 
 
 def test_keystore_bad_magic_rejected():

@@ -17,6 +17,12 @@ from cca import (
     rnd_decrypt,
     translate,
 )
+from cca.crypto import (
+    ore_ciphertext_bytes,
+    ore_field_keys,
+    ore_name,
+    ore_name_value,
+)
 from cca.dcfg import annotate_control_flow, build_dcfg
 from cca.errors import FormatError
 from cca.index import (
@@ -157,9 +163,9 @@ def test_rebuild_same_keys_fresh_values(fig_dcfg, master):
 
 
 def test_empty_input_builds_empty_index(master):
-    index, tables = build_index([], master, mode="ore")
+    index, directory = build_index([], master, mode="ore")
     assert len(index) == 0
-    assert tables.directory == {}
+    assert directory == {}
 
 
 def test_same_token_in_two_files_gets_distinct_keys(master):
@@ -170,21 +176,36 @@ def test_same_token_in_two_files_gets_distinct_keys(master):
     assert len(set(keys)) == 2
 
 
-# --- side tables ----------------------------------------------------------------
+# --- what the key store needs -----------------------------------------------------
 
 def test_directory_maps_derived_keys_back_to_tokens(fig_dcfg, master):
-    _, tables = build_index([(0, fig_dcfg)], master, mode="std")
+    _, directory = build_index([(0, fig_dcfg)], master, mode="std")
 
-    names = {token for (_, token) in tables.directory.values()}
+    names = {token for (_, token) in directory.values()}
     assert names == {"VAR0", "VAR1", "VAR2", "XSS_SENS", "INPUT", "STRING"}
-    for d_key, (file_id, token) in tables.directory.items():
+    for d_key, (file_id, token) in directory.items():
         assert d_key == derive_token_keys(master,
                                           token_identity(file_id, token))[0]
 
 
-def test_ore_value_table_resolves_every_field(fig_dcfg, master):
-    _, tables = build_index([(0, fig_dcfg)], master, mode="ore")
-    assert set(tables.ore_values.values()) == {0, 2, 3, 4, 5, 6, 7}
+def test_ore_field_names_decrypt_every_field(fig_dcfg, master):
+    index, directory = build_index([(0, fig_dcfg)], master, mode="ore")
+    size = ore_ciphertext_bytes(32)
+    field_keys = list(ore_field_keys(master).values())
+    values, decoded = set(), 0
+    for file_id, token in directory.values():
+        d_key, r_key = derive_token_keys(master, token_identity(file_id, token))
+        counter = 1
+        while blob := index.lookup(det_encrypt(d_key,
+                                               struct.pack(">I", counter))):
+            fields = rnd_decrypt(r_key, blob)[64:]
+            for k, (key, signed) in enumerate(field_keys):
+                name = ore_name(fields[k * size:(k + 1) * size])
+                values.add(ore_name_value(key, name, 32, signed))
+            counter += 1
+            decoded += 1
+    assert decoded == len(index)
+    assert values == {0, 2, 3, 4, 5, 6, 7}
 
 
 # --- serialization ---------------------------------------------------------------
