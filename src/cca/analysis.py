@@ -507,9 +507,13 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
     return report
 
 
+def dump_report(report: dict) -> str:
+    """A report as compact JSON, the one report format."""
+    return json.dumps(report, separators=(",", ":"))
+
+
 def save_report(path, report: dict) -> None:
-    text = json.dumps(report, separators=(",", ":"))
-    atomic_write(path, text.encode())
+    atomic_write(path, dump_report(report).encode())
 
 
 def load_report(path) -> dict:

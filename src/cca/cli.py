@@ -16,13 +16,12 @@ import sys
 import time
 from pathlib import Path
 
-import yaml
-
 from . import __version__
 from .analysis import (
     analyse,
     authorise,
     decrypt_report,
+    dump_report,
     load_query,
     load_report,
     save_query,
@@ -38,12 +37,12 @@ from .crypto import (
     save_keys,
 )
 from .errors import AuthorizationError, CcaError, UsageError
-from .dcfg import annotate_control_flow, build_dcfg
-from .frontend import collect_sources, dump_lextokens, lex
+from .dcfg import dump_dcfg
+from .frontend import collect_sources, dump_lextokens
 from .index import build_index, index_stats, load_index, save_index
-from .itl import TASKS, dump_itl, load_rules, load_task_knowledge, translate
+from .itl import TASKS, dump_itl, load_rules, load_task_knowledge
 from .oracle import plaintext_analyse
-from .pipeline import encrypt_application, process_file
+from .pipeline import compile_sources, encrypt_application
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +88,11 @@ def _mode_from_flags(args) -> str:
     return "ore"
 
 
+def _warn_skipped(skipped: list[tuple[str, str]]) -> None:
+    for rel, reason in skipped:
+        print(f"warning: skipped {rel}: {reason}", file=sys.stderr)
+
+
 def _default_artifact(src: Path, suffix: str) -> Path:
     name = src.resolve().name or "app"
     return Path(f"{name}{suffix}")
@@ -114,10 +118,8 @@ def cmd_encrypt(args) -> int:
             print(dump_itl(fa.itl_tokens))
         if args.dump_dcfg:
             print(f"# dcfg {fa.source.rel}")
-            for pair in fa.dcfg:
-                print(pair)
-    for rel, reason in result.skipped:
-        print(f"warning: skipped {rel}: {reason}", file=sys.stderr)
+            print(dump_dcfg(fa.dcfg), end="")
+    _warn_skipped(result.skipped)
     if not result.files:
         print("warning: no supported source files found; index is empty",
               file=sys.stderr)
@@ -181,15 +183,11 @@ def cmd_decrypt_report(args) -> int:
 def cmd_oracle(args) -> int:
     rules = load_rules(args.rules)
     tk = load_task_knowledge(args.task_knowledge)
-    sources = collect_sources(Path(args.src))
-    per_file = []
-    names = {}
-    for source in sources:
-        fa = process_file(source, rules, tk)
-        per_file.append((source.file_id, fa.dcfg))
-        names[source.file_id] = source.rel
-    report = plaintext_analyse(per_file, args.task, names)
-    print(yaml.safe_dump(report, sort_keys=False), end="")
+    files, skipped = compile_sources(collect_sources(Path(args.src)), rules, tk)
+    _warn_skipped(skipped)
+    per_file = [(fa.source.file_id, fa.dcfg) for fa in files]
+    names = {fa.source.file_id: fa.source.rel for fa in files}
+    print(dump_report(plaintext_analyse(per_file, args.task, names)))
     return 0
 
 
@@ -200,39 +198,20 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _bench_once(sources, rules, tk) -> tuple[dict, list]:
-    times = {"lex": 0.0, "translate": 0.0, "dcfg": 0.0}
-    artifacts = []
-    for source in sources:
-        t0 = time.perf_counter()
-        lex_tokens = lex(source.text, source.rel)
-        t1 = time.perf_counter()
-        itl_tokens, ctx = translate(lex_tokens, rules, tk, source.rel)
-        t2 = time.perf_counter()
-        dcfg = build_dcfg(annotate_control_flow(itl_tokens, source.rel), ctx)
-        t3 = time.perf_counter()
-        times["lex"] += t1 - t0
-        times["translate"] += t2 - t1
-        times["dcfg"] += t3 - t2
-        artifacts.append((source.file_id, dcfg))
-    return times, artifacts
-
-
 def cmd_bench(args) -> int:
     rules = load_rules(args.rules)
     tk = load_task_knowledge(args.task_knowledge)
     sources = collect_sources(Path(args.src))
-    if not sources:
-        raise UsageError(f"no source files under {args.src}")
     modes = ("plain", "std", "ore")
-    stage_totals = {"lex": 0.0, "translate": 0.0, "dcfg": 0.0}
+    front_total = 0.0
     index_totals = dict.fromkeys(modes, 0.0)
     sizes = {}
     reps = args.reps
     for _ in range(reps):
-        stage_times, artifacts = _bench_once(sources, rules, tk)
-        for stage, value in stage_times.items():
-            stage_totals[stage] += value
+        t0 = time.perf_counter()
+        files, skipped = compile_sources(sources, rules, tk)
+        front_total += time.perf_counter() - t0
+        artifacts = [(fa.source.file_id, fa.dcfg) for fa in files]
         master = generate_master_keys()
         for mode in modes:
             t0 = time.perf_counter()
@@ -241,23 +220,23 @@ def cmd_bench(args) -> int:
                                    ore_width=args.ore_width)
             index_totals[mode] += time.perf_counter() - t0
             sizes[mode] = index_stats(index)["container_bytes"]
-    front = {stage: total / reps for stage, total in stage_totals.items()}
+    _warn_skipped(skipped)
+    if not files:
+        raise UsageError(f"no supported source files under {args.src}")
+    front = front_total / reps
     per_mode = {mode: total / reps for mode, total in index_totals.items()}
-    front_total = sum(front.values())
 
     def fmt(seconds: float) -> str:
         return f"{seconds * 1000:9.2f}"
 
-    print(f"benchmark over {len(sources)} file(s), {reps} repetitions "
+    print(f"benchmark over {len(files)} file(s), {reps} repetitions "
           f"(average wall time, ms)")
-    print(f"{'module':<12}{'time':>10}")
-    for stage in ("lex", "translate", "dcfg"):
-        print(f"{stage:<12}{fmt(front[stage]):>10}")
+    print(f"{'front end':<12}{fmt(front)}")
     print(f"{'module':<12}" + "".join(f"{m:>10}" for m in modes))
     print(f"{'index':<12}" + "".join(fmt(per_mode[m]) for m in modes))
     print(f"{'pipeline':<12}"
-          + "".join(fmt(front_total + per_mode[m]) for m in modes))
-    plain_total = front_total + per_mode["plain"]
+          + "".join(fmt(front + per_mode[m]) for m in modes))
+    plain_total = front + per_mode["plain"]
     if plain_total > 0:
         std_oh = (per_mode["std"] - per_mode["plain"]) / plain_total * 100
         ore_oh = (per_mode["ore"] - per_mode["plain"]) / plain_total * 100

@@ -308,4 +308,5 @@ def build_dcfg(extended: list[ExtendedITLToken],
 
 
 def dump_dcfg(dcfg: DCFG) -> str:
-    return "\n".join(str(pair) for pair in dcfg.pairs)
+    """One line per pair: LEFT -> (RIGHT,line,depth,order,type)."""
+    return "".join(f"{pair}\n" for pair in dcfg.pairs)

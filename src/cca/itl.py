@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, StructureError, TranslationError
-from .frontend import METACHAR_KINDS, LexToken
+from .frontend import LexToken
 
 # Analysis tasks in container code order (xss is 0, sqli 1), each with the
 # task tokens of its sensitive sinks and of its sanitizers.
@@ -98,10 +98,15 @@ class ITLToken:
 
 @dataclass(frozen=True)
 class RuleSet:
-    metacharacter_drops: frozenset[str]
-    ending_tokens: dict[str, str]
-    split_string_interpolation: bool
-    abstract_names: dict[str, str]
+    """Translation choices a rules file may set."""
+
+    # Split double-quoted strings around embedded variables:
+    # "Welcome {$user}!" becomes STRING VAR STRING instead of one STRING.
+    split_string_interpolation: bool = True
+
+
+# Rule keys of earlier versions, now fixed by the token language itself.
+_REMOVED_RULES = ("metacharacter_drops", "ending_tokens", "abstract_names")
 
 
 @dataclass(frozen=True)
@@ -123,50 +128,41 @@ class TaskKnowledge:
         return None
 
 
-def _read_db(path: Path | str | None, default: str) -> tuple[dict, str]:
+def _read_db(path: Path | str | None,
+             default: str | None = None) -> tuple[dict, str]:
+    """Parse a YAML mapping: the file at path, else the bundled default."""
     if path is None:
         text = resources.files("cca.data").joinpath(default).read_text("utf-8")
         where = f"<builtin {default}>"
     else:
-        text = Path(path).read_text(encoding="utf-8")
         where = str(path)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{where}: not UTF-8 text: {exc}") from None
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{where}: not parseable: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: missing required sections")
+        raise ConfigError(f"{where}: not a mapping of keys")
     return data, where
 
 
 def load_rules(path: Path | str | None = None) -> RuleSet:
-    """Load and validate a translation rules database."""
-    data, where = _read_db(path, "rules.yaml")
-    for section in ("metacharacter_drops", "ending_tokens", "abstract_names"):
-        if section not in data:
-            raise ConfigError(f"{where}: missing section {section!r}")
-    drops = data["metacharacter_drops"]
-    valid_meta = set(METACHAR_KINDS.values())
-    for name in drops:
-        if name not in valid_meta:
-            raise ConfigError(f"{where}: unknown metacharacter {name!r}")
-    endings = data["ending_tokens"]
-    for event, token in endings.items():
-        if token not in ENDING_TOKENS:
-            raise ConfigError(f"{where}: unknown ending token {token!r}")
-    if set(endings.values()) != set(ENDING_TOKENS):
-        missing = set(ENDING_TOKENS) - set(endings.values())
-        raise ConfigError(f"{where}: ending tokens not covered: {sorted(missing)}")
-    names = data["abstract_names"]
-    for role in ("variables", "operators", "functions"):
-        if role not in names:
-            raise ConfigError(f"{where}: abstract_names missing {role!r}")
-    return RuleSet(
-        metacharacter_drops=frozenset(drops),
-        ending_tokens=dict(endings),
-        split_string_interpolation=bool(data.get("split_string_interpolation", True)),
-        abstract_names=dict(names),
-    )
+    """Load and validate a translation rules file; None gives the defaults."""
+    if path is None:
+        return RuleSet()
+    data, where = _read_db(path)
+    for key, value in data.items():
+        if key in _REMOVED_RULES:
+            raise ConfigError(f"{where}: {key!r} is no longer configurable")
+        if key != "split_string_interpolation":
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if not isinstance(value, bool):
+            raise ConfigError(
+                f"{where}: {key!r} must be true or false, got {value!r}")
+    return RuleSet(**data)
 
 
 def load_task_knowledge(path: Path | str | None = None) -> TaskKnowledge:
@@ -245,6 +241,13 @@ _OP_KINDS = frozenset(
 
 _CALLABLE_FAMILIES = ("FUNC_CALL", "ARRAY") + CALL_TOKENS
 
+# Ending token of each block kind; a bare { } block has none.
+_BLOCK_ENDS = {"if": "END_IF", "elseif": "END_ELSEIF", "else": "END_ELSE",
+               "while": "END_WHILE", "for": "END_FOR",
+               "foreach": "END_FOREACH", "switch": "END_SWITCH",
+               "case": "END_CASE", "default": "END_CASE",
+               "function": "END_FUNCTION"}
+
 
 class _Translator:
     """Stateful single-file translation pass."""
@@ -278,20 +281,17 @@ class _Translator:
     def emit(self, token: str, line: int) -> None:
         self.out.append(ITLToken(token, line))
 
-    def ending(self, event: str, line: int) -> None:
-        self.emit(self.rules.ending_tokens[event], line)
-
     def var_token(self, name: str) -> str:
         if name not in self.vars:
             self.vars[name] = self.ctx.var_count
             self.ctx.var_count += 1
-        return f"{self.rules.abstract_names['variables']}{self.vars[name]}"
+        return f"VAR{self.vars[name]}"
 
     def op_token(self, kind: str) -> str:
         if kind not in self.ops:
             self.ops[kind] = self.ctx.op_count
             self.ctx.op_count += 1
-        tok = f"{self.rules.abstract_names['operators']}{self.ops[kind]}"
+        tok = f"OP{self.ops[kind]}"
         self.ctx.op_kinds.setdefault(tok, kind)
         return tok
 
@@ -300,7 +300,7 @@ class _Translator:
         if name not in self.funcs:
             self.funcs[name] = self.ctx.func_count
             self.ctx.func_count += 1
-        return f"{self.rules.abstract_names['functions']}{self.funcs[name]}"
+        return f"FUNC_CALL{self.funcs[name]}"
 
     def reset_stmt(self) -> None:
         self.stmt_open = False
@@ -366,7 +366,7 @@ class _Translator:
         elif t == "COLON":
             if self.case_header:
                 # the label expression is the arm's condition test
-                self.ending("condition_end", tok.line)
+                self.emit("END_COND", tok.line)
                 self.case_header = False
             self.reset_stmt()
         elif t == "VAR":
@@ -417,9 +417,9 @@ class _Translator:
         if self.parens and self.parens[-1][0] == "cond":
             return  # for(;;) header separators carry no ending token
         if self.stmt_is_call and not self.stmt_has_assign:
-            self.ending("call_end", line)
+            self.emit("END_CALL", line)
         else:
-            self.ending("assignment_end", line)
+            self.emit("END_ASSIGN", line)
         self.reset_stmt()
         self.close_single_bodies(line)
 
@@ -436,20 +436,8 @@ class _Translator:
                 break
 
     def emit_block_end(self, kind: str, line: int) -> None:
-        event = {
-            "if": "if_end",
-            "elseif": "elseif_end",
-            "else": "else_end",
-            "while": "while_end",
-            "for": "for_end",
-            "foreach": "foreach_end",
-            "switch": "switch_end",
-            "case": "case_end",
-            "default": "case_end",
-            "function": "function_end",
-        }.get(kind)
-        if event is not None:
-            self.ending(event, line)
+        if kind in _BLOCK_ENDS:
+            self.emit(_BLOCK_ENDS[kind], line)
         if kind in ("if", "elseif"):
             self.reopenable.append(kind)
 
@@ -497,12 +485,12 @@ class _Translator:
             raise StructureError(f"{self.path}:{line}: unmatched closing parenthesis")
         kind, owner = self.parens.pop()
         if kind == "call":
-            self.ending("call_end", line)
+            self.emit("END_CALL", line)
             if owner == "function_params":
                 self.pending_branch = "function"
                 self.reset_stmt()
         elif kind == "cond":
-            self.ending("condition_end", line)
+            self.emit("END_COND", line)
             self.pending_branch = "switch" if owner == "SWITCH" else owner.lower()
             self.reset_stmt()
 

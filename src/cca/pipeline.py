@@ -61,6 +61,27 @@ def process_file(
     return FileArtifacts(source, lex_tokens, itl_tokens, ctx, extended, dcfg)
 
 
+def compile_sources(
+    sources: list[SourceFile],
+    rules: RuleSet,
+    tk: TaskKnowledge,
+) -> tuple[list[FileArtifacts], list[tuple[str, str]]]:
+    """Run process_file over every source, skipping unsupported files.
+
+    A file the lexer, translator or structure checks reject is skipped and
+    listed as (path, reason); the others are compiled in order.
+    """
+    files: list[FileArtifacts] = []
+    skipped: list[tuple[str, str]] = []
+    for source in sources:
+        try:
+            files.append(process_file(source, rules, tk))
+        except (LexError, TranslationError, StructureError) as exc:
+            log.debug("skipping %s: %s", source.rel, exc)
+            skipped.append((source.rel, str(exc)))
+    return files, skipped
+
+
 def encrypt_application(
     root: Path | str,
     mode: str = "ore",
@@ -68,25 +89,16 @@ def encrypt_application(
     ore_width: int = DEFAULT_ORE_WIDTH,
     rules_path: Path | str | None = None,
     task_knowledge_path: Path | str | None = None,
-    security_bits: int = 128,
 ) -> EncryptResult:
     """Compile every supported source file under root into one index.
 
-    Files the front end or translator cannot handle are skipped with a
-    warning; the remaining files still produce a complete index.
+    Unsupported files are skipped (see compile_sources); the remaining
+    files still produce a complete index.
     """
     rules = load_rules(rules_path)
     tk = load_task_knowledge(task_knowledge_path)
-    sources = collect_sources(root)
-    files: list[FileArtifacts] = []
-    skipped: list[tuple[str, str]] = []
-    for source in sources:
-        try:
-            files.append(process_file(source, rules, tk))
-        except (LexError, TranslationError, StructureError) as exc:
-            log.warning("skipping %s: %s", source.rel, exc)
-            skipped.append((source.rel, str(exc)))
-    master = generate_master_keys(security_bits)
+    files, skipped = compile_sources(collect_sources(root), rules, tk)
+    master = generate_master_keys()
     per_file = [(fa.source.file_id, fa.dcfg) for fa in files]
     index, directory = build_index(per_file, master, mode=mode,
                                    det_hash=det_hash, ore_width=ore_width)

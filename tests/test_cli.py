@@ -165,6 +165,40 @@ def test_skipped_files_are_reported_not_fatal(tmp_path, capsys):
     assert "warning: skipped bad.php" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ("encrypt", "--index", "i", "--keys", "k"),
+    ("oracle", "--task", "xss"),
+    ("bench", "--reps", "2"),
+], ids=lambda argv: argv[0])
+def test_unsupported_file_is_skipped_once(tmp_path, command):
+    src = write_app(tmp_path / "mixed", {
+        "good.php": "<?php echo $_GET['x'];\n",
+        "bad.php": "<?php class Foo {}\n",
+    })
+    # a child process, so the log configuration of main() applies
+    done = subprocess.run(
+        [sys.executable, "-m", "cca.cli", *command, "--src", str(src)],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("warning: skipped bad.php: ")
+    assert "bad.php" not in done.stdout
+
+
+def test_string_splitting_rule_decides_interpolated_flows(tmp_path, capsys):
+    src = write_app(tmp_path / "app", {
+        "index.php": "<?php $a = $_GET['x'];\necho \"hi $a\";\n"})
+    rules = tmp_path / "rules.yaml"
+    rules.write_text("split_string_interpolation: false\n")
+    found = {}
+    for name, extra in (("default", ()), ("unsplit", ("--rules", rules))):
+        assert run("oracle", "--src", src, "--task", "xss", *extra) == 0
+        report = json.loads(capsys.readouterr().out)
+        found[name] = sum(len(e["findings"]) for e in report["files"])
+    assert found == {"default": 1, "unsplit": 0}
+
+
 def test_empty_source_tree_warns(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
@@ -175,7 +209,9 @@ def test_empty_source_tree_warns(tmp_path, capsys):
 
 def test_oracle_command_prints_reference_report(app_dir, capsys):
     assert run("oracle", "--src", app_dir, "--task", "xss") == 0
-    report = yaml.safe_load(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = yaml.safe_load(out)
+    assert out == json.dumps(report, separators=(",", ":")) + "\n"
     assert report["mode"] == "oracle"
     (entry,) = report["files"]
     assert entry["file"] == "index.php"
@@ -242,9 +278,55 @@ def test_widest_ore_width_is_accepted(tmp_path, app_dir, capsys):
                "--keys", tmp_path / "k", "--no-ore", "--ore-width", "248") == 0
 
 
+def test_bench_without_supported_files_is_a_usage_error(tmp_path, capsys):
+    src = write_app(tmp_path / "app", {"bad.php": "<?php class Foo {}\n"})
+    assert run("bench", "--src", src, "--reps", "1") == 1
+    err = capsys.readouterr().err
+    assert "warning: skipped bad.php" in err
+    assert "usage error: no supported source files" in err
+
+
 def test_missing_source_directory_is_exit_code_2(tmp_path, capsys):
     assert run("bench", "--src", tmp_path / "void") == 2
     assert "source directory not found" in capsys.readouterr().err
+
+
+# case -> (rules file text, what the error says)
+BAD_RULES = {
+    "metacharacter_drops list": ("metacharacter_drops: [SEMI]\n",
+                                 "'metacharacter_drops' is no longer"),
+    "metacharacter_drops 5": ("metacharacter_drops: 5\n",
+                              "'metacharacter_drops' is no longer"),
+    "ending_tokens list": ("ending_tokens: [END_IF]\n",
+                           "'ending_tokens' is no longer"),
+    "ending_tokens swapped": (
+        "ending_tokens:\n  if_end: END_ELSE\n  else_end: END_IF\n",
+        "'ending_tokens' is no longer"),
+    "abstract_names": ("abstract_names: {variables: V}\n",
+                       "'abstract_names' is no longer"),
+    "unknown key": ("variables: V\n", "unknown key 'variables'"),
+    "split as a string": ('split_string_interpolation: "no"\n',
+                          "'split_string_interpolation' must be true or false"),
+    "split as a number": ("split_string_interpolation: 1\n",
+                          "'split_string_interpolation' must be true or false"),
+    "not a mapping": ("- split_string_interpolation\n", "not a mapping"),
+    "not YAML": ("split_string_interpolation: [\n", "not parseable"),
+    "not UTF-8": ("# \xff\n", "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RULES))
+def test_bad_rules_file_is_exit_code_2(tmp_path, app_dir, capsys,
+                                       monkeypatch, case):
+    text, says = BAD_RULES[case]
+    monkeypatch.chdir(tmp_path)
+    rules = tmp_path / "rules.yaml"
+    rules.write_bytes(text.encode("latin-1"))
+    assert run("encrypt", "--src", app_dir, "--rules", rules) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rules}: ") and says in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.cca*"))  # nothing was written
 
 
 def test_stage_failure_is_exit_code_2(tmp_path, capsys):

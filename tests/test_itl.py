@@ -14,6 +14,7 @@ from cca.itl import (
     BASE_FAMILIES,
     ENDING_TOKENS,
     TASK_TOKENS,
+    RuleSet,
     dump_itl,
     family,
 )
@@ -44,33 +45,28 @@ def test_family_of_suffixed_tokens():
 
 # --- configuration loading ----------------------------------------------------
 
-def test_default_rules_cover_all_ending_tokens(default_rules):
-    assert set(default_rules.ending_tokens.values()) == set(ENDING_TOKENS)
+def test_default_rules_cover_all_ending_tokens(default_rules, default_tk):
+    # The ending tokens are fixed names; the corpus closes every kind.
+    emitted = {t.token for app in CORPUS.values() for text in app.values()
+               for t in _translate(text, default_rules, default_tk)[0]}
+    assert set(ENDING_TOKENS) <= emitted
+    assert default_rules == RuleSet(split_string_interpolation=True)
 
 
-def test_unknown_ending_token_rejected(tmp_path, default_rules):
+def test_unknown_ending_token_rejected(tmp_path):
     bad = tmp_path / "rules.yaml"
-    bad.write_text(
-        "metacharacter_drops: [SEMI]\n"
-        "ending_tokens:\n"
-        "  assignment_end: END_BOGUS\n"
-        "abstract_names: {variables: VAR, operators: OP, functions: FUNC_CALL}\n"
-    )
+    bad.write_text("ending_tokens:\n  assignment_end: END_BOGUS\n")
     with pytest.raises(ConfigError) as err:
         load_rules(bad)
-    assert "END_BOGUS" in str(err.value)
+    assert "'ending_tokens' is no longer configurable" in str(err.value)
 
 
-def test_missing_ending_coverage_rejected(tmp_path):
-    bad = tmp_path / "rules.yaml"
-    bad.write_text(
-        "metacharacter_drops: [SEMI]\n"
-        "ending_tokens:\n"
-        "  assignment_end: END_ASSIGN\n"
-        "abstract_names: {variables: VAR, operators: OP, functions: FUNC_CALL}\n"
-    )
-    with pytest.raises(ConfigError):
-        load_rules(bad)
+def test_rules_file_sets_string_splitting(tmp_path, default_tk):
+    rules = tmp_path / "rules.yaml"
+    rules.write_text("split_string_interpolation: false\n")
+    assert load_rules(rules) == RuleSet(split_string_interpolation=False)
+    tokens, _ = _translate('<?php $m = "hi $a";', load_rules(rules), default_tk)
+    assert [t.token for t in tokens] == ["VAR0", "OP0", "STRING", "END_ASSIGN"]
 
 
 def test_task_knowledge_defaults(default_tk):
