@@ -212,12 +212,13 @@ def cmd_bench(args) -> int:
         files, skipped = compile_sources(sources, rules, tk)
         front_total += time.perf_counter() - t0
         artifacts = [(fa.source.file_id, fa.dcfg) for fa in files]
+        names = {fa.source.file_id: fa.source.rel for fa in files}
         master = generate_master_keys()
         for mode in modes:
             t0 = time.perf_counter()
             index, _ = build_index(artifacts, master, mode=mode,
                                    det_hash=args.det_hash,
-                                   ore_width=args.ore_width)
+                                   ore_width=args.ore_width, names=names)
             index_totals[mode] += time.perf_counter() - t0
             sizes[mode] = index_stats(index)["container_bytes"]
     _warn_skipped(skipped)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .crypto import (
@@ -35,6 +36,7 @@ from .crypto import (
     rnd_encrypt,
 )
 from .dcfg import DCFG
+from .errors import ConfigError
 from .fileio import Cursor, atomic_write, blob
 
 _MAGIC = b"CCAIDX1\x00"
@@ -75,9 +77,15 @@ def build_index(
     mode: str = "ore",
     det_hash: str = "sha1",
     ore_width: int = DEFAULT_ORE_WIDTH,
+    names: Mapping[int, str] | None = None,
 ) -> tuple[EncryptedIndex, dict[bytes, tuple[int, str]]]:
     """Turn per-file dependency pairs into one index, and return it with
     the directory from each derived D key to its file id and token name.
+
+    In ore mode each distinct (field, value) pair is encrypted once per
+    build, so equal values of one field share one ciphertext within this
+    index (see docs/formats.md); names maps file ids to the paths that a
+    value too wide for ore_width is reported under.
     """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
@@ -89,7 +97,22 @@ def build_index(
     directory: dict[bytes, tuple[int, str]] = {}
     entries: list[IndexEntry] = []
     token_keys: dict[str, tuple[bytes, bytes]] = {}
-    ore_keys = ore_field_keys(keys).values()
+    ore_keys = ore_field_keys(keys)
+    ore_memo: dict[tuple[str, int], bytes] = {}
+
+    def ore_field(file_id: int, name: str, value: int) -> bytes:
+        ct = ore_memo.get((name, value))
+        if ct is None:
+            ore_key, signed = ore_keys[name]
+            try:
+                ct = ore_encrypt(ore_key, value, ore_width, signed)
+            except ValueError as exc:  # the width is valid, so the value is not
+                path = (names or {}).get(file_id, f"file {file_id}")
+                raise ConfigError(
+                    f"{path}: {name} value {value} is out of range for "
+                    f"--ore-width {ore_width}") from exc
+            ore_memo[(name, value)] = ct
+        return ct
 
     def keys_for(file_id: int, token: str) -> tuple[bytes, bytes]:
         ident = token_identity(file_id, token)
@@ -118,8 +141,8 @@ def build_index(
                         fields = struct.pack(">iiii", *values)
                     else:
                         fields = b"".join(
-                            ore_encrypt(ore_key, v, ore_width, signed)
-                            for (ore_key, signed), v in zip(ore_keys, values))
+                            ore_field(file_id, name, v)
+                            for name, v in zip(ore_keys, values))
                     value = rnd_encrypt(r_left, d_right + r_right + fields)
                 entries.append(IndexEntry(key, value))
 

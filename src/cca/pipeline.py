@@ -100,14 +100,16 @@ def encrypt_application(
     files, skipped = compile_sources(collect_sources(root), rules, tk)
     master = generate_master_keys()
     per_file = [(fa.source.file_id, fa.dcfg) for fa in files]
+    names = {fa.source.file_id: fa.source.rel for fa in files}
     index, directory = build_index(per_file, master, mode=mode,
-                                   det_hash=det_hash, ore_width=ore_width)
+                                   det_hash=det_hash, ore_width=ore_width,
+                                   names=names)
     keys = KeyStore(
         master=master,
         mode=mode,
         det_hash=det_hash,
         ore_width=ore_width,
-        files={fa.source.file_id: fa.source.rel for fa in files},
+        files=names,
         directory=directory,
     )
     return EncryptResult(index, keys, files, skipped)

@@ -278,6 +278,24 @@ def test_widest_ore_width_is_accepted(tmp_path, app_dir, capsys):
                "--keys", tmp_path / "k", "--no-ore", "--ore-width", "248") == 0
 
 
+@pytest.mark.parametrize("command", [
+    ("encrypt", "--index", "i", "--keys", "k"),
+    ("bench", "--reps", "1"),
+], ids=lambda argv: argv[0])
+def test_field_value_wider_than_ore_width_is_exit_code_2(tmp_path, command):
+    src = write_app(tmp_path / "app", {
+        "long.php": "<?php $a = $_GET['x'];\n" + "\n" * 300 + "echo $a;\n"})
+    done = subprocess.run(
+        [sys.executable, "-m", "cca.cli", *command, "--src", str(src),
+         "--ore-width", "8"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+        timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ("error: long.php: line value 302 is out of range "
+                           "for --ore-width 8\n")
+    assert not list(tmp_path.glob("[ik]"))  # nothing was written
+
+
 def test_bench_without_supported_files_is_a_usage_error(tmp_path, capsys):
     src = write_app(tmp_path / "app", {"bad.php": "<?php class Foo {}\n"})
     assert run("bench", "--src", src, "--reps", "1") == 1

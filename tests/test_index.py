@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+import cca.index
 from cca import (
     build_index,
     det_encrypt,
@@ -19,12 +20,13 @@ from cca import (
 )
 from cca.crypto import (
     ore_ciphertext_bytes,
+    ore_encrypt,
     ore_field_keys,
     ore_name,
     ore_name_value,
 )
 from cca.dcfg import annotate_control_flow, build_dcfg
-from cca.errors import FormatError
+from cca.errors import ConfigError, FormatError
 from cca.index import (
     deserialize_index,
     index_stats,
@@ -188,24 +190,92 @@ def test_directory_maps_derived_keys_back_to_tokens(fig_dcfg, master):
                                           token_identity(file_id, token))[0]
 
 
-def test_ore_field_names_decrypt_every_field(fig_dcfg, master):
-    index, directory = build_index([(0, fig_dcfg)], master, mode="ore")
-    size = ore_ciphertext_bytes(32)
-    field_keys = list(ore_field_keys(master).values())
-    values, decoded = set(), 0
+def _ore_fields(index, directory, master):
+    """The four field ciphertexts of every entry, read with the keys."""
+    size = ore_ciphertext_bytes(index.ore_width)
     for file_id, token in directory.values():
         d_key, r_key = derive_token_keys(master, token_identity(file_id, token))
         counter = 1
         while blob := index.lookup(det_encrypt(d_key,
                                                struct.pack(">I", counter))):
             fields = rnd_decrypt(r_key, blob)[64:]
-            for k, (key, signed) in enumerate(field_keys):
-                name = ore_name(fields[k * size:(k + 1) * size])
-                values.add(ore_name_value(key, name, 32, signed))
+            yield [fields[k * size:(k + 1) * size] for k in range(4)]
             counter += 1
-            decoded += 1
-    assert decoded == len(index)
+
+
+def _field_values(master, entries):
+    """(field name, value, ciphertext) of every field of every entry."""
+    field_keys = ore_field_keys(master)
+    for cts in entries:
+        for (name, (key, signed)), ct in zip(field_keys.items(), cts):
+            yield name, ore_name_value(key, ore_name(ct), 32, signed), ct
+
+
+def test_ore_field_names_decrypt_every_field(fig_dcfg, master):
+    index, directory = build_index([(0, fig_dcfg)], master, mode="ore")
+    entries = list(_ore_fields(index, directory, master))
+    assert len(entries) == len(index)
+    values = {value for _, value, _ in _field_values(master, entries)}
     assert values == {0, 2, 3, 4, 5, 6, 7}
+
+
+# --- ore mode: one ciphertext per distinct field value per build ------------------
+
+@pytest.fixture(scope="module")
+def corpus_per_file():
+    texts = [text for app in CORPUS.values() for text in app.values()]
+    return [(file_id, _dcfg_for(text)) for file_id, text in enumerate(texts)]
+
+
+def test_ore_build_encrypts_each_distinct_field_value_once(
+        corpus_per_file, master, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ore_encrypt(*args)
+
+    monkeypatch.setattr(cca.index, "ore_encrypt", counting)
+    index, _ = build_index(corpus_per_file, master, mode="ore")
+    distinct = {(name, value)
+                for _, dcfg in corpus_per_file for pair in dcfg
+                for name, value in zip(
+                    ("line", "depth", "order", "type"),
+                    (pair.right.line, pair.right.depth, pair.right.order,
+                     pair.right.cf_type))}
+    assert len(index) == 315
+    assert len(calls) == len(distinct) == 49
+
+
+def test_equal_field_values_share_one_ciphertext_per_build(
+        corpus_per_file, master):
+    index, directory = build_index(corpus_per_file, master, mode="ore")
+    by_value: dict[tuple[str, int], set[bytes]] = {}
+    for name, value, ct in _field_values(
+            master, _ore_fields(index, directory, master)):
+        by_value.setdefault((name, value), set()).add(ct)
+    assert len(by_value) == 49
+    assert all(len(cts) == 1 for cts in by_value.values())
+    # no two (field, value) pairs share bytes, across fields included
+    assert len(set().union(*by_value.values())) == 49
+
+
+def test_two_ore_builds_share_no_field_ciphertext(fig_dcfg, master):
+    builds = []
+    for _ in range(2):
+        index, directory = build_index([(0, fig_dcfg)], master, mode="ore")
+        builds.append({ct for cts in _ore_fields(index, directory, master)
+                       for ct in cts})
+    assert builds[0] and not builds[0] & builds[1]
+
+
+def test_out_of_range_field_value_names_file_field_and_width(master):
+    dcfg = _dcfg_for("<?php $a = $_GET['x'];\n" + "\n" * 300 + "echo $a;\n")
+    with pytest.raises(ConfigError,
+                       match=r"^app/index\.php: line value 302 .* 8\b"):
+        build_index([(3, dcfg)], master, mode="ore", ore_width=8,
+                    names={3: "app/index.php"})
+    build_index([(3, dcfg)], master, mode="std", ore_width=8)
 
 
 # --- serialization ---------------------------------------------------------------
