@@ -4,8 +4,8 @@ Three building blocks:
 
 * DET: deterministic keyed mapping (HMAC) used for index keys, so equal
   tokens map to equal index positions without revealing the token.
-* RND: randomized authenticated encryption (AES-128-CBC with a fresh IV,
-  encrypt-then-MAC) used for index values, so equal payloads are
+* RND: randomized authenticated encryption (AES-256-GCM with a fresh
+  96-bit nonce) used for index values, so equal payloads are
   indistinguishable.
 * ORE: an order-revealing scheme with left/right ciphertexts built from
   per-block permuted comparison tables.  Comparing the left half of one
@@ -25,8 +25,8 @@ import secrets
 import struct
 from dataclasses import dataclass, field
 
-from cryptography.hazmat.primitives import padding
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import ConfigError, FormatError, IntegrityError, KeyMismatchError
 from .fileio import Cursor, atomic_write, blob
@@ -43,8 +43,8 @@ ORE_WIDTHS_TEXT = (f"a multiple of {ORE_BLOCK_BITS} from {ORE_WIDTHS[0]} "
 MODES = ("plain", "std", "ore")
 DET_HASHES = ("sha1", "sha256")
 
+_RND_NONCE_BYTES = 12
 _RND_TAG_BYTES = 16
-_RND_IV_BYTES = 16
 
 # The four order-revealing flow fields, in index order: report field name,
 # the `MasterKeys` attribute that keys it, and whether its values are signed.
@@ -100,39 +100,29 @@ def det_encrypt(key: bytes, data: bytes, hash_mode: str = "sha1") -> bytes:
 
 # --- RND ----------------------------------------------------------------------
 
-def _rnd_subkeys(key: bytes) -> tuple[bytes, bytes]:
-    return _hmac(key, b"enc")[:16], _hmac(key, b"mac")
-
-
 def rnd_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    """Randomized authenticated encryption: IV || ciphertext || tag."""
-    enc_key, mac_key = _rnd_subkeys(key)
-    iv = os.urandom(_RND_IV_BYTES)
-    padder = padding.PKCS7(128).padder()
-    padded = padder.update(plaintext) + padder.finalize()
-    enc = Cipher(algorithms.AES(enc_key), modes.CBC(iv)).encryptor()
-    ct = enc.update(padded) + enc.finalize()
-    tag = _hmac(mac_key, iv + ct)[:_RND_TAG_BYTES]
-    return iv + ct + tag
+    """Randomized authenticated encryption: nonce || ciphertext || tag.
+
+    The key (a 32-byte token key R_t) is the AES-GCM key itself.
+    """
+    nonce = os.urandom(_RND_NONCE_BYTES)
+    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
 
 
 def rnd_decrypt(key: bytes, blob: bytes) -> bytes:
-    """Verify and decrypt an RND blob; raises IntegrityError on any damage."""
-    if len(blob) < _RND_IV_BYTES + 16 + _RND_TAG_BYTES:
+    """Verify and decrypt an RND blob; raises IntegrityError on any damage,
+    and on a key AES does not accept (such as a truncated query key)."""
+    if len(blob) < _RND_NONCE_BYTES + _RND_TAG_BYTES:
         raise IntegrityError("ciphertext too short")
-    enc_key, mac_key = _rnd_subkeys(key)
-    iv, ct, tag = (blob[:_RND_IV_BYTES], blob[_RND_IV_BYTES:-_RND_TAG_BYTES],
-                   blob[-_RND_TAG_BYTES:])
-    expect = _hmac(mac_key, iv + ct)[:_RND_TAG_BYTES]
-    if not hmac_mod.compare_digest(tag, expect):
-        raise IntegrityError("authentication tag mismatch")
-    dec = Cipher(algorithms.AES(enc_key), modes.CBC(iv)).decryptor()
-    padded = dec.update(ct) + dec.finalize()
-    unpadder = padding.PKCS7(128).unpadder()
     try:
-        return unpadder.update(padded) + unpadder.finalize()
-    except ValueError as exc:
-        raise IntegrityError("bad padding after decryption") from exc
+        aead = AESGCM(key)
+    except ValueError as exc:  # a key of a length AES does not take
+        raise IntegrityError(f"value key rejected: {exc}") from None
+    try:
+        return aead.decrypt(blob[:_RND_NONCE_BYTES], blob[_RND_NONCE_BYTES:],
+                            None)
+    except InvalidTag:
+        raise IntegrityError("authentication tag mismatch") from None
 
 
 # --- ORE ----------------------------------------------------------------------

@@ -260,15 +260,15 @@ def test_criterion_6_crypto_primitive_properties():
         assert len(cts) == 10_000
 
         rnd_key = rng.randbytes(16)
-        ivs = set()
+        nonces = set()
         blobs = set()
         for i in range(10_000):
-            message = struct.pack(">I", i % 97)  # repeats force fresh IVs
+            message = struct.pack(">I", i % 97)  # repeats force fresh nonces
             blob = rnd_encrypt(rnd_key, message)
             assert rnd_decrypt(rnd_key, blob) == message
-            ivs.add(blob[:16])
+            nonces.add(blob[:12])
             blobs.add(blob)
-        assert len(ivs) == 10_000
+        assert len(nonces) == 10_000
         assert len(blobs) == 10_000
 
         ore_key = derive_ore_key(rng.randbytes(16))

@@ -11,6 +11,7 @@ import yaml
 
 import cca
 from cca import __version__
+from cca.analysis import load_query, save_query
 from cca.cli import main
 from cca.index import load_index, save_index
 
@@ -379,6 +380,15 @@ def _set_sink_value(value: bytes):
     return damage
 
 
+def _truncate_query_r_key(n: int):
+    def damage(paths):
+        query = load_query(paths["query"])
+        d_key, r_key = query.files[0].sens
+        query.files[0].sens = (d_key, r_key[:n])
+        save_query(paths["query"], query)
+    return damage
+
+
 def _replace_bytes(name: str, old: bytes, new: bytes):
     def damage(paths):
         data = paths[name].read_bytes()
@@ -431,6 +441,8 @@ MALFORMED = {
     "plain query text not UTF-8": (
         "--no-encryption", _replace_bytes("query", b"0:XSS_SENS", b"\xff:XSS_SENS"),
         "analyse"),
+    "query R key truncated to 7 bytes": (
+        "--no-ore", _truncate_query_r_key(7), "analyse"),
     "key store text not UTF-8": (
         "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
         "authorise"),

@@ -116,17 +116,29 @@ def test_rnd_roundtrip_and_layout():
     key = b"\x02" * 32
     blob = rnd_encrypt(key, b"payload bytes")
     assert rnd_decrypt(key, blob) == b"payload bytes"
-    # iv(16) || ciphertext (multiple of 16) || tag(16)
-    assert (len(blob) - 32) % 16 == 0
-    assert len(blob) >= 48
+    # nonce(12) || ciphertext (as long as the payload) || tag(16)
+    assert len(blob) == 12 + len(b"payload bytes") + 16
+
+
+def test_rnd_known_answer(monkeypatch):
+    # AES-256-GCM test case 14 of McGrew & Viega's GCM specification: zero
+    # key, zero 96-bit nonce, 16 zero bytes; the blob is nonce || ct || tag.
+    monkeypatch.setattr("cca.crypto.os.urandom", bytes)
+    key, payload = bytes(32), bytes(16)
+    blob = rnd_encrypt(key, payload)
+    assert blob.hex() == (
+        "000000000000000000000000"
+        "cea7403d4d606b6e074ec5d3baf39d18"
+        "d0d1c8a799996bf0265b98b5d48ab919")
+    assert rnd_decrypt(key, blob) == payload
 
 
 def test_rnd_is_randomized():
     key = b"\x03" * 32
     blobs = {rnd_encrypt(key, b"same message") for _ in range(64)}
     assert len(blobs) == 64
-    ivs = {b[:16] for b in blobs}
-    assert len(ivs) == 64
+    nonces = {b[:12] for b in blobs}
+    assert len(nonces) == 64
 
 
 def test_rnd_rejects_tampering():
@@ -141,6 +153,14 @@ def test_rnd_rejects_wrong_key():
     blob = rnd_encrypt(b"\x05" * 32, b"secret")
     with pytest.raises(IntegrityError):
         rnd_decrypt(b"\x06" * 32, blob)
+
+
+@pytest.mark.parametrize("length", [7, 16])
+def test_rnd_rejects_key_of_another_length(length):
+    # 16 bytes is an AES key that fails the tag; 7 bytes is no AES key
+    blob = rnd_encrypt(b"\x05" * 32, b"secret")
+    with pytest.raises(IntegrityError):
+        rnd_decrypt(b"\x05" * length, blob)
 
 
 def test_rnd_rejects_truncation():

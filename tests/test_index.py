@@ -316,6 +316,13 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
+def test_version_1_index_rejected_by_name(fig_dcfg, master):
+    index, _ = build_index([(0, fig_dcfg)], master, mode="std")
+    blob = serialize_index(index)
+    with pytest.raises(FormatError, match="version 1"):
+        deserialize_index(blob[:8] + b"\x01" + blob[9:])
+
+
 def test_stats_report_counts_and_sizes(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
     stats = index_stats(index)
