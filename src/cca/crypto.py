@@ -10,7 +10,10 @@ Three building blocks:
 * ORE: an order-revealing scheme with left/right ciphertexts built from
   per-block permuted comparison tables.  Comparing the left half of one
   ciphertext against the right half of another yields <, =, > and nothing
-  else, letting the analyser order line numbers it cannot read.
+  else, letting the analyser order line numbers it cannot read.  A
+  block's slot tags are AES-128 (ECB) of the slot numbers under a key
+  derived per block; each slot's mask is AES-128 of its tag under the
+  right half's public nonce, mod 3.  One AES call makes all 256 of either.
 
 Everything derives from six 128-bit master keys: one for DET, one for RND,
 and one per protected flow field (line, depth, order, type).
@@ -24,8 +27,10 @@ import os
 import secrets
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import ConfigError, FormatError, IntegrityError, KeyMismatchError
@@ -132,22 +137,22 @@ class OreKey:
     """Key material for the order-revealing scheme, with a derivation cache.
 
     The cache maps (derivation, block index, prefix) to that block's slot
-    permutation or per-slot comparison tags; both are deterministic in the
-    key, so the cache only saves recomputation and never changes results.
+    permutation or slot tags; both are deterministic in the key, so the
+    cache only saves recomputation and never changes results.
     """
 
     prf_key: bytes
     prp_key: bytes
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    _CACHE_CAP = 8192  # a permutation and a tag list per block
+    _CACHE_CAP = 8192  # a permutation and a tag block per block
 
-    def permutation(self, index: int, prefix: bytes) -> list[int]:
-        """Slot of each value of one block (value -> slot)."""
+    def permutation(self, index: int, prefix: bytes) -> bytes:
+        """Value in each slot of one block (slot -> value)."""
         return self._derived(_derive_permutation, self.prp_key, index, prefix)
 
-    def slot_tags(self, index: int, prefix: bytes) -> list[bytes]:
-        """Comparison tag of every slot of one block."""
+    def slot_tags(self, index: int, prefix: bytes) -> bytes:
+        """16-byte comparison tag of every slot of one block, joined."""
         return self._derived(_derive_slot_tags, self.prf_key, index, prefix)
 
     def _derived(self, derive, secret: bytes, index: int, prefix: bytes):
@@ -175,8 +180,8 @@ def ore_field_keys(master: MasterKeys) -> dict[str, tuple[OreKey, bool]]:
             for name, attr, signed in ORE_FIELDS}
 
 
-def _derive_permutation(prp_key: bytes, index: int, prefix: bytes) -> list[int]:
-    """Keyed pseudorandom permutation of the block domain.
+def _derive_permutation(prp_key: bytes, index: int, prefix: bytes) -> bytes:
+    """Keyed pseudorandom permutation of the block domain, as slot -> value.
 
     Fisher-Yates driven by an HMAC counter stream with rejection sampling,
     so the permutation is uniform and identical on every platform.
@@ -200,23 +205,30 @@ def _derive_permutation(prp_key: bytes, index: int, prefix: bytes) -> list[int]:
                 k = byte % bound
                 break
         perm[j], perm[k] = perm[k], perm[j]
-    return perm
+    # perm maps value -> slot; the table maps each perm[x] back to x
+    return bytes.maketrans(bytes(perm), bytes(range(ORE_BLOCK_DOMAIN)))
 
 
-def _derive_slot_tags(prf_key: bytes, index: int, prefix: bytes,
-                      slots=range(ORE_BLOCK_DOMAIN)) -> list[bytes]:
-    """Comparison tag of each given slot of one block position."""
-    base = hashlib.sha256(_hmac(prf_key, bytes([index]) + prefix))
-    tags = []
-    for slot in slots:
-        h = base.copy()
-        h.update(bytes([slot]))
-        tags.append(h.digest()[:16])
-    return tags
+# Every slot number as one AES block, and each byte's residue mod 3.
+_SLOT_BLOCKS = b"".join(s.to_bytes(16, "big") for s in range(ORE_BLOCK_DOMAIN))
+_MOD3 = bytes(b % 3 for b in range(256))
+_ECB = modes.ECB()
 
 
-def _mask(tag: bytes, nonce: bytes) -> int:
-    return hashlib.sha256(nonce + tag).digest()[0] % 3
+def _ecb(key: bytes):
+    return Cipher(algorithms.AES(key), _ECB).encryptor()
+
+
+def _derive_slot_tags(prf_key: bytes, index: int, prefix: bytes) -> bytes:
+    """Tags of one block's slots: AES of each slot under a per-block key."""
+    block_key = _hmac(prf_key, bytes([index]) + prefix)[:KEY_BYTES]
+    return _ecb(block_key).update(_SLOT_BLOCKS)
+
+
+@lru_cache(maxsize=64)
+def _nonce_cipher(nonce: bytes):
+    """Mask cipher of a right half: AES under its nonce, which is public."""
+    return _ecb(nonce)
 
 
 def _check_range(value: int, width: int, signed: bool) -> int:
@@ -238,36 +250,39 @@ def ore_encrypt_left(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
     out = bytearray()
     for i in range(n):
         prefix = raw[:i]
-        slot = key.permutation(i, prefix)[raw[i]]
-        out += key.slot_tags(i, prefix)[slot]
+        slot = key.permutation(i, prefix).index(raw[i])
+        out += key.slot_tags(i, prefix)[16 * slot:16 * slot + 16]
         out.append(slot)
     return bytes(out)
 
 
 def ore_encrypt_right(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
                       signed: bool = False) -> bytes:
-    """Right (data-side) ciphertext: nonce plus masked comparison tables."""
+    """Right (data-side) ciphertext: nonce plus masked comparison tables.
+
+    Slot s of a block holds (cmp(value in s, y) + mask(s)) % 3, two bits
+    per slot, slot 4j in the low bits of byte j; cmp is 0 for equal, 1
+    below y and 2 above.  The slots are summed as little-endian integers:
+    no byte passes 4 (code plus mask) or 170 (four packed codes), so no
+    sum carries into the next byte.
+    """
     value = _check_range(value, width, signed)
     n = width // ORE_BLOCK_BITS
     raw = value.to_bytes(n, "big")
     nonce = os.urandom(16)
-    out = bytearray(nonce)
-    base = hashlib.sha256()
-    base.update(nonce)
-    base_copy = base.copy
+    masker = _ecb(nonce)
+    out = [nonce]
     for i in range(n):
-        prefix = raw[:i]
-        tags = key.slot_tags(i, prefix)
-        y = raw[i]
-        packed = bytearray(ORE_BLOCK_DOMAIN // 4)
-        for x, slot in enumerate(key.permutation(i, prefix)):
-            cmp_code = 0 if x == y else (1 if x < y else 2)
-            h = base_copy()
-            h.update(tags[slot])
-            v = (cmp_code + h.digest()[0]) % 3
-            packed[slot >> 2] |= v << ((slot & 3) * 2)
-        out += packed
-    return bytes(out)
+        prefix, y = raw[:i], raw[i]
+        codes = key.permutation(i, prefix).translate(
+            b"\x01" * y + b"\x00" + b"\x02" * (ORE_BLOCK_DOMAIN - 1 - y))
+        masks = masker.update(key.slot_tags(i, prefix))[::16].translate(_MOD3)
+        v = (int.from_bytes(codes, "little") + int.from_bytes(masks, "little")
+             ).to_bytes(ORE_BLOCK_DOMAIN, "little").translate(_MOD3)
+        packed = sum(int.from_bytes(v[k::4], "little") << 2 * k
+                     for k in range(4))
+        out.append(packed.to_bytes(ORE_BLOCK_DOMAIN // 4, "little"))
+    return b"".join(out)
 
 
 def ore_encrypt(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
@@ -300,13 +315,12 @@ def ore_compare(a: bytes, b: bytes, width: int = DEFAULT_ORE_WIDTH) -> int:
         raise ValueError("ORE ciphertext length does not match width")
     left = a[:left_len]
     right = b[left_len:]
-    nonce = right[:16]
+    masks = _nonce_cipher(right[:16]).update(
+        b"".join(left[17 * i:17 * i + 16] for i in range(n)))[::16]
     for i in range(n):
-        tag = left[17 * i:17 * i + 16]
         slot = left[17 * i + 16]
-        table = right[16 + 64 * i:16 + 64 * (i + 1)]
-        v = (table[slot >> 2] >> ((slot & 3) * 2)) & 3
-        result = (v - _mask(tag, nonce)) % 3
+        v = (right[16 + 64 * i + (slot >> 2)] >> ((slot & 3) * 2)) & 3
+        result = (v - masks[i]) % 3
         if result == 1:
             return -1
         if result == 2:
@@ -338,9 +352,11 @@ def ore_name_value(key: OreKey, name: bytes, width: int = DEFAULT_ORE_WIDTH,
         raise FormatError(f"ORE name of {len(name)} bytes at width {width}")
     raw = b""
     for i in range(n):
-        raw += bytes([key.permutation(i, raw).index(name[i])])
-    (tag,) = _derive_slot_tags(key.prf_key, n - 1, raw[:-1], name[n - 1:n])
-    if not hmac_mod.compare_digest(tag[:_ORE_CHECK_BYTES], name[n:]):
+        raw += key.permutation(i, raw)[name[i]:name[i] + 1]
+    slot = name[n - 1]
+    tags = key.slot_tags(n - 1, raw[:-1])
+    if not hmac_mod.compare_digest(tags[16 * slot:16 * slot + _ORE_CHECK_BYTES],
+                                   name[n:]):
         raise KeyMismatchError(
             "order-revealing name does not decrypt under this key store; "
             "the report was produced from an index built with different keys")
@@ -351,7 +367,7 @@ def ore_name_value(key: OreKey, name: bytes, width: int = DEFAULT_ORE_WIDTH,
 # --- key store ----------------------------------------------------------------
 
 _KEYS_MAGIC = b"CCAKEYS1"
-_KEYS_VERSION = 2
+_KEYS_VERSION = 3
 
 
 @dataclass

@@ -40,7 +40,7 @@ from .errors import ConfigError
 from .fileio import Cursor, atomic_write, blob
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 2
+_VERSION = 3
 
 
 @dataclass

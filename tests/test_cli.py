@@ -447,7 +447,11 @@ MALFORMED = {
         "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
         "authorise"),
     "key store ORE width 12": ("--no-ore", _set_byte("keys", 11, 12), "authorise"),
+    "ore index of version 2": (
+        "--ore-width=32", _set_byte("index", 8, 2), "analyse"),
 }
+# case -> what its one error line must say, where more than the prefix counts
+MALFORMED_SAYS = {"ore index of version 2": "unsupported version 2"}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -464,6 +468,7 @@ def test_malformed_artifact_is_exit_code_2(tmp_path, app_dir, capsys, case):
     assert run(*COMMANDS[command](paths)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("error:") == 1 and MALFORMED_SAYS.get(case, "") in err
 
 
 def test_deeply_nested_report_is_exit_code_2(tmp_path, app_dir):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import stat
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, strategies as st
 
+import cca.crypto
 from cca import (
     derive_token_keys,
     det_encrypt,
@@ -266,6 +270,101 @@ def test_ore_agrees_with_integer_order_on_words(x, y):
     assert cmp == (x > y) - (x < y)
 
 
+# Fixed key for the known answers below; the right half's nonce is zero.
+KAT_KEY = OreKey(bytes(range(16)), bytes(range(16, 32)))
+
+
+@pytest.mark.parametrize("value, width, signed, left, right, name", [
+    (200, 8, False, "10e1b2bbe1ceb7aad1f4bf456aa78ad530",
+     "00000000000000000000000000000000"
+     "4a1298a45962a00910469659104656a099105a96440621a2088a64115a504182"
+     "1000566aa9986a965586164492a6a981a9a24202184912100688965552115649",
+     "3010e1b2bbe1ceb7aa"),
+    (70000, 32, False,
+     "ea7b52f78a1c5aeb7f065f5d9deb5dd9aa2170840716174d0d8dddab64169a31c3"
+     "e4ff0ed026c5a05037836f9226989a5ec6f226d7fc21abfbceb2be37324e143064"
+     "1c22",
+     # SHA-256 of the 272-byte right half
+     "cd2c24e3bd87717e155e10adf4afcc0646d94e2434edd6529e9cb197d76967a2",
+     "aae4f22226d7fc21abfbceb2"),
+    (-5, 8, True, "b1879a4c84b03f140d7de329301278f3c3",
+     "00000000000000000000000000000000"
+     "521210a45162200a544aaa99124694a099106a9684142520088848155a605184"
+     "15056a6a2199689669161844a28aa10562804210289924110a901a595215aa89",
+     "c3b1879a4c84b03f14"),
+], ids=["8-bit", "32-bit", "signed"])
+def test_ore_known_answer(monkeypatch, value, width, signed, left, right,
+                          name):
+    monkeypatch.setattr("cca.crypto.os.urandom", bytes)
+    ct = ore_encrypt(KAT_KEY, value, width, signed)
+    got_left, got_right = ct[:len(left) // 2], ct[len(left) // 2:]
+    if width > 8:  # a long right half is pinned by its SHA-256
+        got_right = hashlib.sha256(got_right).digest()
+    assert (got_left.hex(), got_right.hex(), ore_name(ct, width).hex()) == (
+        left, right, name)
+    assert ore_name_value(KAT_KEY, bytes.fromhex(name), width, signed) == value
+
+
+def _aes(key: bytes, block: bytes) -> bytes:
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+
+
+def _reference_right(key: OreKey, value: int, width: int, signed: bool,
+                     nonce: bytes) -> bytes:
+    """The right half, one slot at a time, from AES and HMAC directly."""
+    if signed:
+        value += 1 << (width - 1)
+    raw = value.to_bytes(width // 8, "big")
+    out = bytearray(nonce)
+    for i, y in enumerate(raw):
+        block_key = hmac.new(key.prf_key, bytes([i]) + raw[:i],
+                             "sha256").digest()[:16]
+        packed = bytearray(64)
+        for slot, x in enumerate(key.permutation(i, raw[:i])):
+            code = 0 if x == y else (1 if x < y else 2)
+            tag = _aes(block_key, slot.to_bytes(16, "big"))
+            v = (code + _aes(nonce, tag)[0] % 3) % 3
+            packed[slot >> 2] |= v << ((slot & 3) * 2)
+        out += packed
+    return bytes(out)
+
+
+@given(st.sampled_from((8, 16, 32)), st.booleans(), st.data())
+def test_ore_right_half_matches_the_per_slot_reference(width, signed, data):
+    low = -(1 << (width - 1)) if signed else 0
+    value = data.draw(st.integers(low, low + (1 << width) - 1))
+    nonce = bytes(range(100, 116))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cca.crypto.os.urandom", lambda n: nonce[:n])
+        got = ore_encrypt_right(KAT_KEY, value, width, signed)
+    assert got == _reference_right(KAT_KEY, value, width, signed, nonce)
+
+
+def test_ore_compare_is_the_same_with_the_nonce_memo_cold_and_warm():
+    memo = cca.crypto._nonce_cipher
+    values = [0, 7, 7, 8, 255, 256, 70000, 2**31, 2**32 - 1]
+    cts = [ore_encrypt(KAT_KEY, v) for v in values]
+    expected = [[(x > y) - (x < y) for y in values] for x in values]
+
+    def answers(clear: bool) -> list[list[int]]:
+        rows = []
+        for a in cts:
+            rows.append([])
+            for b in cts:
+                if clear:
+                    memo.cache_clear()
+                rows[-1].append(ore_compare(a, b))
+        return rows
+
+    assert answers(clear=True) == expected
+    hits = memo.cache_info().hits
+    assert answers(clear=False) == expected
+    assert memo.cache_info().hits > hits
+    for v in range(100):  # more nonces than the memo holds
+        ore_compare(cts[0], ore_encrypt(KAT_KEY, v))
+    assert answers(clear=False) == expected
+
+
 # --- ORE names -------------------------------------------------------------------
 
 NAME_KEY = OreKey(b"\x0e" * 16, b"\x0f" * 16)
@@ -356,6 +455,13 @@ def test_keystore_version_1_rejected_by_name():
     blob = serialize_keys(_sample_store())
     with pytest.raises(FormatError, match="version 1"):
         deserialize_keys(blob[:8] + b"\x01" + blob[9:])
+
+
+def test_keystore_version_2_rejected_by_name():
+    # version 2 key stores named ore fields with the SHA-256 tags
+    blob = serialize_keys(_sample_store())
+    with pytest.raises(FormatError, match="version 2"):
+        deserialize_keys(blob[:8] + b"\x02" + blob[9:])
 
 
 def test_keystore_bad_magic_rejected():

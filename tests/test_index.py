@@ -316,11 +316,14 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-def test_version_1_index_rejected_by_name(fig_dcfg, master):
-    index, _ = build_index([(0, fig_dcfg)], master, mode="std")
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
+    # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
+    # with SHA-256
+    index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
-    with pytest.raises(FormatError, match="version 1"):
-        deserialize_index(blob[:8] + b"\x01" + blob[9:])
+    with pytest.raises(FormatError, match=f"version {version}"):
+        deserialize_index(blob[:8] + bytes([version]) + blob[9:])
 
 
 def test_stats_report_counts_and_sizes(fig_dcfg, master):
