@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .crypto import (
     KeyStore,
+    derive_det_keys,
     derive_token_keys,
     det_encrypt,
     ore_ciphertext_bytes,
@@ -47,7 +48,7 @@ from .errors import (
     UsageError,
 )
 from .fileio import Cursor, atomic_write, blob
-from .index import EncryptedIndex, token_identity
+from .index import EncryptedIndex, report_names, token_identity
 from .itl import TASKS
 
 log = logging.getLogger(__name__)
@@ -138,22 +139,12 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
     sens_name, san_name = TASKS[task]
     files = []
     for file_id in sorted(ks.files):
-        if ks.mode == "plain":
-            files.append(FileQuery(
-                file_id,
-                sens=token_identity(file_id, sens_name),
-                input_id=token_identity(file_id, "INPUT"),
-                san_id=token_identity(file_id, san_name),
-            ))
-        else:
-            sens_d, sens_r = derive_token_keys(ks.master,
-                                               token_identity(file_id, sens_name))
-            input_d, _ = derive_token_keys(ks.master,
-                                           token_identity(file_id, "INPUT"))
-            san_d, _ = derive_token_keys(ks.master,
-                                         token_identity(file_id, san_name))
-            files.append(FileQuery(file_id, sens=(sens_d, sens_r),
-                                   input_id=input_d, san_id=san_d))
+        sens, input_id, san_id = (token_identity(file_id, name)
+                                  for name in (sens_name, "INPUT", san_name))
+        if ks.mode != "plain":
+            sens = derive_token_keys(ks.master, sens)
+            input_id, san_id = derive_det_keys(ks.master, [input_id, san_id])
+        files.append(FileQuery(file_id, sens, input_id, san_id))
     return Query(task, ks.mode, ks.det_hash, ks.ore_width, files)
 
 
@@ -542,8 +533,10 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
 
     The report comes back from the analyser, so each field is checked
     where it is read: a malformed report raises FormatError, and one made
-    under other keys or in another mode raises KeyMismatchError.  Each
-    finding's sink and source are the first and last node of its path.
+    under other keys or in another mode raises KeyMismatchError, as does a
+    file id the key store does not hold or a token that no name of its
+    file derives to.  Each finding's sink and source are the first and
+    last node of its path.
     """
     mode = _get(report, "mode", str)
     if mode != ks.mode:
@@ -552,21 +545,7 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
     field_kind = str if mode == "ore" else int
     ore_keys = ore_field_keys(ks.master)
     names: dict[tuple[str, str], int] = {}
-
-    def resolve_token(value: str) -> str:
-        if mode == "plain":
-            return value.split(":", 1)[-1]
-        try:
-            raw = bytes.fromhex(value)
-        except ValueError as exc:
-            raise KeyMismatchError(f"malformed token key {value!r}") from exc
-        hit = ks.directory.get(raw)
-        if hit is None:
-            raise KeyMismatchError(
-                "token key not present in this key store; the report was "
-                "produced from an index built with different keys"
-            )
-        return hit[1]
+    file_tokens = functools.cache(functools.partial(report_names, ks))
 
     def resolve_field(field: str, value: int | str) -> int:
         if mode != "ore":
@@ -586,8 +565,14 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
             names[field, value] = got
         return got
 
-    def resolve_node(node) -> dict:
-        out = {"token": resolve_token(_get(node, "token", str))}
+    def resolve_node(file_id: int, node) -> dict:
+        token = _get(node, "token", str)
+        out = {"token": file_tokens(file_id).get(token)}
+        if out["token"] is None:
+            raise KeyMismatchError(
+                f"token {token!r} is no name of file {file_id} under this "
+                "key store; the report was produced from an index built "
+                "with different keys")
         for field in ("line", "depth", "order", "type"):
             out[field] = resolve_field(field, _get(node, field, field_kind))
         return out
@@ -598,12 +583,13 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
     out = {"task": task, "mode": mode, "files": []}
     for entry in _get(report, "files", list):
         file_id = _get(entry, "file", int)
-        resolved = {
-            "file": ks.files.get(file_id, f"<file {file_id}>"),
-            "findings": [],
-        }
+        if file_id not in ks.files:
+            raise KeyMismatchError(f"report names file {file_id}, which this "
+                                   "key store does not hold")
+        resolved = {"file": ks.files[file_id], "findings": []}
         for finding in _get(entry, "findings", list):
-            path = [resolve_node(n) for n in _get(finding, "path", list)]
+            path = [resolve_node(file_id, n)
+                    for n in _get(finding, "path", list)]
             if not path:
                 raise FormatError("report: finding with an empty path")
             resolved["findings"].append(

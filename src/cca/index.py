@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .crypto import (
@@ -26,7 +26,9 @@ from .crypto import (
     MODES,
     ORE_WIDTHS,
     ORE_WIDTHS_TEXT,
+    KeyStore,
     MasterKeys,
+    derive_det_keys,
     derive_token_keys,
     det_encrypt,
     ore_encrypt,
@@ -35,9 +37,10 @@ from .crypto import (
     read_scheme,
     rnd_encrypt,
 )
-from .dcfg import DCFG
+from .dcfg import DCFG, VALUE_FAMILIES
 from .errors import ConfigError
 from .fileio import Cursor, atomic_write, blob
+from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
 _VERSION = 3
@@ -71,6 +74,43 @@ def token_identity(file_id: int, token: str) -> str:
     return f"{file_id}:{token}"
 
 
+# Every pair token is a fixed VALUE_FAMILIES name (dcfg), or VAR<n> or
+# FUNC_CALL<n> with n below its file's count of that family.
+NUMBERED_FAMILIES = ("VAR", "FUNC_CALL")
+FIXED_NAMES = tuple(sorted(VALUE_FAMILIES.difference(NUMBERED_FAMILIES)))
+MAX_NAME_COUNT = 0xFFFF  # the key store holds each count as a u16
+
+
+def candidate_names(counts: tuple[int, int]) -> list[str]:
+    """Every token name a file's pairs can hold, given its name counts."""
+    return [*FIXED_NAMES, *(f"{fam}{n}" for fam, count
+                            in zip(NUMBERED_FAMILIES, counts)
+                            for n in range(count))]
+
+
+def report_names(ks: KeyStore, file_id: int) -> dict[str, str]:
+    """Each candidate token of a file as reports write it -> its name:
+    the hex of its D key (never R), or in plain mode its identity."""
+    names = candidate_names(ks.counts[file_id])
+    idents = [token_identity(file_id, name) for name in names]
+    if ks.mode != "plain":
+        idents = [key.hex() for key in derive_det_keys(ks.master, idents)]
+    return dict(zip(idents, names))
+
+
+def _name_counts(tokens: Iterable[str], path: str) -> tuple[int, int]:
+    counts = dict.fromkeys(NUMBERED_FAMILIES, 0)
+    for token in tokens:
+        fam = family(token)
+        if fam in counts:
+            counts[fam] = max(counts[fam], int(token[len(fam):]) + 1)
+    for fam, count in counts.items():
+        if count > MAX_NAME_COUNT:
+            raise ConfigError(f"{path}: {count} {fam} names, more than the "
+                              f"key store's limit of {MAX_NAME_COUNT}")
+    return tuple(counts.values())
+
+
 def build_index(
     per_file: list[tuple[int, DCFG]],
     keys: MasterKeys,
@@ -78,14 +118,15 @@ def build_index(
     det_hash: str = "sha1",
     ore_width: int = DEFAULT_ORE_WIDTH,
     names: Mapping[int, str] | None = None,
-) -> tuple[EncryptedIndex, dict[bytes, tuple[int, str]]]:
+) -> tuple[EncryptedIndex, dict[int, tuple[int, int]]]:
     """Turn per-file dependency pairs into one index, and return it with
-    the directory from each derived D key to its file id and token name.
+    each file's name counts for the key store: one past the highest n of
+    the VAR<n> and FUNC_CALL<n> tokens the file's entries key.
 
-    In ore mode each distinct (field, value) pair is encrypted once per
-    build, so equal values of one field share one ciphertext within this
-    index (see docs/formats.md); names maps file ids to the paths that a
-    value too wide for ore_width is reported under.
+    A count above MAX_NAME_COUNT is a ConfigError.  In ore mode each
+    distinct (field, value) pair is encrypted once per build, so equal
+    values of one field share one ciphertext within this index (see
+    docs/formats.md); names maps file ids to the paths errors name.
     """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
@@ -94,61 +135,57 @@ def build_index(
     if ore_width not in ORE_WIDTHS:  # checked in every mode: headers store it
         raise ValueError(f"ORE width must be {ORE_WIDTHS_TEXT}")
 
-    directory: dict[bytes, tuple[int, str]] = {}
+    counts: dict[int, tuple[int, int]] = {}
     entries: list[IndexEntry] = []
-    token_keys: dict[str, tuple[bytes, bytes]] = {}
     ore_keys = ore_field_keys(keys)
     ore_memo: dict[tuple[str, int], bytes] = {}
 
-    def ore_field(file_id: int, name: str, value: int) -> bytes:
+    def ore_field(path: str, name: str, value: int) -> bytes:
         ct = ore_memo.get((name, value))
         if ct is None:
             ore_key, signed = ore_keys[name]
             try:
                 ct = ore_encrypt(ore_key, value, ore_width, signed)
             except ValueError as exc:  # the width is valid, so the value is not
-                path = (names or {}).get(file_id, f"file {file_id}")
                 raise ConfigError(
                     f"{path}: {name} value {value} is out of range for "
                     f"--ore-width {ore_width}") from exc
             ore_memo[(name, value)] = ct
         return ct
 
-    def keys_for(file_id: int, token: str) -> tuple[bytes, bytes]:
-        ident = token_identity(file_id, token)
-        got = token_keys.get(ident)
-        if got is None:
-            got = derive_token_keys(keys, ident)
-            token_keys[ident] = got
-            directory[got[0]] = (file_id, token)
-        return got
-
     for file_id, dcfg in per_file:
-        for left, pairs in dcfg.by_left().items():
-            left_ident = token_identity(file_id, left)
-            d_left, r_left = keys_for(file_id, left)
+        by_left = dcfg.by_left()
+        tokens = {*by_left, *(pair.right.token for pairs in by_left.values()
+                              for pair in pairs)}
+        path = (names or {}).get(file_id, f"file {file_id}")
+        counts[file_id] = _name_counts(tokens, path)
+        token_keys = {} if mode == "plain" else {
+            token: derive_token_keys(keys, token_identity(file_id, token))
+            for token in tokens}
+        for left, pairs in by_left.items():
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
-                d_right, r_right = keys_for(file_id, right.token)
                 values = (right.line, right.depth, right.order, right.cf_type)
                 if mode == "plain":
-                    key = f"{left_ident}#{counter}".encode()
+                    key = f"{token_identity(file_id, left)}#{counter}".encode()
                     value = "|".join((token_identity(file_id, right.token),
                                       *map(str, values))).encode()
                 else:
+                    d_left, r_left = token_keys[left]
+                    d_right, r_right = token_keys[right.token]
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"), det_hash)
                     if mode == "std":
                         fields = struct.pack(">iiii", *values)
                     else:
                         fields = b"".join(
-                            ore_field(file_id, name, v)
+                            ore_field(path, name, v)
                             for name, v in zip(ore_keys, values))
                     value = rnd_encrypt(r_left, d_right + r_right + fields)
                 entries.append(IndexEntry(key, value))
 
     if mode != "plain":
         random.SystemRandom().shuffle(entries)
-    return EncryptedIndex(mode, det_hash, ore_width, entries), directory
+    return EncryptedIndex(mode, det_hash, ore_width, entries), counts
 
 
 # --- container ----------------------------------------------------------------

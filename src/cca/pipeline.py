@@ -101,7 +101,7 @@ def encrypt_application(
     master = generate_master_keys()
     per_file = [(fa.source.file_id, fa.dcfg) for fa in files]
     names = {fa.source.file_id: fa.source.rel for fa in files}
-    index, directory = build_index(per_file, master, mode=mode,
+    index, counts = build_index(per_file, master, mode=mode,
                                    det_hash=det_hash, ore_width=ore_width,
                                    names=names)
     keys = KeyStore(
@@ -110,6 +110,6 @@ def encrypt_application(
         det_hash=det_hash,
         ore_width=ore_width,
         files=names,
-        directory=directory,
+        counts=counts,
     )
     return EncryptResult(index, keys, files, skipped)

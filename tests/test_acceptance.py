@@ -119,8 +119,7 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
         # the contested sink keeps the flow through the later rewrite,
         # which the final check then rejects as not reaching an entry point
         survivor = resolved[1]
-        var2_d = next(key for key, named in res.keys.directory.items()
-                      if named == (0, "VAR2"))
+        var2_d, _ = derive_token_keys(res.keys.master, token_identity(0, "VAR2"))
         assert survivor[-1].token == var2_d
         line_key = derive_ore_key(res.keys.master.ore_line)
         assert ore_name_value(line_key, ore_name(survivor[-1].cts[0])) == 4

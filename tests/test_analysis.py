@@ -443,6 +443,30 @@ def test_decrypt_with_foreign_keystore_is_detected(tmp_path, mode):
         decrypt_report(report, theirs.keys)
 
 
+TWO_FILE_APP = {"a.php": FLOW_APP["index.php"],
+                "b.php": PARALLEL_APP["index.php"]}
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_findings_under_another_file_are_a_key_mismatch(tmp_path, mode):
+    res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    a, b = report["files"]
+    assert a["findings"] and b["findings"]
+    a["findings"], b["findings"] = b["findings"], a["findings"]
+    with pytest.raises(KeyMismatchError, match="no name of file 0"):
+        decrypt_report(report, res.keys)
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_file_id_outside_the_key_store_is_a_key_mismatch(tmp_path, mode):
+    res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    report["files"][1]["file"] = 99
+    with pytest.raises(KeyMismatchError, match="file 99"):
+        decrypt_report(report, res.keys)
+
+
 def test_foreign_query_only_warns(tmp_path, caplog):
     root = write_app(tmp_path, FLOW_APP)
     ours = encrypt_application(root, mode="std")

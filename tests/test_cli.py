@@ -449,9 +449,15 @@ MALFORMED = {
     "key store ORE width 12": ("--no-ore", _set_byte("keys", 11, 12), "authorise"),
     "ore index of version 2": (
         "--ore-width=32", _set_byte("index", 8, 2), "analyse"),
+    "key store of version 3": ("--no-ore", _set_byte("keys", 8, 3), "authorise"),
+    "report file id outside the key store": (
+        "--no-ore", _edit_report(lambda r: r["files"][0].update(file=99)),
+        "decrypt-report"),
 }
 # case -> what its one error line must say, where more than the prefix counts
-MALFORMED_SAYS = {"ore index of version 2": "unsupported version 2"}
+MALFORMED_SAYS = {"ore index of version 2": "unsupported version 2",
+                  "key store of version 3": "unsupported version 3",
+                  "report file id outside the key store": "file 99"}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))

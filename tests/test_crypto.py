@@ -23,7 +23,9 @@ from cca import (
 )
 from cca.crypto import (
     KeyStore,
+    MasterKeys,
     OreKey,
+    derive_det_keys,
     derive_ore_key,
     deserialize_keys,
     ore_ciphertext_bytes,
@@ -70,6 +72,15 @@ def test_token_key_derivation_is_deterministic_and_separated():
     assert d1 != r1
     assert d1 != d3 and r1 != r3
     assert d1 != d4  # same token, different file
+    assert derive_det_keys(mk, ["0:VAR0", "1:VAR0"]) == [d1, d4]
+
+
+@given(st.integers(16, 100), st.lists(st.text(max_size=80), max_size=3))
+def test_det_keys_are_hmac_sha256_under_the_det_master_key(key_len, ids):
+    # keys longer than the 64-byte block are hashed first, as RFC 2104 says
+    mk = MasterKeys(*(bytes([k]) * key_len for k in range(6)))
+    assert derive_det_keys(mk, ids) == [
+        hmac.new(mk.det, i.encode(), "sha256").digest() for i in ids]
 
 
 # --- DET -----------------------------------------------------------------------
@@ -422,7 +433,7 @@ def _sample_store() -> KeyStore:
         det_hash="sha1",
         ore_width=32,
         files={0: "index.php", 1: "lib/db.php"},
-        directory={b"\x01" * 32: (0, "VAR0"), b"\x02" * 32: (1, "XSS_SENS")},
+        counts={0: (3, 0), 1: (65535, 7)},
     )
 
 
@@ -435,7 +446,11 @@ def test_keystore_roundtrip(tmp_path):
     assert back.master == ks.master
     assert (back.mode, back.det_hash, back.ore_width) == ("ore", "sha1", 32)
     assert back.files == ks.files
-    assert back.directory == ks.directory
+    assert back.counts == ks.counts
+    # header, six master keys, file count, then per file: u32 id, u16
+    # path length, path, u16 VAR count, u16 FUNC_CALL count
+    assert len(serialize_keys(ks)) == (13 + 6 * 16 + 4
+                                       + (6 + 9 + 4) + (6 + 10 + 4))
 
 
 def test_keystore_file_is_private(tmp_path):
@@ -451,17 +466,13 @@ def test_keystore_truncation_rejected():
         deserialize_keys(blob[: len(blob) // 2])
 
 
-def test_keystore_version_1_rejected_by_name():
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_old_keystore_version_rejected_by_name(version):
+    # version 1 held ore value tables, version 2 named ore fields with
+    # SHA-256 tags, version 3 held a token directory instead of name counts
     blob = serialize_keys(_sample_store())
-    with pytest.raises(FormatError, match="version 1"):
-        deserialize_keys(blob[:8] + b"\x01" + blob[9:])
-
-
-def test_keystore_version_2_rejected_by_name():
-    # version 2 key stores named ore fields with the SHA-256 tags
-    blob = serialize_keys(_sample_store())
-    with pytest.raises(FormatError, match="version 2"):
-        deserialize_keys(blob[:8] + b"\x02" + blob[9:])
+    with pytest.raises(FormatError, match=f"version {version}"):
+        deserialize_keys(blob[:8] + bytes([version]) + blob[9:])
 
 
 def test_keystore_bad_magic_rejected():

@@ -25,9 +25,16 @@ from cca.crypto import (
     ore_name,
     ore_name_value,
 )
-from cca.dcfg import annotate_control_flow, build_dcfg
+from cca.dcfg import (
+    DCFG,
+    DCFGPair,
+    ExtendedITLToken,
+    annotate_control_flow,
+    build_dcfg,
+)
 from cca.errors import ConfigError, FormatError
 from cca.index import (
+    candidate_names,
     deserialize_index,
     index_stats,
     load_index,
@@ -56,7 +63,9 @@ def master():
 
 # --- plain mode ----------------------------------------------------------------
 
-def test_plain_mode_keys_and_values(fig_dcfg, master):
+def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
+    # a plain build keys nothing, so it derives no token keys either
+    monkeypatch.setattr(cca.index, "derive_token_keys", None)
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
 
     entries = {e.key.decode(): e.value.decode() for e in index.entries}
@@ -165,9 +174,9 @@ def test_rebuild_same_keys_fresh_values(fig_dcfg, master):
 
 
 def test_empty_input_builds_empty_index(master):
-    index, directory = build_index([], master, mode="ore")
+    index, counts = build_index([], master, mode="ore")
     assert len(index) == 0
-    assert directory == {}
+    assert counts == {}
 
 
 def test_same_token_in_two_files_gets_distinct_keys(master):
@@ -180,27 +189,49 @@ def test_same_token_in_two_files_gets_distinct_keys(master):
 
 # --- what the key store needs -----------------------------------------------------
 
-def test_directory_maps_derived_keys_back_to_tokens(fig_dcfg, master):
-    _, directory = build_index([(0, fig_dcfg)], master, mode="std")
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_name_counts_bound_each_numbered_family(fig_dcfg, master, mode):
+    # fig_flow's pairs hold VAR0, VAR1, VAR2 and no FUNC_CALL<n>
+    _, counts = build_index([(0, fig_dcfg), (4, DCFG([]))], master, mode=mode)
+    assert counts == {0: (3, 0), 4: (0, 0)}
+    assert {"VAR0", "VAR1", "VAR2", "XSS_SENS", "INPUT", "STRING"} <= \
+        set(candidate_names(counts[0]))
 
-    names = {token for (_, token) in directory.values()}
-    assert names == {"VAR0", "VAR1", "VAR2", "XSS_SENS", "INPUT", "STRING"}
-    for d_key, (file_id, token) in directory.items():
-        assert d_key == derive_token_keys(master,
-                                          token_identity(file_id, token))[0]
+
+def test_every_corpus_pair_token_is_a_candidate_name(corpus_per_file, master):
+    _, counts = build_index(corpus_per_file, master, mode="plain")
+    for file_id, dcfg in corpus_per_file:
+        names = set(candidate_names(counts[file_id]))
+        for pair in dcfg:
+            assert {pair.left, pair.right.token} <= names
 
 
-def _ore_fields(index, directory, master):
+@pytest.mark.parametrize("token", ["VAR65535", "FUNC_CALL65535"])
+def test_name_count_past_u16_names_file_and_family(master, token):
+    dcfg = DCFG([DCFGPair("XSS_SENS", ExtendedITLToken(token, 1, 0, 0, 0))])
+    family = token.rstrip("0123456789")
+    with pytest.raises(ConfigError, match=rf"^app/big\.php: 65536 {family} "):
+        build_index([(2, dcfg)], master, mode="plain",
+                    names={2: "app/big.php"})
+    ok = DCFG([DCFGPair("XSS_SENS", ExtendedITLToken(f"{family}65534", 1, 0,
+                                                     0, 0))])
+    _, counts = build_index([(2, ok)], master, mode="plain")
+    assert max(counts[2]) == 65535
+
+
+def _ore_fields(index, counts, master):
     """The four field ciphertexts of every entry, read with the keys."""
     size = ore_ciphertext_bytes(index.ore_width)
-    for file_id, token in directory.values():
-        d_key, r_key = derive_token_keys(master, token_identity(file_id, token))
-        counter = 1
-        while blob := index.lookup(det_encrypt(d_key,
-                                               struct.pack(">I", counter))):
-            fields = rnd_decrypt(r_key, blob)[64:]
-            yield [fields[k * size:(k + 1) * size] for k in range(4)]
-            counter += 1
+    for file_id, file_counts in counts.items():
+        for token in candidate_names(file_counts):
+            d_key, r_key = derive_token_keys(master,
+                                             token_identity(file_id, token))
+            counter = 1
+            while blob := index.lookup(det_encrypt(d_key,
+                                                   struct.pack(">I", counter))):
+                fields = rnd_decrypt(r_key, blob)[64:]
+                yield [fields[k * size:(k + 1) * size] for k in range(4)]
+                counter += 1
 
 
 def _field_values(master, entries):
@@ -212,8 +243,8 @@ def _field_values(master, entries):
 
 
 def test_ore_field_names_decrypt_every_field(fig_dcfg, master):
-    index, directory = build_index([(0, fig_dcfg)], master, mode="ore")
-    entries = list(_ore_fields(index, directory, master))
+    index, counts = build_index([(0, fig_dcfg)], master, mode="ore")
+    entries = list(_ore_fields(index, counts, master))
     assert len(entries) == len(index)
     values = {value for _, value, _ in _field_values(master, entries)}
     assert values == {0, 2, 3, 4, 5, 6, 7}
@@ -249,10 +280,10 @@ def test_ore_build_encrypts_each_distinct_field_value_once(
 
 def test_equal_field_values_share_one_ciphertext_per_build(
         corpus_per_file, master):
-    index, directory = build_index(corpus_per_file, master, mode="ore")
+    index, counts = build_index(corpus_per_file, master, mode="ore")
     by_value: dict[tuple[str, int], set[bytes]] = {}
     for name, value, ct in _field_values(
-            master, _ore_fields(index, directory, master)):
+            master, _ore_fields(index, counts, master)):
         by_value.setdefault((name, value), set()).add(ct)
     assert len(by_value) == 49
     assert all(len(cts) == 1 for cts in by_value.values())
@@ -263,8 +294,8 @@ def test_equal_field_values_share_one_ciphertext_per_build(
 def test_two_ore_builds_share_no_field_ciphertext(fig_dcfg, master):
     builds = []
     for _ in range(2):
-        index, directory = build_index([(0, fig_dcfg)], master, mode="ore")
-        builds.append({ct for cts in _ore_fields(index, directory, master)
+        index, counts = build_index([(0, fig_dcfg)], master, mode="ore")
+        builds.append({ct for cts in _ore_fields(index, counts, master)
                        for ct in cts})
     assert builds[0] and not builds[0] & builds[1]
 
