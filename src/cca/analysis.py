@@ -27,6 +27,8 @@ import struct
 from dataclasses import dataclass
 
 from .crypto import (
+    DEFAULT_ORE_WIDTH,
+    MODES,
     KeyStore,
     derive_det_keys,
     derive_token_keys,
@@ -37,8 +39,6 @@ from .crypto import (
     ore_left_bytes,
     ore_name,
     ore_name_value,
-    pack_scheme,
-    read_scheme,
     rnd_decrypt,
 )
 from .errors import (
@@ -97,28 +97,30 @@ class FileQuery:
 class Query:
     task: str
     mode: str
-    det_hash: str
-    ore_width: int
     files: list[FileQuery]
 
 
 def read_policy(path) -> dict[str, bool]:
     """Parse an authorisation policy: lines of `allow TASK` / `deny TASK`."""
     decisions: dict[str, bool] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or parts[0] not in ("allow", "deny"):
-                raise UsageError(f"{path}:{lineno}: bad policy line {raw.strip()!r}")
-            task = parts[1].lower()
-            if task not in TASKS:
-                raise UsageError(f"{path}:{lineno}: unknown task {parts[1]!r}")
-            # deny wins over allow regardless of order
-            if decisions.get(task) is not False:
-                decisions[task] = parts[0] == "allow"
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: policy file is not UTF-8: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[0] not in ("allow", "deny"):
+            raise UsageError(f"{path}:{lineno}: bad policy line {raw.strip()!r}")
+        task = parts[1].lower()
+        if task not in TASKS:
+            raise UsageError(f"{path}:{lineno}: unknown task {parts[1]!r}")
+        # deny wins over allow regardless of order
+        if decisions.get(task) is not False:
+            decisions[task] = parts[0] == "allow"
     return decisions
 
 
@@ -145,17 +147,17 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
             sens = derive_token_keys(ks.master, sens)
             input_id, san_id = derive_det_keys(ks.master, [input_id, san_id])
         files.append(FileQuery(file_id, sens, input_id, san_id))
-    return Query(task, ks.mode, ks.det_hash, ks.ore_width, files)
+    return Query(task, ks.mode, files)
 
 
 _QRY_MAGIC = b"CCAQRY1\x00"
-_QRY_VERSION = 1
+_QRY_VERSION = 2
 
 
 def serialize_query(query: Query) -> bytes:
     out = bytearray(_QRY_MAGIC)
-    out += struct.pack(">BB", _QRY_VERSION, list(TASKS).index(query.task))
-    out += pack_scheme(query.mode, query.det_hash, query.ore_width)
+    out += bytes([_QRY_VERSION, list(TASKS).index(query.task),
+                  MODES.index(query.mode)])
     out += struct.pack(">I", len(query.files))
     for fq in query.files:
         out += struct.pack(">I", fq.file_id)
@@ -171,7 +173,7 @@ def serialize_query(query: Query) -> bytes:
 def deserialize_query(data: bytes) -> Query:
     cur = Cursor(data, "query", _QRY_MAGIC, _QRY_VERSION)
     task = cur.code(TASKS, "task")
-    mode, det_hash, width = read_scheme(cur)
+    mode = cur.code(MODES, "mode")
     files = []
     for _ in range(cur.unpack(">I")[0]):
         (file_id,) = cur.unpack(">I")
@@ -182,7 +184,7 @@ def deserialize_query(data: bytes) -> Query:
             sens = (cur.blob(), cur.blob())
             files.append(FileQuery(file_id, sens, cur.blob(), cur.blob()))
     cur.finish()
-    return Query(task, mode, det_hash, width, files)
+    return Query(task, mode, files)
 
 
 def save_query(path, query: Query) -> None:
@@ -244,8 +246,7 @@ class IndexReader(Reader):
         d_key, r_key = ref
         edges: list[PathNode] = []
         while True:
-            probe = det_encrypt(d_key, (len(edges) + 1).to_bytes(4, "big"),
-                                self.index.det_hash)
+            probe = det_encrypt(d_key, (len(edges) + 1).to_bytes(4, "big"))
             blob = self.index.lookup(probe)
             if blob is None:
                 return edges
@@ -262,9 +263,10 @@ class IndexReader(Reader):
 class OreReader(IndexReader):
     """Reader for ore mode: field ciphertexts become per-file ranks."""
 
+    field_bytes = ore_ciphertext_bytes()
+
     def __init__(self, index: EncryptedIndex) -> None:
         super().__init__(index)
-        self.field_bytes = ore_ciphertext_bytes(index.ore_width)
         self._walked: dict[bytes, list[PathNode]] = {}
 
     def entries(self, ref) -> list[PathNode]:
@@ -282,13 +284,12 @@ class OreReader(IndexReader):
         nodes = [node for edges in self._walked.values() for node in edges]
         self._walked.clear()
         for k, name in enumerate(("line", "depth", "order", "cf_type")):
-            ranks = ore_ranks([node.cts[k] for node in nodes],
-                              self.index.ore_width)
+            ranks = ore_ranks([node.cts[k] for node in nodes])
             for node, rank in zip(nodes, ranks):
                 setattr(node, name, rank)
 
 
-def ore_ranks(cts: list[bytes], width: int) -> list[int]:
+def ore_ranks(cts: list[bytes], width: int = DEFAULT_ORE_WIDTH) -> list[int]:
     """Dense ranks of order-revealing ciphertexts made under one key.
 
     Ranks follow plaintext order and equal plaintexts share a rank.  Left
@@ -460,13 +461,13 @@ def detect(reader, fq: FileQuery) -> tuple[bool, list[list[PathNode]]]:
 
 # --- full run and reports -------------------------------------------------------
 
-def _node_to_dict(node: PathNode, width: int) -> dict:
+def _node_to_dict(node: PathNode) -> dict:
     """Report form of a node; ore fields are named by `crypto.ore_name`."""
     token = node.token.hex() if isinstance(node.token, bytes) else node.token
     if node.cts is None:
         fields = (node.line, node.depth, node.order, node.cf_type)
     else:
-        fields = ["ore:" + ore_name(ct, width).hex() for ct in node.cts]
+        fields = ["ore:" + ore_name(ct).hex() for ct in node.cts]
     return {"token": token, "line": fields[0], "depth": fields[1],
             "order": fields[2], "type": fields[3]}
 
@@ -478,9 +479,6 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
             f"query was authorised for mode {query.mode!r} but the index "
             f"was built in mode {index.mode!r}"
         )
-    if query.mode != "plain" and (query.det_hash != index.det_hash
-                                  or query.ore_width != index.ore_width):
-        raise FormatError("query and index disagree on scheme parameters")
     reader = make_reader(index)
     report: dict = {"task": query.task, "mode": query.mode, "files": []}
     probed_any = False
@@ -488,7 +486,7 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
         answered, findings = detect(reader, fq)
         probed_any = probed_any or answered
         report["files"].append({"file": fq.file_id, "findings": [
-            {"path": [_node_to_dict(n, index.ore_width) for n in nodes]}
+            {"path": [_node_to_dict(n) for n in nodes]}
             for nodes in findings]})
     if not probed_any and len(index) > 0:
         message = ("no sensitive entries answered any probe; the query keys "
@@ -561,7 +559,7 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
                 raise FormatError(
                     f"report: bad ciphertext name {value!r}") from None
             key, signed = ore_keys[field]
-            got = ore_name_value(key, name, ks.ore_width, signed)
+            got = ore_name_value(key, name, signed=signed)
             names[field, value] = got
         return got
 

@@ -27,15 +27,7 @@ from .analysis import (
     save_query,
     save_report,
 )
-from .crypto import (
-    DEFAULT_ORE_WIDTH,
-    DET_HASHES,
-    ORE_WIDTHS,
-    ORE_WIDTHS_TEXT,
-    generate_master_keys,
-    load_keys,
-    save_keys,
-)
+from .crypto import generate_master_keys, load_keys, save_keys
 from .errors import AuthorizationError, CcaError, UsageError
 from .dcfg import dump_dcfg
 from .frontend import collect_sources, dump_lextokens
@@ -55,24 +47,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_flag(check, requirement: str):
-    """argparse type: an int that passes check, else a usage error."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or not check(value):
-            raise argparse.ArgumentTypeError(
-                f"must be {requirement}, got {text!r}")
-        return value
-
-    return parse
-
-
-_reps = _int_flag(lambda n: n >= 1, "an integer of at least 1")
-_ore_width = _int_flag(lambda n: n in ORE_WIDTHS, ORE_WIDTHS_TEXT)
+def _reps(text: str) -> int:
+    """argparse type: an int of at least 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 def _task_display(task: str) -> str:
@@ -104,8 +88,6 @@ def cmd_encrypt(args) -> int:
     result = encrypt_application(
         src,
         mode=mode,
-        det_hash=args.det_hash,
-        ore_width=args.ore_width,
         rules_path=args.rules,
         task_knowledge_path=args.task_knowledge,
     )
@@ -216,9 +198,7 @@ def cmd_bench(args) -> int:
         master = generate_master_keys()
         for mode in modes:
             t0 = time.perf_counter()
-            index, _ = build_index(artifacts, master, mode=mode,
-                                   det_hash=args.det_hash,
-                                   ore_width=args.ore_width, names=names)
+            index, _ = build_index(artifacts, master, mode=mode, names=names)
             index_totals[mode] += time.perf_counter() - t0
             sizes[mode] = index_stats(index)["container_bytes"]
     _warn_skipped(skipped)
@@ -274,9 +254,6 @@ def build_parser() -> _ArgumentParser:
                    help="write a plaintext evaluation index")
     p.add_argument("--no-ore", action="store_true",
                    help="encrypt but keep flow fields as plain integers")
-    p.add_argument("--det-hash", choices=DET_HASHES, default="sha1")
-    p.add_argument("--ore-width", type=_ore_width, default=DEFAULT_ORE_WIDTH,
-                   help="plaintext bit width for order-revealing fields")
     p.add_argument("--dump-lextokens", action="store_true")
     p.add_argument("--dump-itl", action="store_true")
     p.add_argument("--dump-dcfg", action="store_true")
@@ -313,8 +290,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--src", required=True, help="source directory")
     p.add_argument("--reps", type=_reps, default=5,
                    help="repetitions to average")
-    p.add_argument("--det-hash", choices=DET_HASHES, default="sha1")
-    p.add_argument("--ore-width", type=_ore_width, default=DEFAULT_ORE_WIDTH)
     add_db_options(p)
     p.set_defaults(func=cmd_bench)
 

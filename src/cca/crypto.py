@@ -2,8 +2,8 @@
 
 Three building blocks:
 
-* DET: deterministic keyed mapping (HMAC) used for index keys, so equal
-  tokens map to equal index positions without revealing the token.
+* DET: deterministic keyed mapping (HMAC-SHA1) used for index keys, so
+  equal tokens map to equal index positions without revealing the token.
 * RND: randomized authenticated encryption (AES-256-GCM with a fresh
   96-bit nonce) used for index values, so equal payloads are
   indistinguishable.
@@ -14,6 +14,7 @@ Three building blocks:
   block's slot tags are AES-128 (ECB) of the slot numbers under a key
   derived per block; each slot's mask is AES-128 of its tag under the
   right half's public nonce, mod 3.  One AES call makes all 256 of either.
+  Every index encrypts its fields at DEFAULT_ORE_WIDTH bits.
 
 Everything derives from six 128-bit master keys: one for DET, one for RND,
 and one per protected flow field (line, depth, order, type).
@@ -34,20 +35,17 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import ConfigError, FormatError, IntegrityError, KeyMismatchError
+from .errors import FormatError, IntegrityError, KeyMismatchError
 from .fileio import Cursor, atomic_write, blob
 
 KEY_BYTES = 16
 ORE_BLOCK_BITS = 8
 ORE_BLOCK_DOMAIN = 1 << ORE_BLOCK_BITS  # 256 values per block
-DEFAULT_ORE_WIDTH = 32
-# Supported ORE bit widths: whole blocks, and one byte in container headers.
+DEFAULT_ORE_WIDTH = 32  # the width of every index field (docs/formats.md)
+# Widths the ORE primitives take: whole blocks, under 256 bits.
 ORE_WIDTHS = range(ORE_BLOCK_BITS, 256, ORE_BLOCK_BITS)
-ORE_WIDTHS_TEXT = (f"a multiple of {ORE_BLOCK_BITS} from {ORE_WIDTHS[0]} "
-                   f"to {ORE_WIDTHS[-1]}")
 
 MODES = ("plain", "std", "ore")
-DET_HASHES = ("sha1", "sha256")
 
 _RND_NONCE_BYTES = 12
 _RND_TAG_BYTES = 16
@@ -85,13 +83,8 @@ class MasterKeys:
                 self.ore_order, self.ore_type)
 
 
-def generate_master_keys(security_bits: int = 128) -> MasterKeys:
-    if security_bits % 8 != 0 or security_bits < 128:
-        raise ConfigError(
-            "security parameter must be a multiple of 8, at least 128"
-        )
-    n = security_bits // 8
-    return MasterKeys(*(secrets.token_bytes(n) for _ in range(6)))
+def generate_master_keys() -> MasterKeys:
+    return MasterKeys(*(secrets.token_bytes(KEY_BYTES) for _ in range(6)))
 
 
 def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
@@ -121,11 +114,9 @@ def derive_token_keys(keys: MasterKeys, token_id: str) -> tuple[bytes, bytes]:
 
 # --- DET ----------------------------------------------------------------------
 
-def det_encrypt(key: bytes, data: bytes, hash_mode: str = "sha1") -> bytes:
-    """Deterministic keyed digest of data (HMAC-SHA1 by default)."""
-    if hash_mode not in ("sha1", "sha256"):
-        raise ValueError(f"unsupported DET hash mode {hash_mode!r}")
-    return _hmac(key, data, hash_mode)
+def det_encrypt(key: bytes, data: bytes) -> bytes:
+    """Deterministic keyed digest of data: 20 bytes of HMAC-SHA1."""
+    return _hmac(key, data, "sha1")
 
 
 # --- RND ----------------------------------------------------------------------
@@ -258,7 +249,8 @@ def _nonce_cipher(nonce: bytes):
 
 def _check_range(value: int, width: int, signed: bool) -> int:
     if width not in ORE_WIDTHS:
-        raise ValueError(f"ORE width must be {ORE_WIDTHS_TEXT}, got {width}")
+        raise ValueError(f"ORE width must be a positive multiple of "
+                         f"{ORE_BLOCK_BITS} below 256, got {width}")
     if signed:
         value += 1 << (width - 1)
     if not 0 <= value < (1 << width):
@@ -392,7 +384,7 @@ def ore_name_value(key: OreKey, name: bytes, width: int = DEFAULT_ORE_WIDTH,
 # --- key store ----------------------------------------------------------------
 
 _KEYS_MAGIC = b"CCAKEYS1"
-_KEYS_VERSION = 4
+_KEYS_VERSION = 5
 
 
 @dataclass
@@ -408,36 +400,14 @@ class KeyStore:
 
     master: MasterKeys
     mode: str
-    det_hash: str
-    ore_width: int
     files: dict[int, str] = field(default_factory=dict)
     counts: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
-def pack_scheme(mode: str, det_hash: str, ore_width: int) -> bytes:
-    """Mode, DET hash and ORE width codes, as every container header has them."""
-    return struct.pack(">BBB", MODES.index(mode), DET_HASHES.index(det_hash),
-                       ore_width)
-
-
-def read_scheme(cur: Cursor) -> tuple[str, str, int]:
-    """Read what `pack_scheme` wrote, rejecting unknown codes and widths."""
-    mode, det_hash = cur.code(MODES, "mode"), cur.code(DET_HASHES, "hash")
-    (width,) = cur.unpack(">B")
-    if width not in ORE_WIDTHS:
-        raise FormatError(f"{cur.what}: ORE width {width} is not "
-                          f"{ORE_WIDTHS_TEXT}")
-    return mode, det_hash, width
-
-
 def serialize_keys(ks: KeyStore) -> bytes:
     out = bytearray(_KEYS_MAGIC)
-    out.append(_KEYS_VERSION)
-    out += pack_scheme(ks.mode, ks.det_hash, ks.ore_width)
-    master = ks.master.as_tuple()
-    out.append(len(master[0]))
-    for key in master:
-        out += key
+    out += bytes([_KEYS_VERSION, MODES.index(ks.mode)])
+    out += b"".join(ks.master.as_tuple())
     out += struct.pack(">I", len(ks.files))
     for file_id in sorted(ks.files):
         out += struct.pack(">I", file_id) + blob(ks.files[file_id].encode())
@@ -447,9 +417,8 @@ def serialize_keys(ks: KeyStore) -> bytes:
 
 def deserialize_keys(data: bytes) -> KeyStore:
     cur = Cursor(data, "key store", _KEYS_MAGIC, _KEYS_VERSION)
-    mode, det_hash, width = read_scheme(cur)
-    (key_len,) = cur.unpack(">B")
-    master = MasterKeys(*(cur.take(key_len) for _ in range(6)))
+    mode = cur.code(MODES, "mode")
+    master = MasterKeys(*(cur.take(KEY_BYTES) for _ in range(6)))
     files: dict[int, str] = {}
     counts: dict[int, tuple[int, int]] = {}
     for _ in range(cur.unpack(">I")[0]):
@@ -457,7 +426,7 @@ def deserialize_keys(data: bytes) -> KeyStore:
         files[file_id] = cur.text()
         counts[file_id] = cur.unpack(">HH")
     cur.finish()
-    return KeyStore(master, mode, det_hash, width, files, counts)
+    return KeyStore(master, mode, files, counts)
 
 
 def save_keys(path, ks: KeyStore) -> None:

@@ -22,10 +22,7 @@ from dataclasses import dataclass, field
 
 from .crypto import (
     DEFAULT_ORE_WIDTH,
-    DET_HASHES,
     MODES,
-    ORE_WIDTHS,
-    ORE_WIDTHS_TEXT,
     KeyStore,
     MasterKeys,
     derive_det_keys,
@@ -33,8 +30,6 @@ from .crypto import (
     det_encrypt,
     ore_encrypt,
     ore_field_keys,
-    pack_scheme,
-    read_scheme,
     rnd_encrypt,
 )
 from .dcfg import DCFG, VALUE_FAMILIES
@@ -43,7 +38,7 @@ from .fileio import Cursor, atomic_write, blob
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 3
+_VERSION = 4
 
 
 @dataclass
@@ -55,8 +50,6 @@ class IndexEntry:
 @dataclass
 class EncryptedIndex:
     mode: str
-    det_hash: str
-    ore_width: int
     entries: list[IndexEntry]
     _table: dict[bytes, bytes] | None = field(default=None, repr=False)
 
@@ -115,8 +108,6 @@ def build_index(
     per_file: list[tuple[int, DCFG]],
     keys: MasterKeys,
     mode: str = "ore",
-    det_hash: str = "sha1",
-    ore_width: int = DEFAULT_ORE_WIDTH,
     names: Mapping[int, str] | None = None,
 ) -> tuple[EncryptedIndex, dict[int, tuple[int, int]]]:
     """Turn per-file dependency pairs into one index, and return it with
@@ -130,10 +121,6 @@ def build_index(
     """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
-    if det_hash not in DET_HASHES:
-        raise ValueError(f"unknown DET hash {det_hash!r}")
-    if ore_width not in ORE_WIDTHS:  # checked in every mode: headers store it
-        raise ValueError(f"ORE width must be {ORE_WIDTHS_TEXT}")
 
     counts: dict[int, tuple[int, int]] = {}
     entries: list[IndexEntry] = []
@@ -145,11 +132,11 @@ def build_index(
         if ct is None:
             ore_key, signed = ore_keys[name]
             try:
-                ct = ore_encrypt(ore_key, value, ore_width, signed)
-            except ValueError as exc:  # the width is valid, so the value is not
+                ct = ore_encrypt(ore_key, value, signed=signed)
+            except ValueError as exc:
                 raise ConfigError(
                     f"{path}: {name} value {value} is out of range for "
-                    f"--ore-width {ore_width}") from exc
+                    f"{DEFAULT_ORE_WIDTH}-bit ORE fields") from exc
             ore_memo[(name, value)] = ct
         return ct
 
@@ -173,7 +160,7 @@ def build_index(
                 else:
                     d_left, r_left = token_keys[left]
                     d_right, r_right = token_keys[right.token]
-                    key = det_encrypt(d_left, counter.to_bytes(4, "big"), det_hash)
+                    key = det_encrypt(d_left, counter.to_bytes(4, "big"))
                     if mode == "std":
                         fields = struct.pack(">iiii", *values)
                     else:
@@ -185,15 +172,14 @@ def build_index(
 
     if mode != "plain":
         random.SystemRandom().shuffle(entries)
-    return EncryptedIndex(mode, det_hash, ore_width, entries), counts
+    return EncryptedIndex(mode, entries), counts
 
 
 # --- container ----------------------------------------------------------------
 
 def serialize_index(index: EncryptedIndex) -> bytes:
     out = bytearray(_MAGIC)
-    out.append(_VERSION)
-    out += pack_scheme(index.mode, index.det_hash, index.ore_width)
+    out += bytes([_VERSION, MODES.index(index.mode)])
     out += struct.pack(">I", len(index.entries))
     for entry in index.entries:
         out += blob(entry.key)
@@ -204,13 +190,13 @@ def serialize_index(index: EncryptedIndex) -> bytes:
 
 def deserialize_index(data: bytes) -> EncryptedIndex:
     cur = Cursor(data, "index", _MAGIC, _VERSION)
-    mode, det_hash, width = read_scheme(cur)
+    mode = cur.code(MODES, "mode")
     entries = []
     for _ in range(cur.unpack(">I")[0]):
         key = cur.blob()
         entries.append(IndexEntry(key, cur.take(cur.unpack(">I")[0])))
     cur.finish()
-    return EncryptedIndex(mode, det_hash, width, entries)
+    return EncryptedIndex(mode, entries)
 
 
 def index_stats(index: EncryptedIndex) -> dict:
@@ -218,8 +204,6 @@ def index_stats(index: EncryptedIndex) -> dict:
     value_lens = {len(e.value) for e in index.entries}
     return {
         "mode": index.mode,
-        "det_hash": index.det_hash,
-        "ore_width": index.ore_width,
         "entries": len(index.entries),
         "distinct_keys": len({e.key for e in index.entries}),
         "key_bytes": sorted(key_lens),

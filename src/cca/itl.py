@@ -142,7 +142,7 @@ def _read_db(path: Path | str | None,
             raise ConfigError(f"{where}: not UTF-8 text: {exc}") from None
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # or nested too deeply
         raise ConfigError(f"{where}: not parseable: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: not a mapping of keys")

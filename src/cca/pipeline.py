@@ -6,11 +6,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .crypto import (
-    DEFAULT_ORE_WIDTH,
-    KeyStore,
-    generate_master_keys,
-)
+from .crypto import KeyStore, generate_master_keys
 from .dcfg import DCFG, ExtendedITLToken, annotate_control_flow, build_dcfg
 from .errors import LexError, StructureError, TranslationError
 from .frontend import LexToken, SourceFile, collect_sources, lex
@@ -85,8 +81,6 @@ def compile_sources(
 def encrypt_application(
     root: Path | str,
     mode: str = "ore",
-    det_hash: str = "sha1",
-    ore_width: int = DEFAULT_ORE_WIDTH,
     rules_path: Path | str | None = None,
     task_knowledge_path: Path | str | None = None,
 ) -> EncryptResult:
@@ -101,15 +95,6 @@ def encrypt_application(
     master = generate_master_keys()
     per_file = [(fa.source.file_id, fa.dcfg) for fa in files]
     names = {fa.source.file_id: fa.source.rel for fa in files}
-    index, counts = build_index(per_file, master, mode=mode,
-                                   det_hash=det_hash, ore_width=ore_width,
-                                   names=names)
-    keys = KeyStore(
-        master=master,
-        mode=mode,
-        det_hash=det_hash,
-        ore_width=ore_width,
-        files=names,
-        counts=counts,
-    )
+    index, counts = build_index(per_file, master, mode=mode, names=names)
+    keys = KeyStore(master=master, mode=mode, files=names, counts=counts)
     return EncryptResult(index, keys, files, skipped)

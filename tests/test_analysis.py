@@ -87,13 +87,10 @@ def test_authorise_is_case_insensitive(tmp_path):
 
 
 def test_authorise_copies_scheme_parameters(tmp_path):
-    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="ore",
-                              det_hash="sha256", ore_width=16)
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     query = authorise(res.keys, "sqli")
     assert query.task == "sqli"
-    assert query.mode == "ore"
-    assert query.det_hash == "sha256"
-    assert query.ore_width == 16
+    assert query.mode == "std"
 
 
 def test_authorise_covers_every_file_in_id_order(tmp_path):
@@ -182,6 +179,14 @@ def test_policy_unknown_task_rejected(tmp_path):
         read_policy(policy)
 
 
+def test_policy_not_utf8_rejected_naming_the_file(tmp_path):
+    policy = tmp_path / "policy.txt"
+    policy.write_bytes(b"\xffallow xss\n")
+    with pytest.raises(UsageError, match="not UTF-8") as exc:
+        read_policy(policy)
+    assert str(exc.value).startswith(f"{policy}: ")
+
+
 def test_no_policy_file_means_owner_access(plain_keys):
     for task in ("xss", "sqli"):
         assert authorise(plain_keys, task).task == task
@@ -231,24 +236,6 @@ def test_analyse_rejects_mode_mismatch(tmp_path):
     ore = encrypt_application(root, mode="ore")
     with pytest.raises(FormatError, match="mode"):
         analyse(std.index, authorise(ore.keys, "xss"))
-
-
-def test_analyse_rejects_hash_and_width_mismatch(tmp_path):
-    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="ore")
-    query = authorise(res.keys, "xss")
-    stale_hash = dataclasses.replace(query, det_hash="sha256")
-    with pytest.raises(FormatError, match="scheme parameters"):
-        analyse(res.index, stale_hash)
-    stale_width = dataclasses.replace(query, ore_width=16)
-    with pytest.raises(FormatError, match="scheme parameters"):
-        analyse(res.index, stale_width)
-
-
-def test_plain_mode_ignores_scheme_parameters(tmp_path):
-    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="plain")
-    query = dataclasses.replace(authorise(res.keys, "xss"), ore_width=16)
-    report = analyse(res.index, query)
-    assert report["files"][0]["findings"]
 
 
 # --- detection walkthrough -------------------------------------------------------

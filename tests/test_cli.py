@@ -230,7 +230,6 @@ def test_stats_command(tmp_path, app_dir, capsys):
     out = capsys.readouterr().out
     assert "mode: ore" in out
     assert "entries: 6" in out
-    assert "det_hash: sha1" in out
 
 
 def test_bench_command(app_dir, capsys):
@@ -258,43 +257,21 @@ def test_usage_error_is_exit_code_1(tmp_path, app_dir, capsys):
 @pytest.mark.parametrize("argv", [
     ("bench", "--reps", "0"),
     ("bench", "--reps", "two"),
-    ("bench", "--ore-width", "12"),
-    ("encrypt", "--ore-width", "12"),
-    ("encrypt", "--ore-width", "264"),
-    ("encrypt", "--ore-width", "0", "--no-ore"),
+    # the DET hash and the ORE width are fixed by the container formats
+    ("encrypt", "--det-hash", "sha1"),
+    ("encrypt", "--ore-width", "32"),
+    ("bench", "--det-hash", "sha1"),
+    ("bench", "--ore-width", "32"),
 ])
 def test_bad_numeric_flags_are_usage_errors(tmp_path, app_dir, capsys,
                                            monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    command, flag, value, *rest = argv
-    assert run(command, "--src", app_dir, flag, value, *rest) == 1
+    command, flag, value = argv
+    assert run(command, "--src", app_dir, flag, value) == 1
     err = capsys.readouterr().err
-    assert "usage error:" in err and flag in err and repr(value) in err
+    assert err.count("usage error:") == 1 and flag in err and value in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.cca*"))  # nothing was written
-
-
-def test_widest_ore_width_is_accepted(tmp_path, app_dir, capsys):
-    assert run("encrypt", "--src", app_dir, "--index", tmp_path / "i",
-               "--keys", tmp_path / "k", "--no-ore", "--ore-width", "248") == 0
-
-
-@pytest.mark.parametrize("command", [
-    ("encrypt", "--index", "i", "--keys", "k"),
-    ("bench", "--reps", "1"),
-], ids=lambda argv: argv[0])
-def test_field_value_wider_than_ore_width_is_exit_code_2(tmp_path, command):
-    src = write_app(tmp_path / "app", {
-        "long.php": "<?php $a = $_GET['x'];\n" + "\n" * 300 + "echo $a;\n"})
-    done = subprocess.run(
-        [sys.executable, "-m", "cca.cli", *command, "--src", str(src),
-         "--ore-width", "8"],
-        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
-        timeout=120)
-    assert done.returncode == 2, done.stderr
-    assert done.stderr == ("error: long.php: line value 302 is out of range "
-                           "for --ore-width 8\n")
-    assert not list(tmp_path.glob("[ik]"))  # nothing was written
 
 
 def test_bench_without_supported_files_is_a_usage_error(tmp_path, capsys):
@@ -330,6 +307,7 @@ BAD_RULES = {
                           "'split_string_interpolation' must be true or false"),
     "not a mapping": ("- split_string_interpolation\n", "not a mapping"),
     "not YAML": ("split_string_interpolation: [\n", "not parseable"),
+    "nested too deeply": ("[" * 20000, "not parseable"),
     "not UTF-8": ("# \xff\n", "not UTF-8"),
 }
 
@@ -345,6 +323,18 @@ def test_bad_rules_file_is_exit_code_2(tmp_path, app_dir, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {rules}: ") and says in err
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.cca*"))  # nothing was written
+
+
+def test_deeply_nested_task_knowledge_is_exit_code_2(tmp_path, app_dir, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tk = tmp_path / "tk.yaml"
+    tk.write_text("[" * 20000)
+    assert run("encrypt", "--src", app_dir, "--task-knowledge", tk) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tk}: not parseable")
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not list(tmp_path.glob("*.cca*"))  # nothing was written
 
 
@@ -414,7 +404,8 @@ COMMANDS = {
                                  "--keys", p["keys"]),
 }
 
-# case -> (encrypt flag, damage to the artifacts, command that reads them)
+# case -> (encrypt flag, "" for ore mode; damage to the artifacts; command
+# that reads them)
 MALFORMED = {
     "report finding without sink": (
         "--no-ore", _edit_report(lambda r: _first_finding(r).update(path=[])),
@@ -423,8 +414,7 @@ MALFORMED = {
         "--no-ore", _edit_report(lambda r: r.update(files=3)),
         "decrypt-report"),
     "report field ore:zz": (
-        "--ore-width=32",  # the default, ore mode
-        _edit_report(lambda r: _sink(r).update(line="ore:zz")),
+        "", _edit_report(lambda r: _sink(r).update(line="ore:zz")),
         "decrypt-report"),
     "report line is a list": (
         "--no-ore", _edit_report(lambda r: _sink(r).update(line=[1])),
@@ -446,17 +436,21 @@ MALFORMED = {
     "key store text not UTF-8": (
         "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
         "authorise"),
-    "key store ORE width 12": ("--no-ore", _set_byte("keys", 11, 12), "authorise"),
-    "ore index of version 2": (
-        "--ore-width=32", _set_byte("index", 8, 2), "analyse"),
+    "ore index of version 2": ("", _set_byte("index", 8, 2), "analyse"),
+    "ore index of version 3": ("", _set_byte("index", 8, 3), "analyse"),
     "key store of version 3": ("--no-ore", _set_byte("keys", 8, 3), "authorise"),
+    "key store of version 4": ("--no-ore", _set_byte("keys", 8, 4), "authorise"),
+    "query of version 1": ("--no-ore", _set_byte("query", 8, 1), "analyse"),
     "report file id outside the key store": (
         "--no-ore", _edit_report(lambda r: r["files"][0].update(file=99)),
         "decrypt-report"),
 }
 # case -> what its one error line must say, where more than the prefix counts
 MALFORMED_SAYS = {"ore index of version 2": "unsupported version 2",
+                  "ore index of version 3": "unsupported version 3",
                   "key store of version 3": "unsupported version 3",
+                  "key store of version 4": "unsupported version 4",
+                  "query of version 1": "unsupported version 1",
                   "report file id outside the key store": "file 99"}
 
 
@@ -466,7 +460,7 @@ def test_malformed_artifact_is_exit_code_2(tmp_path, app_dir, capsys, case):
     paths = {name: tmp_path / name for name in ("index", "keys", "query",
                                                 "report")}
     assert run("encrypt", "--src", app_dir, "--index", paths["index"],
-               "--keys", paths["keys"], flag) == 0
+               "--keys", paths["keys"], *filter(None, [flag])) == 0
     for step in ("authorise", "analyse"):
         assert run(*COMMANDS[step](paths)) == 0
     damage(paths)

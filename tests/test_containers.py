@@ -33,12 +33,11 @@ CODECS = {
     "query": (serialize_query, deserialize_query),
 }
 
-# Header byte offsets: 8 magic bytes and a version, then (task,) mode,
-# DET hash and ORE width.
+# Header byte offsets: 8 magic bytes and a version, then (task and) mode.
 HEADER = {
-    "index": {"mode": 9, "hash": 10, "width": 11},
-    "keys": {"mode": 9, "hash": 10, "width": 11},
-    "query": {"task": 9, "mode": 10, "hash": 11, "width": 12},
+    "index": {"mode": 9},
+    "keys": {"mode": 9},
+    "query": {"task": 9, "mode": 10},
 }
 
 
@@ -69,14 +68,14 @@ def test_containers_reserialise_byte_identically(runs, mode):
 
 
 @pytest.mark.parametrize("kind", sorted(CODECS))
-def test_headers_reject_unknown_codes_and_widths(runs, kind):
+def test_headers_reject_unknown_codes(runs, kind):
     good = runs["std"].blobs[kind]
     read = CODECS[kind][1]
     for name, offset in HEADER[kind].items():
-        for value in ((12, 0, 255) if name == "width" else (255,)):
+        for value in (3, 255):
             bad = bytearray(good)
             bad[offset] = value
-            with pytest.raises(FormatError, match=name):
+            with pytest.raises(FormatError, match=f"unknown {name} code"):
                 read(bytes(bad))
 
 

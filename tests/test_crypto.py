@@ -37,27 +37,17 @@ from cca.crypto import (
     save_keys,
     serialize_keys,
 )
-from cca.errors import ConfigError, FormatError, IntegrityError, KeyMismatchError
+from cca.errors import FormatError, IntegrityError, KeyMismatchError
 
 
 # --- master keys ---------------------------------------------------------------
 
 def test_default_security_parameter_gives_six_16_byte_keys():
-    mk = generate_master_keys(128)
+    mk = generate_master_keys()
     parts = mk.as_tuple()
     assert len(parts) == 6
     assert all(len(k) == 16 for k in parts)
     assert len(set(parts)) == 6
-
-
-def test_low_security_parameter_rejected():
-    with pytest.raises(ConfigError):
-        generate_master_keys(64)
-
-
-def test_larger_security_parameter_scales_key_length():
-    mk = generate_master_keys(256)
-    assert all(len(k) == 32 for k in mk.as_tuple())
 
 
 def test_token_key_derivation_is_deterministic_and_separated():
@@ -87,27 +77,21 @@ def test_det_keys_are_hmac_sha256_under_the_det_master_key(key_len, ids):
 
 def test_det_matches_published_hmac_sha1_vector():
     # RFC 2202 test case 2.
-    digest = det_encrypt(b"Jefe", b"what do ya want for nothing?", "sha1")
+    digest = det_encrypt(b"Jefe", b"what do ya want for nothing?")
     assert digest.hex() == "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
 
 
 def test_det_matches_published_hmac_sha256_vector():
-    # RFC 4231 test case 2.
-    digest = det_encrypt(b"Jefe", b"what do ya want for nothing?", "sha256")
+    # RFC 4231 test case 2, as the DET key of a token under the DET master key
+    mk = MasterKeys(b"Jefe", *(bytes(16) for _ in range(5)))
+    (digest,) = derive_det_keys(mk, ["what do ya want for nothing?"])
     assert digest.hex() == (
         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
     )
 
 
 def test_det_output_sizes():
-    key = b"k" * 16
-    assert len(det_encrypt(key, b"m", "sha1")) == 20
-    assert len(det_encrypt(key, b"m", "sha256")) == 32
-
-
-def test_det_unknown_hash_rejected():
-    with pytest.raises(ValueError):
-        det_encrypt(b"k", b"m", "md5")
+    assert len(det_encrypt(b"k" * 16, b"m")) == 20
 
 
 def test_det_determinism_and_distinctness():
@@ -238,7 +222,7 @@ def test_ore_range_validation():
         ore_encrypt(key, 256, width=8)
     with pytest.raises(ValueError):
         ore_encrypt(key, 1, width=7)
-    with pytest.raises(ValueError):  # headers store the width in one byte
+    with pytest.raises(ValueError):  # widths stop below 256 bits
         ore_encrypt(key, 1, width=256)
 
 
@@ -430,8 +414,6 @@ def _sample_store() -> KeyStore:
     return KeyStore(
         master=mk,
         mode="ore",
-        det_hash="sha1",
-        ore_width=32,
         files={0: "index.php", 1: "lib/db.php"},
         counts={0: (3, 0), 1: (65535, 7)},
     )
@@ -444,12 +426,12 @@ def test_keystore_roundtrip(tmp_path):
     back = load_keys(path)
 
     assert back.master == ks.master
-    assert (back.mode, back.det_hash, back.ore_width) == ("ore", "sha1", 32)
+    assert back.mode == "ore"
     assert back.files == ks.files
     assert back.counts == ks.counts
-    # header, six master keys, file count, then per file: u32 id, u16
-    # path length, path, u16 VAR count, u16 FUNC_CALL count
-    assert len(serialize_keys(ks)) == (13 + 6 * 16 + 4
+    # header (magic, version, mode), six master keys, file count, then per
+    # file: u32 id, u16 path length, path, u16 VAR count, u16 FUNC_CALL count
+    assert len(serialize_keys(ks)) == (10 + 6 * 16 + 4
                                        + (6 + 9 + 4) + (6 + 10 + 4))
 
 
@@ -466,10 +448,11 @@ def test_keystore_truncation_rejected():
         deserialize_keys(blob[: len(blob) // 2])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_keystore_version_rejected_by_name(version):
     # version 1 held ore value tables, version 2 named ore fields with
-    # SHA-256 tags, version 3 held a token directory instead of name counts
+    # SHA-256 tags, version 3 held a token directory instead of name counts,
+    # version 4 held the DET hash, the ORE width and the master key length
     blob = serialize_keys(_sample_store())
     with pytest.raises(FormatError, match=f"version {version}"):
         deserialize_keys(blob[:8] + bytes([version]) + blob[9:])

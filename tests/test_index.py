@@ -100,15 +100,13 @@ def test_counters_start_at_one_per_left_token(fig_dcfg, master):
 # --- std mode: independent key reconstruction -----------------------------------
 
 def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
-    index, _ = build_index([(0, fig_dcfg)], master, mode="std",
-                           det_hash="sha1")
+    index, _ = build_index([(0, fig_dcfg)], master, mode="std")
 
     expected = []
     for left, pairs in fig_dcfg.by_left().items():
         d_left, _ = derive_token_keys(master, token_identity(0, left))
         for counter in range(1, len(pairs) + 1):
-            expected.append(det_encrypt(d_left, struct.pack(">I", counter),
-                                        "sha1"))
+            expected.append(det_encrypt(d_left, struct.pack(">I", counter)))
     assert sorted(e.key for e in index.entries) == sorted(expected)
 
 
@@ -116,7 +114,7 @@ def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
 
     d_sens, r_sens = derive_token_keys(master, token_identity(0, "XSS_SENS"))
-    probe = det_encrypt(d_sens, struct.pack(">I", 1), "sha1")
+    probe = det_encrypt(d_sens, struct.pack(">I", 1))
     blob = index.lookup(probe)
     assert blob is not None
 
@@ -131,9 +129,9 @@ def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
 def test_sensitive_counter_three_is_absent(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
     d_sens, _ = derive_token_keys(master, token_identity(0, "XSS_SENS"))
-    assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 1), "sha1"))
-    assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 2), "sha1"))
-    assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 3), "sha1")) is None
+    assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 1)))
+    assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 2)))
+    assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 3))) is None
 
 
 # --- leakage shape --------------------------------------------------------------
@@ -221,7 +219,7 @@ def test_name_count_past_u16_names_file_and_family(master, token):
 
 def _ore_fields(index, counts, master):
     """The four field ciphertexts of every entry, read with the keys."""
-    size = ore_ciphertext_bytes(index.ore_width)
+    size = ore_ciphertext_bytes()
     for file_id, file_counts in counts.items():
         for token in candidate_names(file_counts):
             d_key, r_key = derive_token_keys(master,
@@ -262,9 +260,9 @@ def test_ore_build_encrypts_each_distinct_field_value_once(
         corpus_per_file, master, monkeypatch):
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return ore_encrypt(*args)
+        return ore_encrypt(*args, **kwargs)
 
     monkeypatch.setattr(cca.index, "ore_encrypt", counting)
     index, _ = build_index(corpus_per_file, master, mode="ore")
@@ -300,13 +298,16 @@ def test_two_ore_builds_share_no_field_ciphertext(fig_dcfg, master):
     assert builds[0] and not builds[0] & builds[1]
 
 
+def _sink_at_line(line: int) -> DCFG:
+    return DCFG([DCFGPair("XSS_SENS", ExtendedITLToken("INPUT", line, 0, 0, 0))])
+
+
 def test_out_of_range_field_value_names_file_field_and_width(master):
-    dcfg = _dcfg_for("<?php $a = $_GET['x'];\n" + "\n" * 300 + "echo $a;\n")
-    with pytest.raises(ConfigError,
-                       match=r"^app/index\.php: line value 302 .* 8\b"):
-        build_index([(3, dcfg)], master, mode="ore", ore_width=8,
+    with pytest.raises(ConfigError, match=r"^app/index\.php: line value "
+                                          r"4294967296 .* 32-bit"):
+        build_index([(3, _sink_at_line(2**32))], master, mode="ore",
                     names={3: "app/index.php"})
-    build_index([(3, dcfg)], master, mode="std", ore_width=8)
+    build_index([(3, _sink_at_line(2**32 - 1))], master, mode="ore")
 
 
 # --- serialization ---------------------------------------------------------------
@@ -318,15 +319,12 @@ def test_serialize_roundtrip(fig_dcfg, master, mode, tmp_path):
     save_index(path, index)
     back = load_index(path)
 
-    assert (back.mode, back.det_hash, back.ore_width) == \
-        (index.mode, index.det_hash, index.ore_width)
+    assert back.mode == index.mode
     assert {(e.key, e.value) for e in back.entries} == \
         {(e.key, e.value) for e in index.entries}
 
 
-@pytest.mark.parametrize("option", [{"mode": "fast"}, {"det_hash": "md5"},
-                                    {"mode": "std", "ore_width": 12},
-                                    {"mode": "plain", "ore_width": 256}])
+@pytest.mark.parametrize("option", [{"mode": "fast"}])
 def test_build_rejects_unsupported_parameters(fig_dcfg, master, option):
     with pytest.raises(ValueError):
         build_index([(0, fig_dcfg)], master, **option)
@@ -347,10 +345,10 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
-    # with SHA-256
+    # with SHA-256, version 3 held the DET hash and the ORE width
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
