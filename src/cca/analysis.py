@@ -4,11 +4,14 @@ The analyser holds only a query: per file, the key pair of the task's
 sensitive-sink token plus the bare identities of the entry-point and
 sanitizer tokens.  Each decrypted index value hands over the keys of the
 next token, so detection can walk flows outward from the sinks and nowhere
-else.  Detection itself runs in four steps: enumerate candidate paths,
-drop impossible orderings, aggregate per sink statement, then resolve
-branch alternatives down to the flow that actually reaches the sink.
+else.  Detection has the semantics of four steps: enumerate candidate
+paths, drop impossible orderings, aggregate per sink statement, then
+resolve branch alternatives down to the flow that reaches the sink.  Only
+the paths steps 2 and 4 keep are built, each choice settled where paths
+diverge from memoised token summaries (IFDS summary edges: Reps, Horwitz
+and Sagiv, POPL 1995), so cost follows findings, not 2**n walks.
 
-The same four steps run in every mode and over plaintext dependency pairs
+The same steps run in every mode and over plaintext dependency pairs
 (see the oracle module); only the reader differs.  The steps see field
 values as ints.  The plain and std readers decode them as such.  The ore
 reader, once a file's walk is done, sorts the field ciphertexts it read
@@ -32,7 +35,7 @@ from .crypto import (
     KeyStore,
     derive_det_keys,
     derive_token_keys,
-    det_encrypt,
+    det_encrypter,
     ore_ciphertext_bytes,
     ore_compare,
     ore_field_keys,
@@ -244,10 +247,10 @@ class IndexReader(Reader):
 
     def _read(self, ref) -> list[PathNode]:
         d_key, r_key = ref
+        probe = det_encrypter(d_key)
         edges: list[PathNode] = []
         while True:
-            probe = det_encrypt(d_key, (len(edges) + 1).to_bytes(4, "big"))
-            blob = self.index.lookup(probe)
+            blob = self.index.lookup(probe((len(edges) + 1).to_bytes(4, "big")))
             if blob is None:
                 return edges
             payload = rnd_decrypt(r_key, blob)
@@ -312,38 +315,163 @@ def make_reader(index: EncryptedIndex) -> Reader:
 
 # --- detection steps ----------------------------------------------------------
 
+# Selection work one file may take (docs/formats.md)
+DETECTION_BUDGET = 100_000
+BUDGET_WARNING = ("file {}: detection budget of %d exceeded; findings are "
+                  "incomplete" % DETECTION_BUDGET)
+_END = (0,)  # the summary below a path's last node: it adds no scope
+
+
+class _OverBudget(Exception):
+    """Selection in one file needed more than DETECTION_BUDGET."""
+
+
 def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
-    """Step 1: every dataflow path backwards from the task's sinks.
+    """Steps 1, 2 and 4 at once: the paths backwards from the task's
+    sinks that steps 2 and 4 keep, built without the others.
 
     A path follows index entries token by token and stops at a token with
-    no entries or one this path already expanded (a dependency cycle).
-    The walk compares token identities only; after it the reader ranks
-    the field values it read, so the later steps compare ints.
+    no entries or one it already expanded (a cycle).  Every token the sink
+    reaches is read once, depth-first in entry order, then ranked.
+
+    Step 4 compares two paths of one sink line and scope signature (the
+    set of their nodes' scopes) at their first differing nodes: entries
+    of one token after one prefix.  The later line before the sink wins,
+    one line keeps both, and if neither is before the sink the first
+    wins.  So the walk runs that tournament among a node's entries that
+    can still finish a valid path of the signature, read from summaries
+    (a token's completion signatures, memoised by token and the tokens
+    before it, per sink line and scope: all they depend on), and descends
+    into the winners only; equal entries count once.  Paths come out by
+    sink line, signature as first met, then walk order, as from the four
+    steps.  Past DETECTION_BUDGET it raises _OverBudget.
     """
     sens_id = ref_identity(fq.sens)
-    paths: list[list[PathNode]] = []
-    sinks: list[tuple[PathNode, PathNode]] = []
-    stack: list[tuple[list[PathNode], frozenset]] = []
-    for edge in reversed(reader.entries(fq.sens)):
-        sink = PathNode(sens_id, edge.line, edge.depth, edge.order,
-                        edge.cf_type, fq.sens, edge.cts)
-        sinks.append((sink, edge))
-        stack.append(([sink, edge], frozenset((sens_id,))))
-    while stack:
-        nodes, visited = stack.pop()
-        last = nodes[-1]
-        edges = () if last.token in visited else reader.entries(last.ref)
-        if not edges:
-            paths.append(nodes)
-            continue
-        deeper = visited | {last.token}
-        for edge in reversed(edges):
-            stack.append((nodes + [edge], deeper))
+    edges = reader.entries(fq.sens)
+    if not edges:
+        return []
+    ids = {sens_id: 0}  # token -> its index in graph
+    graph = [edges]  # each token's entries, in reading order
+    todo = edges[::-1]
+    while todo:
+        node = todo.pop()
+        if node.token not in ids:
+            ids[node.token] = len(graph)
+            graph.append(reader.entries(node.ref))
+            todo += graph[-1][::-1]
     reader.rank()
-    for sink, edge in sinks:
-        sink.line, sink.depth = edge.line, edge.depth
-        sink.order, sink.cf_type = edge.order, edge.cf_type
-    return paths
+    bits: dict[tuple, int] = {}  # scope -> its bit in a signature
+    kids = []  # per token: its distinct entries, (line, token, scope bit, node)
+    last = []  # per token: the latest line of its entries
+    for edges in graph:
+        if not edges:
+            kids.append(())
+            last.append(None)
+            continue
+        if len(edges) == 1:  # the common case, with nothing to drop
+            (e,) = edges
+            scope = (e.depth, e.order, e.cf_type)
+            kids.append(((e.line, ids[e.token],
+                          bits.setdefault(scope, 1 << len(bits)), e),))
+            last.append(e.line)
+            continue
+        row: dict[tuple, tuple] = {}  # equal entries count once
+        for e in edges:
+            scope = (e.depth, e.order, e.cf_type)
+            k = (e.line, ids[e.token], bits.setdefault(scope, 1 << len(bits)))
+            row.setdefault(k, (*k, e))
+        kids.append(tuple(row.values()))
+        last.append(max(row)[0])
+    memos: dict[tuple, dict] = {}  # per sink line and scope: summaries
+    found = []  # ((sink line, signature), path), in walk order
+    order: dict[tuple, None] = {}  # (sink line, signature), as first met
+    work = 0
+    for line, first, scope, head in kids[0]:
+        sink = PathNode(sens_id, line, head.depth, head.order,
+                        head.cf_type, fq.sens, head.cts)
+        # token, tokens before it, signature, targets (None: any), path
+        stack = [(first, 1, scope, None, [sink, head])]
+        while stack:
+            t, seen, acc, want, path = stack.pop()
+            work += 1
+            if work > DETECTION_BUDGET:
+                raise _OverBudget
+            if not kids[t] or seen >> t & 1:
+                if want is None:
+                    order.setdefault((line, acc))
+                found.append(((line, acc), path))
+                continue
+            below = seen | 1 << t
+            valid = kids[t]
+            if last[t] > line:
+                valid = [k for k in valid if k[2] != scope or k[0] <= line]
+            if want is None and (len(valid) < 2 or all(
+                    k[0] == valid[0][0] for k in valid)):
+                # one line: every entry wins whatever it can finish
+                for _, c, b, node in reversed(valid):
+                    stack.append((c, below, acc | b, None, path + [node]))
+                continue
+            memo = memos.setdefault((line, scope), {})
+            work += _summarise(kids, last, memo, line, scope, valid,
+                               below, DETECTION_BUDGET - work)
+            options = []
+            best: dict[int, int] = {}  # signature -> winning line
+            for k in valid:
+                ln, c, b, _ = k
+                can = []
+                for m in (_END if not kids[c] or below >> c & 1
+                          else memo[c, below]):
+                    s = acc | b | m
+                    if want is None:
+                        order.setdefault((line, s))
+                    elif s not in want:
+                        continue
+                    can.append(s)
+                    got = best.get(s)
+                    if got is None or ln < line and (got >= line
+                                                     or ln > got):
+                        best[s] = ln
+                options.append((k, can))
+            for (ln, c, b, node), can in reversed(options):
+                won = set()
+                for s in can:
+                    if best[s] == ln:
+                        won.add(s)
+                if won:
+                    stack.append((c, below, acc | b, won,
+                                  path + [node]))
+    if len(order) > 1:
+        rank = {k: i for i, k in enumerate(sorted(order, key=lambda k: k[0]))}
+        found.sort(key=lambda item: rank[item[0]])
+    return [path for _, path in found]
+
+
+def _summarise(kids, last, memo, line, scope, valid, below, budget) -> int:
+    """Memoise the summaries below these entries: valid completion
+    signatures, as first met.  Returns the work done (docs/formats.md)."""
+    work = 0
+    todo = [(k[1], below, None) for k in valid]
+    while todo:
+        t, seen, valid = todo.pop()
+        below = seen | 1 << t
+        if valid is None:
+            if kids[t] and not seen >> t & 1 and (t, seen) not in memo:
+                valid = kids[t]
+                if last[t] > line:
+                    valid = [k for k in valid if k[2] != scope or k[0] <= line]
+                todo.append((t, seen, valid))
+                todo += [(k[1], below, None) for k in valid]
+            continue
+        sigs: dict[int, None] = {}
+        for _, c, b, _ in valid:
+            sub = _END if not kids[c] or below >> c & 1 else memo[c, below]
+            work += 1 + len(sub)
+            for m in sub:
+                sigs[b | m] = None
+        if work > budget:
+            raise _OverBudget
+        memo[t, seen] = sigs
+    return work
 
 
 def remove_invalid_paths(paths: list[list[PathNode]]) -> list[list[PathNode]]:
@@ -356,7 +484,7 @@ def remove_invalid_paths(paths: list[list[PathNode]]) -> list[list[PathNode]]:
     kept = []
     for nodes in paths:
         sink = nodes[0]
-        if not any(node.same_scope(sink) and node.line > sink.line
+        if not any(node.line > sink.line and node.same_scope(sink)
                    for node in nodes[1:]):
             kept.append(nodes)
     return kept
@@ -368,17 +496,6 @@ def aggregate_paths(paths: list[list[PathNode]]) -> list[list[list[PathNode]]]:
     for nodes in paths:
         groups.setdefault((nodes[0].token, nodes[0].line), []).append(nodes)
     return sorted(groups.values(), key=lambda group: group[0][0].line)
-
-
-def _first_difference(a: list[PathNode], b: list[PathNode]) -> int | None:
-    for k in range(min(len(a), len(b))):
-        na, nb = a[k], b[k]
-        if na is not nb and (na.token != nb.token or na.line != nb.line
-                             or not na.same_scope(nb)):
-            return k
-    if len(a) != len(b):
-        return min(len(a), len(b))
-    return None
 
 
 def resolve_control_flow(
@@ -399,40 +516,58 @@ def resolve_control_flow(
     for group in groups:
         buckets: dict[frozenset, list[list[PathNode]]] = {}
         for nodes in group:
-            signature = frozenset((n.depth, n.order, n.cf_type)
-                                  for n in nodes[1:])
+            signature = frozenset([(n.depth, n.order, n.cf_type)
+                                   for n in nodes[1:]])
             buckets.setdefault(signature, []).append(nodes)
         for bucket in buckets.values():
-            survivors: list[list[PathNode]] = []
-            for cand in bucket:
-                sink_line = cand[0].line
-                dominated = False
-                beaten: set[int] = set()
-                for i, surv in enumerate(survivors):
-                    k = _first_difference(surv, cand)
-                    if k is None:
-                        dominated = True
-                        break
-                    s_line = surv[k].line if k < len(surv) else None
-                    c_line = cand[k].line if k < len(cand) else None
-                    if (s_line is not None and c_line is not None
-                            and s_line == c_line):
-                        continue
-                    s_ok = s_line is not None and s_line < sink_line
-                    c_ok = c_line is not None and c_line < sink_line
-                    if c_ok and (not s_ok or c_line > s_line):
-                        beaten.add(i)
-                    else:
-                        dominated = True
-                        break
-                if dominated:
-                    continue
-                if beaten:
-                    survivors = [s for i, s in enumerate(survivors)
-                                 if i not in beaten]
-                survivors.append(cand)
-            selected.extend(survivors)
+            selected += _tournament(bucket) if len(bucket) > 1 else bucket
     return selected
+
+
+def _tournament(bucket: list[list[PathNode]]) -> list[list[PathNode]]:
+    """Step 4 in one bucket.  A candidate meets each survivor where they
+    first differ: on one line both stay, else it wins only by a later line
+    before the sink, and a duplicate loses.  If it loses once it is
+    dropped, else those it beat are.  Survivors sit in a trie of node
+    fields, so it meets all that leave it at one node at once."""
+    root: dict = {}  # node fields -> subtrie; None -> index of a path ending
+    survivors: dict[int, list[PathNode]] = {}
+    for i, nodes in enumerate(bucket):
+        line = nodes[0].line
+        keys = [(n.token, n.line, n.depth, n.order, n.cf_type) for n in nodes]
+        keys.append(None)
+        beaten, trie, depth, lost = [], root, 0, False
+        while not lost:
+            key = keys[depth]
+            c_line = key and key[1]
+            for other in trie:
+                s_line = other and other[1]
+                if other == key:
+                    lost = key is None  # a duplicate
+                elif s_line is None or s_line != c_line:
+                    lost = not (c_line is not None and c_line < line and (
+                        s_line is None or s_line >= line or c_line > s_line))
+                    beaten.append((trie, other))
+                if lost:
+                    break
+            if lost or key is None or key not in trie:
+                break
+            trie, depth = trie[key], depth + 1
+        if lost:
+            continue
+        for parent, key in beaten:
+            stack = [parent.pop(key)]
+            while stack:
+                sub = stack.pop()
+                if isinstance(sub, int):
+                    del survivors[sub]
+                else:
+                    stack += sub.values()
+        for key in keys[depth:-1]:
+            trie = trie.setdefault(key, {})
+        trie[None] = i
+        survivors[i] = nodes
+    return list(survivors.values())
 
 
 def check_vulnerability(paths: list[list[PathNode]],
@@ -448,15 +583,18 @@ def check_vulnerability(paths: list[list[PathNode]],
     return findings
 
 
-def detect(reader, fq: FileQuery) -> tuple[bool, list[list[PathNode]]]:
-    """Run every detection step over one file.
-
-    Returns whether any sink entry answered, and the findings.  Both
-    `analyse` and the plaintext oracle run each file through here.
-    """
-    paths = find_paths(reader, fq)
+def detect(reader, fq: FileQuery) -> tuple[bool, list[list[PathNode]], bool]:
+    """Run every detection step over one file, for `analyse` and the
+    plaintext oracle: whether any sink entry answered, the findings, and
+    False if the file ran out of DETECTION_BUDGET (then it has none)."""
+    answered, complete = bool(reader.entries(fq.sens)), True
+    try:
+        paths = find_paths(reader, fq)
+    except _OverBudget:
+        paths, complete = [], False
     groups = aggregate_paths(remove_invalid_paths(paths))
-    return bool(paths), check_vulnerability(resolve_control_flow(groups), fq)
+    return answered, check_vulnerability(resolve_control_flow(groups), fq), \
+        complete
 
 
 # --- full run and reports -------------------------------------------------------
@@ -482,17 +620,22 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
     reader = make_reader(index)
     report: dict = {"task": query.task, "mode": query.mode, "files": []}
     probed_any = False
+    warnings = []
     for fq in sorted(query.files, key=lambda f: f.file_id):
-        answered, findings = detect(reader, fq)
+        answered, findings, complete = detect(reader, fq)
         probed_any = probed_any or answered
+        if not complete:
+            warnings.append(BUDGET_WARNING.format(fq.file_id))
         report["files"].append({"file": fq.file_id, "findings": [
             {"path": [_node_to_dict(n) for n in nodes]}
             for nodes in findings]})
     if not probed_any and len(index) > 0:
-        message = ("no sensitive entries answered any probe; the query keys "
-                   "may not match this index")
+        warnings.append("no sensitive entries answered any probe; the query "
+                        "keys may not match this index")
+    for message in warnings:
         log.warning(message)
-        report["warnings"] = [message]
+    if warnings:
+        report["warnings"] = warnings
     return report
 
 

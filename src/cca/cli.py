@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    BUDGET_WARNING,
     analyse,
     authorise,
     decrypt_report,
@@ -134,14 +135,19 @@ def cmd_analyse(args) -> int:
     out = Path(args.out) if args.out else Path("report.json")
     save_report(out, report)
     total = sum(len(f["findings"]) for f in report["files"])
-    print(f"analysis complete: {total} finding(s) -> {out}")
-    return 0
+    over = {BUDGET_WARNING.format(entry["file"]) for entry in report["files"]}
+    incomplete = not over.isdisjoint(report.get("warnings", ()))
+    print(f"analysis {'incomplete' if incomplete else 'complete'}: "
+          f"{total} finding(s) -> {out}")
+    return 2 if incomplete else 0
 
 
 def cmd_decrypt_report(args) -> int:
     report = load_report(args.report)
     ks = load_keys(args.keys)
     resolved = decrypt_report(report, ks)
+    for warning in resolved.get("warnings", ()):
+        print(f"warning: {warning}", file=sys.stderr)
     task = _task_display(resolved["task"])
     lines = []
     for entry in resolved["files"]:

@@ -27,9 +27,9 @@ import hmac as hmac_mod
 import os
 import secrets
 import struct
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -87,6 +87,22 @@ def generate_master_keys() -> MasterKeys:
     return MasterKeys(*(secrets.token_bytes(KEY_BYTES) for _ in range(6)))
 
 
+def _hmac_keyed(key: bytes, algo: str) -> tuple:
+    """HMAC under key as its two hash states after the padded keys (RFC
+    2104), so that each message costs one copy of each instead of both
+    key hashes again.  SHA-1 and SHA-256 both have 64-byte blocks."""
+    new = getattr(hashlib, algo)
+    block = (key if len(key) <= 64 else new(key).digest()).ljust(64, b"\0")
+    return new(block.translate(_PADS[0])), new(block.translate(_PADS[1]))
+
+
+def _hmac_with(keyed: tuple, data: bytes) -> bytes:
+    inner, outer = keyed[0].copy(), keyed[1].copy()
+    inner.update(data)
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
     """Deterministic key D_t of each token, in order, and no value key R_t.
 
@@ -94,16 +110,17 @@ def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
     once per call: about 1.5 us a token against 4 us for a one-shot HMAC
     call (CPython 3.11, OpenSSL hashlib, a 2-vCPU x86-64 VM).
     """
-    key = keys.det if len(keys.det) <= 64 else hashlib.sha256(keys.det).digest()
-    inner_pad, outer_pad = (hashlib.sha256(key.ljust(64, b"\0").translate(pad))
-                            for pad in _PADS)
-    out = []
-    for token_id in token_ids:
-        inner, outer = inner_pad.copy(), outer_pad.copy()
-        inner.update(token_id.encode())
-        outer.update(inner.digest())
-        out.append(outer.digest())
-    return out
+    keyed = _hmac_keyed(keys.det, "sha256")
+    return [_hmac_with(keyed, token_id.encode()) for token_id in token_ids]
+
+
+def derive_token_key_pairs(keys: MasterKeys,
+                           token_ids: Iterable[str]) -> list[tuple[bytes, bytes]]:
+    """Key pair (D_t, R_t) of each token, in order, as `derive_token_keys`
+    gives them, with each master key's padded keys hashed once per call."""
+    ids = [token_id.encode() for token_id in token_ids]
+    det, rnd = _hmac_keyed(keys.det, "sha256"), _hmac_keyed(keys.rnd, "sha256")
+    return [(_hmac_with(det, i), _hmac_with(rnd, i)) for i in ids]
 
 
 def derive_token_keys(keys: MasterKeys, token_id: str) -> tuple[bytes, bytes]:
@@ -117,6 +134,12 @@ def derive_token_keys(keys: MasterKeys, token_id: str) -> tuple[bytes, bytes]:
 def det_encrypt(key: bytes, data: bytes) -> bytes:
     """Deterministic keyed digest of data: 20 bytes of HMAC-SHA1."""
     return _hmac(key, data, "sha1")
+
+
+def det_encrypter(key: bytes) -> Callable[[bytes], bytes]:
+    """`det_encrypt` under one key, for many messages: the padded keys are
+    hashed once, which more than halves the cost of each message."""
+    return partial(_hmac_with, _hmac_keyed(key, "sha1"))
 
 
 # --- RND ----------------------------------------------------------------------

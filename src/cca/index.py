@@ -26,7 +26,7 @@ from .crypto import (
     KeyStore,
     MasterKeys,
     derive_det_keys,
-    derive_token_keys,
+    derive_token_key_pairs,
     det_encrypt,
     ore_encrypt,
     ore_field_keys,
@@ -140,15 +140,25 @@ def build_index(
             ore_memo[(name, value)] = ct
         return ct
 
+    def std_fields(path: str, values: tuple[int, ...]) -> bytes:
+        try:
+            return struct.pack(">iiii", *values)
+        except struct.error:
+            name, value = next((name, v) for name, v in zip(ore_keys, values)
+                               if not -2**31 <= v < 2**31)
+            raise ConfigError(
+                f"{path}: {name} value {value} is out of range for std "
+                f"fields, signed 32-bit [{-2**31}, {2**31 - 1}]") from None
+
     for file_id, dcfg in per_file:
         by_left = dcfg.by_left()
         tokens = {*by_left, *(pair.right.token for pairs in by_left.values()
                               for pair in pairs)}
         path = (names or {}).get(file_id, f"file {file_id}")
         counts[file_id] = _name_counts(tokens, path)
-        token_keys = {} if mode == "plain" else {
-            token: derive_token_keys(keys, token_identity(file_id, token))
-            for token in tokens}
+        token_keys = {} if mode == "plain" else dict(zip(
+            tokens, derive_token_key_pairs(
+                keys, [token_identity(file_id, token) for token in tokens])))
         for left, pairs in by_left.items():
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
@@ -162,7 +172,7 @@ def build_index(
                     d_right, r_right = token_keys[right.token]
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"))
                     if mode == "std":
-                        fields = struct.pack(">iiii", *values)
+                        fields = std_fields(path, values)
                     else:
                         fields = b"".join(
                             ore_field(path, name, v)

@@ -16,7 +16,7 @@ Two oracles with different trust stories:
 
 from __future__ import annotations
 
-from .analysis import FileQuery, PathNode, detect
+from .analysis import BUDGET_WARNING, FileQuery, PathNode, detect
 from .dcfg import DCFG
 from .errors import UsageError
 from .itl import TASKS
@@ -64,7 +64,10 @@ def plaintext_analyse(per_file: list[tuple[int, DCFG]], task: str,
     for file_id, dcfg in sorted(per_file, key=lambda item: item[0]):
         fq = FileQuery(file_id, sens=sens_name, input_id="INPUT",
                        san_id=san_name)
-        _, findings = detect(DcfgReader(dcfg), fq)
+        _, findings, complete = detect(DcfgReader(dcfg), fq)
+        if not complete:
+            report.setdefault("warnings", []).append(
+                BUDGET_WARNING.format(file_id))
         name = file_names.get(file_id) if file_names else file_id
         entry = {"file": name if name is not None else file_id, "findings": []}
         for nodes in findings:

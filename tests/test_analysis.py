@@ -1,12 +1,17 @@
 """Query issuing, the four detection steps, reports and their decryption."""
 
 import dataclasses
+import inspect
 import json
 import logging
 import os
+import sys
+import time
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cca.analysis
 
@@ -40,7 +45,7 @@ from cca.errors import (
     UsageError,
 )
 from cca.index import token_identity
-from cca.oracle import enumerate_findings
+from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
 
 from conftest import flatten_findings, write_app
@@ -256,13 +261,13 @@ def flow_steps(tmp_path_factory):
     return raw, valid, groups, resolved, findings
 
 
-def test_traversal_finds_three_raw_paths(flow_steps):
+def test_traversal_builds_the_two_surviving_paths(flow_steps):
+    # the line 6 flow through the line 3 copy loses to the line 4 rewrite
+    # at VAR2, so it is never built
     raw = flow_steps[0]
     assert [[node_tuple(n) for n in path] for path in raw] == [
         [("0:XSS_SENS", 5, 0, 0, 0), ("0:VAR0", 5, 0, 0, 0),
          ("0:INPUT", 1, 0, 0, 0)],
-        [("0:XSS_SENS", 6, 0, 0, 0), ("0:VAR2", 6, 0, 0, 0),
-         ("0:VAR0", 3, 0, 0, 0), ("0:INPUT", 1, 0, 0, 0)],
         [("0:XSS_SENS", 6, 0, 0, 0), ("0:VAR2", 6, 0, 0, 0),
          ("0:VAR2", 4, 0, 0, 0)],
     ]
@@ -275,7 +280,7 @@ def test_straight_line_paths_all_pass_validity(flow_steps):
 
 def test_aggregation_groups_by_sink_statement(flow_steps):
     groups = flow_steps[2]
-    assert [len(g) for g in groups] == [1, 2]
+    assert [len(g) for g in groups] == [1, 1]
     assert [g[0][0].line for g in groups] == [5, 6]
 
 
@@ -534,16 +539,20 @@ def test_encrypted_paths_carry_ranks_not_ciphertexts(tmp_path):
     (fq,) = authorise(res.keys, "xss").files
     raw = find_paths(make_reader(res.index), fq)
     lines = [[n.line for n in path] for path in raw]
-    # plaintext lines 5/1, 6/3/1 and 6/4 rank 3/0, 4/1/0 and 4/2
-    assert lines == [[3, 3, 0], [4, 4, 1, 0], [4, 4, 2]]
+    # plaintext lines 5/1 and 6/4 rank 3/0 and 4/2 among the lines read
+    # (1, 3, 4, 5, 6)
+    assert lines == [[3, 3, 0], [4, 4, 2]]
     assert all(isinstance(n.depth, int) for path in raw for n in path)
 
 
 # --- larger flows -----------------------------------------------------------------
 
 
-def chain_app(length: int, diamonds: set[int]) -> dict:
-    """A rewrite chain from $_GET to echo; diamonds assign in an if/else."""
+def chain_app(length: int, diamonds: set[int],
+              sanitised: bool = False) -> dict:
+    """A rewrite chain from $_GET to echo; diamonds assign in an if/else,
+    and a sanitised chain passes its last variable through
+    htmlspecialchars first."""
     lines = ["<?php $v0 = $_GET['q'];"]
     for i in range(1, length + 1):
         if i in diamonds:
@@ -551,7 +560,11 @@ def chain_app(length: int, diamonds: set[int]) -> dict:
                       "} else {", f"$v{i} = $v{i - 1} . 'a';", "}"]
         else:
             lines += [f"$v{i} = $v{i - 1};", f"$v{i} = $v{i} . $v{i - 1};"]
-    lines.append(f"echo $v{length};")
+    if sanitised:
+        lines.append(f"$s = htmlspecialchars($v{length});")
+        lines.append("echo $s;")
+    else:
+        lines.append(f"echo $v{length};")
     return {"index.php": "\n".join(lines) + "\n"}
 
 
@@ -593,6 +606,78 @@ def test_long_assignment_chain_gives_one_finding(tmp_path):
     app = {"index.php": "\n".join(lines) + "\n"}
     resolved = run_decrypted(tmp_path, "long", app, "xss")
     assert flatten_findings(resolved) == {("index.php", 1501, 1)}
+
+
+def test_long_rewrite_chain_selects_without_recursion(tmp_path):
+    # 1,500 variables, each assigned twice: the one finding is 3,002 nodes
+    # long, and detection must not recurse along it
+    res = encrypt_application(write_app(tmp_path, chain_app(1500, set())),
+                              mode="std")
+    query = authorise(res.keys, "xss")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        report = analyse(res.index, query)
+    finally:
+        sys.setrecursionlimit(limit)
+    resolved = decrypt_report(report, res.keys)
+    assert flatten_findings(resolved) == {("index.php", 3002, 1)}
+    assert "warnings" not in report
+
+
+@settings(max_examples=25)
+@given(length=st.integers(1, 10), data=st.data(), sanitised=st.booleans())
+def test_generated_chains_match_the_exhaustive_oracle(tmp_path_factory,
+                                                      length, data,
+                                                      sanitised):
+    # decrypted std and ore reports and plaintext_analyse all give the
+    # findings of the exhaustive enumerator
+    diamonds = data.draw(st.sets(st.integers(1, length), max_size=3))
+    root = write_app(tmp_path_factory.mktemp("chain"),
+                     chain_app(length, diamonds, sanitised))
+    (fa,) = encrypt_application(root, mode="plain").files
+    expected = enumerate_findings(fa.dcfg, "xss")
+    assert len(expected) == (0 if sanitised else 2 ** len(diamonds))
+    for mode in ("std", "ore"):
+        res = encrypt_application(root, mode=mode)
+        report = analyse(res.index, authorise(res.keys, "xss"))
+        assert decrypted_paths(decrypt_report(report, res.keys)) == expected
+    oracle = plaintext_analyse([(0, fa.dcfg)], "xss")
+    assert decrypted_paths(oracle) == expected
+
+
+@pytest.mark.parametrize("diamonds", [set(), {5, 10}],
+                         ids=["straight", "diamond2"])
+def test_fourteen_variable_chains_analyse_in_50_ms(tmp_path, diamonds):
+    root = write_app(tmp_path, chain_app(14, diamonds))
+    (fa,) = encrypt_application(root, mode="plain").files
+    expected = enumerate_findings(fa.dcfg, "xss")
+    assert len(expected) == 2 ** len(diamonds)
+    for mode in ("plain", "std", "ore"):
+        res = encrypt_application(root, mode=mode)
+        query = authorise(res.keys, "xss")
+        seconds = []
+        for _ in range(3):  # the best of three, to ride out a busy machine
+            started = time.perf_counter()
+            report = analyse(res.index, query)
+            seconds.append(time.perf_counter() - started)
+        assert min(seconds) < 0.05, (mode, seconds)
+        assert decrypted_paths(decrypt_report(report, res.keys)) == expected
+
+
+@pytest.mark.parametrize("diamonds", [set(), {13, 27}],
+                         ids=["straight", "diamond2"])
+def test_forty_variable_chains_analyse_in_2_s(tmp_path, diamonds):
+    # enumerating every walk would take about 2**41 steps
+    root = write_app(tmp_path, chain_app(40, diamonds))
+    for mode in ("plain", "std", "ore"):
+        res = encrypt_application(root, mode=mode)
+        query = authorise(res.keys, "xss")
+        started = time.perf_counter()
+        report = analyse(res.index, query)
+        assert time.perf_counter() - started < 2, mode
+        assert sum(len(f["findings"]) for f in report["files"]) == \
+            2 ** len(diamonds)
 
 
 def test_report_json_round_trips(tmp_path):

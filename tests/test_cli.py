@@ -338,6 +338,37 @@ def test_deeply_nested_task_knowledge_is_exit_code_2(tmp_path, app_dir, capsys,
     assert not list(tmp_path.glob("*.cca*"))  # nothing was written
 
 
+def test_detection_budget_is_exit_code_2_and_the_warning_survives(
+        tmp_path, capsys):
+    # 24 if/else diamonds make 2**24 findings, past the detection budget
+    lines = ["<?php $v0 = $_GET['q'];"]
+    for i in range(1, 25):
+        lines += [f"if ($v{i - 1} == 'a') {{", f"$v{i} = $v{i - 1};",
+                  "} else {", f"$v{i} = $v{i - 1} . 'a';", "}"]
+    lines.append("echo $v24;")
+    src = write_app(tmp_path / "app", {"index.php": "\n".join(lines) + "\n"})
+    index, keys = tmp_path / "a.ccaidx", tmp_path / "a.ccakeys"
+    query, report = tmp_path / "xss.ccaq", tmp_path / "report.json"
+    assert run("encrypt", "--src", src, "--index", index, "--keys", keys,
+               "--no-ore") == 0
+    assert run("authorise", "--keys", keys, "--task", "xss",
+               "--out", query) == 0
+    capsys.readouterr()
+    assert run("analyse", "--index", index, "--query", query,
+               "--out", report) == 2
+    captured = capsys.readouterr()
+    warning = ("file 0: detection budget of 100000 exceeded; findings are "
+               "incomplete")
+    assert f"warning: {warning}" in captured.err
+    assert "analysis incomplete:" in captured.out
+    assert json.loads(report.read_text())["warnings"] == [warning]
+    resolved = tmp_path / "resolved.json"
+    assert run("decrypt-report", "--report", report, "--keys", keys,
+               "--out", resolved) == 0
+    assert f"warning: {warning}" in capsys.readouterr().err
+    assert json.loads(resolved.read_text())["warnings"] == [warning]
+
+
 def test_stage_failure_is_exit_code_2(tmp_path, capsys):
     mangled = tmp_path / "mangled"
     mangled.write_bytes(b"not an index container")

@@ -27,7 +27,9 @@ from cca.crypto import (
     OreKey,
     derive_det_keys,
     derive_ore_key,
+    derive_token_key_pairs,
     deserialize_keys,
+    det_encrypter,
     ore_ciphertext_bytes,
     ore_encrypt_left,
     ore_encrypt_right,
@@ -73,6 +75,13 @@ def test_det_keys_are_hmac_sha256_under_the_det_master_key(key_len, ids):
         hmac.new(mk.det, i.encode(), "sha256").digest() for i in ids]
 
 
+@given(st.lists(st.text(max_size=40), max_size=5))
+def test_batch_token_keys_equal_one_at_a_time_derivation(ids):
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(6)))
+    assert derive_token_key_pairs(mk, ids) == [
+        derive_token_keys(mk, i) for i in ids]
+
+
 # --- DET -----------------------------------------------------------------------
 
 def test_det_matches_published_hmac_sha1_vector():
@@ -88,6 +97,14 @@ def test_det_matches_published_hmac_sha256_vector():
     assert digest.hex() == (
         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
     )
+
+
+@given(st.binary(min_size=1, max_size=100), st.lists(st.binary(max_size=8),
+                                                    max_size=4))
+def test_det_encrypter_equals_det_encrypt(key, messages):
+    probe = det_encrypter(key)
+    assert [probe(m) for m in messages] == [det_encrypt(key, m)
+                                            for m in messages]
 
 
 def test_det_output_sizes():

@@ -65,7 +65,7 @@ def master():
 
 def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
     # a plain build keys nothing, so it derives no token keys either
-    monkeypatch.setattr(cca.index, "derive_token_keys", None)
+    monkeypatch.setattr(cca.index, "derive_token_key_pairs", None)
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
 
     entries = {e.key.decode(): e.value.decode() for e in index.entries}
@@ -308,6 +308,14 @@ def test_out_of_range_field_value_names_file_field_and_width(master):
         build_index([(3, _sink_at_line(2**32))], master, mode="ore",
                     names={3: "app/index.php"})
     build_index([(3, _sink_at_line(2**32 - 1))], master, mode="ore")
+
+
+def test_std_field_out_of_signed_32_bits_names_file_field_and_range(master):
+    with pytest.raises(ConfigError, match=r"^app/index\.php: line value "
+                                          r"2147483648 .*signed 32-bit"):
+        build_index([(3, _sink_at_line(2**31))], master, mode="std",
+                    names={3: "app/index.php"})
+    build_index([(3, _sink_at_line(2**31 - 1))], master, mode="std")
 
 
 # --- serialization ---------------------------------------------------------------

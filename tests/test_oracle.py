@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cca.analysis import analyse, authorise, decrypt_report
+from cca.analysis import BUDGET_WARNING, analyse, authorise, decrypt_report
 from cca.dcfg import (
     DCFG,
     DCFGPair,
@@ -136,6 +136,45 @@ def test_enumerator_parallel_same_line_flows_all_report():
     assert {path[1][0] for path in found} == {"VAR0", "VAR1"}
 
 
+def test_rewrite_after_a_branched_sink_does_not_shadow():
+    # the line 3 rewrite is in another scope than the sink, so the flow
+    # through it stays valid, but it runs after the sink and cannot win
+    dcfg = DCFG([
+        mk("VAR0", "INPUT", 1),
+        mk("XSS_SENS", "VAR0", 2, depth=1, order=1, cf_type=1),
+        mk("VAR0", "STRING", 3),
+    ])
+    (path,) = enumerate_findings(dcfg, "xss")
+    assert path[-1] == ("INPUT", 1, 0, 0, 0)
+    assert oracle_paths(dcfg, "xss") == {path}
+
+
+def test_rewrite_whose_every_flow_is_impossible_does_not_shadow():
+    # the line 3 rewrite only continues to a line 7 write in the sink's
+    # scope, which step 2 drops, so the line 1 flow is the only one left
+    dcfg = DCFG([
+        mk("XSS_SENS", "VAR0", 5),
+        mk("VAR0", "INPUT", 1),
+        mk("VAR0", "VAR1", 3),
+        mk("VAR1", "STRING", 7),
+    ])
+    (path,) = enumerate_findings(dcfg, "xss")
+    assert path[-1] == ("INPUT", 1, 0, 0, 0)
+    assert oracle_paths(dcfg, "xss") == {path}
+
+
+def test_plaintext_oracle_reports_the_detection_budget():
+    # 24 if/else diamonds give 2**24 findings, past the budget
+    lines = ["<?php", "$v0 = $_GET['k'];"]
+    for i in range(1, 25):
+        lines += [f'if ($v{i - 1} == "a") {{', f"$v{i} = $v{i - 1};",
+                  "} else {", f"$v{i} = $v{i - 1} . 'a';", "}"]
+    lines.append("echo $v24;")
+    report = plaintext_analyse([(5, build("\n".join(lines) + "\n"))], "xss")
+    assert report["warnings"] == [BUDGET_WARNING.format(5)]
+    assert report["files"] == [{"file": 5, "findings": []}]
+
+
 # --- shared step oracle -----------------------------------------------------------
 
 
@@ -200,41 +239,54 @@ def test_oracle_matches_independent_enumerator(tmp_path, name, task):
 # --- random program property -------------------------------------------------------
 
 
-_VARS = ("$a", "$b", "$c")
+_VARS = ("$a", "$b", "$c", "$d")
+_VAR = st.sampled_from(_VARS)
 
 statement = st.one_of(
-    st.tuples(st.just("input"), st.sampled_from(_VARS)),
-    st.tuples(st.just("const"), st.sampled_from(_VARS)),
-    st.tuples(st.just("copy"), st.sampled_from(_VARS), st.sampled_from(_VARS)),
-    st.tuples(st.just("mix"), st.sampled_from(_VARS), st.sampled_from(_VARS)),
-    st.tuples(st.just("clean"), st.sampled_from(_VARS), st.sampled_from(_VARS)),
-    st.tuples(st.just("echo"), st.sampled_from(_VARS)),
+    st.tuples(st.just("input"), _VAR),
+    st.tuples(st.just("const"), _VAR),
+    st.tuples(st.just("copy"), _VAR, _VAR),
+    st.tuples(st.just("mix"), _VAR, _VAR),
+    st.tuples(st.just("twice"), _VAR, _VAR),  # equal index entries
+    st.tuples(st.just("clean"), _VAR, _VAR),
+    st.tuples(st.just("ifelse"), _VAR, _VAR, _VAR),
+    st.tuples(st.just("while"), _VAR, _VAR),
+    st.tuples(st.just("echo"), _VAR),
 )
 
 
 def render(statements, branch_at) -> str:
-    lines = []
+    blocks = []
     for desc in statements:
-        kind = desc[0]
+        kind, x = desc[0], desc[1]
         if kind == "input":
-            lines.append(f"{desc[1]} = $_GET['k'];")
+            block = [f"{x} = $_GET['k'];"]
         elif kind == "const":
-            lines.append(f'{desc[1]} = "lit";')
+            block = [f'{x} = "lit";']
         elif kind == "copy":
-            lines.append(f"{desc[1]} = {desc[2]};")
+            block = [f"{x} = {desc[2]};"]
         elif kind == "mix":
-            lines.append(f"{desc[1]} = {desc[1]} . {desc[2]};")
+            block = [f"{x} = {x} . {desc[2]};"]
+        elif kind == "twice":
+            block = [f"{x} = {desc[2]} . {desc[2]};"]
         elif kind == "clean":
-            lines.append(f"{desc[1]} = htmlspecialchars({desc[2]});")
+            block = [f"{x} = htmlspecialchars({desc[2]});"]
+        elif kind == "ifelse":
+            block = [f'if ({desc[2]} == "a") {{', f"{x} = {desc[2]};",
+                     "} else {", f"{x} = {desc[3]};", "}"]
+        elif kind == "while":
+            block = [f'while ({desc[2]} == "a") {{', f"{x} = {x} . {desc[2]};",
+                     "}"]
         else:
-            lines.append(f"echo {desc[1]};")
-    if lines and branch_at is not None:
-        i = branch_at % len(lines)
-        lines[i] = "if(1 == 1) { " + lines[i] + " }"
-    return "<?php\n" + "\n".join(lines) + "\n"
+            block = [f"echo {x};"]
+        blocks.append(block)
+    if blocks and branch_at is not None:
+        i = branch_at % len(blocks)
+        blocks[i] = ["if(1 == 1) {", *blocks[i], "}"]
+    return "<?php\n" + "\n".join(line for b in blocks for line in b) + "\n"
 
 
-@settings(max_examples=60)
+@settings(max_examples=200)
 @given(
     statements=st.lists(statement, min_size=1, max_size=8),
     branch_at=st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
