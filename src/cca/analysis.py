@@ -55,6 +55,9 @@ from .index import EncryptedIndex, report_names, token_identity
 from .itl import TASKS
 
 log = logging.getLogger(__name__)
+# Marks a log record whose message the report also carries as a warning,
+# so a caller that prints the report's warnings can drop the record.
+IN_REPORT = {"in_report": True}
 
 _D_BYTES = 32
 
@@ -633,7 +636,7 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
         warnings.append("no sensitive entries answered any probe; the query "
                         "keys may not match this index")
     for message in warnings:
-        log.warning(message)
+        log.warning(message, extra=IN_REPORT)
     if warnings:
         report["warnings"] = warnings
     return report

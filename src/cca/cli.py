@@ -310,9 +310,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # Report warnings are printed from the report, once.
+        handler = logging.StreamHandler()
+        handler.addFilter(lambda record: not getattr(record, "in_report", False))
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
+            handlers=[handler],
         )
         return args.func(args)
     except UsageError as exc:

@@ -28,11 +28,21 @@ OPENER_FAMILIES = frozenset({"FUNC_CALL", *CALL_TOKENS})
 
 _COND_OPENERS = frozenset({"IF", "ELSEIF", "WHILE", "FOR", "SWITCH"})
 
-_LOOP_END = {"END_WHILE": "while", "END_FOR": "for",
-             "END_FOREACH": "foreach", "END_FUNCTION": "function"}
+# The frame kinds each closing token may close.
+_CLOSES = {**dict.fromkeys(("END_IF", "END_ELSEIF", "END_ELSE", "END_CASE"),
+                           ("arm",)),
+           "END_SWITCH": ("switch",),
+           **dict.fromkeys(("END_WHILE", "END_FOR", "END_FOREACH",
+                            "END_FUNCTION"), ("loop", "function"))}
+
+# Tokens that open, continue or close a scope.  None carries a number, so
+# a token is its own family here.
+_SCOPE_TOKENS = frozenset({"IF", "ELSEIF", "ELSE", "SWITCH", "CASE", "DEFAULT",
+                           "END_COND", "WHILE", "FOR", "FOREACH", "FUNCTION",
+                           *_CLOSES})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtendedITLToken:
     """ITL token extended with control flow facts."""
 
@@ -47,7 +57,7 @@ class ExtendedITLToken:
         return (self.depth, self.order, self.cf_type)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DCFGPair:
     left: str
     right: ExtendedITLToken
@@ -96,29 +106,25 @@ def annotate_control_flow(tokens: list[ITLToken],
     """Stamp every token with its (depth, order, cf_type) triple."""
     out: list[ExtendedITLToken] = []
     frames: list[_Frame] = [_Frame(0, 0, 0, True, "root")]
+    top = frames[0]
     # (depth, order, style) waiting between a branch keyword and its body
     pending: tuple[int, int, str] | None = None
     # last closed arm per enclosing frame: maps frame index -> (order, type)
     last_arm: dict[int, tuple[int, int]] = {}
 
-    def chain_owner() -> _Frame:
-        for frame in reversed(frames):
-            if frame.owns_chains:
-                return frame
-        return frames[0]
-
     def stamp(tok: ITLToken, frame: _Frame) -> None:
         out.append(ExtendedITLToken(tok.token, tok.line, frame.depth,
                                     frame.order, frame.cf_type))
 
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        fam = family(tok.token)
-        top = frames[-1]
-
+    stream = iter(tokens)
+    for tok in stream:
+        fam = tok.token
+        if fam not in _SCOPE_TOKENS:  # the common case: stays in scope
+            out.append(ExtendedITLToken(fam, tok.line, top.depth, top.order,
+                                        top.cf_type))
+            continue
         if fam in ("IF", "SWITCH"):
-            owner = chain_owner()
+            owner = next(f for f in reversed(frames) if f.owns_chains)
             owner.chain_count += 1
             pending = (top.depth + 1, owner.chain_count,
                        "switch" if fam == "SWITCH" else "if")
@@ -137,9 +143,7 @@ def annotate_control_flow(tokens: list[ITLToken],
             frames.append(_Frame(top.depth + 1, prev[0], -1, True, "arm"))
         elif fam == "END_COND":
             stamp(tok, top)
-            if pending is None:
-                pass  # loop conditions handled below by their keyword
-            else:
+            if pending is not None:  # loop conditions end with their keyword
                 depth, order, style = pending
                 pending = None
                 if style == "if":
@@ -148,58 +152,39 @@ def annotate_control_flow(tokens: list[ITLToken],
                     cf_type = int(style.split(":")[1])
                     frames.append(_Frame(depth, order, cf_type, True, "arm"))
                 else:  # switch: case arms follow
-                    switch = _Frame(depth, order, 0, False, "switch")
-                    frames.append(switch)
+                    frames.append(_Frame(depth, order, 0, False, "switch"))
         elif fam in ("WHILE", "FOR", "FOREACH"):
             # transparent: condition stays in the current scope, the body
             # frame copies it and delegates chain counting upward
             stamp(tok, top)
-            j = i + 1
-            while j < len(tokens) and tokens[j].token != "END_COND":
-                stamp(tokens[j], top)
-                j += 1
-            if j < len(tokens):
-                stamp(tokens[j], top)
+            for cond in stream:
+                stamp(cond, top)
+                if cond.token == "END_COND":
+                    break
             frames.append(_Frame(top.depth, top.order, top.cf_type,
                                  False, "loop"))
-            i = j + 1
-            continue
         elif fam == "FUNCTION":
             stamp(tok, top)
             frames.append(_Frame(top.depth, top.order, top.cf_type,
                                  False, "function"))
-        elif fam == "CASE":
+        elif fam in ("CASE", "DEFAULT"):
             if top.kind != "switch":
-                raise StructureError(f"{path}:{tok.line}: case outside switch")
-            top.chain_count += 1
-            frames.append(_Frame(top.depth, top.order, top.chain_count,
+                raise StructureError(
+                    f"{path}:{tok.line}: {fam.lower()} outside switch")
+            if fam == "CASE":
+                top.chain_count += 1
+            frames.append(_Frame(top.depth, top.order,
+                                 top.chain_count if fam == "CASE" else -1,
                                  True, "arm"))
             stamp(tok, frames[-1])
-        elif fam == "DEFAULT":
-            if top.kind != "switch":
-                raise StructureError(f"{path}:{tok.line}: default outside switch")
-            frames.append(_Frame(top.depth, top.order, -1, True, "arm"))
-            stamp(tok, frames[-1])
-        elif fam in ("END_IF", "END_ELSEIF", "END_ELSE", "END_CASE"):
-            if top.kind != "arm":
-                raise StructureError(f"{path}:{tok.line}: {tok.token} closes nothing")
+        else:  # a closing token
+            if top.kind not in _CLOSES[fam]:
+                raise StructureError(f"{path}:{tok.line}: {fam} closes nothing")
             stamp(tok, top)
             frames.pop()
-            if fam != "END_ELSE":
+            if top.kind == "arm" and fam != "END_ELSE":
                 last_arm[len(frames)] = (top.order, top.cf_type)
-        elif fam == "END_SWITCH":
-            if top.kind != "switch":
-                raise StructureError(f"{path}:{tok.line}: {tok.token} closes nothing")
-            stamp(tok, top)
-            frames.pop()
-        elif fam in _LOOP_END:
-            if top.kind not in ("loop", "function"):
-                raise StructureError(f"{path}:{tok.line}: {tok.token} closes nothing")
-            stamp(tok, top)
-            frames.pop()
-        else:
-            stamp(tok, top)
-        i += 1
+        top = frames[-1]
 
     if len(frames) != 1:
         raise StructureError(f"{path}: unbalanced branch structure at end of file")
@@ -217,7 +202,8 @@ def find_data_dependencies(tokens: list[ExtendedITLToken],
     left: ExtendedITLToken | None = None
 
     def add(left_token: str, right: ExtendedITLToken) -> None:
-        key = (left_token, right.token, right.line, right.flow)
+        key = (left_token, right.token, right.line, right.depth, right.order,
+               right.cf_type)
         if key not in seen:
             seen.add(key)
             pairs.append(DCFGPair(left_token, right))

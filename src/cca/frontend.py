@@ -11,6 +11,7 @@ outside the subset raises UnsupportedSyntaxError so callers can skip the file.
 from __future__ import annotations
 
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,7 +101,7 @@ CALL_WORDS = frozenset({"echo", "print", "exit", "die"})
 WORD_LITERALS = {"true": "BOOL", "false": "BOOL", "null": "NULL"}
 
 
-@dataclass
+@dataclass(slots=True)
 class LexToken:
     type: str
     value: str
@@ -126,25 +127,36 @@ def _operator_alternation() -> str:
     return "|".join(re.escape(op) for op in ops)
 
 
+# Only COMMENT, UNSUPPORTED_OP and FIXED share first characters, so they
+# keep this order, and MISMATCH comes last; the rest go most frequent first.
 _RULES = [
-    ("NEWLINE", r"\n"),
-    ("SKIP", r"[ \t\r\f]+"),
-    ("BLOCK_COMMENT", r"/\*[\s\S]*?\*/"),
-    ("COMMENT", r"(?://|\#)[^\n]*"),
-    ("DQ_STRING", r'"(?:[^"\\]|\\[\s\S])*"'),
-    ("SQ_STRING", r"'(?:[^'\\]|\\[\s\S])*'"),
-    ("NUMBER", r"\d+(?:\.\d+)?"),
-    ("UNSUPPORTED_OP", r"->|::|=>|<<<|\?|@|&(?!&)|\|(?!\|)"),
-    ("OPERATOR", _operator_alternation()),
-    ("METACHAR", r"[(){}\[\];,:]"),
     ("VAR", r"\$[A-Za-z_]\w*"),
     ("WORD", r"[A-Za-z_]\w*"),
+    ("COMMENT", r"/\*[\s\S]*?\*/|(?://|\#)[^\n]*"),
+    ("UNSUPPORTED_OP", r"->|::|=>|<<<|\?|@|&(?!&)|\|(?!\|)"),
+    ("FIXED", _operator_alternation() + r"|[(){}\[\];,:]"),
+    ("STRING", r'"(?:[^"\\]|\\[\s\S])*"|\'(?:[^\'\\]|\\[\s\S])*\''),
+    ("NUMBER", r"\d+(?:\.\d+)?"),
+    ("END", r"\Z"),
     ("MISMATCH", r"."),
 ]
 
-_MASTER = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _RULES))
+# Each match carries the blank space before it as group 1, so blanks cost
+# no match of their own; END takes blanks that end a region.
+_MASTER = re.compile(r"([ \t\r\f\n]*)(?:"
+                     + "|".join(f"(?P<{name}>{pat})" for name, pat in _RULES)
+                     + ")")
+
+_FIXED_KINDS = {**OPERATOR_KINDS, **METACHAR_KINDS}
+
+# Kind of each reserved word, lower-cased; None marks one outside the subset.
+_WORD_KINDS = {**KEYWORD_KINDS, **dict.fromkeys(CALL_WORDS, "FUNC_CALL"),
+               **WORD_LITERALS, **dict.fromkeys(UNSUPPORTED_WORDS)}
 
 _OPEN_TAG = re.compile(r"<\?(php\b|=)?")
+
+# A word followed by "(" is a call name; the look-ahead may pass "?>".
+_CALL_AHEAD = re.compile(r"\s*\(")
 
 
 def _php_regions(text: str, path: str) -> list[tuple[int, int, int]]:
@@ -177,65 +189,42 @@ def lex(text: str, path: str = "<string>") -> list[LexToken]:
     UnsupportedSyntaxError on out-of-subset constructs.
     """
     tokens: list[LexToken] = []
-    for start, end, start_line in _php_regions(text, path):
-        line = start_line
+    append = tokens.append
+    for start, end, line in _php_regions(text, path):
         for m in _MASTER.finditer(text, start, end):
+            line += m.group(1).count("\n")
             kind = m.lastgroup
-            value = m.group()
-            if kind == "NEWLINE":
-                line += 1
-                continue
-            if kind == "SKIP" or kind == "COMMENT":
-                continue
-            if kind == "BLOCK_COMMENT":
-                line += value.count("\n")
-                continue
-            if kind in ("DQ_STRING", "SQ_STRING"):
-                tokens.append(LexToken("STRING", value, line))
-                line += value.count("\n")
-                continue
-            if kind == "NUMBER":
-                tokens.append(LexToken("NUMBER", value, line))
-            elif kind == "OPERATOR":
-                tokens.append(LexToken(OPERATOR_KINDS[value], value, line))
-            elif kind == "METACHAR":
-                tokens.append(LexToken(METACHAR_KINDS[value], value, line))
+            value = m.group(kind)
+            if kind == "FIXED":
+                append(LexToken(_FIXED_KINDS[value], value, line))
             elif kind == "VAR":
-                tokens.append(LexToken("VAR", value, line))
+                append(LexToken("VAR", value, line))
             elif kind == "WORD":
-                tokens.append(_classify_word(value, line, m, text, path))
+                word = value.lower()
+                if word not in _WORD_KINDS:
+                    # A name immediately applied to arguments is a call;
+                    # anything else is a bare constant-like identifier.
+                    append(LexToken("FUNC_CALL" if _CALL_AHEAD.match(
+                        text, m.end()) else "IDENT", value, line))
+                elif _WORD_KINDS[word] is None:
+                    raise UnsupportedSyntaxError(
+                        f"keyword {value!r} is outside the supported subset",
+                        path, line)
+                else:
+                    append(LexToken(_WORD_KINDS[word], value, line))
+            elif kind == "STRING" or kind == "NUMBER":
+                append(LexToken(kind, value, line))
+                line += value.count("\n")
+            elif kind == "COMMENT":
+                line += value.count("\n")
             elif kind == "UNSUPPORTED_OP":
                 raise UnsupportedSyntaxError(
                     f"construct {value!r} is outside the supported subset",
-                    path,
-                    line,
-                )
-            else:  # MISMATCH
+                    path, line)
+            elif kind == "MISMATCH":
                 raise LexError(
-                    f"character {value!r} matches no lexer rule", path, line
-                )
+                    f"character {value!r} matches no lexer rule", path, line)
     return tokens
-
-
-def _classify_word(
-    value: str, line: int, m: re.Match, text: str, path: str
-) -> LexToken:
-    word = value.lower()
-    if word in UNSUPPORTED_WORDS:
-        raise UnsupportedSyntaxError(
-            f"keyword {value!r} is outside the supported subset", path, line
-        )
-    if word in WORD_LITERALS:
-        return LexToken(WORD_LITERALS[word], value, line)
-    if word in CALL_WORDS:
-        return LexToken("FUNC_CALL", value, line)
-    if word in KEYWORD_KINDS:
-        return LexToken(KEYWORD_KINDS[word], value, line)
-    # A name immediately applied to arguments is a call; anything else is a
-    # bare constant-like identifier.
-    if re.match(r"\s*\(", text[m.end():]):
-        return LexToken("FUNC_CALL", value, line)
-    return LexToken("IDENT", value, line)
 
 
 # --- source collection -------------------------------------------------------
@@ -243,31 +232,39 @@ def _classify_word(
 def collect_sources(root: Path | str) -> list[SourceFile]:
     """Collect .php files under a directory, sorted by relative path.
 
-    Files that cannot be read or are not valid UTF-8 text are skipped with a
-    logged warning.  file_id is the position in the sorted, readable list.
+    Links to directories are not followed and unreadable directories are
+    passed over, as `Path.rglob` does.  Files that cannot be read or are
+    not valid UTF-8 text are skipped with a logged warning.  file_id is the
+    position in the sorted, readable list.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"source directory not found: {root}")
-    candidates = sorted(
-        (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() == ".php"),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
+    rels: list[str] = []
+    stack = [("", str(root))]
+    while stack:
+        prefix, top = stack.pop()
+        try:
+            with os.scandir(top) as entries:
+                for entry in entries:
+                    name = entry.name
+                    if entry.is_dir(follow_symlinks=False):
+                        stack.append((f"{prefix}{name}/", entry.path))
+                    # the Path.suffix rule: a file named ".php" has none
+                    elif (len(name) > 4 and name[-4:].lower() == ".php"
+                          and entry.is_file()):
+                        rels.append(prefix + name)
+        except OSError:
+            continue
     sources: list[SourceFile] = []
-    for path in candidates:
+    for rel in sorted(rels):
+        path = root / rel
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             log.warning("skipping %s: %s", path, exc)
             continue
-        sources.append(
-            SourceFile(
-                path=path,
-                rel=path.relative_to(root).as_posix(),
-                file_id=len(sources),
-                text=text,
-            )
-        )
+        sources.append(SourceFile(path, rel, len(sources), text))
     return sources
 
 

@@ -77,15 +77,13 @@ BASE_FAMILIES = (
 
 ALL_FAMILIES = BASE_FAMILIES + ENDING_TOKENS + TASK_TOKENS
 
-_SUFFIX = re.compile(r"\d+$")
-
 
 def family(token: str) -> str:
     """Family name of a token id: VAR12 -> VAR, END_IF -> END_IF."""
-    return _SUFFIX.sub("", token)
+    return token.rstrip("0123456789")
 
 
-@dataclass
+@dataclass(slots=True)
 class ITLToken:
     token: str
     line: int
@@ -239,6 +237,10 @@ _OP_KINDS = frozenset(
     }
 )
 
+# LexToken types that translate to a token of the same name.
+_KEPT_TYPES = frozenset({"NUMBER", "BOOL", "NULL", "BREAK", "CONTINUE",
+                         "RETURN", "GLOBAL", "AS", "ARRAY"})
+
 _CALLABLE_FAMILIES = ("FUNC_CALL", "ARRAY") + CALL_TOKENS
 
 # Ending token of each block kind; a bare { } block has none.
@@ -346,7 +348,32 @@ class _Translator:
         if self.reopenable and t not in ("ELSE", "ELSEIF"):
             self.flush_reopenable(tok.line)
 
-        if t == "LBRACE":
+        # most frequent types first
+        if t == "VAR":
+            self.handle_var(tok)
+        elif t in _OP_KINDS:
+            self.touch_statement(callish=False)
+            if t in ("EQUALS", "CONCAT_EQUALS") and not self.parens:
+                self.stmt_has_assign = True
+            self.emit(self.op_token(t), tok.line)
+        elif t == "SEMI":
+            self.end_statement(tok.line)
+        elif t == "LPAREN":
+            self.open_paren()
+        elif t == "RPAREN":
+            self.close_paren(tok.line)
+        elif t == "STRING":
+            self.handle_string(tok)
+        elif t in ("FUNC_CALL", "ISSET"):
+            self.handle_call_name(tok)
+        elif t in _KEPT_TYPES:
+            self.touch_statement(callish=False)
+            self.emit(t, tok.line)
+        elif t == "IDENT":
+            # Bare constants behave like opaque literal values.
+            self.touch_statement(callish=False)
+            self.emit("STRING", tok.line)
+        elif t == "LBRACE":
             if self.pending_branch is not None:
                 self.blocks.append([self.pending_branch, True])
                 self.pending_branch = None
@@ -355,12 +382,6 @@ class _Translator:
             self.reset_stmt()
         elif t == "RBRACE":
             self.close_braced_block(tok.line)
-        elif t == "SEMI":
-            self.end_statement(tok.line)
-        elif t == "LPAREN":
-            self.open_paren()
-        elif t == "RPAREN":
-            self.close_paren(tok.line)
         elif t == "COMMA":
             pass
         elif t == "COLON":
@@ -369,34 +390,10 @@ class _Translator:
                 self.emit("END_COND", tok.line)
                 self.case_header = False
             self.reset_stmt()
-        elif t == "VAR":
-            self.handle_var(tok)
-        elif t in ("FUNC_CALL", "ISSET"):
-            self.handle_call_name(tok)
-        elif t == "STRING":
-            self.handle_string(tok)
-        elif t in ("NUMBER", "BOOL", "NULL"):
-            self.touch_statement(callish=False)
-            self.emit(t, tok.line)
-        elif t == "IDENT":
-            # Bare constants behave like opaque literal values.
-            self.touch_statement(callish=False)
-            self.emit("STRING", tok.line)
-        elif t in _OP_KINDS:
-            self.touch_statement(callish=False)
-            if t in ("EQUALS", "CONCAT_EQUALS") and not self.parens:
-                self.stmt_has_assign = True
-            self.emit(self.op_token(t), tok.line)
         elif t in ("IF", "ELSEIF", "WHILE", "FOR", "FOREACH", "SWITCH"):
             self.handle_cond_opener(tok)
         elif t == "ELSE":
             self.handle_else(tok)
-        elif t in ("BREAK", "CONTINUE", "RETURN", "GLOBAL", "AS"):
-            self.touch_statement(callish=False)
-            self.emit(t, tok.line)
-        elif t == "ARRAY":
-            self.touch_statement(callish=False)
-            self.emit("ARRAY", tok.line)
         elif t in ("CASE", "DEFAULT"):
             self.handle_case(tok)
         elif t == "FUNCTION":
@@ -545,7 +542,7 @@ class _Translator:
         used inside the index expression still surface; an entry-point
         access is one INPUT and its index is dropped entirely.
         """
-        while self.peek() is not None and self.peek().type == "LBRACKET":
+        while self.i < len(self.tokens) and self.tokens[self.i].type == "LBRACKET":
             self.i += 1
             depth = 1
             while depth and self.i < len(self.tokens):

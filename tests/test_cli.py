@@ -589,3 +589,27 @@ def test_module_invocation_matches_version(tmp_path):
                           env=child_env(), timeout=60)
     assert done.returncode == 0
     assert done.stdout.strip() == __version__
+
+
+def test_each_report_warning_is_printed_once(tmp_path, app_dir):
+    # A child process, so that the CLI's own logging set-up is live.
+    def cca(*argv):
+        return subprocess.run([sys.executable, "-m", "cca.cli",
+                               *map(str, argv)], capture_output=True,
+                              text=True, cwd=tmp_path, env=child_env(),
+                              timeout=120)
+
+    for argv in (("encrypt", "--src", app_dir, "--index", "i", "--keys", "k"),
+                 ("authorise", "--keys", "k", "--task", "sqli", "--out", "q")):
+        done = cca(*argv)
+        assert done.returncode == 0, done.stderr
+    warning = "no sensitive entries answered any probe"
+    for verbose in ((), ("-v",)):
+        done = cca(*verbose, "analyse", "--index", "i", "--query", "q",
+                   "--out", "r")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count(warning) == 1, done.stderr
+    done = cca("decrypt-report", "--report", "r", "--keys", "k")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count(warning) == 1, done.stderr
+    assert "SQLi: no vulnerable paths" in done.stdout

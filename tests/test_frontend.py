@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import os
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +56,47 @@ def test_collect_ids_are_dense_after_a_skip(tmp_path):
 
     assert [s.rel for s in sources] == ["x.php", "y.php"]
     assert [s.file_id for s in sources] == [0, 1]
+
+
+def test_collect_walk_keeps_the_pathlib_rules(tmp_path):
+    # Suffix as Path.suffix reads it, case-insensitive; links to
+    # directories are not followed, links to files are files.
+    (tmp_path / "UP.PHP").write_text("<?php $u = 1;\n")
+    (tmp_path / ".php").write_text("<?php $hidden = 1;\n")
+    (tmp_path / "..php").write_text("<?php $dots = 1;\n")
+    (tmp_path / "dir.php").mkdir()
+    sub = tmp_path / "sub"
+    (sub / "deeper").mkdir(parents=True)
+    (sub / "s.php").write_text("<?php $s = 1;\n")
+    (sub / "deeper" / "d.php").write_text("<?php $d = 1;\n")
+    (tmp_path / "sub.php.txt").write_text("not php\n")
+    (tmp_path / "linkdir").symlink_to(sub, target_is_directory=True)
+    (tmp_path / "linkfile.php").symlink_to(sub / "s.php")
+    (tmp_path / "dangling.php").symlink_to(tmp_path / "missing.php")
+
+    sources = collect_sources(tmp_path)
+
+    assert [s.rel for s in sources] == [
+        "..php", "UP.PHP", "linkfile.php", "sub/deeper/d.php", "sub/s.php"]
+    assert [s.file_id for s in sources] == [0, 1, 2, 3, 4]
+    assert sources[2].text == "<?php $s = 1;\n"
+    assert sources[3].path == tmp_path / "sub" / "deeper" / "d.php"
+
+
+def test_collect_passes_over_an_unreadable_directory(tmp_path, monkeypatch):
+    # Permissions do not stop a root user, so the listing itself fails.
+    (tmp_path / "a.php").write_text("<?php $a = 1;\n")
+    (tmp_path / "locked").mkdir()
+    (tmp_path / "locked" / "b.php").write_text("<?php $b = 1;\n")
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if os.fspath(path).endswith("locked"):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    assert [s.rel for s in collect_sources(tmp_path)] == ["a.php"]
 
 
 # --- token stream shape -------------------------------------------------------
@@ -160,6 +203,19 @@ def test_dump_format_is_tab_separated():
     lines = dump.splitlines()
     assert lines[0] == "VAR\t$a\t1"
     assert lines[-1] == "SEMI\t;\t1"
+
+
+def test_lexing_time_is_linear_in_the_file_size():
+    # Each bare word looks ahead for "(" from where it ends, never copying
+    # the rest of the file: this one took 35 s when it did.
+    lines = [f"$a{i} = FOO . bar . BAZ;" for i in range(90_000)]
+    text = "<?php\n" + "\n".join(lines) + "\n"
+    assert len(text) >= 2_000_000
+    started = time.perf_counter()
+    tokens = lex(text)
+    assert time.perf_counter() - started < 8
+    assert len(tokens) == 8 * len(lines)
+    assert tokens[-2] == LexToken("IDENT", "BAZ", len(lines) + 1)
 
 
 # --- lexer properties ---------------------------------------------------------

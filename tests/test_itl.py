@@ -43,6 +43,13 @@ def test_family_of_suffixed_tokens():
     assert family("INPUT") == "INPUT"
 
 
+@given(st.sampled_from(ALL_FAMILIES),
+       st.one_of(st.just(""), st.integers(0, 10**6).map(str)))
+def test_family_strips_exactly_the_number(name, suffix):
+    assert family(name + suffix) == name
+    assert family(name + suffix) == re.sub(r"\d+$", "", name + suffix)
+
+
 # --- configuration loading ----------------------------------------------------
 
 def test_default_rules_cover_all_ending_tokens(default_rules, default_tk):
