@@ -12,13 +12,15 @@ diverge from memoised token summaries (IFDS summary edges: Reps, Horwitz
 and Sagiv, POPL 1995), so cost follows findings, not 2**n walks.
 
 The same steps run in every mode and over plaintext dependency pairs
-(see the oracle module); only the reader differs.  The steps see field
-values as ints.  The plain and std readers decode them as such.  The ore
-reader, once a file's walk is done, sorts the field ciphertexts it read
-for that file, one field at a time, with the comparison order-revealing
-encryption already offers, and replaces each by its rank.  Ranks within
-one file tell the analyser nothing the comparisons did not; reports still
-name ore fields by part of their left half, never by rank (docs/formats.md).
+(see the oracle module); only the reader differs.  One reader walk per
+sink reads each token the file's sink reaches once and hands the steps
+that graph with int token positions and int field values.  The plain and
+std readers decode fields as ints.  The ore reader, once the walk is
+done, sorts the field ciphertexts it read for that file, one field at a
+time, with the comparison order-revealing encryption already offers, and
+replaces each by its rank, so ranks are per file.  Ranks within one file
+tell the analyser nothing the comparisons did not; reports still name
+ore fields by part of their left half, never by rank (docs/formats.md).
 """
 
 from __future__ import annotations
@@ -82,11 +84,6 @@ class PathNode:
     def same_scope(self, other: "PathNode") -> bool:
         return (self.depth == other.depth and self.order == other.order
                 and self.cf_type == other.cf_type)
-
-
-def ref_identity(ref) -> object:
-    """Stable identity of a token reference, usable in visited sets."""
-    return ref[0] if isinstance(ref, tuple) else ref
 
 
 # --- queries ------------------------------------------------------------------
@@ -205,26 +202,35 @@ def load_query(path) -> Query:
 # --- index readers ------------------------------------------------------------
 
 class Reader:
-    """Lists a token's entries in counter order, reading each token once.
+    """Reads the flow graph below a sink, token by token.
 
-    Subclasses supply `_read`.  `rank` makes the field values read since
-    its last call comparable as ints; it has nothing to do where they are
-    ints already.
+    Subclasses supply `_read`: a token's entries in counter order.
+    `answered` is whether any probe has hit; a walk reads its sink's
+    entries first, so it is whether any sink had entries.
     """
 
-    def __init__(self, index: EncryptedIndex) -> None:
+    answered = False
+
+    def __init__(self, index) -> None:
         self.index = index
-        self._cache: dict[object, list[PathNode]] = {}
 
-    def entries(self, ref) -> list[PathNode]:
-        key = ref_identity(ref)
-        edges = self._cache.get(key)
-        if edges is None:
-            edges = self._cache[key] = self._read(ref)
-        return edges
-
-    def rank(self) -> None:
-        pass
+    def graph(self, ref) -> list[list[tuple[int, PathNode]]]:
+        """Walk the tokens a sink reaches, depth-first in entry order, and
+        read each once.  Returns each token's entries, the sink's first and
+        the rest in reading order, each with the position in that list of
+        the token it names.  Tokens are told apart by ref, which on an
+        honest index names a token exactly as its identity does."""
+        ids = {ref: 0}
+        graph = [self._read(ref)]
+        todo = graph[0][::-1]
+        while todo:
+            node = todo.pop()
+            if node.ref not in ids:
+                ids[node.ref] = len(graph)
+                graph.append(self._read(node.ref))
+                todo += graph[-1][::-1]
+        self.answered = self.answered or bool(graph[0])
+        return [[(ids[node.ref], node) for node in edges] for edges in graph]
 
 
 class PlainReader(Reader):
@@ -271,28 +277,20 @@ class OreReader(IndexReader):
 
     field_bytes = ore_ciphertext_bytes()
 
-    def __init__(self, index: EncryptedIndex) -> None:
-        super().__init__(index)
-        self._walked: dict[bytes, list[PathNode]] = {}
-
-    def entries(self, ref) -> list[PathNode]:
-        edges = super().entries(ref)
-        self._walked[ref[0]] = edges
-        return edges
-
     def _node(self, right, fields: bytes) -> PathNode:
         fb = self.field_bytes
         cts = tuple(fields[k:k + fb] for k in range(0, 4 * fb, fb))
         return PathNode(right[0], None, None, None, None, ref=right, cts=cts)
 
-    def rank(self) -> None:
-        """Rank, field by field, the entries handed out since the last call."""
-        nodes = [node for edges in self._walked.values() for node in edges]
-        self._walked.clear()
+    def graph(self, ref) -> list[list[tuple[int, PathNode]]]:
+        """As Reader.graph, with the walk's nodes ranked field by field."""
+        graph = super().graph(ref)
+        nodes = [node for edges in graph for _, node in edges]
         for k, name in enumerate(("line", "depth", "order", "cf_type")):
             ranks = ore_ranks([node.cts[k] for node in nodes])
             for node, rank in zip(nodes, ranks):
                 setattr(node, name, rank)
+        return graph
 
 
 def ore_ranks(cts: list[bytes], width: int = DEFAULT_ORE_WIDTH) -> list[int]:
@@ -334,8 +332,8 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
     sinks that steps 2 and 4 keep, built without the others.
 
     A path follows index entries token by token and stops at a token with
-    no entries or one it already expanded (a cycle).  Every token the sink
-    reaches is read once, depth-first in entry order, then ranked.
+    no entries or one it already expanded (a cycle).  The tokens the sink
+    reaches come from one reader walk (`Reader.graph`).
 
     Step 4 compares two paths of one sink line and scope signature (the
     set of their nodes' scopes) at their first differing nodes: entries
@@ -349,20 +347,11 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
     sink line, signature as first met, then walk order, as from the four
     steps.  Past DETECTION_BUDGET it raises _OverBudget.
     """
-    sens_id = ref_identity(fq.sens)
-    edges = reader.entries(fq.sens)
-    if not edges:
+    graph = reader.graph(fq.sens)
+    if not graph[0]:
         return []
-    ids = {sens_id: 0}  # token -> its index in graph
-    graph = [edges]  # each token's entries, in reading order
-    todo = edges[::-1]
-    while todo:
-        node = todo.pop()
-        if node.token not in ids:
-            ids[node.token] = len(graph)
-            graph.append(reader.entries(node.ref))
-            todo += graph[-1][::-1]
-    reader.rank()
+    # the sink's identity: its D key, or its plain identity
+    sens_id = fq.sens[0] if isinstance(fq.sens, tuple) else fq.sens
     bits: dict[tuple, int] = {}  # scope -> its bit in a signature
     kids = []  # per token: its distinct entries, (line, token, scope bit, node)
     last = []  # per token: the latest line of its entries
@@ -372,16 +361,16 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
             last.append(None)
             continue
         if len(edges) == 1:  # the common case, with nothing to drop
-            (e,) = edges
+            ((c, e),) = edges
             scope = (e.depth, e.order, e.cf_type)
-            kids.append(((e.line, ids[e.token],
-                          bits.setdefault(scope, 1 << len(bits)), e),))
+            kids.append(((e.line, c, bits.setdefault(scope, 1 << len(bits)),
+                          e),))
             last.append(e.line)
             continue
         row: dict[tuple, tuple] = {}  # equal entries count once
-        for e in edges:
+        for c, e in edges:
             scope = (e.depth, e.order, e.cf_type)
-            k = (e.line, ids[e.token], bits.setdefault(scope, 1 << len(bits)))
+            k = (e.line, c, bits.setdefault(scope, 1 << len(bits)))
             row.setdefault(k, (*k, e))
         kids.append(tuple(row.values()))
         last.append(max(row)[0])
@@ -586,23 +575,21 @@ def check_vulnerability(paths: list[list[PathNode]],
     return findings
 
 
-def detect(reader, fq: FileQuery) -> tuple[bool, list[list[PathNode]], bool]:
+def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
     """Run every detection step over one file, for `analyse` and the
-    plaintext oracle: whether any sink entry answered, the findings, and
-    False if the file ran out of DETECTION_BUDGET (then it has none)."""
-    answered, complete = bool(reader.entries(fq.sens)), True
+    plaintext oracle: the findings, and False if the file ran out of
+    DETECTION_BUDGET (then it has none)."""
     try:
-        paths = find_paths(reader, fq)
+        paths, complete = find_paths(reader, fq), True
     except _OverBudget:
         paths, complete = [], False
     groups = aggregate_paths(remove_invalid_paths(paths))
-    return answered, check_vulnerability(resolve_control_flow(groups), fq), \
-        complete
+    return check_vulnerability(resolve_control_flow(groups), fq), complete
 
 
 # --- full run and reports -------------------------------------------------------
 
-def _node_to_dict(node: PathNode) -> dict:
+def node_to_dict(node: PathNode) -> dict:
     """Report form of a node; ore fields are named by `crypto.ore_name`."""
     token = node.token.hex() if isinstance(node.token, bytes) else node.token
     if node.cts is None:
@@ -622,17 +609,15 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
         )
     reader = make_reader(index)
     report: dict = {"task": query.task, "mode": query.mode, "files": []}
-    probed_any = False
     warnings = []
     for fq in sorted(query.files, key=lambda f: f.file_id):
-        answered, findings, complete = detect(reader, fq)
-        probed_any = probed_any or answered
+        findings, complete = detect(reader, fq)
         if not complete:
             warnings.append(BUDGET_WARNING.format(fq.file_id))
         report["files"].append({"file": fq.file_id, "findings": [
-            {"path": [_node_to_dict(n) for n in nodes]}
+            {"path": [node_to_dict(n) for n in nodes]}
             for nodes in findings]})
-    if not probed_any and len(index) > 0:
+    if not reader.answered and len(index) > 0:
         warnings.append("no sensitive entries answered any probe; the query "
                         "keys may not match this index")
     for message in warnings:

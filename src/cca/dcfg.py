@@ -191,9 +191,9 @@ def annotate_control_flow(tokens: list[ITLToken],
     return out
 
 
-def find_data_dependencies(tokens: list[ExtendedITLToken],
-                           ctx: TranslationContext) -> list[DCFGPair]:
-    """Extract dependency pairs from the annotated token stream."""
+def build_dcfg(tokens: list[ExtendedITLToken],
+               ctx: TranslationContext) -> DCFG:
+    """Extract the dependency pairs of an annotated stream."""
     assign_ops = ctx.assignment_ops()
     compound_ops = ctx.compound_ops()
     pairs: list[DCFGPair] = []
@@ -284,13 +284,7 @@ def find_data_dependencies(tokens: list[ExtendedITLToken],
                 owners.append(tok.token)
         i += 1
 
-    return pairs
-
-
-def build_dcfg(extended: list[ExtendedITLToken],
-               ctx: TranslationContext) -> DCFG:
-    """Extract the dependency pairs of an annotated stream."""
-    return DCFG(find_data_dependencies(extended, ctx))
+    return DCFG(pairs)
 
 
 def dump_dcfg(dcfg: DCFG) -> str:

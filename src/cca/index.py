@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import struct
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import (
     DEFAULT_ORE_WIDTH,
@@ -33,7 +33,7 @@ from .crypto import (
     rnd_encrypt,
 )
 from .dcfg import DCFG, VALUE_FAMILIES
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .fileio import Cursor, atomic_write, blob
 from .itl import family
 
@@ -42,24 +42,15 @@ _VERSION = 4
 
 
 @dataclass
-class IndexEntry:
-    key: bytes
-    value: bytes
-
-
-@dataclass
 class EncryptedIndex:
     mode: str
-    entries: list[IndexEntry]
-    _table: dict[bytes, bytes] | None = field(default=None, repr=False)
+    table: dict[bytes, bytes]  # lookup key -> value, in container order
 
     def lookup(self, key: bytes) -> bytes | None:
-        if self._table is None:
-            self._table = {e.key: e.value for e in self.entries}
-        return self._table.get(key)
+        return self.table.get(key)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.table)
 
 
 def token_identity(file_id: int, token: str) -> str:
@@ -123,7 +114,7 @@ def build_index(
         raise ValueError(f"unknown index mode {mode!r}")
 
     counts: dict[int, tuple[int, int]] = {}
-    entries: list[IndexEntry] = []
+    entries: list[tuple[bytes, bytes]] = []
     ore_keys = ore_field_keys(keys)
     ore_memo: dict[tuple[str, int], bytes] = {}
 
@@ -178,11 +169,11 @@ def build_index(
                             ore_field(path, name, v)
                             for name, v in zip(ore_keys, values))
                     value = rnd_encrypt(r_left, d_right + r_right + fields)
-                entries.append(IndexEntry(key, value))
+                entries.append((key, value))
 
     if mode != "plain":
         random.SystemRandom().shuffle(entries)
-    return EncryptedIndex(mode, entries), counts
+    return EncryptedIndex(mode, dict(entries)), counts
 
 
 # --- container ----------------------------------------------------------------
@@ -190,34 +181,33 @@ def build_index(
 def serialize_index(index: EncryptedIndex) -> bytes:
     out = bytearray(_MAGIC)
     out += bytes([_VERSION, MODES.index(index.mode)])
-    out += struct.pack(">I", len(index.entries))
-    for entry in index.entries:
-        out += blob(entry.key)
-        out += struct.pack(">I", len(entry.value))
-        out += entry.value
+    out += struct.pack(">I", len(index.table))
+    for key, value in index.table.items():
+        out += blob(key)
+        out += struct.pack(">I", len(value))
+        out += value
     return bytes(out)
 
 
 def deserialize_index(data: bytes) -> EncryptedIndex:
     cur = Cursor(data, "index", _MAGIC, _VERSION)
     mode = cur.code(MODES, "mode")
-    entries = []
+    table = {}
     for _ in range(cur.unpack(">I")[0]):
         key = cur.blob()
-        entries.append(IndexEntry(key, cur.take(cur.unpack(">I")[0])))
+        if key in table:
+            raise FormatError("index: repeated lookup key")
+        table[key] = cur.take(cur.unpack(">I")[0])
     cur.finish()
-    return EncryptedIndex(mode, entries)
+    return EncryptedIndex(mode, table)
 
 
 def index_stats(index: EncryptedIndex) -> dict:
-    key_lens = {len(e.key) for e in index.entries}
-    value_lens = {len(e.value) for e in index.entries}
     return {
         "mode": index.mode,
-        "entries": len(index.entries),
-        "distinct_keys": len({e.key for e in index.entries}),
-        "key_bytes": sorted(key_lens),
-        "value_bytes": sorted(value_lens),
+        "entries": len(index),
+        "key_bytes": sorted({len(key) for key in index.table}),
+        "value_bytes": sorted({len(v) for v in index.table.values()}),
         "container_bytes": len(serialize_index(index)),
     }
 

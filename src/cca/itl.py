@@ -203,13 +203,10 @@ class TranslationContext:
     """Developer-side metadata produced while translating one file.
 
     Never serialized into the index: it ties abstract names back to concrete
-    lexical facts (which OPk is an assignment, how many names were seen).
+    lexical facts (which OPk is an assignment).
     """
 
     op_kinds: dict[str, str] = field(default_factory=dict)
-    var_count: int = 0
-    op_count: int = 0
-    func_count: int = 0
 
     def assignment_ops(self) -> frozenset[str]:
         return frozenset(
@@ -284,25 +281,16 @@ class _Translator:
         self.out.append(ITLToken(token, line))
 
     def var_token(self, name: str) -> str:
-        if name not in self.vars:
-            self.vars[name] = self.ctx.var_count
-            self.ctx.var_count += 1
-        return f"VAR{self.vars[name]}"
+        return f"VAR{self.vars.setdefault(name, len(self.vars))}"
 
     def op_token(self, kind: str) -> str:
-        if kind not in self.ops:
-            self.ops[kind] = self.ctx.op_count
-            self.ctx.op_count += 1
-        tok = f"OP{self.ops[kind]}"
+        tok = f"OP{self.ops.setdefault(kind, len(self.ops))}"
         self.ctx.op_kinds.setdefault(tok, kind)
         return tok
 
     def func_token(self, name: str) -> str:
-        name = name.lower()
-        if name not in self.funcs:
-            self.funcs[name] = self.ctx.func_count
-            self.ctx.func_count += 1
-        return f"FUNC_CALL{self.funcs[name]}"
+        n = self.funcs.setdefault(name.lower(), len(self.funcs))
+        return f"FUNC_CALL{n}"
 
     def reset_stmt(self) -> None:
         self.stmt_open = False

@@ -16,37 +16,29 @@ Two oracles with different trust stories:
 
 from __future__ import annotations
 
-from .analysis import BUDGET_WARNING, FileQuery, PathNode, detect
+from .analysis import (
+    BUDGET_WARNING,
+    FileQuery,
+    PathNode,
+    Reader,
+    detect,
+    node_to_dict,
+)
 from .dcfg import DCFG
 from .errors import UsageError
 from .itl import TASKS
 
 
-class DcfgReader:
-    """Feeds plaintext dependency pairs to the shared detection steps."""
+class DcfgReader(Reader):
+    """Feeds plaintext dependency pairs, grouped by left token
+    (`DCFG.by_left`), to the shared detection steps."""
 
-    def __init__(self, dcfg: DCFG) -> None:
-        self._groups = dcfg.by_left()
-
-    def entries(self, ref: str) -> list[PathNode]:
+    def _read(self, ref: str) -> list[PathNode]:
         return [
             PathNode(pair.right.token, pair.right.line, pair.right.depth,
                      pair.right.order, pair.right.cf_type, ref=pair.right.token)
-            for pair in self._groups.get(ref, [])
+            for pair in self.index.get(ref, [])
         ]
-
-    def rank(self) -> None:
-        """Plain integers need no ranking."""
-
-
-def _node_dict(node: PathNode) -> dict:
-    return {
-        "token": node.token,
-        "line": int(node.line),
-        "depth": int(node.depth),
-        "order": int(node.order),
-        "type": int(node.cf_type),
-    }
 
 
 def plaintext_analyse(per_file: list[tuple[int, DCFG]], task: str,
@@ -64,7 +56,7 @@ def plaintext_analyse(per_file: list[tuple[int, DCFG]], task: str,
     for file_id, dcfg in sorted(per_file, key=lambda item: item[0]):
         fq = FileQuery(file_id, sens=sens_name, input_id="INPUT",
                        san_id=san_name)
-        _, findings, complete = detect(DcfgReader(dcfg), fq)
+        findings, complete = detect(DcfgReader(dcfg.by_left()), fq)
         if not complete:
             report.setdefault("warnings", []).append(
                 BUDGET_WARNING.format(file_id))
@@ -72,9 +64,9 @@ def plaintext_analyse(per_file: list[tuple[int, DCFG]], task: str,
         entry = {"file": name if name is not None else file_id, "findings": []}
         for nodes in findings:
             entry["findings"].append({
-                "sink": _node_dict(nodes[0]),
-                "source": _node_dict(nodes[-1]),
-                "path": [_node_dict(n) for n in nodes],
+                "sink": node_to_dict(nodes[0]),
+                "source": node_to_dict(nodes[-1]),
+                "path": [node_to_dict(n) for n in nodes],
             })
         report["files"].append(entry)
     return report

@@ -216,12 +216,12 @@ def test_criterion_5_index_leakage_properties(tmp_path):
             root = write_app(tmp_path / name, app)
             for mode in ("plain", "std", "ore"):
                 res = encrypt_application(root, mode=mode)
-                keys = [e.key for e in res.index.entries]
+                keys = list(res.index.table)
                 assert len(set(keys)) == len(keys), (name, mode)
                 pair_count = sum(len(fa.dcfg) for fa in res.files)
                 assert len(res.index) == pair_count, (name, mode)
                 if mode != "plain":
-                    sizes = {len(e.value) for e in res.index.entries}
+                    sizes = {len(v) for v in res.index.table.values()}
                     assert len(sizes) <= 1, (name, mode)
                 checked += 1
 
@@ -236,9 +236,9 @@ def test_criterion_5_index_leakage_properties(tmp_path):
         orders = []
         for _ in range(20):
             index, _ = build_index(per_file, master, mode="std")
-            key_multisets.append(sorted(e.key for e in index.entries))
-            value_sets.append({e.value for e in index.entries})
-            orders.append(tuple(e.key for e in index.entries))
+            key_multisets.append(sorted(index.table))
+            value_sets.append(set(index.table.values()))
+            orders.append(tuple(index.table))
         assert all(ks == key_multisets[0] for ks in key_multisets)
         union = set().union(*value_sets)
         assert len(union) == sum(len(vs) for vs in value_sets)

@@ -470,6 +470,19 @@ def test_foreign_query_only_warns(tmp_path, caplog):
     assert any("probe" in rec.getMessage() for rec in caplog.records)
 
 
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+@pytest.mark.parametrize("silent", ["a.php", "b.php"])
+def test_one_answering_file_keeps_the_probe_warning_away(tmp_path, mode,
+                                                         silent):
+    # the silent file has no echo, so its sink answers no probe
+    app = {"a.php": FLOW_APP["index.php"], "b.php": FLOW_APP["index.php"],
+           silent: "<?php $a = $_GET['user'];\n"}
+    res = encrypt_application(write_app(tmp_path, app), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    assert "warnings" not in report
+    assert sum(len(entry["findings"]) for entry in report["files"]) == 1
+
+
 def test_task_without_tokens_warns_not_fails(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     report = analyse(res.index, authorise(res.keys, "sqli"))
@@ -543,6 +556,23 @@ def test_encrypted_paths_carry_ranks_not_ciphertexts(tmp_path):
     # (1, 3, 4, 5, 6)
     assert lines == [[3, 3, 0], [4, 4, 2]]
     assert all(isinstance(n.depth, int) for path in raw for n in path)
+
+
+def test_ore_ranks_are_per_file_whatever_the_reader_walked_before(tmp_path):
+    # file a's lines 2 and 7 fall between and after file b's lines 1-6, so
+    # ranking them together would shift b's ranks
+    app = {"a.php": "<?php\n$x = $_GET['q'];\n\n\n\n\necho $x;\n",
+           "b.php": FLOW_APP["index.php"]}
+    res = encrypt_application(write_app(tmp_path, app), mode="ore")
+    fqs = {res.keys.files[fq.file_id]: fq
+           for fq in authorise(res.keys, "xss").files}
+    reader = make_reader(res.index)
+    assert find_paths(reader, fqs["a.php"])
+    after_a = find_paths(reader, fqs["b.php"])
+    alone = find_paths(make_reader(res.index), fqs["b.php"])
+    assert [[node_tuple(n) for n in path] for path in after_a] == \
+        [[node_tuple(n) for n in path] for path in alone]
+    assert [[n.line for n in path] for path in alone] == [[3, 3, 0], [4, 4, 2]]
 
 
 # --- larger flows -----------------------------------------------------------------

@@ -395,8 +395,7 @@ def _sink(report: dict) -> dict:
 def _set_sink_value(value: bytes):
     def damage(paths):
         index = load_index(paths["index"])
-        entry = next(e for e in index.entries if e.key == b"0:XSS_SENS#1")
-        entry.value = value
+        index.table[b"0:XSS_SENS#1"] = value
         save_index(paths["index"], index)
     return damage
 
@@ -433,6 +432,7 @@ COMMANDS = {
                           p["query"], "--out", p["report"]),
     "decrypt-report": lambda p: ("decrypt-report", "--report", p["report"],
                                  "--keys", p["keys"]),
+    "stats": lambda p: ("stats", "--index", p["index"]),
 }
 
 # case -> (encrypt flag, "" for ore mode; damage to the artifacts; command
@@ -467,6 +467,12 @@ MALFORMED = {
     "key store text not UTF-8": (
         "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
         "authorise"),
+    "index repeats a lookup key": (
+        "--no-encryption",
+        _replace_bytes("index", b"0:XSS_SENS#2", b"0:XSS_SENS#1"), "analyse"),
+    "index repeats a lookup key (stats)": (
+        "--no-encryption",
+        _replace_bytes("index", b"0:XSS_SENS#2", b"0:XSS_SENS#1"), "stats"),
     "ore index of version 2": ("", _set_byte("index", 8, 2), "analyse"),
     "ore index of version 3": ("", _set_byte("index", 8, 3), "analyse"),
     "key store of version 3": ("--no-ore", _set_byte("keys", 8, 3), "authorise"),
@@ -477,7 +483,9 @@ MALFORMED = {
         "decrypt-report"),
 }
 # case -> what its one error line must say, where more than the prefix counts
-MALFORMED_SAYS = {"ore index of version 2": "unsupported version 2",
+MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
+                  "index repeats a lookup key (stats)": "repeated lookup key",
+                  "ore index of version 2": "unsupported version 2",
                   "ore index of version 3": "unsupported version 3",
                   "key store of version 3": "unsupported version 3",
                   "key store of version 4": "unsupported version 4",

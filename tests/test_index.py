@@ -68,7 +68,7 @@ def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
     monkeypatch.setattr(cca.index, "derive_token_key_pairs", None)
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
 
-    entries = {e.key.decode(): e.value.decode() for e in index.entries}
+    entries = {k.decode(): v.decode() for k, v in index.table.items()}
     assert entries == {
         "0:VAR0#1": "0:INPUT|2|0|0|0",
         "0:VAR1#1": "0:STRING|3|0|0|0",
@@ -81,7 +81,7 @@ def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
 
 def test_plain_mode_preserves_build_order(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
-    keys = [e.key.decode() for e in index.entries]
+    keys = [k.decode() for k in index.table]
     assert keys == sorted(keys, key=keys.index)  # stable
     assert keys[0] == "0:VAR0#1"
     assert keys[-1] == "0:XSS_SENS#2"
@@ -90,8 +90,8 @@ def test_plain_mode_preserves_build_order(fig_dcfg, master):
 def test_counters_start_at_one_per_left_token(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
     counters = {}
-    for e in index.entries:
-        ident, counter = e.key.decode().rsplit("#", 1)
+    for key in index.table:
+        ident, counter = key.decode().rsplit("#", 1)
         counters.setdefault(ident, []).append(int(counter))
     for ident, seen in counters.items():
         assert seen == list(range(1, len(seen) + 1)), ident
@@ -107,7 +107,7 @@ def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
         d_left, _ = derive_token_keys(master, token_identity(0, left))
         for counter in range(1, len(pairs) + 1):
             expected.append(det_encrypt(d_left, struct.pack(">I", counter)))
-    assert sorted(e.key for e in index.entries) == sorted(expected)
+    assert sorted(index.table) == sorted(expected)
 
 
 def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
@@ -140,9 +140,9 @@ def test_sensitive_counter_three_is_absent(fig_dcfg, master):
 def test_keys_unique_values_uniform(fig_dcfg, master, mode):
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
 
-    keys = [e.key for e in index.entries]
+    keys = list(index.table)
     assert len(set(keys)) == len(keys)
-    lengths = {len(e.value) for e in index.entries}
+    lengths = {len(v) for v in index.table.values()}
     assert len(lengths) == 1
 
 
@@ -165,10 +165,8 @@ def test_rebuild_same_keys_fresh_values(fig_dcfg, master):
     first, _ = build_index([(0, fig_dcfg)], master, mode="std")
     second, _ = build_index([(0, fig_dcfg)], master, mode="std")
 
-    assert sorted(e.key for e in first.entries) == \
-        sorted(e.key for e in second.entries)
-    assert not ({e.value for e in first.entries}
-                & {e.value for e in second.entries})
+    assert sorted(first.table) == sorted(second.table)
+    assert not (set(first.table.values()) & set(second.table.values()))
 
 
 def test_empty_input_builds_empty_index(master):
@@ -180,7 +178,7 @@ def test_empty_input_builds_empty_index(master):
 def test_same_token_in_two_files_gets_distinct_keys(master):
     dcfg = _dcfg_for("<?php $a = $_GET['x'];")
     index, _ = build_index([(0, dcfg), (1, dcfg)], master, mode="std")
-    keys = [e.key for e in index.entries]
+    keys = list(index.table)
     assert len(keys) == 2
     assert len(set(keys)) == 2
 
@@ -328,8 +326,7 @@ def test_serialize_roundtrip(fig_dcfg, master, mode, tmp_path):
     back = load_index(path)
 
     assert back.mode == index.mode
-    assert {(e.key, e.value) for e in back.entries} == \
-        {(e.key, e.value) for e in index.entries}
+    assert back.table == index.table
 
 
 @pytest.mark.parametrize("option", [{"mode": "fast"}])
@@ -344,6 +341,14 @@ def test_truncated_container_rejected(fig_dcfg, master):
     for cut in (4, len(blob) // 2, len(blob) - 3):
         with pytest.raises(FormatError):
             deserialize_index(blob[:cut])
+
+
+def test_repeated_lookup_key_rejected(fig_dcfg, master):
+    index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
+    blob = serialize_index(index)
+    assert b"0:XSS_SENS#2" in blob
+    with pytest.raises(FormatError, match="repeated lookup key"):
+        deserialize_index(blob.replace(b"0:XSS_SENS#2", b"0:XSS_SENS#1"))
 
 
 def test_bad_magic_rejected(fig_dcfg, master):
@@ -368,7 +373,6 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     stats = index_stats(index)
     assert stats["entries"] == 6
     assert stats["mode"] == "std"
-    assert stats["distinct_keys"] == 6
     assert stats["key_bytes"] == [20]
     assert len(stats["value_bytes"]) == 1
     assert stats["container_bytes"] > 0
