@@ -53,7 +53,7 @@ from .errors import (
     UsageError,
 )
 from .fileio import Cursor, atomic_write, blob
-from .index import EncryptedIndex, report_names, token_identity
+from .index import SLOT_REF, EncryptedIndex, report_names, token_identity
 from .itl import TASKS
 
 log = logging.getLogger(__name__)
@@ -273,14 +273,36 @@ class IndexReader(Reader):
 
 
 class OreReader(IndexReader):
-    """Reader for ore mode: field ciphertexts become per-file ranks."""
+    """Reader for ore mode: field ciphertexts become per-file ranks.
 
-    field_bytes = ore_ciphertext_bytes()
+    A field names a slot of the index's table and the key that opens it.
+    A slot is opened when a decrypted entry first names it with that key,
+    and kept for the reader's life."""
+
+    field_bytes = SLOT_REF.size
+
+    def __init__(self, index) -> None:
+        super().__init__(index)
+        self._opened: dict[bytes, bytes] = {}  # slot reference -> ciphertext
 
     def _node(self, right, fields: bytes) -> PathNode:
         fb = self.field_bytes
-        cts = tuple(fields[k:k + fb] for k in range(0, 4 * fb, fb))
+        cts = tuple(self._open(fields[k:k + fb]) for k in range(0, 4 * fb, fb))
         return PathNode(right[0], None, None, None, None, ref=right, cts=cts)
+
+    def _open(self, ref: bytes) -> bytes:
+        ct = self._opened.get(ref)
+        if ct is None:
+            number, key = SLOT_REF.unpack(ref)
+            if number >= len(self.index.slots):
+                raise FormatError(f"index: slot {number} is past the end of "
+                                  f"the {len(self.index.slots)}-slot table")
+            ct = rnd_decrypt(key, self.index.slots[number])
+            if len(ct) != ore_ciphertext_bytes():
+                raise FormatError(f"index: slot {number} holds {len(ct)} "
+                                  "bytes, not an order-revealing ciphertext")
+            self._opened[ref] = ct
+        return ct
 
     def graph(self, ref) -> list[list[tuple[int, PathNode]]]:
         """As Reader.graph, with the walk's nodes ranked field by field."""

@@ -12,8 +12,9 @@ Three building blocks:
   ciphertext against the right half of another yields <, =, > and nothing
   else, letting the analyser order line numbers it cannot read.  A
   block's slot tags are AES-128 (ECB) of the slot numbers under a key
-  derived per block; each slot's mask is AES-128 of its tag under the
-  right half's public nonce, mod 3.  One AES call makes all 256 of either.
+  derived per block; each slot's mask is taken from AES-128 of its tag
+  under the right half's public nonce (`_masks`).  One AES call makes all
+  256 of either.
   Every index encrypts its fields at DEFAULT_ORE_WIDTH bits.
 
 Everything derives from six 128-bit master keys: one for DET, one for RND,
@@ -258,6 +259,23 @@ def _ecb(key: bytes):
     return Cipher(algorithms.AES(key), _ECB).encryptor()
 
 
+def _masks(blocks: bytes) -> bytes:
+    """The mask in Z_3 of each 16-byte block: its first byte that is not
+    255, mod 3, or 0 if all 16 are.  Bytes 0..254 hold each residue 85
+    times, so a mask is uniform but for the 2^-128 chance of all 255.
+    Few blocks open with 255, so the rest keep their first byte."""
+    firsts = blocks[::16]
+    j = firsts.find(255)
+    if j < 0:
+        return firsts.translate(_MOD3)
+    out = bytearray(firsts)
+    while j >= 0:
+        rest = blocks[16 * j:16 * j + 16].lstrip(b"\xff")
+        out[j] = rest[0] if rest else 0
+        j = firsts.find(255, j + 1)
+    return out.translate(_MOD3)
+
+
 def _derive_slot_tags(prf_key: bytes, index: int, prefix: bytes) -> bytes:
     """Tags of one block's slots: AES of each slot under a per-block key."""
     block_key = _hmac(prf_key, bytes([index]) + prefix)[:KEY_BYTES]
@@ -316,7 +334,7 @@ def ore_encrypt_right(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
         prefix, y = raw[:i], raw[i]
         codes = key.permutation(i, prefix).translate(
             b"\x01" * y + b"\x00" + b"\x02" * (ORE_BLOCK_DOMAIN - 1 - y))
-        masks = masker.update(key.slot_tags(i, prefix))[::16].translate(_MOD3)
+        masks = _masks(masker.update(key.slot_tags(i, prefix)))
         v = (int.from_bytes(codes, "little") + int.from_bytes(masks, "little")
              ).to_bytes(ORE_BLOCK_DOMAIN, "little").translate(_MOD3)
         packed = sum(int.from_bytes(v[k::4], "little") << 2 * k
@@ -355,8 +373,8 @@ def ore_compare(a: bytes, b: bytes, width: int = DEFAULT_ORE_WIDTH) -> int:
         raise ValueError("ORE ciphertext length does not match width")
     left = a[:left_len]
     right = b[left_len:]
-    masks = _nonce_cipher(right[:16]).update(
-        b"".join(left[17 * i:17 * i + 16] for i in range(n)))[::16]
+    masks = _masks(_nonce_cipher(right[:16]).update(
+        b"".join(left[17 * i:17 * i + 16] for i in range(n))))
     for i in range(n):
         slot = left[17 * i + 16]
         v = (right[16 + 64 * i + (slot >> 2)] >> ((slot & 3) * 2)) & 3

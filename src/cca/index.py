@@ -8,7 +8,9 @@ fields, sealed with randomized encryption so identical edges look unrelated.
 
 Three build modes share one container format:
 
-* ore (default): flow fields are order-revealing ciphertexts.
+* ore (default): flow fields are order-revealing ciphertexts, each
+  distinct one sealed once in the container's slot table; an entry holds
+  a slot number and that slot's key per field.
 * std: flow fields are plaintext integers, keys and values encrypted.
 * plain: nothing encrypted, for debugging and baseline measurements.
 """
@@ -16,12 +18,14 @@ Three build modes share one container format:
 from __future__ import annotations
 
 import random
+import secrets
 import struct
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .crypto import (
     DEFAULT_ORE_WIDTH,
+    KEY_BYTES,
     MODES,
     KeyStore,
     MasterKeys,
@@ -38,13 +42,16 @@ from .fileio import Cursor, atomic_write, blob
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 4
+_VERSION = 5
+SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore field: slot, slot key
 
 
 @dataclass
 class EncryptedIndex:
     mode: str
     table: dict[bytes, bytes]  # lookup key -> value, in container order
+    # ore mode: each distinct field ciphertext, sealed under its own key
+    slots: list[bytes] = field(default_factory=list)
 
     def lookup(self, key: bytes) -> bytes | None:
         return self.table.get(key)
@@ -105,31 +112,31 @@ def build_index(
     each file's name counts for the key store: one past the highest n of
     the VAR<n> and FUNC_CALL<n> tokens the file's entries key.
 
-    A count above MAX_NAME_COUNT is a ConfigError.  In ore mode each
-    distinct (field, value) pair is encrypted once per build, so equal
-    values of one field share one ciphertext within this index (see
-    docs/formats.md); names maps file ids to the paths errors name.
+    A count above MAX_NAME_COUNT is a ConfigError, and two entries with
+    one lookup key are a ValueError.  In ore mode each distinct (field,
+    value) pair is encrypted once per build and sealed once, in a slot of
+    a random number (see docs/formats.md); names maps file ids to the
+    paths errors name.
     """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
 
     counts: dict[int, tuple[int, int]] = {}
     entries: list[tuple[bytes, bytes]] = []
+    sealing = []  # ore: (key, R_left, D_right || R_right, (field, value)s)
     ore_keys = ore_field_keys(keys)
     ore_memo: dict[tuple[str, int], bytes] = {}
 
-    def ore_field(path: str, name: str, value: int) -> bytes:
-        ct = ore_memo.get((name, value))
-        if ct is None:
+    def ore_field(path: str, name: str, value: int) -> None:
+        if (name, value) not in ore_memo:
             ore_key, signed = ore_keys[name]
             try:
-                ct = ore_encrypt(ore_key, value, signed=signed)
+                ore_memo[(name, value)] = ore_encrypt(ore_key, value,
+                                                      signed=signed)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: {name} value {value} is out of range for "
                     f"{DEFAULT_ORE_WIDTH}-bit ORE fields") from exc
-            ore_memo[(name, value)] = ct
-        return ct
 
     def std_fields(path: str, values: tuple[int, ...]) -> bytes:
         try:
@@ -162,18 +169,41 @@ def build_index(
                     d_left, r_left = token_keys[left]
                     d_right, r_right = token_keys[right.token]
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"))
-                    if mode == "std":
-                        fields = std_fields(path, values)
-                    else:
-                        fields = b"".join(
+                    if mode == "ore":  # sealed below, once the slots are
+                        fields = tuple(zip(ore_keys, values))
+                        for name, v in fields:
                             ore_field(path, name, v)
-                            for name, v in zip(ore_keys, values))
-                    value = rnd_encrypt(r_left, d_right + r_right + fields)
+                        sealing.append((key, r_left, d_right + r_right,
+                                        fields))
+                        continue
+                    value = rnd_encrypt(r_left, d_right + r_right
+                                        + std_fields(path, values))
                 entries.append((key, value))
 
+    refs, slots = _seal_slots(ore_memo)
+    for key, r_left, head, fields in sealing:
+        entries.append((key, rnd_encrypt(
+            r_left, head + b"".join(map(refs.__getitem__, fields)))))
     if mode != "plain":
         random.SystemRandom().shuffle(entries)
-    return EncryptedIndex(mode, dict(entries)), counts
+    table = dict(entries)
+    if len(table) != len(entries):
+        raise ValueError("two index entries share a lookup key")
+    return EncryptedIndex(mode, table, slots), counts
+
+
+def _seal_slots(cts: dict) -> tuple[dict, list[bytes]]:
+    """Seal each ciphertext once, under a fresh key, in a slot of the
+    table.  Slot numbers are a random permutation, drawn before anything
+    is sealed, so they follow neither first use nor value order.  Returns
+    each ciphertext's key in cts -> its `SLOT_REF`, and the table."""
+    numbers = random.SystemRandom().sample(range(len(cts)), len(cts))
+    refs, slots = {}, [b""] * len(cts)
+    for (pair, ct), number in zip(cts.items(), numbers):
+        key = secrets.token_bytes(KEY_BYTES)
+        slots[number] = rnd_encrypt(key, ct)
+        refs[pair] = SLOT_REF.pack(number, key)
+    return refs, slots
 
 
 # --- container ----------------------------------------------------------------
@@ -186,6 +216,11 @@ def serialize_index(index: EncryptedIndex) -> bytes:
         out += blob(key)
         out += struct.pack(">I", len(value))
         out += value
+    if index.mode == "ore":
+        out += struct.pack(">I", len(index.slots))
+        for slot in index.slots:
+            out += struct.pack(">I", len(slot))
+            out += slot
     return bytes(out)
 
 
@@ -198,8 +233,12 @@ def deserialize_index(data: bytes) -> EncryptedIndex:
         if key in table:
             raise FormatError("index: repeated lookup key")
         table[key] = cur.take(cur.unpack(">I")[0])
+    slots = []
+    if mode == "ore":
+        for _ in range(cur.unpack(">I")[0]):
+            slots.append(cur.take(cur.unpack(">I")[0]))
     cur.finish()
-    return EncryptedIndex(mode, table)
+    return EncryptedIndex(mode, table, slots)
 
 
 def index_stats(index: EncryptedIndex) -> dict:
@@ -208,6 +247,8 @@ def index_stats(index: EncryptedIndex) -> dict:
         "entries": len(index),
         "key_bytes": sorted({len(key) for key in index.table}),
         "value_bytes": sorted({len(v) for v in index.table.values()}),
+        "slots": len(index.slots),
+        "slot_bytes": sum(map(len, index.slots)),
         "container_bytes": len(serialize_index(index)),
     }
 

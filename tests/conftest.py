@@ -77,6 +77,63 @@ def finding_paths(report: dict) -> set[tuple]:
     return out
 
 
+def reseal_sink_line_slot(index, keys, edit) -> tuple[int, bytes]:
+    """Re-seal file 0's first XSS_SENS entry of an ore index, with the
+    (slot number, slot key) of its line field replaced by edit(number,
+    key).  Returns the number and key it named before."""
+    from cca.crypto import (
+        derive_token_keys,
+        det_encrypt,
+        rnd_decrypt,
+        rnd_encrypt,
+    )
+    from cca.index import SLOT_REF
+
+    d_key, r_key = derive_token_keys(keys.master, "0:XSS_SENS")
+    probe = det_encrypt(d_key, (1).to_bytes(4, "big"))
+    payload = rnd_decrypt(r_key, index.table[probe])
+    end = 64 + SLOT_REF.size  # the line field's reference follows D and R
+    number, key = SLOT_REF.unpack(payload[64:end])
+    index.table[probe] = rnd_encrypt(
+        r_key, payload[:64] + SLOT_REF.pack(*edit(number, key)) + payload[end:])
+    return number, key
+
+
+def _slot_past_the_end(index, keys):
+    reseal_sink_line_slot(index, keys, lambda n, k: (len(index.slots), k))
+
+
+def _flipped_slot_key(index, keys):
+    reseal_sink_line_slot(index, keys,
+                          lambda n, k: (n, bytes([k[0] ^ 1]) + k[1:]))
+
+
+def _flipped_slot_byte(index, keys):
+    number, _ = reseal_sink_line_slot(index, keys, lambda n, k: (n, k))
+    slot = bytearray(index.slots[number])
+    slot[20] ^= 1
+    index.slots[number] = bytes(slot)
+
+
+def _short_slot(index, keys):
+    from cca.crypto import rnd_decrypt, rnd_encrypt
+
+    number, key = reseal_sink_line_slot(index, keys, lambda n, k: (n, k))
+    ct = rnd_decrypt(key, index.slots[number])
+    index.slots[number] = rnd_encrypt(key, ct[:-1])
+
+
+# case -> (damage(index, keys) to an ore index whose file 0 has an XSS
+# sink, the cca.errors class analysing it raises, what its message says)
+HOSTILE_SLOTS = {
+    "slot number past the table": (_slot_past_the_end, "FormatError",
+                                   "past the end"),
+    "flipped slot key byte": (_flipped_slot_key, "IntegrityError", "tag"),
+    "flipped slot byte": (_flipped_slot_byte, "IntegrityError", "tag"),
+    "slot of the wrong length": (_short_slot, "FormatError", "339 bytes"),
+}
+
+
 @pytest.fixture(scope="session")
 def default_rules():
     from cca import load_rules

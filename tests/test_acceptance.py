@@ -216,10 +216,15 @@ def test_criterion_5_index_leakage_properties(tmp_path):
             root = write_app(tmp_path / name, app)
             for mode in ("plain", "std", "ore"):
                 res = encrypt_application(root, mode=mode)
-                keys = list(res.index.table)
-                assert len(set(keys)) == len(keys), (name, mode)
                 pair_count = sum(len(fa.dcfg) for fa in res.files)
                 assert len(res.index) == pair_count, (name, mode)
+                # lookup keys are distinct: a build whose keys repeat (each
+                # file given twice, under its one id) fails, never drops one
+                if pair_count:
+                    per_file = [(fa.source.file_id, fa.dcfg)
+                                for fa in res.files]
+                    with pytest.raises(ValueError, match="share a lookup"):
+                        build_index(per_file * 2, res.keys.master, mode=mode)
                 if mode != "plain":
                     sizes = {len(v) for v in res.index.table.values()}
                     assert len(sizes) <= 1, (name, mode)

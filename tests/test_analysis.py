@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cca.analysis
+import cca.errors
 
 from cca.analysis import (
     FileQuery,
@@ -37,7 +38,12 @@ from cca.analysis import (
     save_report,
     serialize_query,
 )
-from cca.crypto import derive_ore_key, derive_token_keys, ore_encrypt
+from cca.crypto import (
+    derive_ore_key,
+    derive_token_keys,
+    ore_encrypt,
+    rnd_decrypt,
+)
 from cca.errors import (
     AuthorizationError,
     FormatError,
@@ -48,7 +54,7 @@ from cca.index import token_identity
 from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
 
-from conftest import flatten_findings, write_app
+from conftest import HOSTILE_SLOTS, flatten_findings, write_app
 from corpus import CORPUS
 
 # Entry point read on line 1, constant on 2, copy on 3, self-update on 4,
@@ -573,6 +579,35 @@ def test_ore_ranks_are_per_file_whatever_the_reader_walked_before(tmp_path):
     assert [[node_tuple(n) for n in path] for path in after_a] == \
         [[node_tuple(n) for n in path] for path in alone]
     assert [[n.line for n in path] for path in alone] == [[3, 3, 0], [4, 4, 2]]
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_SLOTS))
+def test_hostile_slot_fails_analysis(tmp_path, case):
+    damage, error, says = HOSTILE_SLOTS[case]
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="ore")
+    query = authorise(res.keys, "xss")
+    assert analyse(res.index, query)["files"][0]["findings"]
+    damage(res.index, res.keys)
+    with pytest.raises(getattr(cca.errors, error), match=says):
+        analyse(res.index, query)
+
+
+def test_a_slot_is_opened_once_and_only_when_named(tmp_path, monkeypatch):
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="ore")
+    query = authorise(res.keys, "xss")
+    opened = []
+
+    def counting(key, blob):
+        opened.append(blob)
+        return rnd_decrypt(key, blob)
+
+    monkeypatch.setattr(cca.analysis, "rnd_decrypt", counting)
+    analyse(res.index, query)
+    slots = [blob for blob in opened if blob in res.index.slots]
+    assert len(slots) == len(set(slots)) > 0
+    # line 2 is only in the entry of $c, which no sink reaches, so its
+    # slot stays sealed
+    assert len(slots) == len(res.index.slots) - 1
 
 
 # --- larger flows -----------------------------------------------------------------

@@ -13,9 +13,10 @@ import cca
 from cca import __version__
 from cca.analysis import load_query, save_query
 from cca.cli import main
+from cca.crypto import load_keys
 from cca.index import load_index, save_index
 
-from conftest import write_app
+from conftest import HOSTILE_SLOTS, write_app
 
 APP = {
     "index.php": (
@@ -230,6 +231,8 @@ def test_stats_command(tmp_path, app_dir, capsys):
     out = capsys.readouterr().out
     assert "mode: ore" in out
     assert "entries: 6" in out
+    # lines 1-6, depth, order and type 0: one slot each
+    assert "slots: 9" in out.splitlines()
 
 
 def test_bench_command(app_dir, capsys):
@@ -400,6 +403,14 @@ def _set_sink_value(value: bytes):
     return damage
 
 
+def _damage_index(damage):
+    def apply(paths):
+        index = load_index(paths["index"])
+        damage(index, load_keys(paths["keys"]))
+        save_index(paths["index"], index)
+    return apply
+
+
 def _truncate_query_r_key(n: int):
     def damage(paths):
         query = load_query(paths["query"])
@@ -475,22 +486,28 @@ MALFORMED = {
         _replace_bytes("index", b"0:XSS_SENS#2", b"0:XSS_SENS#1"), "stats"),
     "ore index of version 2": ("", _set_byte("index", 8, 2), "analyse"),
     "ore index of version 3": ("", _set_byte("index", 8, 3), "analyse"),
+    "ore index of version 4": ("", _set_byte("index", 8, 4), "analyse"),
     "key store of version 3": ("--no-ore", _set_byte("keys", 8, 3), "authorise"),
     "key store of version 4": ("--no-ore", _set_byte("keys", 8, 4), "authorise"),
     "query of version 1": ("--no-ore", _set_byte("query", 8, 1), "analyse"),
     "report file id outside the key store": (
         "--no-ore", _edit_report(lambda r: r["files"][0].update(file=99)),
         "decrypt-report"),
+    **{f"ore index with a {case}": ("", _damage_index(damage), "analyse")
+       for case, (damage, _, _) in HOSTILE_SLOTS.items()},
 }
 # case -> what its one error line must say, where more than the prefix counts
 MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "index repeats a lookup key (stats)": "repeated lookup key",
                   "ore index of version 2": "unsupported version 2",
                   "ore index of version 3": "unsupported version 3",
+                  "ore index of version 4": "unsupported version 4",
                   "key store of version 3": "unsupported version 3",
                   "key store of version 4": "unsupported version 4",
                   "query of version 1": "unsupported version 1",
-                  "report file id outside the key store": "file 99"}
+                  "report file id outside the key store": "file 99",
+                  **{f"ore index with a {case}": says
+                     for case, (_, _, says) in HOSTILE_SLOTS.items()}}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))

@@ -297,7 +297,7 @@ KAT_KEY = OreKey(bytes(range(16)), bytes(range(16, 32)))
      "e4ff0ed026c5a05037836f9226989a5ec6f226d7fc21abfbceb2be37324e143064"
      "1c22",
      # SHA-256 of the 272-byte right half
-     "cd2c24e3bd87717e155e10adf4afcc0646d94e2434edd6529e9cb197d76967a2",
+     "0756229e50446bb80728abe5b9550b05e1acd0555ef69caeb75f41c876b9360d",
      "aae4f22226d7fc21abfbceb2"),
     (-5, 8, True, "b1879a4c84b03f140d7de329301278f3c3",
      "00000000000000000000000000000000"
@@ -321,6 +321,39 @@ def _aes(key: bytes, block: bytes) -> bytes:
     return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
 
 
+def _reference_mask(block: bytes) -> int:
+    """A slot's mask: the first byte of its AES block below 255, mod 3."""
+    return next((b for b in block if b != 255), 0) % 3
+
+
+# Blocks that open with runs of 255, as the mask rule has to skip them
+_MASK_BLOCKS = st.lists(
+    st.lists(st.sampled_from((255, 255, 0, 1, 2, 127, 254)), min_size=16,
+             max_size=16).map(bytes) | st.binary(min_size=16, max_size=16),
+    max_size=300).map(b"".join)
+
+
+@given(_MASK_BLOCKS)
+def test_masks_match_the_per_block_reference(blocks):
+    assert list(cca.crypto._masks(blocks)) == [
+        _reference_mask(blocks[k:k + 16]) for k in range(0, len(blocks), 16)]
+
+
+def test_masks_are_uniform_in_z3():
+    # 2^20 masks from AES blocks, 256 at a time as a right half takes
+    # them; a byte mod 3 alone is 0 with probability 86/256, 5.6 sigma
+    # above 1/3 at this size
+    n = 1 << 20
+    stream = _aes(bytes(range(16)), b"".join(
+        k.to_bytes(16, "big") for k in range(n)))
+    masks = b"".join(cca.crypto._masks(stream[k:k + 4096])
+                     for k in range(0, len(stream), 4096))
+    assert len(masks) == n
+    sigma = (n * (1 / 3) * (2 / 3)) ** 0.5
+    for residue in range(3):
+        assert abs(masks.count(residue) - n / 3) < 4 * sigma, residue
+
+
 def _reference_right(key: OreKey, value: int, width: int, signed: bool,
                      nonce: bytes) -> bytes:
     """The right half, one slot at a time, from AES and HMAC directly."""
@@ -335,7 +368,7 @@ def _reference_right(key: OreKey, value: int, width: int, signed: bool,
         for slot, x in enumerate(key.permutation(i, raw[:i])):
             code = 0 if x == y else (1 if x < y else 2)
             tag = _aes(block_key, slot.to_bytes(16, "big"))
-            v = (code + _aes(nonce, tag)[0] % 3) % 3
+            v = (code + _reference_mask(_aes(nonce, tag))) % 3
             packed[slot >> 2] |= v << ((slot & 3) * 2)
         out += packed
     return bytes(out)

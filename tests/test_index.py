@@ -137,13 +137,15 @@ def test_sensitive_counter_three_is_absent(fig_dcfg, master):
 # --- leakage shape --------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["std", "ore"])
-def test_keys_unique_values_uniform(fig_dcfg, master, mode):
+def test_keys_unique_values_uniform(fig_dcfg, master, mode, monkeypatch):
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
 
-    keys = list(index.table)
-    assert len(set(keys)) == len(keys)
     lengths = {len(v) for v in index.table.values()}
     assert len(lengths) == 1
+    # a build whose lookup keys collide fails rather than drop an entry
+    monkeypatch.setattr(cca.index, "det_encrypt", lambda key, data: b"k" * 20)
+    with pytest.raises(ValueError, match="share a lookup key"):
+        build_index([(0, fig_dcfg)], master, mode=mode)
 
 
 def test_entry_count_equals_pair_count(master):
@@ -215,9 +217,8 @@ def test_name_count_past_u16_names_file_and_family(master, token):
     assert max(counts[2]) == 65535
 
 
-def _ore_fields(index, counts, master):
-    """The four field ciphertexts of every entry, read with the keys."""
-    size = ore_ciphertext_bytes()
+def _slot_refs(index, counts, master):
+    """The four (slot number, slot key) of every entry, read with the keys."""
     for file_id, file_counts in counts.items():
         for token in candidate_names(file_counts):
             d_key, r_key = derive_token_keys(master,
@@ -226,8 +227,16 @@ def _ore_fields(index, counts, master):
             while blob := index.lookup(det_encrypt(d_key,
                                                    struct.pack(">I", counter))):
                 fields = rnd_decrypt(r_key, blob)[64:]
-                yield [fields[k * size:(k + 1) * size] for k in range(4)]
+                assert len(fields) == 4 * 20
+                yield [struct.unpack(">I16s", fields[k:k + 20])
+                       for k in range(0, 80, 20)]
                 counter += 1
+
+
+def _ore_fields(index, counts, master):
+    """The four field ciphertexts of every entry, from the slots it names."""
+    for refs in _slot_refs(index, counts, master):
+        yield [rnd_decrypt(key, index.slots[number]) for number, key in refs]
 
 
 def _field_values(master, entries):
@@ -285,6 +294,41 @@ def test_equal_field_values_share_one_ciphertext_per_build(
     assert all(len(cts) == 1 for cts in by_value.values())
     # no two (field, value) pairs share bytes, across fields included
     assert len(set().union(*by_value.values())) == 49
+
+
+def test_each_slot_holds_one_distinct_ciphertext_under_its_own_key(
+        corpus_per_file, master):
+    index, counts = build_index(corpus_per_file, master, mode="ore")
+    refs = {ref for entry in _slot_refs(index, counts, master)
+            for ref in entry}
+    assert len(index.slots) == 49
+    assert {number for number, _ in refs} == set(range(49))
+    assert len({key for _, key in refs}) == len(refs) == 49
+    assert {len(slot) for slot in index.slots} == {
+        12 + ore_ciphertext_bytes() + 16}
+    # an ore entry seals D_right || R_right || 4 x (u32 slot || slot key)
+    assert {len(v) for v in index.table.values()} == {12 + 144 + 16}
+
+
+def _line_slots(corpus_per_file, master) -> dict[int, int]:
+    """line value -> its slot number, in one corpus build."""
+    index, counts = build_index(corpus_per_file, master, mode="ore")
+    line_key, _ = ore_field_keys(master)["line"]
+    slots = {}
+    for refs in _slot_refs(index, counts, master):
+        number, key = refs[0]
+        ct = rnd_decrypt(key, index.slots[number])
+        slots[ore_name_value(line_key, ore_name(ct))] = number
+    return slots
+
+
+def test_slot_numbers_carry_no_value_order(corpus_per_file, master):
+    first = _line_slots(corpus_per_file, master)
+    assert len(first) == 37
+    by_value = [first[line] for line in sorted(first)]
+    assert by_value != sorted(by_value)
+    # slot numbers are drawn afresh per build
+    assert _line_slots(corpus_per_file, master) != first
 
 
 def test_two_ore_builds_share_no_field_ciphertext(fig_dcfg, master):
@@ -358,10 +402,11 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
-    # with SHA-256, version 3 held the DET hash and the ORE width
+    # with SHA-256, version 3 held the DET hash and the ORE width, version
+    # 4 held every field ciphertext in each entry, with biased masks
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -376,3 +421,8 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert stats["key_bytes"] == [20]
     assert len(stats["value_bytes"]) == 1
     assert stats["container_bytes"] > 0
+    assert stats["slots"] == stats["slot_bytes"] == 0
+    ore, _ = build_index([(0, fig_dcfg)], master, mode="ore")
+    stats = index_stats(ore)
+    # lines 2-7, depth, order and type 0: one slot each
+    assert (stats["slots"], stats["slot_bytes"]) == (9, 9 * (12 + 340 + 16))
