@@ -28,15 +28,17 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import re
 import struct
 from dataclasses import dataclass
 
 from .crypto import (
     DEFAULT_ORE_WIDTH,
+    KEY_BYTES,
     MODES,
     KeyStore,
     derive_det_keys,
-    derive_token_keys,
+    derive_token_key_pairs,
     det_encrypter,
     ore_ciphertext_bytes,
     ore_compare,
@@ -60,8 +62,6 @@ log = logging.getLogger(__name__)
 # Marks a log record whose message the report also carries as a warning,
 # so a caller that prints the report's warnings can drop the record.
 IN_REPORT = {"in_report": True}
-
-_D_BYTES = 32
 
 
 @dataclass(slots=True)
@@ -142,19 +142,22 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
         if not decisions.get(task, False):
             raise AuthorizationError(f"policy denies task {task!r}")
     sens_name, san_name = TASKS[task]
-    files = []
-    for file_id in sorted(ks.files):
-        sens, input_id, san_id = (token_identity(file_id, name)
-                                  for name in (sens_name, "INPUT", san_name))
-        if ks.mode != "plain":
-            sens = derive_token_keys(ks.master, sens)
-            input_id, san_id = derive_det_keys(ks.master, [input_id, san_id])
-        files.append(FileQuery(file_id, sens, input_id, san_id))
-    return Query(task, ks.mode, files)
+    file_ids = sorted(ks.files)
+    sens = [token_identity(file_id, sens_name) for file_id in file_ids]
+    ends = [token_identity(file_id, name) for file_id in file_ids
+            for name in ("INPUT", san_name)]
+    if ks.mode != "plain":  # every file's keys in two batches
+        sens = derive_token_key_pairs(ks.master, sens)
+        ends = derive_det_keys(ks.master, ends)
+    return Query(task, ks.mode, [
+        FileQuery(*fields) for fields in zip(file_ids, sens, ends[0::2],
+                                             ends[1::2])])
 
 
 _QRY_MAGIC = b"CCAQRY1\x00"
-_QRY_VERSION = 2
+_QRY_VERSION = 3
+# The four keys of a file in std and ore queries, in container order
+_QRY_KEYS = ("sink D", "sink R", "entry-point D", "sanitizer D")
 
 
 def serialize_query(query: Query) -> bytes:
@@ -178,14 +181,22 @@ def deserialize_query(data: bytes) -> Query:
     task = cur.code(TASKS, "task")
     mode = cur.code(MODES, "mode")
     files = []
+
+    def token_key(file_id: int, name: str) -> bytes:
+        got = cur.blob()
+        if len(got) != KEY_BYTES:
+            raise FormatError(f"query: file {file_id}'s {name} is a "
+                              f"{len(got)}-byte key, not {KEY_BYTES} bytes")
+        return got
+
     for _ in range(cur.unpack(">I")[0]):
         (file_id,) = cur.unpack(">I")
         if mode == "plain":
             sens, _ = cur.text(), cur.blob()
             files.append(FileQuery(file_id, sens, cur.text(), cur.text()))
         else:
-            sens = (cur.blob(), cur.blob())
-            files.append(FileQuery(file_id, sens, cur.blob(), cur.blob()))
+            keys = [token_key(file_id, name) for name in _QRY_KEYS]
+            files.append(FileQuery(file_id, tuple(keys[:2]), *keys[2:]))
     cur.finish()
     return Query(task, mode, files)
 
@@ -263,10 +274,10 @@ class IndexReader(Reader):
             if blob is None:
                 return edges
             payload = rnd_decrypt(r_key, blob)
-            if len(payload) != 2 * _D_BYTES + 4 * self.field_bytes:
+            if len(payload) != 2 * KEY_BYTES + 4 * self.field_bytes:
                 raise FormatError("index value has unexpected payload size")
-            right = (payload[:_D_BYTES], payload[_D_BYTES:2 * _D_BYTES])
-            edges.append(self._node(right, payload[2 * _D_BYTES:]))
+            right = (payload[:KEY_BYTES], payload[KEY_BYTES:2 * KEY_BYTES])
+            edges.append(self._node(right, payload[2 * KEY_BYTES:]))
 
     def _node(self, right, fields: bytes) -> PathNode:
         return PathNode(right[0], *struct.unpack(">iiii", fields), ref=right)
@@ -679,13 +690,18 @@ def _get(mapping, key: str, kind):
     return value
 
 
+# How std and ore reports write a token: the hex of its D key
+_TOKEN_NAME = re.compile("[0-9a-f]{%d}" % (2 * KEY_BYTES))
+
+
 def decrypt_report(report: dict, ks: KeyStore) -> dict:
     """Resolve an analysis report into file paths, token names and lines.
 
     The report comes back from the analyser, so each field is checked
-    where it is read: a malformed report raises FormatError, and one made
-    under other keys or in another mode raises KeyMismatchError, as does a
-    file id the key store does not hold or a token that no name of its
+    where it is read: a malformed report raises FormatError, as does a
+    std or ore token that is not 2 * KEY_BYTES hex digits, and one made
+    under other keys or in another mode raises KeyMismatchError, as does
+    a file id the key store does not hold or a token that no name of its
     file derives to.  Each finding's sink and source are the first and
     last node of its path.
     """
@@ -720,6 +736,11 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         token = _get(node, "token", str)
         out = {"token": file_tokens(file_id).get(token)}
         if out["token"] is None:
+            if mode != "plain" and not _TOKEN_NAME.fullmatch(token):
+                raise FormatError(
+                    f"report: token {token!r} is not a token name, "
+                    f"{2 * KEY_BYTES} lowercase hex digits; the report may "
+                    "come from an index of an older version")
             raise KeyMismatchError(
                 f"token {token!r} is no name of file {file_id} under this "
                 "key store; the report was produced from an index built "

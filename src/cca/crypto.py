@@ -4,7 +4,7 @@ Three building blocks:
 
 * DET: deterministic keyed mapping (HMAC-SHA1) used for index keys, so
   equal tokens map to equal index positions without revealing the token.
-* RND: randomized authenticated encryption (AES-256-GCM with a fresh
+* RND: randomized authenticated encryption (AES-128-GCM with a fresh
   96-bit nonce) used for index values, so equal payloads are
   indistinguishable.
 * ORE: an order-revealing scheme with left/right ciphertexts built from
@@ -18,7 +18,9 @@ Three building blocks:
   Every index encrypts its fields at DEFAULT_ORE_WIDTH bits.
 
 Everything derives from six 128-bit master keys: one for DET, one for RND,
-and one per protected flow field (line, depth, order, type).
+and one per protected flow field (line, depth, order, type).  Each token
+key D_t and R_t is HMAC-SHA256 under the DET or RND master key, truncated
+to the same KEY_BYTES (RFC 4231, section 4.6).
 """
 
 from __future__ import annotations
@@ -107,12 +109,14 @@ def _hmac_with(keyed: tuple, data: bytes) -> bytes:
 def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
     """Deterministic key D_t of each token, in order, and no value key R_t.
 
-    This is `_hmac` under the DET master key with both padded keys hashed
-    once per call: about 1.5 us a token against 4 us for a one-shot HMAC
-    call (CPython 3.11, OpenSSL hashlib, a 2-vCPU x86-64 VM).
+    This is `_hmac` under the DET master key, cut to KEY_BYTES, with both
+    padded keys hashed once per call: about 1.5 us a token against 4 us
+    for a one-shot HMAC call (CPython 3.11, OpenSSL hashlib, a 2-vCPU
+    x86-64 VM).
     """
     keyed = _hmac_keyed(keys.det, "sha256")
-    return [_hmac_with(keyed, token_id.encode()) for token_id in token_ids]
+    return [_hmac_with(keyed, token_id.encode())[:KEY_BYTES]
+            for token_id in token_ids]
 
 
 def derive_token_key_pairs(keys: MasterKeys,
@@ -121,13 +125,15 @@ def derive_token_key_pairs(keys: MasterKeys,
     gives them, with each master key's padded keys hashed once per call."""
     ids = [token_id.encode() for token_id in token_ids]
     det, rnd = _hmac_keyed(keys.det, "sha256"), _hmac_keyed(keys.rnd, "sha256")
-    return [(_hmac_with(det, i), _hmac_with(rnd, i)) for i in ids]
+    return [(_hmac_with(det, i)[:KEY_BYTES], _hmac_with(rnd, i)[:KEY_BYTES])
+            for i in ids]
 
 
 def derive_token_keys(keys: MasterKeys, token_id: str) -> tuple[bytes, bytes]:
-    """Per-token key pair: deterministic key D_t and value key R_t."""
+    """Per-token key pair: deterministic key D_t and value key R_t, each
+    the first KEY_BYTES of HMAC-SHA256 under its master key."""
     (det_key,) = derive_det_keys(keys, [token_id])
-    return det_key, _hmac(keys.rnd, token_id.encode())
+    return det_key, _hmac(keys.rnd, token_id.encode())[:KEY_BYTES]
 
 
 # --- DET ----------------------------------------------------------------------
@@ -145,18 +151,30 @@ def det_encrypter(key: bytes) -> Callable[[bytes], bytes]:
 
 # --- RND ----------------------------------------------------------------------
 
+def rnd_encrypter(key: bytes) -> Callable[[bytes], bytes]:
+    """`rnd_encrypt` under one key, for many messages: one AES-GCM object
+    serves them all, and each message still draws its own nonce."""
+    seal = AESGCM(key).encrypt
+
+    def encrypt(plaintext: bytes) -> bytes:
+        nonce = os.urandom(_RND_NONCE_BYTES)
+        return nonce + seal(nonce, plaintext, None)
+
+    return encrypt
+
+
 def rnd_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Randomized authenticated encryption: nonce || ciphertext || tag.
 
-    The key (a 32-byte token key R_t) is the AES-GCM key itself.
+    The key (a 16-byte token key R_t or slot key) is the AES-GCM key
+    itself, so RND runs as AES-128-GCM.
     """
-    nonce = os.urandom(_RND_NONCE_BYTES)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+    return rnd_encrypter(key)(plaintext)
 
 
 def rnd_decrypt(key: bytes, blob: bytes) -> bytes:
     """Verify and decrypt an RND blob; raises IntegrityError on any damage,
-    and on a key AES does not accept (such as a truncated query key)."""
+    and on a key AES does not accept (a length other than 16, 24 or 32)."""
     if len(blob) < _RND_NONCE_BYTES + _RND_TAG_BYTES:
         raise IntegrityError("ciphertext too short")
     try:

@@ -35,6 +35,7 @@ from .crypto import (
     ore_encrypt,
     ore_field_keys,
     rnd_encrypt,
+    rnd_encrypter,
 )
 from .dcfg import DCFG, VALUE_FAMILIES
 from .errors import ConfigError, FormatError
@@ -42,7 +43,7 @@ from .fileio import Cursor, atomic_write, blob
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 5
+_VERSION = 6
 SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore field: slot, slot key
 
 
@@ -123,7 +124,7 @@ def build_index(
 
     counts: dict[int, tuple[int, int]] = {}
     entries: list[tuple[bytes, bytes]] = []
-    sealing = []  # ore: (key, R_left, D_right || R_right, (field, value)s)
+    sealing = []  # ore: (key, R_left's sealer, D_right || R_right, fields)
     ore_keys = ore_field_keys(keys)
     ore_memo: dict[tuple[str, int], bytes] = {}
 
@@ -158,6 +159,9 @@ def build_index(
             tokens, derive_token_key_pairs(
                 keys, [token_identity(file_id, token) for token in tokens])))
         for left, pairs in by_left.items():
+            if mode != "plain":  # one key pair, and one sealer, per left token
+                d_left, r_left = token_keys[left]
+                seal = rnd_encrypter(r_left)
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
                 values = (right.line, right.depth, right.order, right.cf_type)
@@ -166,24 +170,21 @@ def build_index(
                     value = "|".join((token_identity(file_id, right.token),
                                       *map(str, values))).encode()
                 else:
-                    d_left, r_left = token_keys[left]
                     d_right, r_right = token_keys[right.token]
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"))
                     if mode == "ore":  # sealed below, once the slots are
                         fields = tuple(zip(ore_keys, values))
                         for name, v in fields:
                             ore_field(path, name, v)
-                        sealing.append((key, r_left, d_right + r_right,
-                                        fields))
+                        sealing.append((key, seal, d_right + r_right, fields))
                         continue
-                    value = rnd_encrypt(r_left, d_right + r_right
-                                        + std_fields(path, values))
+                    value = seal(d_right + r_right + std_fields(path, values))
                 entries.append((key, value))
 
     refs, slots = _seal_slots(ore_memo)
-    for key, r_left, head, fields in sealing:
-        entries.append((key, rnd_encrypt(
-            r_left, head + b"".join(map(refs.__getitem__, fields)))))
+    for key, seal, head, fields in sealing:
+        entries.append((key, seal(head + b"".join(map(refs.__getitem__,
+                                                      fields)))))
     if mode != "plain":
         random.SystemRandom().shuffle(entries)
     table = dict(entries)

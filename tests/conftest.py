@@ -82,6 +82,7 @@ def reseal_sink_line_slot(index, keys, edit) -> tuple[int, bytes]:
     (slot number, slot key) of its line field replaced by edit(number,
     key).  Returns the number and key it named before."""
     from cca.crypto import (
+        KEY_BYTES,
         derive_token_keys,
         det_encrypt,
         rnd_decrypt,
@@ -92,10 +93,12 @@ def reseal_sink_line_slot(index, keys, edit) -> tuple[int, bytes]:
     d_key, r_key = derive_token_keys(keys.master, "0:XSS_SENS")
     probe = det_encrypt(d_key, (1).to_bytes(4, "big"))
     payload = rnd_decrypt(r_key, index.table[probe])
-    end = 64 + SLOT_REF.size  # the line field's reference follows D and R
-    number, key = SLOT_REF.unpack(payload[64:end])
+    start = 2 * KEY_BYTES  # the line field's reference follows D and R
+    end = start + SLOT_REF.size
+    number, key = SLOT_REF.unpack(payload[start:end])
     index.table[probe] = rnd_encrypt(
-        r_key, payload[:64] + SLOT_REF.pack(*edit(number, key)) + payload[end:])
+        r_key,
+        payload[:start] + SLOT_REF.pack(*edit(number, key)) + payload[end:])
     return number, key
 
 

@@ -39,6 +39,9 @@ from cca.analysis import (
     serialize_query,
 )
 from cca.crypto import (
+    KEY_BYTES,
+    KeyStore,
+    MasterKeys,
     derive_ore_key,
     derive_token_keys,
     ore_encrypt,
@@ -51,6 +54,7 @@ from cca.errors import (
     UsageError,
 )
 from cca.index import token_identity
+from cca.itl import TASKS
 from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
 
@@ -129,6 +133,24 @@ def test_authorise_token_keys_match_direct_derivation(tmp_path):
     san_d, _ = derive_token_keys(res.keys.master, token_identity(0, "XSS_SAN"))
     assert fq.input_id == input_d
     assert fq.san_id == san_d
+
+
+@pytest.mark.parametrize("mode", ["std", "ore"])
+def test_batched_query_equals_per_file_derivation_byte_for_byte(mode):
+    # a fixed key store: the query is a function of it alone
+    master = MasterKeys(*(bytes([k]) * KEY_BYTES for k in range(6)))
+    ks = KeyStore(master, mode, {0: "a.php", 3: "b.php", 7: "c.php"},
+                  {0: (2, 0), 3: (0, 1), 7: (0, 0)})
+    for task, (sens, san) in TASKS.items():
+        expected = Query(task, mode, [FileQuery(
+            file_id, derive_token_keys(master, token_identity(file_id, sens)),
+            derive_token_keys(master, token_identity(file_id, "INPUT"))[0],
+            derive_token_keys(master, token_identity(file_id, san))[0])
+            for file_id in (0, 3, 7)])
+        got = serialize_query(authorise(ks, task))
+        assert got == serialize_query(expected)
+        # header, file count, then per file an id and four 16-byte keys
+        assert len(got) == 8 + 3 + 4 + 3 * (4 + 4 * (2 + KEY_BYTES))
 
 
 # --- policy files --------------------------------------------------------------
@@ -236,6 +258,23 @@ def test_query_container_rejects_trailing_bytes(tmp_path):
     blob = serialize_query(authorise(res.keys, "xss"))
     with pytest.raises(FormatError, match="trailing"):
         deserialize_query(blob + b"\x00")
+
+
+@pytest.mark.parametrize("length", [7, 32])
+@pytest.mark.parametrize("k, which", enumerate(
+    ["sink D", "sink R", "entry-point D", "sanitizer D"]))
+def test_query_container_rejects_a_key_of_another_length(tmp_path, k, which,
+                                                         length):
+    # 32 bytes is the token key length of version 2 queries
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
+    query = authorise(res.keys, "xss")
+    fq = query.files[0]
+    keys = [*fq.sens, fq.input_id, fq.san_id]
+    keys[k] = (keys[k] * 2)[:length]
+    fq.sens, fq.input_id, fq.san_id = (keys[0], keys[1]), keys[2], keys[3]
+    with pytest.raises(FormatError, match=f"file 0's {which} is a "
+                                          f"{length}-byte key, not 16"):
+        deserialize_query(serialize_query(query))
 
 
 # --- analyse input validation ----------------------------------------------------
@@ -427,7 +466,26 @@ def test_report_tokens_are_opaque_before_decryption(tmp_path):
     assert list(finding) == ["path"]  # sink and source are path[0] and path[-1]
     token = finding["path"][0]["token"]
     assert "XSS" not in token
-    assert bytes.fromhex(token)  # hex encoded key, not a name
+    # the hex of the sink's 16-byte D key, not a name
+    assert bytes.fromhex(token) == authorise(res.keys, "xss").files[0].sens[0]
+    assert len(token) == 2 * KEY_BYTES
+
+
+@pytest.mark.parametrize("mode", ["std", "ore"])
+@pytest.mark.parametrize("edit", [lambda t: t * 2, lambda t: t[:-2],
+                                  str.upper, lambda t: t[:-1] + "g"],
+                         ids=["64 digits", "30 digits", "upper case",
+                              "not hex"])
+def test_report_token_that_is_no_token_name_is_a_format_error(
+        tmp_path, mode, edit):
+    # a report of a version 5 index names tokens by 64 hex digits: the
+    # report is malformed for these keys, not made under others
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    sink = report["files"][0]["findings"][0]["path"][0]
+    sink["token"] = edit(sink["token"])
+    with pytest.raises(FormatError, match="32 lowercase hex digits"):
+        decrypt_report(report, res.keys)
 
 
 @pytest.mark.parametrize("mode", ["std", "ore"])

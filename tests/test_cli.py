@@ -436,6 +436,15 @@ def _set_byte(name: str, offset: int, value: int):
     return damage
 
 
+def _widen_query_d_key(n: int):
+    def damage(paths):
+        query = load_query(paths["query"])
+        d_key, r_key = query.files[0].sens
+        query.files[0].sens = ((d_key * n)[:n], r_key)
+        save_query(paths["query"], query)
+    return damage
+
+
 COMMANDS = {
     "authorise": lambda p: ("authorise", "--keys", p["keys"], "--task", "xss",
                             "--out", p["query"]),
@@ -490,6 +499,13 @@ MALFORMED = {
     "key store of version 3": ("--no-ore", _set_byte("keys", 8, 3), "authorise"),
     "key store of version 4": ("--no-ore", _set_byte("keys", 8, 4), "authorise"),
     "query of version 1": ("--no-ore", _set_byte("query", 8, 1), "analyse"),
+    "ore index of version 5": ("", _set_byte("index", 8, 5), "analyse"),
+    "query of version 2": ("--no-ore", _set_byte("query", 8, 2), "analyse"),
+    "query with a 32-byte sink D key": (
+        "--no-ore", _widen_query_d_key(32), "analyse"),
+    "report token of 64 hex digits": (
+        "", _edit_report(lambda r: _sink(r).update(token=_sink(r)["token"] * 2)),
+        "decrypt-report"),
     "report file id outside the key store": (
         "--no-ore", _edit_report(lambda r: r["files"][0].update(file=99)),
         "decrypt-report"),
@@ -505,6 +521,11 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "key store of version 3": "unsupported version 3",
                   "key store of version 4": "unsupported version 4",
                   "query of version 1": "unsupported version 1",
+                  "ore index of version 5": "unsupported version 5",
+                  "query of version 2": "unsupported version 2",
+                  "query with a 32-byte sink D key":
+                      "sink D is a 32-byte key, not 16 bytes",
+                  "report token of 64 hex digits": "32 lowercase hex digits",
                   "report file id outside the key store": "file 99",
                   **{f"ore index with a {case}": says
                      for case, (_, _, says) in HOSTILE_SLOTS.items()}}

@@ -36,6 +36,7 @@ from cca.crypto import (
     ore_keygen,
     ore_name,
     ore_name_value,
+    rnd_encrypter,
     save_keys,
     serialize_keys,
 )
@@ -60,7 +61,7 @@ def test_token_key_derivation_is_deterministic_and_separated():
     d4, _ = derive_token_keys(mk, "1:VAR0")
 
     assert (d1, r1) == (d2, r2)
-    assert len(d1) == 32 and len(r1) == 32
+    assert len(d1) == 16 and len(r1) == 16
     assert d1 != r1
     assert d1 != d3 and r1 != r3
     assert d1 != d4  # same token, different file
@@ -69,10 +70,22 @@ def test_token_key_derivation_is_deterministic_and_separated():
 
 @given(st.integers(16, 100), st.lists(st.text(max_size=80), max_size=3))
 def test_det_keys_are_hmac_sha256_under_the_det_master_key(key_len, ids):
-    # keys longer than the 64-byte block are hashed first, as RFC 2104 says
+    # keys longer than the 64-byte block are hashed first, as RFC 2104 says;
+    # a token key is the first 16 bytes of the digest (RFC 4231, 4.6)
     mk = MasterKeys(*(bytes([k]) * key_len for k in range(6)))
     assert derive_det_keys(mk, ids) == [
-        hmac.new(mk.det, i.encode(), "sha256").digest() for i in ids]
+        hmac.new(mk.det, i.encode(), "sha256").digest()[:16] for i in ids]
+
+
+@given(st.integers(16, 100), st.lists(st.text(max_size=80), max_size=3))
+def test_token_keys_are_truncated_hmac_sha256_under_their_master_keys(
+        key_len, ids):
+    mk = MasterKeys(*(bytes([k]) * key_len for k in range(6)))
+    expected = [(hmac.new(mk.det, i.encode(), "sha256").digest()[:16],
+                 hmac.new(mk.rnd, i.encode(), "sha256").digest()[:16])
+                for i in ids]
+    assert [derive_token_keys(mk, i) for i in ids] == expected
+    assert derive_token_key_pairs(mk, ids) == expected
 
 
 @given(st.lists(st.text(max_size=40), max_size=5))
@@ -91,12 +104,11 @@ def test_det_matches_published_hmac_sha1_vector():
 
 
 def test_det_matches_published_hmac_sha256_vector():
-    # RFC 4231 test case 2, as the DET key of a token under the DET master key
+    # RFC 4231 test case 2, as the DET key of a token under the DET master
+    # key: the digest's first 16 bytes
     mk = MasterKeys(b"Jefe", *(bytes(16) for _ in range(5)))
     (digest,) = derive_det_keys(mk, ["what do ya want for nothing?"])
-    assert digest.hex() == (
-        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    )
+    assert digest.hex() == "5bdcc146bf60754e6a042426089575c7"
 
 
 @given(st.binary(min_size=1, max_size=100), st.lists(st.binary(max_size=8),
@@ -147,6 +159,26 @@ def test_rnd_known_answer(monkeypatch):
         "cea7403d4d606b6e074ec5d3baf39d18"
         "d0d1c8a799996bf0265b98b5d48ab919")
     assert rnd_decrypt(key, blob) == payload
+
+
+def test_rnd_known_answer_at_the_token_key_size(monkeypatch):
+    # AES-128-GCM test case 2 of the same specification: token and slot
+    # keys are 16 bytes, so this is the cipher every index value uses
+    monkeypatch.setattr("cca.crypto.os.urandom", bytes)
+    key, payload = bytes(16), bytes(16)
+    for blob in (rnd_encrypt(key, payload), rnd_encrypter(key)(payload)):
+        assert blob.hex() == (
+            "000000000000000000000000"
+            "0388dace60b6a392f328c2b971b2fe78"
+            "ab6e47d42cec13bdf53a67b21257bddf")
+        assert rnd_decrypt(key, blob) == payload
+
+
+def test_rnd_encrypter_draws_a_fresh_nonce_per_message():
+    seal = rnd_encrypter(b"\x03" * 16)
+    blobs = [seal(b"same message") for _ in range(64)]
+    assert len({b[:12] for b in blobs}) == 64
+    assert all(rnd_decrypt(b"\x03" * 16, b) == b"same message" for b in blobs)
 
 
 def test_rnd_is_randomized():

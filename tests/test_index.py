@@ -5,7 +5,9 @@ from __future__ import annotations
 import struct
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+import cca.crypto
 import cca.index
 from cca import (
     build_index,
@@ -16,9 +18,11 @@ from cca import (
     load_rules,
     load_task_knowledge,
     rnd_decrypt,
+    rnd_encrypt,
     translate,
 )
 from cca.crypto import (
+    KEY_BYTES,
     ore_ciphertext_bytes,
     ore_encrypt,
     ore_field_keys,
@@ -34,6 +38,7 @@ from cca.dcfg import (
 )
 from cca.errors import ConfigError, FormatError
 from cca.index import (
+    SLOT_REF,
     candidate_names,
     deserialize_index,
     index_stats,
@@ -119,8 +124,10 @@ def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     assert blob is not None
 
     payload = rnd_decrypt(r_sens, blob)
-    d_right, r_right = payload[:32], payload[32:64]
-    line, depth, order, cf_type = struct.unpack(">iiii", payload[64:])
+    assert len(payload) == 48  # D_right || R_right || four signed 32-bit fields
+    d_right, r_right = payload[:KEY_BYTES], payload[KEY_BYTES:2 * KEY_BYTES]
+    line, depth, order, cf_type = struct.unpack(">iiii",
+                                                payload[2 * KEY_BYTES:])
     assert (d_right, r_right) == derive_token_keys(
         master, token_identity(0, "VAR0"))
     assert (line, depth, order, cf_type) == (6, 0, 0, 0)
@@ -146,6 +153,30 @@ def test_keys_unique_values_uniform(fig_dcfg, master, mode, monkeypatch):
     monkeypatch.setattr(cca.index, "det_encrypt", lambda key, data: b"k" * 20)
     with pytest.raises(ValueError, match="share a lookup key"):
         build_index([(0, fig_dcfg)], master, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["std", "ore"])
+def test_one_aes_gcm_object_seals_every_entry_of_a_left_token(
+        fig_dcfg, master, mode, monkeypatch):
+    made, one_shot = [], []
+
+    def counting_aesgcm(key):
+        made.append(key)
+        return AESGCM(key)
+
+    def counting_rnd_encrypt(key, plaintext):
+        one_shot.append(key)
+        return rnd_encrypt(key, plaintext)
+
+    monkeypatch.setattr(cca.crypto, "AESGCM", counting_aesgcm)
+    monkeypatch.setattr(cca.index, "rnd_encrypt", counting_rnd_encrypt)
+    index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
+    # fig_flow: 6 entries under 4 left tokens; ore seals 9 slots one-shot
+    lefts = len(fig_dcfg.by_left())
+    assert (len(index), lefts) == (6, 4)
+    assert len(one_shot) == len(index.slots) == (9 if mode == "ore" else 0)
+    assert len(made) == lefts + len(one_shot)
+    assert all(len(key) == KEY_BYTES for key in made)
 
 
 def test_entry_count_equals_pair_count(master):
@@ -226,10 +257,12 @@ def _slot_refs(index, counts, master):
             counter = 1
             while blob := index.lookup(det_encrypt(d_key,
                                                    struct.pack(">I", counter))):
-                fields = rnd_decrypt(r_key, blob)[64:]
-                assert len(fields) == 4 * 20
-                yield [struct.unpack(">I16s", fields[k:k + 20])
-                       for k in range(0, 80, 20)]
+                payload = rnd_decrypt(r_key, blob)
+                assert len(payload) == 112
+                fields = payload[2 * KEY_BYTES:]
+                assert len(fields) == 4 * SLOT_REF.size
+                yield [SLOT_REF.unpack_from(fields, k)
+                       for k in range(0, len(fields), SLOT_REF.size)]
                 counter += 1
 
 
@@ -307,7 +340,7 @@ def test_each_slot_holds_one_distinct_ciphertext_under_its_own_key(
     assert {len(slot) for slot in index.slots} == {
         12 + ore_ciphertext_bytes() + 16}
     # an ore entry seals D_right || R_right || 4 x (u32 slot || slot key)
-    assert {len(v) for v in index.table.values()} == {12 + 144 + 16}
+    assert {len(v) for v in index.table.values()} == {12 + 112 + 16}
 
 
 def _line_slots(corpus_per_file, master) -> dict[int, int]:
@@ -402,11 +435,12 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
-    # 4 held every field ciphertext in each entry, with biased masks
+    # 4 held every field ciphertext in each entry, with biased masks, and
+    # version 5 held 32-byte token keys
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -419,10 +453,11 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert stats["entries"] == 6
     assert stats["mode"] == "std"
     assert stats["key_bytes"] == [20]
-    assert len(stats["value_bytes"]) == 1
+    assert stats["value_bytes"] == [12 + 48 + 16]
     assert stats["container_bytes"] > 0
     assert stats["slots"] == stats["slot_bytes"] == 0
     ore, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     stats = index_stats(ore)
     # lines 2-7, depth, order and type 0: one slot each
     assert (stats["slots"], stats["slot_bytes"]) == (9, 9 * (12 + 340 + 16))
+    assert stats["value_bytes"] == [12 + 112 + 16]
