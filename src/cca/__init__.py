@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .crypto import (
     MasterKeys,
-    derive_token_keys,
     det_encrypt,
     generate_master_keys,
     load_keys,
@@ -74,7 +73,6 @@ __all__ = [
     "build_index",
     "collect_sources",
     "decrypt_report",
-    "derive_token_keys",
     "det_encrypt",
     "encrypt_application",
     "enumerate_findings",

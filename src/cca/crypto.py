@@ -14,19 +14,20 @@ Three building blocks:
   block's slot tags are AES-128 (ECB) of the slot numbers under a key
   derived per block; each slot's mask is taken from AES-128 of its tag
   under the right half's public nonce (`_masks`).  One AES call makes all
-  256 of either.
-  Every index encrypts its fields at DEFAULT_ORE_WIDTH bits.
+  256 of either, and `ore_encrypt` builds both halves in one pass over
+  the blocks.  Every index encrypts its fields at DEFAULT_ORE_WIDTH bits.
 
 Everything derives from six 128-bit master keys: one for DET, one for RND,
 and one per protected flow field (line, depth, order, type).  Each token
 key D_t and R_t is HMAC-SHA256 under the DET or RND master key, truncated
-to the same KEY_BYTES (RFC 4231, section 4.6).
+to the same KEY_BYTES (RFC 4231, section 4.6); each field's ORE key pair
+is HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated alike.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac as hmac_mod
+import hmac
 import os
 import secrets
 import struct
@@ -57,10 +58,6 @@ _RND_TAG_BYTES = 16
 # the `MasterKeys` attribute that keys it, and whether its values are signed.
 ORE_FIELDS = (("line", "ore_line", False), ("depth", "ore_depth", False),
               ("order", "ore_order", False), ("type", "ore_type", True))
-
-
-def _hmac(key: bytes, data: bytes, algo: str = "sha256") -> bytes:
-    return hmac_mod.new(key, data, algo).digest()
 
 
 # HMAC's inner and outer pads (RFC 2104), as byte translation tables.
@@ -109,8 +106,8 @@ def _hmac_with(keyed: tuple, data: bytes) -> bytes:
 def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
     """Deterministic key D_t of each token, in order, and no value key R_t.
 
-    This is `_hmac` under the DET master key, cut to KEY_BYTES, with both
-    padded keys hashed once per call: about 1.5 us a token against 4 us
+    This is HMAC-SHA256 under the DET master key, cut to KEY_BYTES, with
+    both padded keys hashed once per call: about 1.5 us a token against 4 us
     for a one-shot HMAC call (CPython 3.11, OpenSSL hashlib, a 2-vCPU
     x86-64 VM).
     """
@@ -121,26 +118,20 @@ def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
 
 def derive_token_key_pairs(keys: MasterKeys,
                            token_ids: Iterable[str]) -> list[tuple[bytes, bytes]]:
-    """Key pair (D_t, R_t) of each token, in order, as `derive_token_keys`
-    gives them, with each master key's padded keys hashed once per call."""
+    """Key pair (D_t, R_t) of each token, in order: the first KEY_BYTES of
+    HMAC-SHA256 under the DET and the RND master key, with each master
+    key's padded keys hashed once per call."""
     ids = [token_id.encode() for token_id in token_ids]
     det, rnd = _hmac_keyed(keys.det, "sha256"), _hmac_keyed(keys.rnd, "sha256")
     return [(_hmac_with(det, i)[:KEY_BYTES], _hmac_with(rnd, i)[:KEY_BYTES])
             for i in ids]
 
 
-def derive_token_keys(keys: MasterKeys, token_id: str) -> tuple[bytes, bytes]:
-    """Per-token key pair: deterministic key D_t and value key R_t, each
-    the first KEY_BYTES of HMAC-SHA256 under its master key."""
-    (det_key,) = derive_det_keys(keys, [token_id])
-    return det_key, _hmac(keys.rnd, token_id.encode())[:KEY_BYTES]
-
-
 # --- DET ----------------------------------------------------------------------
 
 def det_encrypt(key: bytes, data: bytes) -> bytes:
     """Deterministic keyed digest of data: 20 bytes of HMAC-SHA1."""
-    return _hmac(key, data, "sha1")
+    return hmac.digest(key, data, "sha1")
 
 
 def det_encrypter(key: bytes) -> Callable[[bytes], bytes]:
@@ -192,44 +183,33 @@ def rnd_decrypt(key: bytes, blob: bytes) -> bytes:
 
 @dataclass
 class OreKey:
-    """Key material for the order-revealing scheme, with a derivation cache.
+    """Key material for the order-revealing scheme: the PRF key of the slot
+    tags and the PRP key of the slot permutations.
 
-    The cache maps (derivation, block index, prefix) to that block's slot
-    permutation or slot tags; both are deterministic in the key, so the
-    cache only saves recomputation and never changes results.
+    `permutation(index, prefix)` is the value in each slot of one block
+    (slot -> value) and `slot_tags(index, prefix)` the 16-byte comparison
+    tag of each slot, joined.  Both are deterministic in the key, so each
+    key memoises the last 4096 blocks of each; the memo only saves
+    recomputation and never changes results.
     """
 
     prf_key: bytes
     prp_key: bytes
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    permutation: Callable[[int, bytes], bytes] = field(
+        init=False, repr=False, compare=False)
+    slot_tags: Callable[[int, bytes], bytes] = field(
+        init=False, repr=False, compare=False)
 
-    _CACHE_CAP = 8192  # a permutation and a tag block per block
-
-    def permutation(self, index: int, prefix: bytes) -> bytes:
-        """Value in each slot of one block (slot -> value)."""
-        return self._derived(_derive_permutation, self.prp_key, index, prefix)
-
-    def slot_tags(self, index: int, prefix: bytes) -> bytes:
-        """16-byte comparison tag of every slot of one block, joined."""
-        return self._derived(_derive_slot_tags, self.prf_key, index, prefix)
-
-    def _derived(self, derive, secret: bytes, index: int, prefix: bytes):
-        cache_key = (derive, index, prefix)
-        hit = self._cache.get(cache_key)
-        if hit is None:
-            if len(self._cache) >= self._CACHE_CAP:
-                self._cache.clear()
-            hit = self._cache[cache_key] = derive(secret, index, prefix)
-        return hit
-
-
-def ore_keygen() -> OreKey:
-    return OreKey(secrets.token_bytes(KEY_BYTES), secrets.token_bytes(KEY_BYTES))
+    def __post_init__(self) -> None:
+        self.permutation = lru_cache(4096)(
+            partial(_derive_permutation, self.prp_key))
+        self.slot_tags = lru_cache(4096)(
+            partial(_derive_slot_tags, self.prf_key))
 
 
 def derive_ore_key(master: bytes) -> OreKey:
-    return OreKey(_hmac(master, b"prf")[:KEY_BYTES],
-                  _hmac(master, b"prp")[:KEY_BYTES])
+    return OreKey(hmac.digest(master, b"prf", "sha256")[:KEY_BYTES],
+                  hmac.digest(master, b"prp", "sha256")[:KEY_BYTES])
 
 
 def ore_field_keys(master: MasterKeys) -> dict[str, tuple[OreKey, bool]]:
@@ -244,7 +224,7 @@ def _derive_permutation(prp_key: bytes, index: int, prefix: bytes) -> bytes:
     Fisher-Yates driven by an HMAC counter stream with rejection sampling,
     so the permutation is uniform and identical on every platform.
     """
-    seed = _hmac(prp_key, bytes([index]) + prefix)
+    seed = hmac.digest(prp_key, bytes([index]) + prefix, "sha256")
     perm = list(range(ORE_BLOCK_DOMAIN))
     stream = b""
     counter = 0
@@ -296,7 +276,8 @@ def _masks(blocks: bytes) -> bytes:
 
 def _derive_slot_tags(prf_key: bytes, index: int, prefix: bytes) -> bytes:
     """Tags of one block's slots: AES of each slot under a per-block key."""
-    block_key = _hmac(prf_key, bytes([index]) + prefix)[:KEY_BYTES]
+    block_key = hmac.digest(prf_key, bytes([index]) + prefix,
+                            "sha256")[:KEY_BYTES]
     return _ecb(block_key).update(_SLOT_BLOCKS)
 
 
@@ -317,55 +298,41 @@ def _check_range(value: int, width: int, signed: bool) -> int:
     return value
 
 
-def ore_encrypt_left(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
-                     signed: bool = False) -> bytes:
-    """Left (query-side) ciphertext: per block a tag and a permuted slot."""
-    value = _check_range(value, width, signed)
-    n = width // ORE_BLOCK_BITS
-    raw = value.to_bytes(n, "big")
-    out = bytearray()
-    for i in range(n):
-        prefix = raw[:i]
-        slot = key.permutation(i, prefix).index(raw[i])
-        out += key.slot_tags(i, prefix)[16 * slot:16 * slot + 16]
-        out.append(slot)
-    return bytes(out)
+def ore_encrypt(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
+                signed: bool = False) -> bytes:
+    """Full ciphertext: the left (query-side) half, then the right
+    (data-side) half, both built in one pass over the blocks.
 
-
-def ore_encrypt_right(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
-                      signed: bool = False) -> bytes:
-    """Right (data-side) ciphertext: nonce plus masked comparison tables.
-
-    Slot s of a block holds (cmp(value in s, y) + mask(s)) % 3, two bits
-    per slot, slot 4j in the low bits of byte j; cmp is 0 for equal, 1
-    below y and 2 above.  The slots are summed as little-endian integers:
-    no byte passes 4 (code plus mask) or 170 (four packed codes), so no
-    sum carries into the next byte.
+    Per block the left half holds the tag of the slot the value's byte y
+    permutes to, then that slot.  The right half is a nonce plus one
+    masked comparison table per block: slot s holds
+    (cmp(value in s, y) + mask(s)) % 3, two bits per slot, slot 4j in the
+    low bits of byte j; cmp is 0 for equal, 1 below y and 2 above.  The
+    slots are summed as little-endian integers: no byte passes 4 (code
+    plus mask) or 170 (four packed codes), so no sum carries into the
+    next byte.
     """
     value = _check_range(value, width, signed)
-    n = width // ORE_BLOCK_BITS
-    raw = value.to_bytes(n, "big")
+    raw = value.to_bytes(width // ORE_BLOCK_BITS, "big")
     nonce = os.urandom(16)
     masker = _ecb(nonce)
-    out = [nonce]
-    for i in range(n):
-        prefix, y = raw[:i], raw[i]
-        codes = key.permutation(i, prefix).translate(
+    left = bytearray()
+    right = [nonce]
+    for i, y in enumerate(raw):
+        prefix = raw[:i]
+        perm, tags = key.permutation(i, prefix), key.slot_tags(i, prefix)
+        slot = perm.index(y)
+        left += tags[16 * slot:16 * slot + 16]
+        left.append(slot)
+        codes = perm.translate(
             b"\x01" * y + b"\x00" + b"\x02" * (ORE_BLOCK_DOMAIN - 1 - y))
-        masks = _masks(masker.update(key.slot_tags(i, prefix)))
+        masks = _masks(masker.update(tags))
         v = (int.from_bytes(codes, "little") + int.from_bytes(masks, "little")
              ).to_bytes(ORE_BLOCK_DOMAIN, "little").translate(_MOD3)
         packed = sum(int.from_bytes(v[k::4], "little") << 2 * k
                      for k in range(4))
-        out.append(packed.to_bytes(ORE_BLOCK_DOMAIN // 4, "little"))
-    return b"".join(out)
-
-
-def ore_encrypt(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
-                signed: bool = False) -> bytes:
-    """Full ciphertext: left part followed by right part."""
-    return (ore_encrypt_left(key, value, width, signed)
-            + ore_encrypt_right(key, value, width, signed))
+        right.append(packed.to_bytes(ORE_BLOCK_DOMAIN // 4, "little"))
+    return bytes(left) + b"".join(right)
 
 
 def ore_left_bytes(width: int = DEFAULT_ORE_WIDTH) -> int:
@@ -431,7 +398,7 @@ def ore_name_value(key: OreKey, name: bytes, width: int = DEFAULT_ORE_WIDTH,
         raw += key.permutation(i, raw)[name[i]:name[i] + 1]
     slot = name[n - 1]
     tags = key.slot_tags(n - 1, raw[:-1])
-    if not hmac_mod.compare_digest(tags[16 * slot:16 * slot + _ORE_CHECK_BYTES],
+    if not hmac.compare_digest(tags[16 * slot:16 * slot + _ORE_CHECK_BYTES],
                                    name[n:]):
         raise KeyMismatchError(
             "order-revealing name does not decrypt under this key store; "

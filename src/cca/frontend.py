@@ -91,7 +91,8 @@ TOKEN_GROUPS = {
 UNSUPPORTED_WORDS = frozenset(
     "class new extends implements interface trait abstract final "
     "public private protected static namespace use const clone "
-    "try catch finally throw yield".split()
+    "try catch finally throw yield "
+    "endif endwhile endfor endforeach endswitch".split()
 )
 
 # echo/print/exit take arguments without parentheses; they still lex as
@@ -106,9 +107,6 @@ class LexToken:
     type: str
     value: str
     line: int
-
-    def __iter__(self):
-        return iter((self.type, self.value, self.line))
 
 
 @dataclass

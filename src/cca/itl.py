@@ -88,9 +88,6 @@ class ITLToken:
     token: str
     line: int
 
-    def __iter__(self):
-        return iter((self.token, self.line))
-
 
 # --- configuration -----------------------------------------------------------
 

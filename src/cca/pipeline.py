@@ -15,7 +15,6 @@ from .itl import (
     ITLToken,
     RuleSet,
     TaskKnowledge,
-    TranslationContext,
     load_rules,
     load_task_knowledge,
     translate,
@@ -31,7 +30,6 @@ class FileArtifacts:
     source: SourceFile
     lex_tokens: list[LexToken]
     itl_tokens: list[ITLToken]
-    context: TranslationContext
     extended: list[ExtendedITLToken]
     dcfg: DCFG
 
@@ -54,7 +52,7 @@ def process_file(
     itl_tokens, ctx = translate(lex_tokens, rules, tk, source.rel)
     extended = annotate_control_flow(itl_tokens, source.rel)
     dcfg = build_dcfg(extended, ctx)
-    return FileArtifacts(source, lex_tokens, itl_tokens, ctx, extended, dcfg)
+    return FileArtifacts(source, lex_tokens, itl_tokens, extended, dcfg)
 
 
 def compile_sources(

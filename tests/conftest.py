@@ -83,14 +83,14 @@ def reseal_sink_line_slot(index, keys, edit) -> tuple[int, bytes]:
     key).  Returns the number and key it named before."""
     from cca.crypto import (
         KEY_BYTES,
-        derive_token_keys,
+        derive_token_key_pairs,
         det_encrypt,
         rnd_decrypt,
         rnd_encrypt,
     )
     from cca.index import SLOT_REF
 
-    d_key, r_key = derive_token_keys(keys.master, "0:XSS_SENS")
+    d_key, r_key = derive_token_key_pairs(keys.master, ["0:XSS_SENS"])[0]
     probe = det_encrypt(d_key, (1).to_bytes(4, "big"))
     payload = rnd_decrypt(r_key, index.table[probe])
     start = 2 * KEY_BYTES  # the line field's reference follows D and R

@@ -43,7 +43,7 @@ from cca.crypto import (
     KeyStore,
     MasterKeys,
     derive_ore_key,
-    derive_token_keys,
+    derive_token_key_pairs,
     ore_encrypt,
     rnd_decrypt,
 )
@@ -127,10 +127,12 @@ def test_authorise_plain_refs_are_readable(tmp_path):
 def test_authorise_token_keys_match_direct_derivation(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     (fq,) = authorise(res.keys, "xss").files
-    assert fq.sens == derive_token_keys(res.keys.master,
-                                        token_identity(0, "XSS_SENS"))
-    input_d, _ = derive_token_keys(res.keys.master, token_identity(0, "INPUT"))
-    san_d, _ = derive_token_keys(res.keys.master, token_identity(0, "XSS_SAN"))
+    assert fq.sens == derive_token_key_pairs(
+        res.keys.master, [token_identity(0, "XSS_SENS")])[0]
+    ((input_d, _),) = derive_token_key_pairs(
+        res.keys.master, [token_identity(0, "INPUT")])
+    ((san_d, _),) = derive_token_key_pairs(
+        res.keys.master, [token_identity(0, "XSS_SAN")])
     assert fq.input_id == input_d
     assert fq.san_id == san_d
 
@@ -141,11 +143,14 @@ def test_batched_query_equals_per_file_derivation_byte_for_byte(mode):
     master = MasterKeys(*(bytes([k]) * KEY_BYTES for k in range(6)))
     ks = KeyStore(master, mode, {0: "a.php", 3: "b.php", 7: "c.php"},
                   {0: (2, 0), 3: (0, 1), 7: (0, 0)})
+    def pair(file_id, token):  # one token at a time
+        return derive_token_key_pairs(master,
+                                      [token_identity(file_id, token)])[0]
+
     for task, (sens, san) in TASKS.items():
         expected = Query(task, mode, [FileQuery(
-            file_id, derive_token_keys(master, token_identity(file_id, sens)),
-            derive_token_keys(master, token_identity(file_id, "INPUT"))[0],
-            derive_token_keys(master, token_identity(file_id, san))[0])
+            file_id, pair(file_id, sens), pair(file_id, "INPUT")[0],
+            pair(file_id, san)[0])
             for file_id in (0, 3, 7)])
         got = serialize_query(authorise(ks, task))
         assert got == serialize_query(expected)
@@ -394,6 +399,17 @@ def test_divergence_after_the_sink_line_does_not_shadow():
     after = [sink, node("V", 5), node("B", 9)]
     survivors = resolve_control_flow([[inside, after]])
     assert survivors == [inside]
+
+
+def test_a_later_rewrite_evicts_an_earlier_survivor():
+    # the earlier write is listed first, so it survives until the later
+    # one beats it and removes it
+    sink = node("S", 5)
+    early = [sink, node("V", 5), node("A", 2)]
+    middle = [sink, node("V", 5), node("C", 3)]
+    late = [sink, node("V", 5), node("B", 4)]
+    assert resolve_control_flow([[early, late]]) == [late]
+    assert resolve_control_flow([[early, middle, late]]) == [late]
 
 
 def test_different_scope_sets_never_compete():

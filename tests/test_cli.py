@@ -188,6 +188,30 @@ def test_unsupported_file_is_skipped_once(tmp_path, command):
     assert "bad.php" not in done.stdout
 
 
+# PHP's colon syntax: echo runs only after the rewrite to "safe"
+ALTERNATIVE_SYNTAX = ('<?php\n$a = $_GET["x"];\nif ($c):\n    $a = "safe";\n'
+                      "    echo $a;\nendif;\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("encrypt", "--index", "i", "--keys", "k"),
+    ("oracle", "--task", "xss"),
+], ids=lambda argv: argv[0])
+def test_alternative_syntax_file_is_skipped_not_misanalysed(
+        tmp_path, capsys, monkeypatch, command):
+    src = write_app(tmp_path / "mixed", {
+        "good.php": "<?php echo $_GET['x'];\n",
+        "alt.php": ALTERNATIVE_SYNTAX,
+    })
+    monkeypatch.chdir(tmp_path)
+    assert run(*command, "--src", src) == 0
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("warning: skipped alt.php: ")
+    assert "keyword 'endif'" in line
+    assert "alt.php" not in captured.out
+
+
 def test_string_splitting_rule_decides_interpolated_flows(tmp_path, capsys):
     src = write_app(tmp_path / "app", {
         "index.php": "<?php $a = $_GET['x'];\necho \"hi $a\";\n"})
@@ -338,6 +362,42 @@ def test_deeply_nested_task_knowledge_is_exit_code_2(tmp_path, app_dir, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tk}: not parseable")
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert not list(tmp_path.glob("*.cca*"))  # nothing was written
+
+
+# A task knowledge database, section by section; each case replaces one
+TASK_KNOWLEDGE = {"INPUT": "[$_GET]", "XSS_SENS": "[echo]",
+                  "SQLi_SENS": "[mysql_query]",
+                  "XSS_SAN": "[htmlspecialchars]",
+                  "SQLi_SAN": "[mysql_real_escape_string]"}
+
+# case -> (section, its new list or None to drop it, what the error says)
+BAD_TASK_KNOWLEDGE = {
+    "missing section": ("SQLi_SAN", None,
+                        "missing or empty section 'SQLi_SAN'"),
+    "bad name": ("XSS_SENS", "[echo, 5]", "bad name 5 under XSS_SENS"),
+    "entry point without $": ("INPUT", "[_GET]",
+                              "entry point '_GET' must be a variable"),
+    "function name with $": (
+        "XSS_SAN", "[$clean]",
+        "function name '$clean' must not be a variable"),
+    "name under two sections": (
+        "XSS_SAN", "[ECHO]", "'echo' appears under both XSS_SENS and XSS_SAN"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TASK_KNOWLEDGE))
+def test_bad_task_knowledge_is_exit_code_2(tmp_path, app_dir, capsys,
+                                          monkeypatch, case):
+    section, names, says = BAD_TASK_KNOWLEDGE[case]
+    monkeypatch.chdir(tmp_path)
+    sections = {**TASK_KNOWLEDGE, section: names}
+    tk = tmp_path / "tk.yaml"
+    tk.write_text("".join(f"{token}: {value}\n"
+                          for token, value in sections.items() if value))
+    assert run("encrypt", "--src", app_dir, "--task-knowledge", tk) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tk}: {says}\n"
     assert not list(tmp_path.glob("*.cca*"))  # nothing was written
 
 

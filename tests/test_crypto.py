@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import secrets
 import stat
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import given, strategies as st
 
 import cca.crypto
 from cca import (
-    derive_token_keys,
     det_encrypt,
     generate_master_keys,
     load_keys,
@@ -31,9 +31,7 @@ from cca.crypto import (
     deserialize_keys,
     det_encrypter,
     ore_ciphertext_bytes,
-    ore_encrypt_left,
-    ore_encrypt_right,
-    ore_keygen,
+    ore_left_bytes,
     ore_name,
     ore_name_value,
     rnd_encrypter,
@@ -55,10 +53,10 @@ def test_default_security_parameter_gives_six_16_byte_keys():
 
 def test_token_key_derivation_is_deterministic_and_separated():
     mk = generate_master_keys()
-    d1, r1 = derive_token_keys(mk, "0:VAR0")
-    d2, r2 = derive_token_keys(mk, "0:VAR0")
-    d3, r3 = derive_token_keys(mk, "0:VAR1")
-    d4, _ = derive_token_keys(mk, "1:VAR0")
+    d1, r1 = derive_token_key_pairs(mk, ["0:VAR0"])[0]
+    d2, r2 = derive_token_key_pairs(mk, ["0:VAR0"])[0]
+    d3, r3 = derive_token_key_pairs(mk, ["0:VAR1"])[0]
+    d4, _ = derive_token_key_pairs(mk, ["1:VAR0"])[0]
 
     assert (d1, r1) == (d2, r2)
     assert len(d1) == 16 and len(r1) == 16
@@ -84,7 +82,7 @@ def test_token_keys_are_truncated_hmac_sha256_under_their_master_keys(
     expected = [(hmac.new(mk.det, i.encode(), "sha256").digest()[:16],
                  hmac.new(mk.rnd, i.encode(), "sha256").digest()[:16])
                 for i in ids]
-    assert [derive_token_keys(mk, i) for i in ids] == expected
+    assert [derive_token_key_pairs(mk, [i])[0] for i in ids] == expected
     assert derive_token_key_pairs(mk, ids) == expected
 
 
@@ -92,7 +90,7 @@ def test_token_keys_are_truncated_hmac_sha256_under_their_master_keys(
 def test_batch_token_keys_equal_one_at_a_time_derivation(ids):
     mk = MasterKeys(*(bytes([k]) * 16 for k in range(6)))
     assert derive_token_key_pairs(mk, ids) == [
-        derive_token_keys(mk, i) for i in ids]
+        derive_token_key_pairs(mk, [i])[0] for i in ids]
 
 
 # --- DET -----------------------------------------------------------------------
@@ -226,8 +224,12 @@ def test_rnd_roundtrip_any_payload(payload):
 
 # --- ORE -----------------------------------------------------------------------
 
+def _random_ore_key() -> OreKey:
+    return OreKey(secrets.token_bytes(16), secrets.token_bytes(16))
+
+
 def test_ore_orders_small_integers():
-    key = ore_keygen()
+    key = _random_ore_key()
     five = ore_encrypt(key, 5)
     nine = ore_encrypt(key, 9)
     seven_a = ore_encrypt(key, 7)
@@ -239,21 +241,20 @@ def test_ore_orders_small_integers():
 
 
 def test_ore_equal_values_have_distinct_ciphertexts():
-    key = ore_keygen()
+    key = _random_ore_key()
     assert ore_encrypt(key, 7) != ore_encrypt(key, 7)
 
 
 def test_ore_ciphertext_sizes():
-    key = ore_keygen()
+    key = _random_ore_key()
     assert ore_ciphertext_bytes(32) == 340
     assert len(ore_encrypt(key, 1234)) == 340
-    assert len(ore_encrypt_left(key, 1234)) == 68
-    assert len(ore_encrypt_right(key, 1234)) == 272
+    assert ore_left_bytes(32) == 68  # the right half is the other 272
     assert len(ore_encrypt(key, 9, width=8)) == ore_ciphertext_bytes(8)
 
 
 def test_ore_signed_mode_orders_negative_branch_types():
-    key = ore_keygen()
+    key = _random_ore_key()
     minus = ore_encrypt(key, -1, width=8, signed=True)
     zero = ore_encrypt(key, 0, width=8, signed=True)
     plus = ore_encrypt(key, 3, width=8, signed=True)
@@ -264,7 +265,7 @@ def test_ore_signed_mode_orders_negative_branch_types():
 
 
 def test_ore_range_validation():
-    key = ore_keygen()
+    key = _random_ore_key()
     with pytest.raises(ValueError):
         ore_encrypt(key, -1, width=8)
     with pytest.raises(ValueError):
@@ -276,7 +277,7 @@ def test_ore_range_validation():
 
 
 def test_ore_length_validation_in_compare():
-    key = ore_keygen()
+    key = _random_ore_key()
     a = ore_encrypt(key, 1, width=8)
     b = ore_encrypt(key, 2, width=16)
     with pytest.raises(ValueError):
@@ -294,9 +295,10 @@ def test_ore_key_derivation_is_deterministic():
 
 
 def test_ore_left_half_is_deterministic_right_half_is_not():
-    key = ore_keygen()
-    assert ore_encrypt_left(key, 77) == ore_encrypt_left(key, 77)
-    assert ore_encrypt_right(key, 77) != ore_encrypt_right(key, 77)
+    key = _random_ore_key()
+    a, b, cut = ore_encrypt(key, 77), ore_encrypt(key, 77), ore_left_bytes()
+    assert a[:cut] == b[:cut]
+    assert a[cut:] != b[cut:]
 
 
 @given(st.integers(0, 255), st.integers(0, 255))
@@ -413,7 +415,8 @@ def test_ore_right_half_matches_the_per_slot_reference(width, signed, data):
     nonce = bytes(range(100, 116))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("cca.crypto.os.urandom", lambda n: nonce[:n])
-        got = ore_encrypt_right(KAT_KEY, value, width, signed)
+        got = ore_encrypt(KAT_KEY, value, width,
+                          signed)[ore_left_bytes(width):]
     assert got == _reference_right(KAT_KEY, value, width, signed, nonce)
 
 
@@ -462,8 +465,9 @@ def test_ore_names_round_trip_signed_16_bit_values():
 
 
 def test_ore_name_is_part_of_the_left_half():
-    left = ore_encrypt_left(NAME_KEY, 70000)
-    assert ore_name(ore_encrypt(NAME_KEY, 70000)) == left[16::17] + left[51:59]
+    ct = ore_encrypt(NAME_KEY, 70000)
+    left = ct[:ore_left_bytes()]
+    assert ore_name(ct) == left[16::17] + left[51:59]
 
 
 def test_flipped_ore_name_byte_is_a_key_mismatch():

@@ -205,6 +205,40 @@ def test_foreach_binds_loop_variable_to_collection():
     assert ("XSS_SENS", "VAR1", 3, 0, 0, 0) in pairs
 
 
+# translator data flows: source line -> its dependency pairs, all at
+# depth, order and type 0
+FLOWS = {
+    # an accessor inside an accessor surfaces its variable too
+    "$a = $b[$c[1]];": [("VAR0", "VAR1"), ("VAR0", "VAR2")],
+    # $5 names no variable; an escaped \$c is text, a \\ before $c is not
+    '$a = "cost \\$5 for $b";': [("VAR0", "STRING"), ("VAR0", "VAR1")],
+    '$a = "cost \\$c for $b";': [("VAR0", "STRING"), ("VAR0", "VAR1")],
+    '$a = "\\\\$c";': [("VAR0", "STRING"), ("VAR0", "VAR1")],
+    '$a = "price: $";': [("VAR0", "STRING")],
+    # a bare block opens no scope, and a group is transparent
+    "{ $a = $b; }": [("VAR0", "VAR1")],
+    "$b = ($a . 'x');": [("VAR0", "VAR1"), ("VAR0", "STRING")],
+}
+
+
+@pytest.mark.parametrize("source", list(FLOWS))
+def test_translated_flows_give_their_pairs(source):
+    assert _pairs(f"<?php\n{source}\n") == [
+        (left, right, 2, 0, 0, 0) for left, right in FLOWS[source]]
+
+
+def test_ending_token_that_closes_nothing_fails_annotation():
+    # the translator takes an if inside a for header; its END_IF then
+    # falls inside the header's condition, which no IF opened
+    rules, tk = load_rules(), load_task_knowledge()
+    tokens, _ = translate(
+        lex("<?php\nfor ($i = if ($a) 0; $i < 3; $i = $i + 1) { }\n"),
+        rules, tk, "t.php")
+    with pytest.raises(StructureError) as err:
+        annotate_control_flow(tokens, "t.php")
+    assert str(err.value) == "t.php:2: END_IF closes nothing"
+
+
 def test_empty_stream_builds_empty_dcfg():
     dcfg = _dcfg("<?php\n")
     assert dcfg.pairs == []

@@ -182,6 +182,16 @@ def test_unsupported_object_syntax_rejected():
         lex("<?php $x = $a ?: $b;")
 
 
+@pytest.mark.parametrize("word", ["endif", "endwhile", "endfor",
+                                  "endforeach", "ENDSWITCH"])
+def test_alternative_control_syntax_rejected(word):
+    # the colon form closes its body with an end word; read as a braceless
+    # body it would end after one statement and misplace the rest
+    with pytest.raises(UnsupportedSyntaxError,
+                       match=rf"x\.php:4: keyword '{word}' is outside"):
+        lex(f"<?php\nif ($c):\n    $a = 1;\n{word};\n", path="x.php")
+
+
 def test_unsupported_is_a_lex_error():
     assert issubclass(UnsupportedSyntaxError, LexError)
 

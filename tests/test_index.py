@@ -12,7 +12,6 @@ import cca.index
 from cca import (
     build_index,
     det_encrypt,
-    derive_token_keys,
     generate_master_keys,
     lex,
     load_rules,
@@ -23,6 +22,7 @@ from cca import (
 )
 from cca.crypto import (
     KEY_BYTES,
+    derive_token_key_pairs,
     ore_ciphertext_bytes,
     ore_encrypt,
     ore_field_keys,
@@ -109,7 +109,8 @@ def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
 
     expected = []
     for left, pairs in fig_dcfg.by_left().items():
-        d_left, _ = derive_token_keys(master, token_identity(0, left))
+        ((d_left, _),) = derive_token_key_pairs(master,
+                                                [token_identity(0, left)])
         for counter in range(1, len(pairs) + 1):
             expected.append(det_encrypt(d_left, struct.pack(">I", counter)))
     assert sorted(index.table) == sorted(expected)
@@ -118,7 +119,8 @@ def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
 def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
 
-    d_sens, r_sens = derive_token_keys(master, token_identity(0, "XSS_SENS"))
+    ((d_sens, r_sens),) = derive_token_key_pairs(
+        master, [token_identity(0, "XSS_SENS")])
     probe = det_encrypt(d_sens, struct.pack(">I", 1))
     blob = index.lookup(probe)
     assert blob is not None
@@ -128,14 +130,15 @@ def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     d_right, r_right = payload[:KEY_BYTES], payload[KEY_BYTES:2 * KEY_BYTES]
     line, depth, order, cf_type = struct.unpack(">iiii",
                                                 payload[2 * KEY_BYTES:])
-    assert (d_right, r_right) == derive_token_keys(
-        master, token_identity(0, "VAR0"))
+    assert (d_right, r_right) == derive_token_key_pairs(
+        master, [token_identity(0, "VAR0")])[0]
     assert (line, depth, order, cf_type) == (6, 0, 0, 0)
 
 
 def test_sensitive_counter_three_is_absent(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
-    d_sens, _ = derive_token_keys(master, token_identity(0, "XSS_SENS"))
+    ((d_sens, _),) = derive_token_key_pairs(
+        master, [token_identity(0, "XSS_SENS")])
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 1)))
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 2)))
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 3))) is None
@@ -252,8 +255,8 @@ def _slot_refs(index, counts, master):
     """The four (slot number, slot key) of every entry, read with the keys."""
     for file_id, file_counts in counts.items():
         for token in candidate_names(file_counts):
-            d_key, r_key = derive_token_keys(master,
-                                             token_identity(file_id, token))
+            ((d_key, r_key),) = derive_token_key_pairs(
+                master, [token_identity(file_id, token)])
             counter = 1
             while blob := index.lookup(det_encrypt(d_key,
                                                    struct.pack(">I", counter))):

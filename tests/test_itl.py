@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cca import lex, load_rules, load_task_knowledge, translate
-from cca.errors import ConfigError, StructureError
+from cca.errors import ConfigError, StructureError, TranslationError
 from cca.itl import (
     ALL_FAMILIES,
     BASE_FAMILIES,
@@ -187,6 +187,38 @@ def test_translation_context_records_assignment_ops(default_rules, default_tk):
 def test_unbalanced_braces_rejected(default_rules, default_tk):
     with pytest.raises(StructureError):
         _translate("<?php if(1 == 1) { echo 'x';", default_rules, default_tk)
+
+
+# source line 2 -> (error class, its message after "t.php")
+REJECTED = {
+    "if ($a == 1)": (StructureError, ": branch body missing at end of file"),
+    "f(1;": (StructureError, ": unbalanced parentheses at end of file"),
+    "function f($x) return $x;": (StructureError,
+                                  ":2: function body must be braced"),
+    "do { } while ($a);": (TranslationError,
+                           ":2: do-while is outside the supported subset"),
+    "}": (StructureError, ":2: unmatched closing brace"),
+    "if ($a) }": (StructureError, ":2: unexpected closing brace"),
+    "$a = 1);": (StructureError, ":2: unmatched closing parenthesis"),
+    "elseif ($a) { }": (StructureError, ":2: elseif without if"),
+    "else { }": (StructureError, ":2: else without if"),
+    "case 1:": (StructureError, ":2: case label outside switch"),
+    "if $a { }": (StructureError,
+                  ":2: if requires a parenthesised condition"),
+    "$a = $b[1;": (StructureError, ": unterminated array access"),
+    "$a = [1, 2];": (TranslationError,
+                     ":2: no translation rule for LexToken LBRACKET"),
+}
+
+
+@pytest.mark.parametrize("source", list(REJECTED))
+def test_out_of_subset_structure_rejected(default_rules, default_tk, source):
+    error, says = REJECTED[source]
+    with pytest.raises(error) as err:
+        translate(lex(f"<?php\n{source}\n"), default_rules, default_tk,
+                  "t.php")
+    assert type(err.value) is error
+    assert str(err.value) == "t.php" + says
 
 
 # --- leakage and determinism --------------------------------------------------

@@ -18,7 +18,7 @@ from cca.itl import load_rules, load_task_knowledge, translate
 from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
 
-from conftest import write_app
+from conftest import finding_paths, write_app
 from corpus import CORPUS
 
 
@@ -163,6 +163,21 @@ def test_rewrite_whose_every_flow_is_impossible_does_not_shadow():
     assert oracle_paths(dcfg, "xss") == {path}
 
 
+def test_repeated_pair_gives_one_finding():
+    # the two walks through the repeated pair are duplicates: one is kept
+    dcfg = DCFG([
+        mk("VAR0", "INPUT", 1),
+        mk("VAR0", "INPUT", 1),
+        mk("XSS_SENS", "VAR0", 2),
+    ])
+    path = (("XSS_SENS", 2, 0, 0, 0), ("VAR0", 2, 0, 0, 0),
+            ("INPUT", 1, 0, 0, 0))
+    assert enumerate_findings(dcfg, "xss") == {path}
+    (entry,) = plaintext_analyse([(0, dcfg)], "xss")["files"]
+    assert len(entry["findings"]) == 1
+    assert oracle_paths(dcfg, "xss") == {path}
+
+
 def test_plaintext_oracle_reports_the_detection_budget():
     # 24 if/else diamonds give 2**24 findings, past the budget
     lines = ["<?php", "$v0 = $_GET['k'];"]
@@ -234,6 +249,22 @@ def test_oracle_matches_independent_enumerator(tmp_path, name, task):
     res = encrypt_application(write_app(tmp_path, CORPUS[name]), mode="plain")
     for fa in res.files:
         assert oracle_paths(fa.dcfg, task) == enumerate_findings(fa.dcfg, task)
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_tainted_array_index_taints_the_element(tmp_path, mode):
+    # $arr[$i] reads an element chosen by the input, so $x carries it
+    app = {"index.php": "<?php\n$i = $_GET['q'];\n$x = $arr[$i];\n"
+                        "echo $x;\n"}
+    res = encrypt_application(write_app(tmp_path, app), mode=mode)
+    path = (("XSS_SENS", 4, 0, 0, 0), ("VAR1", 4, 0, 0, 0),
+            ("VAR0", 3, 0, 0, 0), ("INPUT", 2, 0, 0, 0))
+    (fa,) = res.files
+    assert enumerate_findings(fa.dcfg, "xss") == {path}
+    assert oracle_paths(fa.dcfg, "xss") == {path}
+    report = decrypt_report(analyse(res.index, authorise(res.keys, "xss")),
+                            res.keys)
+    assert finding_paths(report) == {("index.php", path)}
 
 
 # --- random program property -------------------------------------------------------
