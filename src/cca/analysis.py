@@ -622,19 +622,29 @@ def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
 
 # --- full run and reports -------------------------------------------------------
 
-def node_to_dict(node: PathNode) -> dict:
-    """Report form of a node; ore fields are named by `crypto.ore_name`."""
+# The fields of a node in a report's node table, in order
+NODE_FIELDS = ("token", "line", "depth", "order", "type")
+
+
+def report_node(node: PathNode) -> tuple:
+    """Report form of a node, NODE_FIELDS in order; ore fields are named
+    by `crypto.ore_name`."""
     token = node.token.hex() if isinstance(node.token, bytes) else node.token
     if node.cts is None:
-        fields = (node.line, node.depth, node.order, node.cf_type)
-    else:
-        fields = ["ore:" + ore_name(ct).hex() for ct in node.cts]
-    return {"token": token, "line": fields[0], "depth": fields[1],
-            "order": fields[2], "type": fields[3]}
+        return token, node.line, node.depth, node.order, node.cf_type
+    return (token, *["ore:" + ore_name(ct).hex() for ct in node.cts])
+
+
+def node_to_dict(node: PathNode) -> dict:
+    """Decrypted-report form of a plaintext node."""
+    return dict(zip(NODE_FIELDS, report_node(node)))
 
 
 def analyse(index: EncryptedIndex, query: Query) -> dict:
-    """Run the full detection over one index with one query."""
+    """Run the full detection over one index with one query.
+
+    Each file lists its distinct nodes once, in first-use order, and each
+    finding as the indices of its path's nodes, sink first."""
     if query.mode != index.mode:
         raise FormatError(
             f"query was authorised for mode {query.mode!r} but the index "
@@ -647,12 +657,17 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
         findings, complete = detect(reader, fq)
         if not complete:
             warnings.append(BUDGET_WARNING.format(fq.file_id))
-        report["files"].append({"file": fq.file_id, "findings": [
-            {"path": [node_to_dict(n) for n in nodes]}
-            for nodes in findings]})
+        # keyed on the report form: every path has a sink node of its own
+        table: dict[tuple, int] = {}
+        paths = [[table.setdefault(report_node(n), len(table)) for n in nodes]
+                 for nodes in findings]
+        report["files"].append({"file": fq.file_id,
+                                "nodes": [list(n) for n in table],
+                                "findings": paths})
     if not reader.answered and len(index) > 0:
-        warnings.append("no sensitive entries answered any probe; the query "
-                        "keys may not match this index")
+        warnings.append(
+            "no sensitive entries answered any probe: the index has no sink "
+            f"of task {query.task}, or the query keys do not match it")
     for message in warnings:
         log.warning(message, extra=IN_REPORT)
     if warnings:
@@ -702,8 +717,9 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
     std or ore token that is not 2 * KEY_BYTES hex digits, and one made
     under other keys or in another mode raises KeyMismatchError, as does
     a file id the key store does not hold or a token that no name of its
-    file derives to.  Each finding's sink and source are the first and
-    last node of its path.
+    file derives to.  Each node of a file's table is resolved once; each
+    finding becomes the path of its nodes, with the first as its sink and
+    the last as its source.
     """
     mode = _get(report, "mode", str)
     if mode != ks.mode:
@@ -733,7 +749,12 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         return got
 
     def resolve_node(file_id: int, node) -> dict:
-        token = _get(node, "token", str)
+        if not isinstance(node, list) or len(node) != len(NODE_FIELDS):
+            raise FormatError("report: a node is not a list of "
+                              + ", ".join(NODE_FIELDS))
+        token = node[0]
+        if not isinstance(token, str):
+            raise FormatError("report: a node's token is not a string")
         out = {"token": file_tokens(file_id).get(token)}
         if out["token"] is None:
             if mode != "plain" and not _TOKEN_NAME.fullmatch(token):
@@ -745,9 +766,27 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
                 f"token {token!r} is no name of file {file_id} under this "
                 "key store; the report was produced from an index built "
                 "with different keys")
-        for field in ("line", "depth", "order", "type"):
-            out[field] = resolve_field(field, _get(node, field, field_kind))
+        for field, value in zip(NODE_FIELDS[1:], node[1:]):
+            if not isinstance(value, field_kind) or isinstance(value, bool):
+                raise FormatError(f"report: node field {field!r} has the "
+                                  "wrong type")
+            out[field] = resolve_field(field, value)
         return out
+
+    def resolve_path(finding, nodes: list[dict]) -> list[dict]:
+        if not isinstance(finding, list):
+            raise FormatError(
+                "report: a finding is not a list of indices into its file's "
+                "nodes; a report whose findings are objects with a path "
+                "comes from an older version")
+        if not finding:
+            raise FormatError("report: empty finding")
+        for i in finding:
+            if type(i) is not int or not 0 <= i < len(nodes):
+                raise FormatError(f"report: finding names node {i!r}, not "
+                                  f"an index into the file's {len(nodes)} "
+                                  "nodes")
+        return [nodes[i] for i in finding]
 
     task = _get(report, "task", str)
     if task not in TASKS:
@@ -758,12 +797,13 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         if file_id not in ks.files:
             raise KeyMismatchError(f"report names file {file_id}, which this "
                                    "key store does not hold")
+        if "nodes" not in entry:
+            raise FormatError(f"report: file {file_id} has no node table; a "
+                              "report without one comes from an older version")
+        nodes = [resolve_node(file_id, n) for n in _get(entry, "nodes", list)]
         resolved = {"file": ks.files[file_id], "findings": []}
         for finding in _get(entry, "findings", list):
-            path = [resolve_node(file_id, n)
-                    for n in _get(finding, "path", list)]
-            if not path:
-                raise FormatError("report: finding with an empty path")
+            path = resolve_path(finding, nodes)
             resolved["findings"].append(
                 {"sink": path[0], "source": path[-1], "path": path})
         out["files"].append(resolved)

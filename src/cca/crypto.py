@@ -218,33 +218,40 @@ def ore_field_keys(master: MasterKeys) -> dict[str, tuple[OreKey, bool]]:
             for name, attr, signed in ORE_FIELDS}
 
 
+# Fisher-Yates steps, last position first: (position, bound, the least
+# byte that rejection sampling discards for that bound)
+_SHUFFLE_STEPS = tuple((j, j + 1, 256 - 256 % (j + 1))
+                       for j in range(ORE_BLOCK_DOMAIN - 1, 0, -1))
+# Counter blocks drawn up front: a shuffle reads 320 bytes on average
+_STREAM_BLOCKS = 11
+_IDENTITY = bytes(range(ORE_BLOCK_DOMAIN))
+
+
 def _derive_permutation(prp_key: bytes, index: int, prefix: bytes) -> bytes:
     """Keyed pseudorandom permutation of the block domain, as slot -> value.
 
     Fisher-Yates driven by an HMAC counter stream with rejection sampling,
-    so the permutation is uniform and identical on every platform.
+    so the permutation is uniform and identical on every platform.  The
+    stream is SHA-256(seed || counter) for counters 0, 1, ..., read in
+    order.
     """
     seed = hmac.digest(prp_key, bytes([index]) + prefix, "sha256")
-    perm = list(range(ORE_BLOCK_DOMAIN))
-    stream = b""
-    counter = 0
-    pos = 0
-    for j in range(ORE_BLOCK_DOMAIN - 1, 0, -1):
-        bound = j + 1
-        limit = 256 - (256 % bound)
-        while True:
-            if pos >= len(stream):
-                stream = hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
+    draws = iter(b"".join([hashlib.sha256(seed + c.to_bytes(4, "big")).digest()
+                           for c in range(_STREAM_BLOCKS)]))
+    counter = _STREAM_BLOCKS
+    perm = list(_IDENTITY)
+    for j, bound, limit in _SHUFFLE_STEPS:
+        byte = next(draws, 256)  # 256: the stream ran out
+        while byte >= limit:
+            if byte == 256:
+                draws = iter(hashlib.sha256(
+                    seed + counter.to_bytes(4, "big")).digest())
                 counter += 1
-                pos = 0
-            byte = stream[pos]
-            pos += 1
-            if byte < limit:
-                k = byte % bound
-                break
+            byte = next(draws, 256)
+        k = byte % bound
         perm[j], perm[k] = perm[k], perm[j]
     # perm maps value -> slot; the table maps each perm[x] back to x
-    return bytes.maketrans(bytes(perm), bytes(range(ORE_BLOCK_DOMAIN)))
+    return bytes.maketrans(bytes(perm), _IDENTITY)
 
 
 # Every slot number as one AES block, and each byte's residue mod 3.

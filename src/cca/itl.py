@@ -123,6 +123,24 @@ class TaskKnowledge:
         return None
 
 
+# libyaml composes nested nodes by C recursion, which overflows the C
+# stack, a crash and not an exception, somewhere past 20,000 levels.
+# Every collection needs one of these characters of its own, so a text
+# with at most _C_PARSE_DEPTH of them cannot nest that deeply; a text
+# with more goes to the pure-Python loader, whose recursion is checked.
+_NESTING_MARKS = "[{-:?"
+_C_PARSE_DEPTH = 2000
+_CSafeLoader = getattr(yaml, "CSafeLoader", None)
+
+
+def _yaml_loader(text: str):
+    """libyaml's safe loader where it is built in and safe on text."""
+    if _CSafeLoader is not None and sum(
+            map(text.count, _NESTING_MARKS)) <= _C_PARSE_DEPTH:
+        return _CSafeLoader
+    return yaml.SafeLoader
+
+
 def _read_db(path: Path | str | None,
              default: str | None = None) -> tuple[dict, str]:
     """Parse a YAML mapping: the file at path, else the bundled default."""
@@ -136,7 +154,7 @@ def _read_db(path: Path | str | None,
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{where}: not UTF-8 text: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_yaml_loader(text))
     except (yaml.YAMLError, RecursionError) as exc:  # or nested too deeply
         raise ConfigError(f"{where}: not parseable: {exc}") from exc
     if not isinstance(data, dict):

@@ -137,6 +137,57 @@ HOSTILE_SLOTS = {
 }
 
 
+def _file0(report: dict) -> dict:
+    return report["files"][0]
+
+
+def _old_format(report: dict) -> None:
+    """Rewrite file 0's entry in the report format of older versions:
+    each finding an object with the path of its nodes, no node table."""
+    from cca.analysis import NODE_FIELDS
+
+    entry = _file0(report)
+    rows = [dict(zip(NODE_FIELDS, n)) for n in entry.pop("nodes")]
+    entry["findings"] = [{"path": [rows[i] for i in f]}
+                         for f in entry["findings"]]
+
+
+# case -> (edit to an analyser report whose file 0 has a finding, what
+# the FormatError that decrypting it raises says)
+NODE_TABLE_DAMAGE = {
+    "finding index past the table": (
+        lambda r: _file0(r)["findings"][0].append(len(_file0(r)["nodes"])),
+        "not an index into the file's"),
+    "negative finding index": (
+        lambda r: _file0(r)["findings"][0].append(-1),
+        "finding names node -1"),
+    "bool finding index": (
+        lambda r: _file0(r)["findings"][0].append(True),
+        "finding names node True"),
+    "float finding index": (
+        lambda r: _file0(r)["findings"][0].append(0.0),
+        "finding names node 0.0"),
+    "finding without sink": (lambda r: _file0(r)["findings"][0].clear(),
+                             "empty finding"),
+    "node of four fields": (lambda r: _file0(r)["nodes"][0].pop(),
+                            "not a list of token, line, depth, order, type"),
+    "node of six fields": (lambda r: _file0(r)["nodes"][0].append(0),
+                           "not a list of token, line, depth, order, type"),
+    "node as an object": (
+        lambda r: _file0(r)["nodes"].append({"token": "INPUT"}),
+        "not a list of token, line, depth, order, type"),
+    "nodes is an object": (lambda r: _file0(r).update(nodes={}),
+                           "field 'nodes' has the wrong type"),
+    "findings is a number": (lambda r: _file0(r).update(findings=3),
+                             "field 'findings' has the wrong type"),
+    "finding of the old shape": (
+        lambda r: _file0(r)["findings"].append({"path": []}),
+        "a finding is not a list of indices into its file's nodes"),
+    "file entry of the old format": (_old_format,
+                                     "comes from an older version"),
+}
+
+
 @pytest.fixture(scope="session")
 def default_rules():
     from cca import load_rules

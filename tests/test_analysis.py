@@ -5,6 +5,7 @@ import inspect
 import json
 import logging
 import os
+import re
 import sys
 import time
 
@@ -58,7 +59,12 @@ from cca.itl import TASKS
 from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
 
-from conftest import HOSTILE_SLOTS, flatten_findings, write_app
+from conftest import (
+    HOSTILE_SLOTS,
+    NODE_TABLE_DAMAGE,
+    flatten_findings,
+    write_app,
+)
 from corpus import CORPUS
 
 # Entry point read on line 1, constant on 2, copy on 3, self-update on 4,
@@ -478,9 +484,11 @@ def test_plain_report_resolves_without_key_material(tmp_path):
 def test_report_tokens_are_opaque_before_decryption(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     report = analyse(res.index, authorise(res.keys, "xss"))
-    (finding,) = report["files"][0]["findings"]
-    assert list(finding) == ["path"]  # sink and source are path[0] and path[-1]
-    token = finding["path"][0]["token"]
+    (entry,) = report["files"]
+    assert list(entry) == ["file", "nodes", "findings"]
+    (finding,) = entry["findings"]
+    # sink and source are the first and last node, named by index
+    token = entry["nodes"][finding[0]][0]
     assert "XSS" not in token
     # the hex of the sink's 16-byte D key, not a name
     assert bytes.fromhex(token) == authorise(res.keys, "xss").files[0].sens[0]
@@ -498,8 +506,9 @@ def test_report_token_that_is_no_token_name_is_a_format_error(
     # report is malformed for these keys, not made under others
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode=mode)
     report = analyse(res.index, authorise(res.keys, "xss"))
-    sink = report["files"][0]["findings"][0]["path"][0]
-    sink["token"] = edit(sink["token"])
+    entry = report["files"][0]
+    sink = entry["nodes"][entry["findings"][0][0]]
+    sink[0] = edit(sink[0])
     with pytest.raises(FormatError, match="32 lowercase hex digits"):
         decrypt_report(report, res.keys)
 
@@ -525,7 +534,9 @@ def test_findings_under_another_file_are_a_key_mismatch(tmp_path, mode):
     report = analyse(res.index, authorise(res.keys, "xss"))
     a, b = report["files"]
     assert a["findings"] and b["findings"]
-    a["findings"], b["findings"] = b["findings"], a["findings"]
+    # a finding names nodes of its own file's table, so move both
+    for key in ("nodes", "findings"):
+        a[key], b[key] = b[key], a[key]
     with pytest.raises(KeyMismatchError, match="no name of file 0"):
         decrypt_report(report, res.keys)
 
@@ -572,6 +583,27 @@ def test_task_without_tokens_warns_not_fails(tmp_path):
     assert flatten_findings(resolved) == set()
 
 
+def test_probe_warning_names_a_missing_sink_as_well_as_the_keys(tmp_path):
+    # FLOW_APP has no SQL sink, and the query keys are its own
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
+    (warning,) = analyse(res.index, authorise(res.keys, "sqli"))["warnings"]
+    assert "probe" in warning
+    assert "the index has no sink of task sqli" in warning
+    assert "or the query keys do not match it" in warning
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+@pytest.mark.parametrize("case", list(NODE_TABLE_DAMAGE))
+def test_malformed_node_table_is_a_format_error(tmp_path, mode, case):
+    edit, says = NODE_TABLE_DAMAGE[case]
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    assert decrypt_report(report, res.keys)["files"][0]["findings"]
+    edit(report)
+    with pytest.raises(FormatError, match=re.escape(says)):
+        decrypt_report(report, res.keys)
+
+
 # --- order revealing field values -------------------------------------------------
 
 
@@ -601,8 +633,11 @@ def test_ore_ranks_reject_malformed_ciphertext():
 def test_encrypted_fields_stay_opaque_in_reports(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="ore")
     report = analyse(res.index, authorise(res.keys, "xss"))
-    (finding,) = report["files"][0]["findings"]
-    assert finding["path"][0]["line"].startswith("ore:")
+    (entry,) = report["files"]
+    (finding,) = entry["findings"]
+    assert all(field.startswith("ore:")
+               for node in entry["nodes"] for field in node[1:])
+    assert entry["nodes"][finding[0]][1].startswith("ore:")
     resolved = decrypt_report(report, res.keys)
     assert resolved["files"][0]["findings"][0]["sink"]["line"] == 5
 
@@ -705,6 +740,32 @@ def chain_app(length: int, diamonds: set[int],
     else:
         lines.append(f"echo $v{length};")
     return {"index.php": "\n".join(lines) + "\n"}
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+@pytest.mark.parametrize("app,count", [
+    # the diamonds' paths share index entries and one sink entry
+    (chain_app(7, diamonds={3, 5}), 4),
+    # the two flows run from two entries of one sink statement, and
+    # find_paths builds a sink node for each
+    (PARALLEL_APP, 2)], ids=["diamonds", "parallel"])
+def test_report_lists_each_node_once_in_first_use_order(tmp_path, mode, app,
+                                                        count):
+    res = encrypt_application(write_app(tmp_path, app), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    (entry,) = report["files"]
+    nodes, findings = entry["nodes"], entry["findings"]
+    assert len(findings) == count
+    assert all(len(node) == 5 for node in nodes)
+    assert len({tuple(node) for node in nodes}) == len(nodes)
+    assert len({f[0] for f in findings}) == 1  # one sink row
+    first_use = list(dict.fromkeys(i for f in findings for i in f))
+    assert first_use == list(range(len(nodes)))
+    assert sum(map(len, findings)) > len(nodes)
+    resolved = decrypt_report(report, res.keys)
+    oracle = plaintext_analyse([(0, res.files[0].dcfg)], "xss",
+                               {0: "index.php"})
+    assert resolved["files"] == oracle["files"]
 
 
 def decrypted_paths(report: dict) -> set[tuple]:

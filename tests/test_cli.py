@@ -11,12 +11,12 @@ import yaml
 
 import cca
 from cca import __version__
-from cca.analysis import load_query, save_query
+from cca.analysis import NODE_FIELDS, load_query, save_query
 from cca.cli import main
 from cca.crypto import load_keys
 from cca.index import load_index, save_index
 
-from conftest import HOSTILE_SLOTS, write_app
+from conftest import HOSTILE_SLOTS, NODE_TABLE_DAMAGE, write_app
 
 APP = {
     "index.php": (
@@ -439,7 +439,7 @@ def test_stage_failure_is_exit_code_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _first_finding(report: dict) -> dict:
+def _first_finding(report: dict) -> list:
     return report["files"][0]["findings"][0]
 
 
@@ -451,8 +451,22 @@ def _edit_report(change):
     return damage
 
 
-def _sink(report: dict) -> dict:
-    return _first_finding(report)["path"][0]
+class _NodeView:
+    """A report node's fields by name, written through to its table row."""
+
+    def __init__(self, row: list) -> None:
+        self.row = row
+
+    def __getitem__(self, field: str):
+        return self.row[NODE_FIELDS.index(field)]
+
+    def update(self, **fields) -> None:
+        for field, value in fields.items():
+            self.row[NODE_FIELDS.index(field)] = value
+
+
+def _sink(report: dict) -> _NodeView:
+    return _NodeView(report["files"][0]["nodes"][_first_finding(report)[0]])
 
 
 def _set_sink_value(value: bytes):
@@ -518,9 +532,6 @@ COMMANDS = {
 # case -> (encrypt flag, "" for ore mode; damage to the artifacts; command
 # that reads them)
 MALFORMED = {
-    "report finding without sink": (
-        "--no-ore", _edit_report(lambda r: _first_finding(r).update(path=[])),
-        "decrypt-report"),
     "report files is a number": (
         "--no-ore", _edit_report(lambda r: r.update(files=3)),
         "decrypt-report"),
@@ -571,6 +582,8 @@ MALFORMED = {
         "decrypt-report"),
     **{f"ore index with a {case}": ("", _damage_index(damage), "analyse")
        for case, (damage, _, _) in HOSTILE_SLOTS.items()},
+    **{f"report {case}": ("--no-ore", _edit_report(edit), "decrypt-report")
+       for case, (edit, _) in NODE_TABLE_DAMAGE.items()},
 }
 # case -> what its one error line must say, where more than the prefix counts
 MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
@@ -587,6 +600,8 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                       "sink D is a 32-byte key, not 16 bytes",
                   "report token of 64 hex digits": "32 lowercase hex digits",
                   "report file id outside the key store": "file 99",
+                  **{f"report {case}": says
+                     for case, (_, says) in NODE_TABLE_DAMAGE.items()},
                   **{f"ore index with a {case}": says
                      for case, (_, _, says) in HOSTILE_SLOTS.items()}}
 

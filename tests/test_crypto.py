@@ -373,6 +373,51 @@ def test_masks_match_the_per_block_reference(blocks):
         _reference_mask(blocks[k:k + 16]) for k in range(0, len(blocks), 16)]
 
 
+def _reference_permutation(prp_key: bytes, index: int, prefix: bytes) -> bytes:
+    """The block permutation one counter block at a time, as first built."""
+    seed = hmac.digest(prp_key, bytes([index]) + prefix, "sha256")
+    perm = list(range(256))
+    stream = b""
+    counter = 0
+    pos = 0
+    for j in range(255, 0, -1):
+        bound = j + 1
+        limit = 256 - (256 % bound)
+        while True:
+            if pos >= len(stream):
+                stream = hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
+                counter += 1
+                pos = 0
+            byte = stream[pos]
+            pos += 1
+            if byte < limit:
+                k = byte % bound
+                break
+        perm[j], perm[k] = perm[k], perm[j]
+    return bytes.maketrans(bytes(perm), bytes(range(256)))
+
+
+# A zero key with these inputs reads 353 to 362 stream bytes, more than
+# the 352 that _derive_permutation draws up front
+_LONG_SHUFFLES = [(0, bytes.fromhex(p)) for p in ("0635", "0652", "0845",
+                                                  "0890", "0fe3")]
+
+
+@pytest.mark.parametrize("index,prefix", _LONG_SHUFFLES)
+def test_permutation_that_outgrows_the_first_draw(index, prefix):
+    assert cca.crypto._STREAM_BLOCKS * 32 == 352
+    got = cca.crypto._derive_permutation(bytes(16), index, prefix)
+    assert got == _reference_permutation(bytes(16), index, prefix)
+    assert sorted(got) == list(range(256))
+
+
+@given(st.binary(min_size=16, max_size=16), st.integers(0, 255),
+       st.binary(max_size=31))
+def test_permutation_matches_the_per_block_reference(key, index, prefix):
+    assert (cca.crypto._derive_permutation(key, index, prefix)
+            == _reference_permutation(key, index, prefix))
+
+
 def test_masks_are_uniform_in_z3():
     # 2^20 masks from AES blocks, 256 at a time as a right half takes
     # them; a byte mod 3 alone is 0 with probability 86/256, 5.6 sigma

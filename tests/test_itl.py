@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
+import cca.itl
 from cca import lex, load_rules, load_task_knowledge, translate
 from cca.errors import ConfigError, StructureError, TranslationError
 from cca.itl import (
@@ -84,6 +90,74 @@ def test_task_knowledge_defaults(default_tk):
     assert len(default_tk.sqli_sens) == 9
     assert len(default_tk.xss_san) == 5
     assert len(default_tk.sqli_san) == 5
+
+
+TK_BLOCK_STYLE = """\
+INPUT:
+  - $_GET
+  - $_POST
+XSS_SENS: [echo, print]
+SQLi_SENS: [mysql_query, 'pg_query']  # flow style, quoted
+XSS_SAN:
+- htmlspecialchars
+SQLi_SAN: [addslashes]
+"""
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML is built without libyaml")
+def test_both_yaml_loaders_read_the_same_task_knowledge(tmp_path,
+                                                        monkeypatch):
+    tk = tmp_path / "tk.yaml"
+    tk.write_text(TK_BLOCK_STYLE)
+    builtin = (Path(cca.itl.__file__).parent / "data" /
+               "task_knowledge.yaml").read_text(encoding="utf-8")
+    assert cca.itl._yaml_loader(builtin) is yaml.CSafeLoader
+    assert cca.itl._yaml_loader(TK_BLOCK_STYLE) is yaml.CSafeLoader
+    by_libyaml = load_task_knowledge(), load_task_knowledge(tk)
+    monkeypatch.setattr(cca.itl, "_CSafeLoader", None)
+    assert cca.itl._yaml_loader(builtin) is yaml.SafeLoader
+    assert (load_task_knowledge(), load_task_knowledge(tk)) == by_libyaml
+
+
+_LOAD_TK = """\
+import sys
+import cca.itl
+from cca.errors import ConfigError
+if sys.argv[2] == "python":
+    cca.itl._CSafeLoader = None
+try:
+    cca.itl.load_task_knowledge(sys.argv[1])
+except ConfigError as exc:
+    print(f"ConfigError: {exc}")
+"""
+
+# case -> (task knowledge text, what the ConfigError says)
+BAD_YAML = {
+    "not YAML": ("INPUT: [\n", "not parseable"),
+    "tab indentation": ("INPUT:\n\t- $_GET\n", "not parseable"),
+    "closed nesting": ("[" * 30000 + "]" * 30000, "not parseable"),
+    "block nesting": ("- " * 30000 + "x", "not parseable"),
+    "deepest nesting for libyaml": ("[" * 1000 + "]" * 1000, ""),
+}
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "python"])
+@pytest.mark.parametrize("case", list(BAD_YAML))
+def test_malformed_or_over_nested_yaml_is_a_config_error(tmp_path, case,
+                                                         loader):
+    text, says = BAD_YAML[case]
+    tk = tmp_path / "tk.yaml"
+    tk.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(cca.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    # a child process, so a crash in the parser cannot end the run
+    done = subprocess.run([sys.executable, "-c", _LOAD_TK, str(tk), loader],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"ConfigError: {tk}: {says}")
 
 
 def test_task_knowledge_sets_disjoint(default_tk):
