@@ -6,14 +6,16 @@ sanitizer tokens.  Each decrypted index value hands over the keys of the
 next token, so detection can walk flows outward from the sinks and nowhere
 else.  Detection has the semantics of four steps: enumerate candidate
 paths, drop impossible orderings, aggregate per sink statement, then
-resolve branch alternatives down to the flow that reaches the sink.  Only
-the paths steps 2 and 4 keep are built, each choice settled where paths
-diverge from memoised token summaries (IFDS summary edges: Reps, Horwitz
-and Sagiv, POPL 1995), so cost follows findings, not 2**n walks.
+resolve branch alternatives down to the flow that reaches the sink.
+`detect` runs `find_paths`, then the final check.  `find_paths` builds
+only the paths steps 2 and 4 keep, in their order, each choice settled
+where paths diverge from memoised token summaries (IFDS summary edges:
+Reps, Horwitz and Sagiv, POPL 1995), so cost follows findings, not 2**n
+walks.  Steps 2-4 stay as the literal reference the tests hold it to.
 
-The same steps run in every mode and over plaintext dependency pairs
+Detection runs alike in every mode and over plaintext dependency pairs
 (see the oracle module); only the reader differs.  One reader walk per
-sink reads each token the file's sink reaches once and hands the steps
+sink reads each token the file's sink reaches once and hands `find_paths`
 that graph with int token positions and int field values.  The plain and
 std readers decode fields as ints.  The ore reader, once the walk is
 done, sorts the field ciphertexts it read for that file, one field at a
@@ -80,10 +82,6 @@ class PathNode:
     cf_type: int
     ref: object = None  # expands the token: (D, R) keys, or plain identity
     cts: tuple[bytes, ...] | None = None  # ore field ciphertexts
-
-    def same_scope(self, other: "PathNode") -> bool:
-        return (self.depth == other.depth and self.order == other.order
-                and self.cf_type == other.cf_type)
 
 
 # --- queries ------------------------------------------------------------------
@@ -192,7 +190,11 @@ def deserialize_query(data: bytes) -> Query:
     for _ in range(cur.unpack(">I")[0]):
         (file_id,) = cur.unpack(">I")
         if mode == "plain":
-            sens, _ = cur.text(), cur.blob()
+            sens, empty = cur.text(), cur.blob()
+            if empty:
+                raise FormatError(f"query: file {file_id}'s sink R is "
+                                  f"{len(empty)} bytes, but a plain query "
+                                  "leaves it empty")
             files.append(FileQuery(file_id, sens, cur.text(), cur.text()))
         else:
             keys = [token_key(file_id, name) for name in _QRY_KEYS]
@@ -499,6 +501,7 @@ def _summarise(kids, last, memo, line, scope, valid, below, budget) -> int:
     return work
 
 
+# Steps 2-4 as the paper states them: find_paths keeps what they keep.
 def remove_invalid_paths(paths: list[list[PathNode]]) -> list[list[PathNode]]:
     """Step 2: drop flows that would run backwards inside one scope.
 
@@ -509,7 +512,9 @@ def remove_invalid_paths(paths: list[list[PathNode]]) -> list[list[PathNode]]:
     kept = []
     for nodes in paths:
         sink = nodes[0]
-        if not any(node.line > sink.line and node.same_scope(sink)
+        scope = (sink.depth, sink.order, sink.cf_type)
+        if not any(node.line > sink.line
+                   and (node.depth, node.order, node.cf_type) == scope
                    for node in nodes[1:]):
             kept.append(nodes)
     return kept
@@ -550,74 +555,48 @@ def resolve_control_flow(
 
 
 def _tournament(bucket: list[list[PathNode]]) -> list[list[PathNode]]:
-    """Step 4 in one bucket.  A candidate meets each survivor where they
-    first differ: on one line both stay, else it wins only by a later line
-    before the sink, and a duplicate loses.  If it loses once it is
-    dropped, else those it beat are.  Survivors sit in a trie of node
-    fields, so it meets all that leave it at one node at once."""
-    root: dict = {}  # node fields -> subtrie; None -> index of a path ending
-    survivors: dict[int, list[PathNode]] = {}
-    for i, nodes in enumerate(bucket):
-        line = nodes[0].line
+    """Step 4 in one bucket, pairwise; detection never runs it, as
+    find_paths settles the same contest as it walks.  A candidate meets
+    each survivor where they first differ: on one line both stay, else it
+    wins only by a later line before the sink, and a duplicate loses.  If
+    it loses once it is dropped, else those it beat are."""
+    line, kept = bucket[0][0].line, []  # kept: (node fields, path) pairs
+    for nodes in bucket:
         keys = [(n.token, n.line, n.depth, n.order, n.cf_type) for n in nodes]
-        keys.append(None)
-        beaten, trie, depth, lost = [], root, 0, False
-        while not lost:
-            key = keys[depth]
-            c_line = key and key[1]
-            for other in trie:
-                s_line = other and other[1]
-                if other == key:
-                    lost = key is None  # a duplicate
-                elif s_line is None or s_line != c_line:
-                    lost = not (c_line is not None and c_line < line and (
-                        s_line is None or s_line >= line or c_line > s_line))
-                    beaten.append((trie, other))
-                if lost:
-                    break
-            if lost or key is None or key not in trie:
-                break
-            trie, depth = trie[key], depth + 1
-        if lost:
-            continue
-        for parent, key in beaten:
-            stack = [parent.pop(key)]
-            while stack:
-                sub = stack.pop()
-                if isinstance(sub, int):
-                    del survivors[sub]
-                else:
-                    stack += sub.values()
-        for key in keys[depth:-1]:
-            trie = trie.setdefault(key, {})
-        trie[None] = i
-        survivors[i] = nodes
-    return list(survivors.values())
+        beaten = set()
+        for i, (other, _) in enumerate(kept):
+            at = next((j for j, pair in enumerate(zip(other, keys))
+                       if pair[0] != pair[1]), min(len(other), len(keys)))
+            s_line = other[at][1] if at < len(other) else None
+            c_line = keys[at][1] if at < len(keys) else None
+            if s_line is not None and s_line == c_line:
+                continue
+            if c_line is None or c_line >= line or (
+                    s_line is not None and s_line < line and c_line <= s_line):
+                break  # lost, a duplicate included
+            beaten.add(i)
+        else:
+            kept = [k for i, k in enumerate(kept) if i not in beaten]
+            kept.append((keys, nodes))
+    return [nodes for _, nodes in kept]
 
 
 def check_vulnerability(paths: list[list[PathNode]],
                         fq: FileQuery) -> list[list[PathNode]]:
     """Final filter: flows that start at an entry point and skip sanitizers."""
-    findings = []
-    for nodes in paths:
-        if nodes[-1].token != fq.input_id:
-            continue
-        if any(node.token == fq.san_id for node in nodes):
-            continue
-        findings.append(nodes)
-    return findings
+    return [nodes for nodes in paths if nodes[-1].token == fq.input_id
+            and all(node.token != fq.san_id for node in nodes)]
 
 
 def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
-    """Run every detection step over one file, for `analyse` and the
-    plaintext oracle: the findings, and False if the file ran out of
-    DETECTION_BUDGET (then it has none)."""
+    """Detection over one file, for `analyse` and the plaintext oracle:
+    `find_paths`, then the final check.  Returns the findings, and False
+    if the file ran out of DETECTION_BUDGET (then it has none)."""
     try:
-        paths, complete = find_paths(reader, fq), True
+        paths = find_paths(reader, fq)
     except _OverBudget:
-        paths, complete = [], False
-    groups = aggregate_paths(remove_invalid_paths(paths))
-    return check_vulnerability(resolve_control_flow(groups), fq), complete
+        return [], False
+    return check_vulnerability(paths, fq), True
 
 
 # --- full run and reports -------------------------------------------------------

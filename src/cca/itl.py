@@ -10,6 +10,7 @@ recover statement and branch shape without source text.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -123,24 +124,6 @@ class TaskKnowledge:
         return None
 
 
-# libyaml composes nested nodes by C recursion, which overflows the C
-# stack, a crash and not an exception, somewhere past 20,000 levels.
-# Every collection needs one of these characters of its own, so a text
-# with at most _C_PARSE_DEPTH of them cannot nest that deeply; a text
-# with more goes to the pure-Python loader, whose recursion is checked.
-_NESTING_MARKS = "[{-:?"
-_C_PARSE_DEPTH = 2000
-_CSafeLoader = getattr(yaml, "CSafeLoader", None)
-
-
-def _yaml_loader(text: str):
-    """libyaml's safe loader where it is built in and safe on text."""
-    if _CSafeLoader is not None and sum(
-            map(text.count, _NESTING_MARKS)) <= _C_PARSE_DEPTH:
-        return _CSafeLoader
-    return yaml.SafeLoader
-
-
 def _read_db(path: Path | str | None,
              default: str | None = None) -> tuple[dict, str]:
     """Parse a YAML mapping: the file at path, else the bundled default."""
@@ -154,7 +137,7 @@ def _read_db(path: Path | str | None,
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{where}: not UTF-8 text: {exc}") from None
     try:
-        data = yaml.load(text, Loader=_yaml_loader(text))
+        data = yaml.safe_load(text)
     except (yaml.YAMLError, RecursionError) as exc:  # or nested too deeply
         raise ConfigError(f"{where}: not parseable: {exc}") from exc
     if not isinstance(data, dict):
@@ -179,7 +162,19 @@ def load_rules(path: Path | str | None = None) -> RuleSet:
 
 
 def load_task_knowledge(path: Path | str | None = None) -> TaskKnowledge:
-    """Load and validate a task knowledge database."""
+    """Load and validate a task knowledge database; None gives the bundled
+    one, which is package data and so is parsed once per process."""
+    if path is None:
+        return _bundled_task_knowledge()
+    return _parse_task_knowledge(path)
+
+
+@functools.cache
+def _bundled_task_knowledge() -> TaskKnowledge:
+    return _parse_task_knowledge(None)
+
+
+def _parse_task_knowledge(path: Path | str | None) -> TaskKnowledge:
     data, where = _read_db(path, "task_knowledge.yaml")
     sets: dict[str, frozenset[str]] = {}
     for token in TASK_TOKENS:

@@ -2,11 +2,13 @@
 
 Two oracles with different trust stories:
 
-* `plaintext_analyse` runs the exact detection steps from the analysis
-  module directly over dependency pairs, with the plaintext integers where
-  an ore run uses ranks of order-revealing ciphertexts.  Agreement with a
-  decrypted encrypted-mode report shows the cryptographic layer is
-  transparent.
+* `plaintext_analyse` runs the analysis module's detection, `find_paths`
+  and then the final check, directly over dependency pairs, with the
+  plaintext integers where an ore run uses ranks of order-revealing
+  ciphertexts.  Agreement with a decrypted encrypted-mode report shows
+  the cryptographic layer is transparent.  The paper's steps 2-4 stay in
+  the analysis module as the reference; the tests hold `find_paths` to
+  them.
 
 * `enumerate_findings` is a from-scratch rewrite of the whole detection
   semantics in one function, sharing no code with the analysis module.
@@ -31,7 +33,7 @@ from .itl import TASKS
 
 class DcfgReader(Reader):
     """Feeds plaintext dependency pairs, grouped by left token
-    (`DCFG.by_left`), to the shared detection steps."""
+    (`DCFG.by_left`), to the shared detection."""
 
     def _read(self, ref: str) -> list[PathNode]:
         return [
@@ -43,7 +45,7 @@ class DcfgReader(Reader):
 
 def plaintext_analyse(per_file: list[tuple[int, DCFG]], task: str,
                       file_names: dict[int, str] | None = None) -> dict:
-    """Run the four detection steps over plaintext pairs, per file.
+    """Run the analyser's detection over plaintext pairs, per file.
 
     Returns a report shaped like a decrypted encrypted-mode report so the
     two can be compared field for field.

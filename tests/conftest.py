@@ -54,6 +54,26 @@ def write_app(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
+def chain_app(length: int, diamonds: set[int],
+              sanitised: bool = False) -> dict:
+    """A rewrite chain from $_GET to echo; diamonds assign in an if/else,
+    and a sanitised chain passes its last variable through
+    htmlspecialchars first."""
+    lines = ["<?php $v0 = $_GET['q'];"]
+    for i in range(1, length + 1):
+        if i in diamonds:
+            lines += [f"if ($v{i - 1} == 'a') {{", f"$v{i} = $v{i - 1};",
+                      "} else {", f"$v{i} = $v{i - 1} . 'a';", "}"]
+        else:
+            lines += [f"$v{i} = $v{i - 1};", f"$v{i} = $v{i} . $v{i - 1};"]
+    if sanitised:
+        lines.append(f"$s = htmlspecialchars($v{length});")
+        lines.append("echo $s;")
+    else:
+        lines.append(f"echo $v{length};")
+    return {"index.php": "\n".join(lines) + "\n"}
+
+
 def flatten_findings(report: dict) -> set[tuple]:
     """(file, sink line, source line) triples of a resolved report."""
     out = set()

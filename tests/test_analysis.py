@@ -54,6 +54,7 @@ from cca.errors import (
     KeyMismatchError,
     UsageError,
 )
+from cca.fileio import blob
 from cca.index import token_identity
 from cca.itl import TASKS
 from cca.oracle import enumerate_findings, plaintext_analyse
@@ -62,6 +63,7 @@ from cca.pipeline import encrypt_application
 from conftest import (
     HOSTILE_SLOTS,
     NODE_TABLE_DAMAGE,
+    chain_app,
     flatten_findings,
     write_app,
 )
@@ -286,6 +288,17 @@ def test_query_container_rejects_a_key_of_another_length(tmp_path, k, which,
     with pytest.raises(FormatError, match=f"file 0's {which} is a "
                                           f"{length}-byte key, not 16"):
         deserialize_query(serialize_query(query))
+
+
+def test_plain_query_rejects_a_sink_r_that_is_not_empty(tmp_path):
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="plain")
+    query = authorise(res.keys, "xss")
+    sens = blob(query.files[0].sens.encode())
+    data = serialize_query(query)
+    assert data.count(sens + blob(b"")) == 1
+    with pytest.raises(FormatError, match="file 0's sink R is 4 bytes, but "
+                                          "a plain query leaves it empty"):
+        deserialize_query(data.replace(sens + blob(b""), sens + blob(b"junk")))
 
 
 # --- analyse input validation ----------------------------------------------------
@@ -720,26 +733,6 @@ def test_a_slot_is_opened_once_and_only_when_named(tmp_path, monkeypatch):
 
 
 # --- larger flows -----------------------------------------------------------------
-
-
-def chain_app(length: int, diamonds: set[int],
-              sanitised: bool = False) -> dict:
-    """A rewrite chain from $_GET to echo; diamonds assign in an if/else,
-    and a sanitised chain passes its last variable through
-    htmlspecialchars first."""
-    lines = ["<?php $v0 = $_GET['q'];"]
-    for i in range(1, length + 1):
-        if i in diamonds:
-            lines += [f"if ($v{i - 1} == 'a') {{", f"$v{i} = $v{i - 1};",
-                      "} else {", f"$v{i} = $v{i - 1} . 'a';", "}"]
-        else:
-            lines += [f"$v{i} = $v{i - 1};", f"$v{i} = $v{i} . $v{i - 1};"]
-    if sanitised:
-        lines.append(f"$s = htmlspecialchars($v{length});")
-        lines.append("echo $s;")
-    else:
-        lines.append(f"echo $v{length};")
-    return {"index.php": "\n".join(lines) + "\n"}
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])

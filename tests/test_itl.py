@@ -9,10 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
-import yaml
 from hypothesis import given, strategies as st
 
-import cca.itl
+import cca
 from cca import lex, load_rules, load_task_knowledge, translate
 from cca.errors import ConfigError, StructureError, TranslationError
 from cca.itl import (
@@ -21,6 +20,7 @@ from cca.itl import (
     ENDING_TOKENS,
     TASK_TOKENS,
     RuleSet,
+    TaskKnowledge,
     dump_itl,
     family,
 )
@@ -104,28 +104,21 @@ SQLi_SAN: [addslashes]
 """
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
-                    reason="PyYAML is built without libyaml")
-def test_both_yaml_loaders_read_the_same_task_knowledge(tmp_path,
-                                                        monkeypatch):
+def test_block_and_flow_style_task_knowledge_loads(tmp_path):
     tk = tmp_path / "tk.yaml"
     tk.write_text(TK_BLOCK_STYLE)
-    builtin = (Path(cca.itl.__file__).parent / "data" /
-               "task_knowledge.yaml").read_text(encoding="utf-8")
-    assert cca.itl._yaml_loader(builtin) is yaml.CSafeLoader
-    assert cca.itl._yaml_loader(TK_BLOCK_STYLE) is yaml.CSafeLoader
-    by_libyaml = load_task_knowledge(), load_task_knowledge(tk)
-    monkeypatch.setattr(cca.itl, "_CSafeLoader", None)
-    assert cca.itl._yaml_loader(builtin) is yaml.SafeLoader
-    assert (load_task_knowledge(), load_task_knowledge(tk)) == by_libyaml
+    assert load_task_knowledge(tk) == TaskKnowledge(
+        inputs=frozenset({"$_GET", "$_POST"}),
+        xss_sens=frozenset({"echo", "print"}),
+        sqli_sens=frozenset({"mysql_query", "pg_query"}),
+        xss_san=frozenset({"htmlspecialchars"}),
+        sqli_san=frozenset({"addslashes"}))
 
 
 _LOAD_TK = """\
 import sys
 import cca.itl
 from cca.errors import ConfigError
-if sys.argv[2] == "python":
-    cca.itl._CSafeLoader = None
 try:
     cca.itl.load_task_knowledge(sys.argv[1])
 except ConfigError as exc:
@@ -142,7 +135,8 @@ BAD_YAML = {
 }
 
 
-@pytest.mark.parametrize("loader", ["libyaml", "python"])
+# The one loader is PyYAML's pure-Python SafeLoader.
+@pytest.mark.parametrize("loader", ["python"])
 @pytest.mark.parametrize("case", list(BAD_YAML))
 def test_malformed_or_over_nested_yaml_is_a_config_error(tmp_path, case,
                                                          loader):
@@ -153,7 +147,7 @@ def test_malformed_or_over_nested_yaml_is_a_config_error(tmp_path, case,
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(cca.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
     # a child process, so a crash in the parser cannot end the run
-    done = subprocess.run([sys.executable, "-c", _LOAD_TK, str(tk), loader],
+    done = subprocess.run([sys.executable, "-c", _LOAD_TK, str(tk)],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr

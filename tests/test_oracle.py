@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cca.analysis import BUDGET_WARNING, analyse, authorise, decrypt_report
+from cca.analysis import (
+    BUDGET_WARNING,
+    FileQuery,
+    aggregate_paths,
+    analyse,
+    authorise,
+    decrypt_report,
+    find_paths,
+    make_reader,
+    remove_invalid_paths,
+    resolve_control_flow,
+)
 from cca.dcfg import (
     DCFG,
     DCFGPair,
@@ -14,11 +25,11 @@ from cca.dcfg import (
 )
 from cca.errors import UsageError
 from cca.frontend import lex
-from cca.itl import load_rules, load_task_knowledge, translate
-from cca.oracle import enumerate_findings, plaintext_analyse
+from cca.itl import TASKS, load_rules, load_task_knowledge, translate
+from cca.oracle import DcfgReader, enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
 
-from conftest import finding_paths, write_app
+from conftest import chain_app, finding_paths, write_app
 from corpus import CORPUS
 
 
@@ -326,3 +337,41 @@ def test_random_programs_agree_across_oracles(statements, branch_at):
     dcfg = build(render(statements, branch_at))
     for task in ("xss", "sqli"):
         assert oracle_paths(dcfg, task) == enumerate_findings(dcfg, task)
+
+
+# --- find_paths against the literal steps 2-4 ------------------------------------
+
+
+def assert_steps_keep_every_path(reader, fq: FileQuery) -> None:
+    """Steps 2-4 keep every path find_paths builds, in its order."""
+    paths = find_paths(reader, fq)
+    steps = resolve_control_flow(aggregate_paths(remove_invalid_paths(paths)))
+    assert steps == paths
+
+
+@settings(max_examples=200)
+@given(
+    statements=st.lists(statement, min_size=1, max_size=8),
+    branch_at=st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+)
+def test_find_paths_builds_only_what_steps_2_to_4_keep(statements,
+                                                       branch_at):
+    dcfg = build(render(statements, branch_at))
+    for sens, san in TASKS.values():
+        fq = FileQuery(0, sens=sens, input_id="INPUT", san_id=san)
+        assert_steps_keep_every_path(DcfgReader(dcfg.by_left()), fq)
+
+
+@pytest.mark.parametrize("mode", ["std", "ore"])
+@pytest.mark.parametrize("app", [
+    chain_app(7, diamonds={3, 5}),
+    chain_app(6, diamonds={1, 2, 6}, sanitised=True),
+    chain_app(20, diamonds=set()),
+], ids=["diamond2", "sanitised-diamond3", "straight"])
+def test_encrypted_chains_build_only_what_steps_2_to_4_keep(tmp_path, mode,
+                                                            app):
+    res = encrypt_application(write_app(tmp_path, app), mode=mode)
+    reader = make_reader(res.index)
+    for task in TASKS:
+        for fq in authorise(res.keys, task).files:
+            assert_steps_keep_every_path(reader, fq)
