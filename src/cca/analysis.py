@@ -16,13 +16,14 @@ walks.  Steps 2-4 stay as the literal reference the tests hold it to.
 Detection runs alike in every mode and over plaintext dependency pairs
 (see the oracle module); only the reader differs.  One reader walk per
 sink reads each token the file's sink reaches once and hands `find_paths`
-that graph with int token positions and int field values.  The plain and
-std readers decode fields as ints.  The ore reader, once the walk is
-done, sorts the field ciphertexts it read for that file, one field at a
-time, with the comparison order-revealing encryption already offers, and
-replaces each by its rank, so ranks are per file.  Ranks within one file
-tell the analyser nothing the comparisons did not; reports still name
-ore fields by part of their left half, never by rank (docs/formats.md).
+that graph with int token positions, int lines and scopes, which
+detection only tests for equality.  The plain and std readers decode
+lines and (depth, order, type) scopes as ints.  The ore reader keeps each
+scope tag as it is and, once the walk is done, sorts the file's line
+ciphertexts with the comparison order-revealing encryption offers and
+replaces each by its rank.  Ranks tell the analyser nothing the
+comparisons did not; reports still name ore lines by part of their left
+half, never by rank (docs/formats.md).
 """
 
 from __future__ import annotations
@@ -40,15 +41,17 @@ from .crypto import (
     MODES,
     KeyStore,
     derive_det_keys,
+    derive_ore_key,
+    derive_scope_key,
     derive_token_key_pairs,
     det_encrypter,
     ore_ciphertext_bytes,
     ore_compare,
-    ore_field_keys,
     ore_left_bytes,
     ore_name,
     ore_name_value,
     rnd_decrypt,
+    scope_opener,
 )
 from .errors import (
     AuthorizationError,
@@ -68,20 +71,18 @@ IN_REPORT = {"in_report": True}
 
 @dataclass(slots=True)
 class PathNode:
-    """One token occurrence on a flow: its identity and its flow fields.
+    """One token occurrence on a flow: its identity, line and scope.
 
     A reader hands out one node per decoded index entry, and every path
-    through that entry shares it.  The ore reader fills the four fields
-    with ranks once the file's walk is done; until then they are None.
+    through that entry shares it.  The ore reader fills the line with its
+    rank once the file's walk is done; until then it is None.
     """
 
     token: object  # opaque identity: D bytes or plain token identity
     line: int
-    depth: int
-    order: int
-    cf_type: int
+    scope: object  # (depth, order, type), or the ore scope tag
     ref: object = None  # expands the token: (D, R) keys, or plain identity
-    cts: tuple[bytes, ...] | None = None  # ore field ciphertexts
+    ct: bytes | None = None  # ore: the line's ciphertext
 
 
 # --- queries ------------------------------------------------------------------
@@ -258,14 +259,15 @@ class PlainReader(Reader):
                 line, depth, order, cf_type = map(int, fields)
             except ValueError:
                 raise FormatError("index: malformed plain-mode value") from None
-            edges.append(PathNode(right, line, depth, order, cf_type, ref=right))
+            edges.append(PathNode(right, line, (depth, order, cf_type),
+                                  ref=right))
         return edges
 
 
 class IndexReader(Reader):
     """Counter-probing reader for std mode: fields are plain integers."""
 
-    field_bytes = 4
+    field_bytes = 16  # line, depth, order, type
 
     def _read(self, ref) -> list[PathNode]:
         d_key, r_key = ref
@@ -276,32 +278,32 @@ class IndexReader(Reader):
             if blob is None:
                 return edges
             payload = rnd_decrypt(r_key, blob)
-            if len(payload) != 2 * KEY_BYTES + 4 * self.field_bytes:
+            if len(payload) != 2 * KEY_BYTES + self.field_bytes:
                 raise FormatError("index value has unexpected payload size")
             right = (payload[:KEY_BYTES], payload[KEY_BYTES:2 * KEY_BYTES])
             edges.append(self._node(right, payload[2 * KEY_BYTES:]))
 
     def _node(self, right, fields: bytes) -> PathNode:
-        return PathNode(right[0], *struct.unpack(">iiii", fields), ref=right)
+        values = struct.unpack(">iiii", fields)
+        return PathNode(right[0], values[0], values[1:], ref=right)
 
 
 class OreReader(IndexReader):
-    """Reader for ore mode: field ciphertexts become per-file ranks.
+    """Reader for ore mode: lines become per-file ranks, scopes stay tags.
 
-    A field names a slot of the index's table and the key that opens it.
+    A line names a slot of the index's table and the key that opens it.
     A slot is opened when a decrypted entry first names it with that key,
     and kept for the reader's life."""
 
-    field_bytes = SLOT_REF.size
+    field_bytes = SLOT_REF.size + 16  # the line's slot, the scope tag
 
     def __init__(self, index) -> None:
         super().__init__(index)
         self._opened: dict[bytes, bytes] = {}  # slot reference -> ciphertext
 
     def _node(self, right, fields: bytes) -> PathNode:
-        fb = self.field_bytes
-        cts = tuple(self._open(fields[k:k + fb]) for k in range(0, 4 * fb, fb))
-        return PathNode(right[0], None, None, None, None, ref=right, cts=cts)
+        return PathNode(right[0], None, fields[SLOT_REF.size:], ref=right,
+                        ct=self._open(fields[:SLOT_REF.size]))
 
     def _open(self, ref: bytes) -> bytes:
         ct = self._opened.get(ref)
@@ -318,13 +320,11 @@ class OreReader(IndexReader):
         return ct
 
     def graph(self, ref) -> list[list[tuple[int, PathNode]]]:
-        """As Reader.graph, with the walk's nodes ranked field by field."""
+        """As Reader.graph, with the walk's lines ranked."""
         graph = super().graph(ref)
         nodes = [node for edges in graph for _, node in edges]
-        for k, name in enumerate(("line", "depth", "order", "cf_type")):
-            ranks = ore_ranks([node.cts[k] for node in nodes])
-            for node, rank in zip(nodes, ranks):
-                setattr(node, name, rank)
+        for node, rank in zip(nodes, ore_ranks([node.ct for node in nodes])):
+            node.line = rank
         return graph
 
 
@@ -387,35 +387,22 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
         return []
     # the sink's identity: its D key, or its plain identity
     sens_id = fq.sens[0] if isinstance(fq.sens, tuple) else fq.sens
-    bits: dict[tuple, int] = {}  # scope -> its bit in a signature
+    bits: dict[object, int] = {}  # scope -> its bit in a signature
     kids = []  # per token: its distinct entries, (line, token, scope bit, node)
     last = []  # per token: the latest line of its entries
     for edges in graph:
-        if not edges:
-            kids.append(())
-            last.append(None)
-            continue
-        if len(edges) == 1:  # the common case, with nothing to drop
-            ((c, e),) = edges
-            scope = (e.depth, e.order, e.cf_type)
-            kids.append(((e.line, c, bits.setdefault(scope, 1 << len(bits)),
-                          e),))
-            last.append(e.line)
-            continue
         row: dict[tuple, tuple] = {}  # equal entries count once
         for c, e in edges:
-            scope = (e.depth, e.order, e.cf_type)
-            k = (e.line, c, bits.setdefault(scope, 1 << len(bits)))
+            k = (e.line, c, bits.setdefault(e.scope, 1 << len(bits)))
             row.setdefault(k, (*k, e))
         kids.append(tuple(row.values()))
-        last.append(max(row)[0])
+        last.append(max(row)[0] if row else None)
     memos: dict[tuple, dict] = {}  # per sink line and scope: summaries
     found = []  # ((sink line, signature), path), in walk order
     order: dict[tuple, None] = {}  # (sink line, signature), as first met
     work = 0
     for line, first, scope, head in kids[0]:
-        sink = PathNode(sens_id, line, head.depth, head.order,
-                        head.cf_type, fq.sens, head.cts)
+        sink = PathNode(sens_id, line, head.scope, fq.sens, head.ct)
         # token, tokens before it, signature, targets (None: any), path
         stack = [(first, 1, scope, None, [sink, head])]
         while stack:
@@ -512,9 +499,7 @@ def remove_invalid_paths(paths: list[list[PathNode]]) -> list[list[PathNode]]:
     kept = []
     for nodes in paths:
         sink = nodes[0]
-        scope = (sink.depth, sink.order, sink.cf_type)
-        if not any(node.line > sink.line
-                   and (node.depth, node.order, node.cf_type) == scope
+        if not any(node.line > sink.line and node.scope == sink.scope
                    for node in nodes[1:]):
             kept.append(nodes)
     return kept
@@ -546,8 +531,7 @@ def resolve_control_flow(
     for group in groups:
         buckets: dict[frozenset, list[list[PathNode]]] = {}
         for nodes in group:
-            signature = frozenset([(n.depth, n.order, n.cf_type)
-                                   for n in nodes[1:]])
+            signature = frozenset([n.scope for n in nodes[1:]])
             buckets.setdefault(signature, []).append(nodes)
         for bucket in buckets.values():
             selected += _tournament(bucket) if len(bucket) > 1 else bucket
@@ -562,7 +546,7 @@ def _tournament(bucket: list[list[PathNode]]) -> list[list[PathNode]]:
     it loses once it is dropped, else those it beat are."""
     line, kept = bucket[0][0].line, []  # kept: (node fields, path) pairs
     for nodes in bucket:
-        keys = [(n.token, n.line, n.depth, n.order, n.cf_type) for n in nodes]
+        keys = [(n.token, n.line, n.scope) for n in nodes]
         beaten = set()
         for i, (other, _) in enumerate(kept):
             at = next((j for j, pair in enumerate(zip(other, keys))
@@ -601,17 +585,20 @@ def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
 
 # --- full run and reports -------------------------------------------------------
 
-# The fields of a node in a report's node table, in order
+# The fields of a node in a report's node table, in order, in plain and
+# std reports and in decrypted ones; an ore report writes ORE_NODE_FIELDS
 NODE_FIELDS = ("token", "line", "depth", "order", "type")
+ORE_NODE_FIELDS = ("token", "line", "scope")
 
 
 def report_node(node: PathNode) -> tuple:
-    """Report form of a node, NODE_FIELDS in order; ore fields are named
-    by `crypto.ore_name`."""
+    """Report form of a node, NODE_FIELDS in order; in ore mode
+    ORE_NODE_FIELDS, the line named by `crypto.ore_name` and the scope
+    tag in hex."""
     token = node.token.hex() if isinstance(node.token, bytes) else node.token
-    if node.cts is None:
-        return token, node.line, node.depth, node.order, node.cf_type
-    return (token, *["ore:" + ore_name(ct).hex() for ct in node.cts])
+    if node.ct is None:
+        return token, node.line, *node.scope
+    return token, "ore:" + ore_name(node.ct).hex(), node.scope.hex()
 
 
 def node_to_dict(node: PathNode) -> dict:
@@ -684,8 +671,10 @@ def _get(mapping, key: str, kind):
     return value
 
 
-# How std and ore reports write a token: the hex of its D key
-_TOKEN_NAME = re.compile("[0-9a-f]{%d}" % (2 * KEY_BYTES))
+# How std and ore reports write a token (its D key) and an ore scope tag,
+# 16 bytes each, and an ore line's name
+_HEX_16 = re.compile("[0-9a-f]{32}")
+_ORE_NAME = re.compile("ore:[0-9a-f]{24}")  # 12 bytes at DEFAULT_ORE_WIDTH
 
 
 def decrypt_report(report: dict, ks: KeyStore) -> dict:
@@ -693,50 +682,45 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
 
     The report comes back from the analyser, so each field is checked
     where it is read: a malformed report raises FormatError, as does a
-    std or ore token that is not 2 * KEY_BYTES hex digits, and one made
-    under other keys or in another mode raises KeyMismatchError, as does
-    a file id the key store does not hold or a token that no name of its
-    file derives to.  Each node of a file's table is resolved once; each
-    finding becomes the path of its nodes, with the first as its sink and
-    the last as its source.
+    std or ore token or an ore scope tag that is not 32 lowercase hex
+    digits, and one made under other keys or in another mode raises
+    KeyMismatchError, as does a file id the key store does not hold, a
+    token that no name of its file derives to, or a scope tag that does
+    not open under its file's scope key.  Each node of a file's table is
+    resolved once, to NODE_FIELDS; each finding becomes the path of its
+    nodes, with the first as its sink and the last as its source.
     """
     mode = _get(report, "mode", str)
     if mode != ks.mode:
         raise KeyMismatchError(f"report was made in mode {mode!r} but the "
                                f"key store is for mode {ks.mode!r}")
-    field_kind = str if mode == "ore" else int
-    ore_keys = ore_field_keys(ks.master)
-    names: dict[tuple[str, str], int] = {}
+    fields = ORE_NODE_FIELDS if mode == "ore" else NODE_FIELDS
+    line_key = derive_ore_key(ks.master.ore_line)
     file_tokens = functools.cache(functools.partial(report_names, ks))
+    scope_openers = functools.cache(
+        lambda file_id: scope_opener(derive_scope_key(ks.master, file_id)))
 
-    def resolve_field(field: str, value: int | str) -> int:
-        if mode != "ore":
-            return value
-        got = names.get((field, value))
-        if got is None:
-            if not value.startswith("ore:"):
-                raise FormatError(f"report: field value {value!r} is not a "
-                                  "ciphertext name")
-            try:
-                name = bytes.fromhex(value[4:])
-            except ValueError:
-                raise FormatError(
-                    f"report: bad ciphertext name {value!r}") from None
-            key, signed = ore_keys[field]
-            got = ore_name_value(key, name, signed=signed)
-            names[field, value] = got
-        return got
+    @functools.cache
+    def resolve_line(name: str) -> int:
+        if not _ORE_NAME.fullmatch(name):
+            raise FormatError(f"report: node field 'line' is not an ore "
+                              f"name, ore: and hex digits: {name!r}")
+        return ore_name_value(line_key, bytes.fromhex(name[4:]))
 
     def resolve_node(file_id: int, node) -> dict:
-        if not isinstance(node, list) or len(node) != len(NODE_FIELDS):
-            raise FormatError("report: a node is not a list of "
-                              + ", ".join(NODE_FIELDS))
-        token = node[0]
+        if not isinstance(node, list) or len(node) != len(fields):
+            message = "report: a node is not a list of " + ", ".join(fields)
+            if mode == "ore" and isinstance(node, list) and len(
+                    node) == len(NODE_FIELDS):
+                message += ("; an ore row of five columns comes from an "
+                            "older version")
+            raise FormatError(message)
+        token, *values = node
         if not isinstance(token, str):
             raise FormatError("report: a node's token is not a string")
-        out = {"token": file_tokens(file_id).get(token)}
-        if out["token"] is None:
-            if mode != "plain" and not _TOKEN_NAME.fullmatch(token):
+        name = file_tokens(file_id).get(token)
+        if name is None:
+            if mode != "plain" and not _HEX_16.fullmatch(token):
                 raise FormatError(
                     f"report: token {token!r} is not a token name, "
                     f"{2 * KEY_BYTES} lowercase hex digits; the report may "
@@ -745,12 +729,18 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
                 f"token {token!r} is no name of file {file_id} under this "
                 "key store; the report was produced from an index built "
                 "with different keys")
-        for field, value in zip(NODE_FIELDS[1:], node[1:]):
-            if not isinstance(value, field_kind) or isinstance(value, bool):
+        for field, value in zip(fields[1:], values):
+            if type(value) is not (str if mode == "ore" else int):
                 raise FormatError(f"report: node field {field!r} has the "
                                   "wrong type")
-            out[field] = resolve_field(field, value)
-        return out
+        if mode == "ore":
+            line, tag = values
+            if not _HEX_16.fullmatch(tag):
+                raise FormatError(f"report: node field 'scope' is not a scope "
+                                  f"tag of 32 lowercase hex digits: {tag!r}")
+            values = [resolve_line(line),
+                      *scope_openers(file_id)(bytes.fromhex(tag))]
+        return dict(zip(NODE_FIELDS, [name, *values]))
 
     def resolve_path(finding, nodes: list[dict]) -> list[dict]:
         if not isinstance(finding, list):

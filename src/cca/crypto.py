@@ -1,6 +1,6 @@
 """Cryptographic primitives for the encrypted index.
 
-Three building blocks:
+Four building blocks:
 
 * DET: deterministic keyed mapping (HMAC-SHA1) used for index keys, so
   equal tokens map to equal index positions without revealing the token.
@@ -15,13 +15,15 @@ Three building blocks:
   derived per block; each slot's mask is taken from AES-128 of its tag
   under the right half's public nonce (`_masks`).  One AES call makes all
   256 of either, and `ore_encrypt` builds both halves in one pass over
-  the blocks.  Every index encrypts its fields at DEFAULT_ORE_WIDTH bits.
+  the blocks.  Every index encrypts its lines at DEFAULT_ORE_WIDTH bits.
+* Scope tags: AES-128 of a (depth, order, type) triple under a per-file
+  key, which shows equal triples of one file and nothing else.
 
-Everything derives from six 128-bit master keys: one for DET, one for RND,
-and one per protected flow field (line, depth, order, type).  Each token
-key D_t and R_t is HMAC-SHA256 under the DET or RND master key, truncated
-to the same KEY_BYTES (RFC 4231, section 4.6); each field's ORE key pair
-is HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated alike.
+Everything derives from four 128-bit master keys: DET, RND, ORE line and
+scope.  Each token key D_t and R_t, and each file's scope key, is
+HMAC-SHA256 under its master key, truncated to KEY_BYTES (RFC 4231,
+section 4.6); the line's ORE key pair is HMAC-SHA256 of b"prf" and
+b"prp" under its master key, truncated alike.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import os
 import secrets
 import struct
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import lru_cache, partial
 
 from cryptography.exceptions import InvalidTag
@@ -45,7 +47,7 @@ from .fileio import Cursor, atomic_write, blob
 KEY_BYTES = 16
 ORE_BLOCK_BITS = 8
 ORE_BLOCK_DOMAIN = 1 << ORE_BLOCK_BITS  # 256 values per block
-DEFAULT_ORE_WIDTH = 32  # the width of every index field (docs/formats.md)
+DEFAULT_ORE_WIDTH = 32  # the width of an index's lines (docs/formats.md)
 # Widths the ORE primitives take: whole blocks, under 256 bits.
 ORE_WIDTHS = range(ORE_BLOCK_BITS, 256, ORE_BLOCK_BITS)
 
@@ -53,11 +55,6 @@ MODES = ("plain", "std", "ore")
 
 _RND_NONCE_BYTES = 12
 _RND_TAG_BYTES = 16
-
-# The four order-revealing flow fields, in index order: report field name,
-# the `MasterKeys` attribute that keys it, and whether its values are signed.
-ORE_FIELDS = (("line", "ore_line", False), ("depth", "ore_depth", False),
-              ("order", "ore_order", False), ("type", "ore_type", True))
 
 
 # HMAC's inner and outer pads (RFC 2104), as byte translation tables.
@@ -69,22 +66,16 @@ _PADS = (bytes(b ^ 0x36 for b in range(256)),
 
 @dataclass(frozen=True)
 class MasterKeys:
-    """The six 128-bit secrets everything else is derived from."""
+    """The four 128-bit secrets everything else is derived from."""
 
     det: bytes
     rnd: bytes
     ore_line: bytes
-    ore_depth: bytes
-    ore_order: bytes
-    ore_type: bytes
-
-    def as_tuple(self) -> tuple[bytes, ...]:
-        return (self.det, self.rnd, self.ore_line, self.ore_depth,
-                self.ore_order, self.ore_type)
+    scope: bytes
 
 
 def generate_master_keys() -> MasterKeys:
-    return MasterKeys(*(secrets.token_bytes(KEY_BYTES) for _ in range(6)))
+    return MasterKeys(*(secrets.token_bytes(KEY_BYTES) for _ in range(4)))
 
 
 def _hmac_keyed(key: bytes, algo: str) -> tuple:
@@ -114,6 +105,12 @@ def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
     keyed = _hmac_keyed(keys.det, "sha256")
     return [_hmac_with(keyed, token_id.encode())[:KEY_BYTES]
             for token_id in token_ids]
+
+
+def derive_scope_key(keys: MasterKeys, file_id: int) -> bytes:
+    """A file's scope key, derived as token keys are: HMAC-SHA256 of its
+    decimal id under the scope master key, cut to KEY_BYTES."""
+    return hmac.digest(keys.scope, str(file_id).encode(), "sha256")[:KEY_BYTES]
 
 
 def derive_token_key_pairs(keys: MasterKeys,
@@ -181,7 +178,6 @@ def rnd_decrypt(key: bytes, blob: bytes) -> bytes:
 
 # --- ORE ----------------------------------------------------------------------
 
-@dataclass
 class OreKey:
     """Key material for the order-revealing scheme: the PRF key of the slot
     tags and the PRP key of the slot permutations.
@@ -193,29 +189,16 @@ class OreKey:
     recomputation and never changes results.
     """
 
-    prf_key: bytes
-    prp_key: bytes
-    permutation: Callable[[int, bytes], bytes] = field(
-        init=False, repr=False, compare=False)
-    slot_tags: Callable[[int, bytes], bytes] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.permutation = lru_cache(4096)(
-            partial(_derive_permutation, self.prp_key))
-        self.slot_tags = lru_cache(4096)(
-            partial(_derive_slot_tags, self.prf_key))
+    def __init__(self, prf_key: bytes, prp_key: bytes) -> None:
+        self.prf_key, self.prp_key = prf_key, prp_key
+        self.permutation = lru_cache(4096)(partial(_derive_permutation,
+                                                   prp_key))
+        self.slot_tags = lru_cache(4096)(partial(_derive_slot_tags, prf_key))
 
 
 def derive_ore_key(master: bytes) -> OreKey:
     return OreKey(hmac.digest(master, b"prf", "sha256")[:KEY_BYTES],
                   hmac.digest(master, b"prp", "sha256")[:KEY_BYTES])
-
-
-def ore_field_keys(master: MasterKeys) -> dict[str, tuple[OreKey, bool]]:
-    """Field name -> (key, signed), in `ORE_FIELDS` order."""
-    return {name: (derive_ore_key(getattr(master, attr)), signed)
-            for name, attr, signed in ORE_FIELDS}
 
 
 # Fisher-Yates steps, last position first: (position, bound, the least
@@ -294,19 +277,8 @@ def _nonce_cipher(nonce: bytes):
     return _ecb(nonce)
 
 
-def _check_range(value: int, width: int, signed: bool) -> int:
-    if width not in ORE_WIDTHS:
-        raise ValueError(f"ORE width must be a positive multiple of "
-                         f"{ORE_BLOCK_BITS} below 256, got {width}")
-    if signed:
-        value += 1 << (width - 1)
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value out of range for {width}-bit ORE")
-    return value
-
-
-def ore_encrypt(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
-                signed: bool = False) -> bytes:
+def ore_encrypt(key: OreKey, value: int,
+                width: int = DEFAULT_ORE_WIDTH) -> bytes:
     """Full ciphertext: the left (query-side) half, then the right
     (data-side) half, both built in one pass over the blocks.
 
@@ -319,7 +291,11 @@ def ore_encrypt(key: OreKey, value: int, width: int = DEFAULT_ORE_WIDTH,
     plus mask) or 170 (four packed codes), so no sum carries into the
     next byte.
     """
-    value = _check_range(value, width, signed)
+    if width not in ORE_WIDTHS:
+        raise ValueError(f"ORE width must be a positive multiple of "
+                         f"{ORE_BLOCK_BITS} below 256, got {width}")
+    if not 0 <= value < (1 << width):
+        raise ValueError(f"value out of range for {width}-bit ORE")
     raw = value.to_bytes(width // ORE_BLOCK_BITS, "big")
     nonce = os.urandom(16)
     masker = _ecb(nonce)
@@ -380,7 +356,7 @@ def ore_compare(a: bytes, b: bytes, width: int = DEFAULT_ORE_WIDTH) -> int:
 
 # A report names an ORE ciphertext by its left half's slot bytes and the
 # first bytes of the last block's tag: part of the left half, so the name
-# shows the analyser nothing new, and the field key reads it back.
+# shows the analyser nothing new, and the line key reads it back.
 _ORE_CHECK_BYTES = 8
 
 
@@ -390,8 +366,8 @@ def ore_name(ct: bytes, width: int = DEFAULT_ORE_WIDTH) -> bytes:
     return ct[16:last + 17:17] + ct[last:last + _ORE_CHECK_BYTES]
 
 
-def ore_name_value(key: OreKey, name: bytes, width: int = DEFAULT_ORE_WIDTH,
-                   signed: bool = False) -> int:
+def ore_name_value(key: OreKey, name: bytes,
+                   width: int = DEFAULT_ORE_WIDTH) -> int:
     """The value an `ore_name` names; KeyMismatchError under another key.
 
     Each slot inverts through its block's permutation, keyed by the bytes
@@ -410,14 +386,41 @@ def ore_name_value(key: OreKey, name: bytes, width: int = DEFAULT_ORE_WIDTH,
         raise KeyMismatchError(
             "order-revealing name does not decrypt under this key store; "
             "the report was produced from an index built with different keys")
-    value = int.from_bytes(raw, "big")
-    return value - (1 << (width - 1)) if signed else value
+    return int.from_bytes(raw, "big")
+
+
+# --- scope tags ---------------------------------------------------------------
+
+_SCOPE_CHECK = bytes(4)  # after depth, order and type, each a signed i32
+
+
+def scope_sealer(key: bytes) -> Callable[[bytes], bytes]:
+    """Tag of a `>iii`-packed triple under a file's scope key: one AES-128
+    block of the triple and the zero check bytes."""
+    update = _ecb(key).update
+    return lambda triple: update(triple + _SCOPE_CHECK)
+
+
+def scope_opener(key: bytes) -> Callable[[bytes], tuple[int, int, int]]:
+    """The triple in each tag a `scope_sealer` of this key made; check
+    bytes that are not zero, as under another key, are a KeyMismatchError."""
+    update = Cipher(algorithms.AES(key), _ECB).decryptor().update
+
+    def open_tag(tag: bytes) -> tuple[int, int, int]:
+        block = update(tag)
+        if not block.endswith(_SCOPE_CHECK):
+            raise KeyMismatchError(
+                "scope tag does not decrypt under this key store; the report "
+                "was produced from an index built with different keys")
+        return struct.unpack(">iii", block[:12])
+
+    return open_tag
 
 
 # --- key store ----------------------------------------------------------------
 
 _KEYS_MAGIC = b"CCAKEYS1"
-_KEYS_VERSION = 5
+_KEYS_VERSION = 6
 
 
 @dataclass
@@ -440,7 +443,7 @@ class KeyStore:
 def serialize_keys(ks: KeyStore) -> bytes:
     out = bytearray(_KEYS_MAGIC)
     out += bytes([_KEYS_VERSION, MODES.index(ks.mode)])
-    out += b"".join(ks.master.as_tuple())
+    out += b"".join(astuple(ks.master))
     out += struct.pack(">I", len(ks.files))
     for file_id in sorted(ks.files):
         out += struct.pack(">I", file_id) + blob(ks.files[file_id].encode())
@@ -451,7 +454,7 @@ def serialize_keys(ks: KeyStore) -> bytes:
 def deserialize_keys(data: bytes) -> KeyStore:
     cur = Cursor(data, "key store", _KEYS_MAGIC, _KEYS_VERSION)
     mode = cur.code(MODES, "mode")
-    master = MasterKeys(*(cur.take(KEY_BYTES) for _ in range(6)))
+    master = MasterKeys(*(cur.take(KEY_BYTES) for _ in range(4)))
     files: dict[int, str] = {}
     counts: dict[int, tuple[int, int]] = {}
     for _ in range(cur.unpack(">I")[0]):

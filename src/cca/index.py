@@ -8,9 +8,10 @@ fields, sealed with randomized encryption so identical edges look unrelated.
 
 Three build modes share one container format:
 
-* ore (default): flow fields are order-revealing ciphertexts, each
-  distinct one sealed once in the container's slot table; an entry holds
-  a slot number and that slot's key per field.
+* ore (default): the line is an order-revealing ciphertext, each
+  distinct one sealed once in the container's slot table, and an entry
+  holds its slot number and that slot's key; depth, order and type are
+  one scope tag under a per-file key (`crypto.scope_sealer`).
 * std: flow fields are plaintext integers, keys and values encrypted.
 * plain: nothing encrypted, for debugging and baseline measurements.
 """
@@ -30,12 +31,14 @@ from .crypto import (
     KeyStore,
     MasterKeys,
     derive_det_keys,
+    derive_ore_key,
+    derive_scope_key,
     derive_token_key_pairs,
     det_encrypt,
     ore_encrypt,
-    ore_field_keys,
     rnd_encrypt,
     rnd_encrypter,
+    scope_sealer,
 )
 from .dcfg import DCFG, VALUE_FAMILIES
 from .errors import ConfigError, FormatError
@@ -43,15 +46,17 @@ from .fileio import Cursor, atomic_write, blob
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 6
-SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore field: slot, slot key
+_VERSION = 7
+SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore line: slot, slot key
+FIELDS = ("line", "depth", "order", "type")  # an entry's flow fields
+_PACK_LAST = {n: struct.Struct(">%di" % n).pack for n in (3, 4)}  # of FIELDS
 
 
 @dataclass
 class EncryptedIndex:
     mode: str
     table: dict[bytes, bytes]  # lookup key -> value, in container order
-    # ore mode: each distinct field ciphertext, sealed under its own key
+    # ore mode: each distinct line ciphertext, sealed under its own key
     slots: list[bytes] = field(default_factory=list)
 
     def lookup(self, key: bytes) -> bytes | None:
@@ -114,50 +119,34 @@ def build_index(
     the VAR<n> and FUNC_CALL<n> tokens the file's entries key.
 
     A count above MAX_NAME_COUNT is a ConfigError, and two entries with
-    one lookup key are a ValueError.  In ore mode each distinct (field,
-    value) pair is encrypted once per build and sealed once, in a slot of
-    a random number (see docs/formats.md); names maps file ids to the
-    paths errors name.
+    one lookup key are a ValueError.  In ore mode each distinct line is
+    encrypted once per build and sealed once, in a slot of a random number
+    (see docs/formats.md); names maps file ids to the paths errors name.
     """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
+    names = names or {}
+    refs, slots = {}, []  # ore: line -> its SLOT_REF, and the slot table
+    if mode == "ore":
+        line_key = derive_ore_key(keys.ore_line)
+        lines = {pair.right.line: names.get(file_id, f"file {file_id}")
+                 for file_id, dcfg in per_file for pair in dcfg}
+        refs, slots = _seal_slots({line: _ore_line(line_key, line, path)
+                                   for line, path in lines.items()})
 
     counts: dict[int, tuple[int, int]] = {}
     entries: list[tuple[bytes, bytes]] = []
-    sealing = []  # ore: (key, R_left's sealer, D_right || R_right, fields)
-    ore_keys = ore_field_keys(keys)
-    ore_memo: dict[tuple[str, int], bytes] = {}
-
-    def ore_field(path: str, name: str, value: int) -> None:
-        if (name, value) not in ore_memo:
-            ore_key, signed = ore_keys[name]
-            try:
-                ore_memo[(name, value)] = ore_encrypt(ore_key, value,
-                                                      signed=signed)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: {name} value {value} is out of range for "
-                    f"{DEFAULT_ORE_WIDTH}-bit ORE fields") from exc
-
-    def std_fields(path: str, values: tuple[int, ...]) -> bytes:
-        try:
-            return struct.pack(">iiii", *values)
-        except struct.error:
-            name, value = next((name, v) for name, v in zip(ore_keys, values)
-                               if not -2**31 <= v < 2**31)
-            raise ConfigError(
-                f"{path}: {name} value {value} is out of range for std "
-                f"fields, signed 32-bit [{-2**31}, {2**31 - 1}]") from None
-
     for file_id, dcfg in per_file:
         by_left = dcfg.by_left()
         tokens = {*by_left, *(pair.right.token for pairs in by_left.values()
                               for pair in pairs)}
-        path = (names or {}).get(file_id, f"file {file_id}")
+        path = names.get(file_id, f"file {file_id}")
         counts[file_id] = _name_counts(tokens, path)
         token_keys = {} if mode == "plain" else dict(zip(
             tokens, derive_token_key_pairs(
                 keys, [token_identity(file_id, token) for token in tokens])))
+        if mode == "ore":
+            seal_scope = scope_sealer(derive_scope_key(keys, file_id))
         for left, pairs in by_left.items():
             if mode != "plain":  # one key pair, and one sealer, per left token
                 d_left, r_left = token_keys[left]
@@ -172,25 +161,42 @@ def build_index(
                 else:
                     d_right, r_right = token_keys[right.token]
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"))
-                    if mode == "ore":  # sealed below, once the slots are
-                        fields = tuple(zip(ore_keys, values))
-                        for name, v in fields:
-                            ore_field(path, name, v)
-                        sealing.append((key, seal, d_right + r_right, fields))
-                        continue
-                    value = seal(d_right + r_right + std_fields(path, values))
+                    if mode == "ore":  # the line's slot, then the scope tag
+                        fields = refs[right.line] + seal_scope(
+                            _int32s(path, values[1:]))
+                    else:
+                        fields = _int32s(path, values)
+                    value = seal(d_right + r_right + fields)
                 entries.append((key, value))
 
-    refs, slots = _seal_slots(ore_memo)
-    for key, seal, head, fields in sealing:
-        entries.append((key, seal(head + b"".join(map(refs.__getitem__,
-                                                      fields)))))
     if mode != "plain":
         random.SystemRandom().shuffle(entries)
     table = dict(entries)
     if len(table) != len(entries):
         raise ValueError("two index entries share a lookup key")
     return EncryptedIndex(mode, table, slots), counts
+
+
+def _ore_line(key, line: int, path: str) -> bytes:
+    try:
+        return ore_encrypt(key, line)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{path}: line value {line} is out of range for "
+            f"{DEFAULT_ORE_WIDTH}-bit ORE fields") from exc
+
+
+def _int32s(path: str, values: tuple[int, ...]) -> bytes:
+    """The last len(values) FIELDS as big-endian signed 32-bit integers
+    (std entries, scope tags); ConfigError names one out of range."""
+    try:
+        return _PACK_LAST[len(values)](*values)
+    except struct.error:
+        name, value = next((name, v) for name, v in zip(
+            FIELDS[-len(values):], values) if not -2**31 <= v < 2**31)
+        raise ConfigError(
+            f"{path}: {name} value {value} is out of range for signed "
+            f"32-bit fields [{-2**31}, {2**31 - 1}]") from None
 
 
 def _seal_slots(cts: dict) -> tuple[dict, list[bytes]]:

@@ -4,9 +4,9 @@ Two oracles with different trust stories:
 
 * `plaintext_analyse` runs the analysis module's detection, `find_paths`
   and then the final check, directly over dependency pairs, with the
-  plaintext integers where an ore run uses ranks of order-revealing
-  ciphertexts.  Agreement with a decrypted encrypted-mode report shows
-  the cryptographic layer is transparent.  The paper's steps 2-4 stay in
+  plaintext lines and (depth, order, type) triples where an ore run uses
+  line ranks and scope tags.  Agreement with a decrypted encrypted-mode
+  report shows the cryptographic layer is transparent.  The paper's steps 2-4 stay in
   the analysis module as the reference; the tests hold `find_paths` to
   them.
 
@@ -37,8 +37,8 @@ class DcfgReader(Reader):
 
     def _read(self, ref: str) -> list[PathNode]:
         return [
-            PathNode(pair.right.token, pair.right.line, pair.right.depth,
-                     pair.right.order, pair.right.cf_type, ref=pair.right.token)
+            PathNode(pair.right.token, pair.right.line, pair.right.flow,
+                     ref=pair.right.token)
             for pair in self.index.get(ref, [])
         ]
 

@@ -172,8 +172,22 @@ def _old_format(report: dict) -> None:
                          for f in entry["findings"]]
 
 
+def _row_of_the_other_shape(report: dict) -> None:
+    """Give file 0's first row the other shape: five columns in an ore
+    report, as older versions wrote it, and three in a plain or std one."""
+    row = _file0(report)["nodes"][0]
+    row[1:] = [row[1]] * (4 if report["mode"] == "ore" else 2)
+
+
+def _last_field_cut_to_31_characters(report: dict) -> None:
+    """File 0's first row with its last field, the scope tag of an ore
+    report or the type of a plain or std one, as 31 characters of text."""
+    row = _file0(report)["nodes"][0]
+    row[-1] = str(row[-1]).rjust(31, "0")[:31]
+
+
 # case -> (edit to an analyser report whose file 0 has a finding, what
-# the FormatError that decrypting it raises says)
+# the FormatError that decrypting it raises says in every mode)
 NODE_TABLE_DAMAGE = {
     "finding index past the table": (
         lambda r: _file0(r)["findings"][0].append(len(_file0(r)["nodes"])),
@@ -190,12 +204,16 @@ NODE_TABLE_DAMAGE = {
     "finding without sink": (lambda r: _file0(r)["findings"][0].clear(),
                              "empty finding"),
     "node of four fields": (lambda r: _file0(r)["nodes"][0].pop(),
-                            "not a list of token, line, depth, order, type"),
+                            "a node is not a list of token, line, "),
     "node of six fields": (lambda r: _file0(r)["nodes"][0].append(0),
-                           "not a list of token, line, depth, order, type"),
+                           "a node is not a list of token, line, "),
     "node as an object": (
         lambda r: _file0(r)["nodes"].append({"token": "INPUT"}),
-        "not a list of token, line, depth, order, type"),
+        "a node is not a list of token, line, "),
+    "node shaped for the other mode": (_row_of_the_other_shape,
+                                       "a node is not a list of token, line, "),
+    "last node field cut to 31 characters": (
+        _last_field_cut_to_31_characters, "report: node field '"),
     "nodes is an object": (lambda r: _file0(r).update(nodes={}),
                            "field 'nodes' has the wrong type"),
     "findings is a number": (lambda r: _file0(r).update(findings=3),

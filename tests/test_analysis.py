@@ -92,7 +92,9 @@ PARALLEL_APP = {
 
 
 def node_tuple(node: PathNode) -> tuple:
-    return (node.token, node.line, node.depth, node.order, node.cf_type)
+    """A node's fields in report order; an ore scope tag stays one value."""
+    scope = (node.scope,) if isinstance(node.scope, bytes) else node.scope
+    return (node.token, node.line, *scope)
 
 
 # --- authorise -----------------------------------------------------------------
@@ -148,7 +150,7 @@ def test_authorise_token_keys_match_direct_derivation(tmp_path):
 @pytest.mark.parametrize("mode", ["std", "ore"])
 def test_batched_query_equals_per_file_derivation_byte_for_byte(mode):
     # a fixed key store: the query is a function of it alone
-    master = MasterKeys(*(bytes([k]) * KEY_BYTES for k in range(6)))
+    master = MasterKeys(*(bytes([k]) * KEY_BYTES for k in range(4)))
     ks = KeyStore(master, mode, {0: "a.php", 3: "b.php", 7: "c.php"},
                   {0: (2, 0), 3: (0, 1), 7: (0, 0)})
     def pair(file_id, token):  # one token at a time
@@ -389,7 +391,7 @@ def test_encrypted_run_decrypts_to_the_same_finding(tmp_path):
 
 
 def node(token, line, depth=0, order=0, cf_type=0) -> PathNode:
-    return PathNode(token, line, depth, order, cf_type)
+    return PathNode(token, line, (depth, order, cf_type))
 
 
 def test_same_scope_later_line_invalidates_a_path():
@@ -648,8 +650,10 @@ def test_encrypted_fields_stay_opaque_in_reports(tmp_path):
     report = analyse(res.index, authorise(res.keys, "xss"))
     (entry,) = report["files"]
     (finding,) = entry["findings"]
-    assert all(field.startswith("ore:")
-               for node in entry["nodes"] for field in node[1:])
+    # an ore row is the token, the line's ORE name and the scope tag
+    assert all(len(node) == 3 and node[1].startswith("ore:")
+               and re.fullmatch("[0-9a-f]{32}", node[2])
+               for node in entry["nodes"])
     assert entry["nodes"][finding[0]][1].startswith("ore:")
     resolved = decrypt_report(report, res.keys)
     assert resolved["files"][0]["findings"][0]["sink"]["line"] == 5
@@ -665,6 +669,29 @@ def test_ore_field_under_foreign_field_key_is_detected(tmp_path):
         ours.keys.master, ore_line=theirs.keys.master.ore_line))
     with pytest.raises(KeyMismatchError):
         decrypt_report(report, mixed)
+
+
+def test_scope_tag_under_foreign_scope_key_is_detected(tmp_path):
+    root = write_app(tmp_path, FLOW_APP)
+    ours = encrypt_application(root, mode="ore")
+    theirs = encrypt_application(root, mode="ore")
+    report = analyse(ours.index, authorise(ours.keys, "xss"))
+    mixed = dataclasses.replace(ours.keys, master=dataclasses.replace(
+        ours.keys.master, scope=theirs.keys.master.scope))
+    with pytest.raises(KeyMismatchError, match="scope tag"):
+        decrypt_report(report, mixed)
+
+
+def test_scope_tags_of_another_file_are_a_key_mismatch(tmp_path):
+    # both files read their sink in scope (0, 0, 0), and each tags it
+    # under its own key
+    res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode="ore")
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    a, b = report["files"]
+    assert a["nodes"][0][2] != b["nodes"][0][2]
+    a["nodes"][0][2] = b["nodes"][0][2]
+    with pytest.raises(KeyMismatchError, match="scope tag"):
+        decrypt_report(report, res.keys)
 
 
 def test_report_mode_must_match_the_key_store(tmp_path):
@@ -683,7 +710,9 @@ def test_encrypted_paths_carry_ranks_not_ciphertexts(tmp_path):
     # plaintext lines 5/1 and 6/4 rank 3/0 and 4/2 among the lines read
     # (1, 3, 4, 5, 6)
     assert lines == [[3, 3, 0], [4, 4, 2]]
-    assert all(isinstance(n.depth, int) for path in raw for n in path)
+    # scopes stay the 16-byte tags the entries hold
+    assert all(isinstance(n.scope, bytes) and len(n.scope) == 16
+               for path in raw for n in path)
 
 
 def test_ore_ranks_are_per_file_whatever_the_reader_walked_before(tmp_path):
@@ -749,7 +778,7 @@ def test_report_lists_each_node_once_in_first_use_order(tmp_path, mode, app,
     (entry,) = report["files"]
     nodes, findings = entry["nodes"], entry["findings"]
     assert len(findings) == count
-    assert all(len(node) == 5 for node in nodes)
+    assert all(len(node) == (3 if mode == "ore" else 5) for node in nodes)
     assert len({tuple(node) for node in nodes}) == len(nodes)
     assert len({f[0] for f in findings}) == 1  # one sink row
     first_use = list(dict.fromkeys(i for f in findings for i in f))

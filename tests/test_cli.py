@@ -255,8 +255,8 @@ def test_stats_command(tmp_path, app_dir, capsys):
     out = capsys.readouterr().out
     assert "mode: ore" in out
     assert "entries: 6" in out
-    # lines 1-6, depth, order and type 0: one slot each
-    assert "slots: 9" in out.splitlines()
+    # lines 1-6: one slot each
+    assert "slots: 6" in out.splitlines()
 
 
 def test_bench_command(app_dir, capsys):
@@ -469,6 +469,14 @@ def _sink(report: dict) -> _NodeView:
     return _NodeView(report["files"][0]["nodes"][_first_finding(report)[0]])
 
 
+def _edit_sink_scope_tag(change):
+    """Edit the scope tag of an ore report's first sink row."""
+    def edit(report: dict) -> None:
+        row = _sink(report).row
+        row[2] = change(row[2])
+    return _edit_report(edit)
+
+
 def _set_sink_value(value: bytes):
     def damage(paths):
         index = load_index(paths["index"])
@@ -580,6 +588,14 @@ MALFORMED = {
     "report file id outside the key store": (
         "--no-ore", _edit_report(lambda r: r["files"][0].update(file=99)),
         "decrypt-report"),
+    "ore report row of five columns": (
+        "", _edit_report(lambda r: _sink(r).row.extend(_sink(r).row[1:3])),
+        "decrypt-report"),
+    "report scope tag in upper case": (
+        "", _edit_sink_scope_tag(lambda tag: tag[:-1] + "F"), "decrypt-report"),
+    "report scope tag under other keys": (
+        "", _edit_sink_scope_tag(lambda tag: tag[:-1] + "01"[tag[-1] == "0"]),
+        "decrypt-report"),
     **{f"ore index with a {case}": ("", _damage_index(damage), "analyse")
        for case, (damage, _, _) in HOSTILE_SLOTS.items()},
     **{f"report {case}": ("--no-ore", _edit_report(edit), "decrypt-report")
@@ -600,6 +616,11 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                       "sink D is a 32-byte key, not 16 bytes",
                   "report token of 64 hex digits": "32 lowercase hex digits",
                   "report file id outside the key store": "file 99",
+                  "ore report row of five columns":
+                      "an ore row of five columns comes from an older version",
+                  "report scope tag in upper case": "32 lowercase hex digits",
+                  "report scope tag under other keys":
+                      "scope tag does not decrypt under this key store",
                   **{f"report {case}": says
                      for case, (_, says) in NODE_TABLE_DAMAGE.items()},
                   **{f"ore index with a {case}": says

@@ -6,6 +6,8 @@ import hashlib
 import hmac
 import secrets
 import stat
+import struct
+from dataclasses import astuple
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -27,6 +29,7 @@ from cca.crypto import (
     OreKey,
     derive_det_keys,
     derive_ore_key,
+    derive_scope_key,
     derive_token_key_pairs,
     deserialize_keys,
     det_encrypter,
@@ -36,6 +39,8 @@ from cca.crypto import (
     ore_name_value,
     rnd_encrypter,
     save_keys,
+    scope_opener,
+    scope_sealer,
     serialize_keys,
 )
 from cca.errors import FormatError, IntegrityError, KeyMismatchError
@@ -43,12 +48,12 @@ from cca.errors import FormatError, IntegrityError, KeyMismatchError
 
 # --- master keys ---------------------------------------------------------------
 
-def test_default_security_parameter_gives_six_16_byte_keys():
+def test_default_security_parameter_gives_four_16_byte_keys():
     mk = generate_master_keys()
-    parts = mk.as_tuple()
-    assert len(parts) == 6
+    parts = astuple(mk)
+    assert len(parts) == 4
     assert all(len(k) == 16 for k in parts)
-    assert len(set(parts)) == 6
+    assert len(set(parts)) == 4
 
 
 def test_token_key_derivation_is_deterministic_and_separated():
@@ -70,7 +75,7 @@ def test_token_key_derivation_is_deterministic_and_separated():
 def test_det_keys_are_hmac_sha256_under_the_det_master_key(key_len, ids):
     # keys longer than the 64-byte block are hashed first, as RFC 2104 says;
     # a token key is the first 16 bytes of the digest (RFC 4231, 4.6)
-    mk = MasterKeys(*(bytes([k]) * key_len for k in range(6)))
+    mk = MasterKeys(*(bytes([k]) * key_len for k in range(4)))
     assert derive_det_keys(mk, ids) == [
         hmac.new(mk.det, i.encode(), "sha256").digest()[:16] for i in ids]
 
@@ -78,7 +83,7 @@ def test_det_keys_are_hmac_sha256_under_the_det_master_key(key_len, ids):
 @given(st.integers(16, 100), st.lists(st.text(max_size=80), max_size=3))
 def test_token_keys_are_truncated_hmac_sha256_under_their_master_keys(
         key_len, ids):
-    mk = MasterKeys(*(bytes([k]) * key_len for k in range(6)))
+    mk = MasterKeys(*(bytes([k]) * key_len for k in range(4)))
     expected = [(hmac.new(mk.det, i.encode(), "sha256").digest()[:16],
                  hmac.new(mk.rnd, i.encode(), "sha256").digest()[:16])
                 for i in ids]
@@ -88,7 +93,7 @@ def test_token_keys_are_truncated_hmac_sha256_under_their_master_keys(
 
 @given(st.lists(st.text(max_size=40), max_size=5))
 def test_batch_token_keys_equal_one_at_a_time_derivation(ids):
-    mk = MasterKeys(*(bytes([k]) * 16 for k in range(6)))
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
     assert derive_token_key_pairs(mk, ids) == [
         derive_token_key_pairs(mk, [i])[0] for i in ids]
 
@@ -104,7 +109,7 @@ def test_det_matches_published_hmac_sha1_vector():
 def test_det_matches_published_hmac_sha256_vector():
     # RFC 4231 test case 2, as the DET key of a token under the DET master
     # key: the digest's first 16 bytes
-    mk = MasterKeys(b"Jefe", *(bytes(16) for _ in range(5)))
+    mk = MasterKeys(b"Jefe", *(bytes(16) for _ in range(3)))
     (digest,) = derive_det_keys(mk, ["what do ya want for nothing?"])
     assert digest.hex() == "5bdcc146bf60754e6a042426089575c7"
 
@@ -253,17 +258,6 @@ def test_ore_ciphertext_sizes():
     assert len(ore_encrypt(key, 9, width=8)) == ore_ciphertext_bytes(8)
 
 
-def test_ore_signed_mode_orders_negative_branch_types():
-    key = _random_ore_key()
-    minus = ore_encrypt(key, -1, width=8, signed=True)
-    zero = ore_encrypt(key, 0, width=8, signed=True)
-    plus = ore_encrypt(key, 3, width=8, signed=True)
-
-    assert ore_compare(minus, zero, width=8) == -1
-    assert ore_compare(zero, plus, width=8) == -1
-    assert ore_compare(minus, plus, width=8) == -1
-
-
 def test_ore_range_validation():
     key = _random_ore_key()
     with pytest.raises(ValueError):
@@ -320,35 +314,29 @@ def test_ore_agrees_with_integer_order_on_words(x, y):
 KAT_KEY = OreKey(bytes(range(16)), bytes(range(16, 32)))
 
 
-@pytest.mark.parametrize("value, width, signed, left, right, name", [
-    (200, 8, False, "10e1b2bbe1ceb7aad1f4bf456aa78ad530",
+@pytest.mark.parametrize("value, width, left, right, name", [
+    (200, 8, "10e1b2bbe1ceb7aad1f4bf456aa78ad530",
      "00000000000000000000000000000000"
      "4a1298a45962a00910469659104656a099105a96440621a2088a64115a504182"
      "1000566aa9986a965586164492a6a981a9a24202184912100688965552115649",
      "3010e1b2bbe1ceb7aa"),
-    (70000, 32, False,
+    (70000, 32,
      "ea7b52f78a1c5aeb7f065f5d9deb5dd9aa2170840716174d0d8dddab64169a31c3"
      "e4ff0ed026c5a05037836f9226989a5ec6f226d7fc21abfbceb2be37324e143064"
      "1c22",
      # SHA-256 of the 272-byte right half
      "0756229e50446bb80728abe5b9550b05e1acd0555ef69caeb75f41c876b9360d",
      "aae4f22226d7fc21abfbceb2"),
-    (-5, 8, True, "b1879a4c84b03f140d7de329301278f3c3",
-     "00000000000000000000000000000000"
-     "521210a45162200a544aaa99124694a099106a9684142520088848155a605184"
-     "15056a6a2199689669161844a28aa10562804210289924110a901a595215aa89",
-     "c3b1879a4c84b03f14"),
-], ids=["8-bit", "32-bit", "signed"])
-def test_ore_known_answer(monkeypatch, value, width, signed, left, right,
-                          name):
+], ids=["8-bit", "32-bit"])
+def test_ore_known_answer(monkeypatch, value, width, left, right, name):
     monkeypatch.setattr("cca.crypto.os.urandom", bytes)
-    ct = ore_encrypt(KAT_KEY, value, width, signed)
+    ct = ore_encrypt(KAT_KEY, value, width)
     got_left, got_right = ct[:len(left) // 2], ct[len(left) // 2:]
     if width > 8:  # a long right half is pinned by its SHA-256
         got_right = hashlib.sha256(got_right).digest()
     assert (got_left.hex(), got_right.hex(), ore_name(ct, width).hex()) == (
         left, right, name)
-    assert ore_name_value(KAT_KEY, bytes.fromhex(name), width, signed) == value
+    assert ore_name_value(KAT_KEY, bytes.fromhex(name), width) == value
 
 
 def _aes(key: bytes, block: bytes) -> bytes:
@@ -433,11 +421,9 @@ def test_masks_are_uniform_in_z3():
         assert abs(masks.count(residue) - n / 3) < 4 * sigma, residue
 
 
-def _reference_right(key: OreKey, value: int, width: int, signed: bool,
+def _reference_right(key: OreKey, value: int, width: int,
                      nonce: bytes) -> bytes:
     """The right half, one slot at a time, from AES and HMAC directly."""
-    if signed:
-        value += 1 << (width - 1)
     raw = value.to_bytes(width // 8, "big")
     out = bytearray(nonce)
     for i, y in enumerate(raw):
@@ -453,16 +439,14 @@ def _reference_right(key: OreKey, value: int, width: int, signed: bool,
     return bytes(out)
 
 
-@given(st.sampled_from((8, 16, 32)), st.booleans(), st.data())
-def test_ore_right_half_matches_the_per_slot_reference(width, signed, data):
-    low = -(1 << (width - 1)) if signed else 0
-    value = data.draw(st.integers(low, low + (1 << width) - 1))
+@given(st.sampled_from((8, 16, 32)), st.data())
+def test_ore_right_half_matches_the_per_slot_reference(width, data):
+    value = data.draw(st.integers(0, (1 << width) - 1))
     nonce = bytes(range(100, 116))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("cca.crypto.os.urandom", lambda n: nonce[:n])
-        got = ore_encrypt(KAT_KEY, value, width,
-                          signed)[ore_left_bytes(width):]
-    assert got == _reference_right(KAT_KEY, value, width, signed, nonce)
+        got = ore_encrypt(KAT_KEY, value, width)[ore_left_bytes(width):]
+    assert got == _reference_right(KAT_KEY, value, width, nonce)
 
 
 def test_ore_compare_is_the_same_with_the_nonce_memo_cold_and_warm():
@@ -503,12 +487,6 @@ def test_ore_names_round_trip_every_8_bit_value():
             assert ore_name_value(NAME_KEY, name, width) == value
 
 
-def test_ore_names_round_trip_signed_16_bit_values():
-    for value in range(-300, 300):
-        name = ore_name(ore_encrypt(NAME_KEY, value, 16, signed=True), 16)
-        assert ore_name_value(NAME_KEY, name, 16, signed=True) == value
-
-
 def test_ore_name_is_part_of_the_left_half():
     ct = ore_encrypt(NAME_KEY, 70000)
     left = ct[:ore_left_bytes()]
@@ -538,6 +516,35 @@ def test_ore_name_of_the_wrong_length_is_a_format_error():
         ore_name_value(NAME_KEY, name, width=16)
 
 
+# --- scope tags ------------------------------------------------------------------
+
+def test_scope_keys_are_truncated_hmac_sha256_of_the_decimal_file_id():
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
+    for file_id in (0, 12):
+        assert derive_scope_key(mk, file_id) == hmac.new(
+            mk.scope, str(file_id).encode(), "sha256").digest()[:16]
+
+
+@given(st.tuples(*[st.integers(-2**31, 2**31 - 1)] * 3))
+def test_scope_tag_is_one_aes_block_of_the_triple_and_zero_check_bytes(triple):
+    key = bytes(range(16))
+    packed = struct.pack(">iii", *triple)
+    tag = scope_sealer(key)(packed)
+    assert tag == _aes(key, packed + bytes(4))
+    assert scope_opener(key)(tag) == triple
+
+
+def test_scope_tag_under_another_key_or_flipped_is_a_key_mismatch():
+    tag = scope_sealer(b"\x01" * 16)(struct.pack(">iii", 1, 2, -1))
+    with pytest.raises(KeyMismatchError, match="scope tag"):
+        scope_opener(b"\x02" * 16)(tag)
+    for position in range(len(tag)):
+        flipped = bytearray(tag)
+        flipped[position] ^= 1
+        with pytest.raises(KeyMismatchError):
+            scope_opener(b"\x01" * 16)(bytes(flipped))
+
+
 # --- key store -----------------------------------------------------------------
 
 def _sample_store() -> KeyStore:
@@ -560,9 +567,9 @@ def test_keystore_roundtrip(tmp_path):
     assert back.mode == "ore"
     assert back.files == ks.files
     assert back.counts == ks.counts
-    # header (magic, version, mode), six master keys, file count, then per
+    # header (magic, version, mode), four master keys, file count, then per
     # file: u32 id, u16 path length, path, u16 VAR count, u16 FUNC_CALL count
-    assert len(serialize_keys(ks)) == (10 + 6 * 16 + 4
+    assert len(serialize_keys(ks)) == (10 + 4 * 16 + 4
                                        + (6 + 9 + 4) + (6 + 10 + 4))
 
 
@@ -579,11 +586,12 @@ def test_keystore_truncation_rejected():
         deserialize_keys(blob[: len(blob) // 2])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_keystore_version_rejected_by_name(version):
     # version 1 held ore value tables, version 2 named ore fields with
     # SHA-256 tags, version 3 held a token directory instead of name counts,
-    # version 4 held the DET hash, the ORE width and the master key length
+    # version 4 held the DET hash, the ORE width and the master key length,
+    # and version 5 held six master keys, four of them ORE field keys
     blob = serialize_keys(_sample_store())
     with pytest.raises(FormatError, match=f"version {version}"):
         deserialize_keys(blob[:8] + bytes([version]) + blob[9:])

@@ -22,12 +22,14 @@ from cca import (
 )
 from cca.crypto import (
     KEY_BYTES,
+    derive_ore_key,
+    derive_scope_key,
     derive_token_key_pairs,
     ore_ciphertext_bytes,
     ore_encrypt,
-    ore_field_keys,
     ore_name,
     ore_name_value,
+    scope_opener,
 )
 from cca.dcfg import (
     DCFG,
@@ -36,7 +38,7 @@ from cca.dcfg import (
     annotate_control_flow,
     build_dcfg,
 )
-from cca.errors import ConfigError, FormatError
+from cca.errors import ConfigError, FormatError, KeyMismatchError
 from cca.index import (
     SLOT_REF,
     candidate_names,
@@ -174,10 +176,10 @@ def test_one_aes_gcm_object_seals_every_entry_of_a_left_token(
     monkeypatch.setattr(cca.crypto, "AESGCM", counting_aesgcm)
     monkeypatch.setattr(cca.index, "rnd_encrypt", counting_rnd_encrypt)
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
-    # fig_flow: 6 entries under 4 left tokens; ore seals 9 slots one-shot
+    # fig_flow: 6 entries under 4 left tokens; ore seals 6 slots one-shot
     lefts = len(fig_dcfg.by_left())
     assert (len(index), lefts) == (6, 4)
-    assert len(one_shot) == len(index.slots) == (9 if mode == "ore" else 0)
+    assert len(one_shot) == len(index.slots) == (6 if mode == "ore" else 0)
     assert len(made) == lefts + len(one_shot)
     assert all(len(key) == KEY_BYTES for key in made)
 
@@ -252,7 +254,8 @@ def test_name_count_past_u16_names_file_and_family(master, token):
 
 
 def _slot_refs(index, counts, master):
-    """The four (slot number, slot key) of every entry, read with the keys."""
+    """(file id, the line's (slot number, slot key), scope tag) of every
+    entry, read with the keys."""
     for file_id, file_counts in counts.items():
         for token in candidate_names(file_counts):
             ((d_key, r_key),) = derive_token_key_pairs(
@@ -261,37 +264,38 @@ def _slot_refs(index, counts, master):
             while blob := index.lookup(det_encrypt(d_key,
                                                    struct.pack(">I", counter))):
                 payload = rnd_decrypt(r_key, blob)
-                assert len(payload) == 112
-                fields = payload[2 * KEY_BYTES:]
-                assert len(fields) == 4 * SLOT_REF.size
-                yield [SLOT_REF.unpack_from(fields, k)
-                       for k in range(0, len(fields), SLOT_REF.size)]
+                # D_right || R_right || line slot reference || scope tag
+                assert len(payload) == 68
+                ref = SLOT_REF.unpack_from(payload, 2 * KEY_BYTES)
+                yield file_id, ref, payload[2 * KEY_BYTES + SLOT_REF.size:]
                 counter += 1
 
 
 def _ore_fields(index, counts, master):
-    """The four field ciphertexts of every entry, from the slots it names."""
-    for refs in _slot_refs(index, counts, master):
-        yield [rnd_decrypt(key, index.slots[number]) for number, key in refs]
+    """(file id, line ciphertext, scope tag) of every entry, the line from
+    the slot it names."""
+    for file_id, (number, key), tag in _slot_refs(index, counts, master):
+        yield file_id, rnd_decrypt(key, index.slots[number]), tag
 
 
 def _field_values(master, entries):
-    """(field name, value, ciphertext) of every field of every entry."""
-    field_keys = ore_field_keys(master)
-    for cts in entries:
-        for (name, (key, signed)), ct in zip(field_keys.items(), cts):
-            yield name, ore_name_value(key, ore_name(ct), 32, signed), ct
+    """(file id, line, line ciphertext, scope triple, scope tag) of every
+    entry, read with the line key and the file's scope key."""
+    line_key = derive_ore_key(master.ore_line)
+    for file_id, ct, tag in entries:
+        yield (file_id, ore_name_value(line_key, ore_name(ct)), ct,
+               scope_opener(derive_scope_key(master, file_id))(tag), tag)
 
 
 def test_ore_field_names_decrypt_every_field(fig_dcfg, master):
     index, counts = build_index([(0, fig_dcfg)], master, mode="ore")
-    entries = list(_ore_fields(index, counts, master))
+    entries = list(_field_values(master, _ore_fields(index, counts, master)))
     assert len(entries) == len(index)
-    values = {value for _, value, _ in _field_values(master, entries)}
-    assert values == {0, 2, 3, 4, 5, 6, 7}
+    assert {line for _, line, _, _, _ in entries} == {2, 3, 4, 5, 6, 7}
+    assert {scope for _, _, _, scope, _ in entries} == {(0, 0, 0)}
 
 
-# --- ore mode: one ciphertext per distinct field value per build ------------------
+# --- ore mode: one ciphertext per distinct line per build -------------------------
 
 @pytest.fixture(scope="module")
 def corpus_per_file():
@@ -309,50 +313,62 @@ def test_ore_build_encrypts_each_distinct_field_value_once(
 
     monkeypatch.setattr(cca.index, "ore_encrypt", counting)
     index, _ = build_index(corpus_per_file, master, mode="ore")
-    distinct = {(name, value)
-                for _, dcfg in corpus_per_file for pair in dcfg
-                for name, value in zip(
-                    ("line", "depth", "order", "type"),
-                    (pair.right.line, pair.right.depth, pair.right.order,
-                     pair.right.cf_type))}
+    distinct = {pair.right.line for _, dcfg in corpus_per_file for pair in dcfg}
     assert len(index) == 315
-    assert len(calls) == len(distinct) == 49
+    assert len(calls) == len(distinct) == 37
 
 
 def test_equal_field_values_share_one_ciphertext_per_build(
         corpus_per_file, master):
     index, counts = build_index(corpus_per_file, master, mode="ore")
-    by_value: dict[tuple[str, int], set[bytes]] = {}
-    for name, value, ct in _field_values(
+    by_value: dict[int, set[bytes]] = {}
+    for _, line, ct, _, _ in _field_values(
             master, _ore_fields(index, counts, master)):
-        by_value.setdefault((name, value), set()).add(ct)
-    assert len(by_value) == 49
+        by_value.setdefault(line, set()).add(ct)
+    assert len(by_value) == 37
     assert all(len(cts) == 1 for cts in by_value.values())
-    # no two (field, value) pairs share bytes, across fields included
-    assert len(set().union(*by_value.values())) == 49
+    assert len(set().union(*by_value.values())) == 37
 
 
 def test_each_slot_holds_one_distinct_ciphertext_under_its_own_key(
         corpus_per_file, master):
     index, counts = build_index(corpus_per_file, master, mode="ore")
-    refs = {ref for entry in _slot_refs(index, counts, master)
-            for ref in entry}
-    assert len(index.slots) == 49
-    assert {number for number, _ in refs} == set(range(49))
-    assert len({key for _, key in refs}) == len(refs) == 49
+    refs = {ref for _, ref, _ in _slot_refs(index, counts, master)}
+    assert len(index.slots) == 37
+    assert {number for number, _ in refs} == set(range(37))
+    assert len({key for _, key in refs}) == len(refs) == 37
     assert {len(slot) for slot in index.slots} == {
         12 + ore_ciphertext_bytes() + 16}
-    # an ore entry seals D_right || R_right || 4 x (u32 slot || slot key)
-    assert {len(v) for v in index.table.values()} == {12 + 112 + 16}
+    # an ore entry seals D_right || R_right || u32 slot || slot key || tag
+    assert {len(v) for v in index.table.values()} == {12 + 68 + 16}
+
+
+def test_corpus_slot_table_holds_each_distinct_line_once(
+        corpus_per_file, master, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ore_encrypt(*args, **kwargs)
+
+    monkeypatch.setattr(cca.index, "ore_encrypt", counting)
+    index, counts = build_index(corpus_per_file, master, mode="ore")
+    keys = {number: key for _, (number, key), _
+            in _slot_refs(index, counts, master)}
+    line_key = derive_ore_key(master.ore_line)
+    lines = [ore_name_value(line_key, ore_name(rnd_decrypt(keys[n], slot)))
+             for n, slot in enumerate(index.slots)]
+    distinct = {pair.right.line for _, dcfg in corpus_per_file for pair in dcfg}
+    assert sorted(lines) == sorted(distinct) and len(lines) == 37
+    assert len(calls) == 37
 
 
 def _line_slots(corpus_per_file, master) -> dict[int, int]:
     """line value -> its slot number, in one corpus build."""
     index, counts = build_index(corpus_per_file, master, mode="ore")
-    line_key, _ = ore_field_keys(master)["line"]
+    line_key = derive_ore_key(master.ore_line)
     slots = {}
-    for refs in _slot_refs(index, counts, master):
-        number, key = refs[0]
+    for _, (number, key), _ in _slot_refs(index, counts, master):
         ct = rnd_decrypt(key, index.slots[number])
         slots[ore_name_value(line_key, ore_name(ct))] = number
     return slots
@@ -371,9 +387,64 @@ def test_two_ore_builds_share_no_field_ciphertext(fig_dcfg, master):
     builds = []
     for _ in range(2):
         index, counts = build_index([(0, fig_dcfg)], master, mode="ore")
-        builds.append({ct for cts in _ore_fields(index, counts, master)
-                       for ct in cts})
+        builds.append({ct for _, ct, _ in _ore_fields(index, counts, master)})
     assert builds[0] and not builds[0] & builds[1]
+
+
+# --- ore mode: scope tags ----------------------------------------------------------
+
+def _scope_tags(per_file, master) -> dict[tuple, set[bytes]]:
+    """(file id, scope triple) -> the tags its entries hold, in one build."""
+    index, counts = build_index(per_file, master, mode="ore")
+    tags: dict[tuple, set[bytes]] = {}
+    for file_id, _, _, scope, tag in _field_values(
+            master, _ore_fields(index, counts, master)):
+        tags.setdefault((file_id, scope), set()).add(tag)
+    return tags
+
+
+def test_equal_scopes_in_one_file_share_one_tag(corpus_per_file, master):
+    tags = _scope_tags(corpus_per_file, master)
+    assert all(len(group) == 1 for group in tags.values())
+    # and unequal scopes of one file have unequal tags
+    assert len(set().union(*tags.values())) == len(tags)
+    assert any(scope != (0, 0, 0) for _, scope in tags)
+
+
+def test_equal_scopes_in_two_files_get_different_tags(corpus_per_file, master):
+    tags = _scope_tags(corpus_per_file, master)
+    files_of: dict[tuple, set[int]] = {}
+    for file_id, scope in tags:
+        files_of.setdefault(scope, set()).add(file_id)
+    assert len(files_of[(0, 0, 0)]) > 30  # the corpus repeats scopes a lot
+    for scope, file_ids in files_of.items():
+        assert len({tag for f in file_ids for tag in tags[f, scope]}) == len(
+            file_ids), scope
+
+
+def test_two_builds_share_no_scope_tag(corpus_per_file):
+    builds = [set().union(*_scope_tags(corpus_per_file,
+                                       generate_master_keys()).values())
+              for _ in range(2)]
+    assert builds[0] and not builds[0] & builds[1]
+
+
+def test_scope_tag_opens_only_under_its_own_files_key(fig_dcfg, master):
+    index, counts = build_index([(0, fig_dcfg), (1, fig_dcfg)], master,
+                                mode="ore")
+    other = derive_scope_key(master, 1)
+    for file_id, _, tag in _slot_refs(index, counts, master):
+        if file_id == 0:
+            with pytest.raises(KeyMismatchError, match="scope tag"):
+                scope_opener(other)(tag)
+
+
+def test_scope_field_out_of_signed_32_bits_names_file_and_field(master):
+    dcfg = DCFG([DCFGPair("XSS_SENS", ExtendedITLToken("INPUT", 1, 0, 2**31,
+                                                       0))])
+    with pytest.raises(ConfigError, match=r"^app/index\.php: order value "
+                                          r"2147483648 .*signed 32-bit"):
+        build_index([(3, dcfg)], master, mode="ore", names={3: "app/index.php"})
 
 
 def _sink_at_line(line: int) -> DCFG:
@@ -438,12 +509,13 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
-    # 4 held every field ciphertext in each entry, with biased masks, and
-    # version 5 held 32-byte token keys
+    # 4 held every field ciphertext in each entry, with biased masks,
+    # version 5 held 32-byte token keys, and version 6 made depth, order
+    # and type order-revealing fields as well
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -461,6 +533,6 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert stats["slots"] == stats["slot_bytes"] == 0
     ore, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     stats = index_stats(ore)
-    # lines 2-7, depth, order and type 0: one slot each
-    assert (stats["slots"], stats["slot_bytes"]) == (9, 9 * (12 + 340 + 16))
-    assert stats["value_bytes"] == [12 + 112 + 16]
+    # lines 2-7: one slot each
+    assert (stats["slots"], stats["slot_bytes"]) == (6, 6 * (12 + 340 + 16))
+    assert stats["value_bytes"] == [12 + 68 + 16]
