@@ -40,9 +40,7 @@ from .crypto import (
     KEY_BYTES,
     MODES,
     KeyStore,
-    derive_det_keys,
     derive_ore_key,
-    derive_scope_key,
     derive_token_key_pairs,
     det_encrypter,
     ore_ciphertext_bytes,
@@ -50,8 +48,10 @@ from .crypto import (
     ore_left_bytes,
     ore_name,
     ore_name_value,
+    open_scope_tags,
+    open_token_keys,
+    parse_token,
     rnd_decrypt,
-    scope_opener,
 )
 from .errors import (
     AuthorizationError,
@@ -60,7 +60,7 @@ from .errors import (
     UsageError,
 )
 from .fileio import Cursor, atomic_write, blob
-from .index import SLOT_REF, EncryptedIndex, report_names, token_identity
+from .index import SLOT_REF, EncryptedIndex, token_identity
 from .itl import TASKS
 
 log = logging.getLogger(__name__)
@@ -142,19 +142,19 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
             raise AuthorizationError(f"policy denies task {task!r}")
     sens_name, san_name = TASKS[task]
     file_ids = sorted(ks.files)
-    sens = [token_identity(file_id, sens_name) for file_id in file_ids]
-    ends = [token_identity(file_id, name) for file_id in file_ids
-            for name in ("INPUT", san_name)]
-    if ks.mode != "plain":  # every file's keys in two batches
-        sens = derive_token_key_pairs(ks.master, sens)
-        ends = derive_det_keys(ks.master, ends)
-    return Query(task, ks.mode, [
-        FileQuery(*fields) for fields in zip(file_ids, sens, ends[0::2],
-                                             ends[1::2])])
+    refs = [token_identity(file_id, name) for file_id in file_ids
+            for name in (sens_name, "INPUT", san_name)]
+    if ks.mode != "plain":  # every key of the query in one batch
+        refs = derive_token_key_pairs(ks.master, refs)
+        # the entry point and the sanitizer are named by their D keys alone
+        refs[1::3] = [d for d, _ in refs[1::3]]
+        refs[2::3] = [d for d, _ in refs[2::3]]
+    return Query(task, ks.mode, [FileQuery(file_id, *refs[3 * i:3 * i + 3])
+                                 for i, file_id in enumerate(file_ids)])
 
 
 _QRY_MAGIC = b"CCAQRY1\x00"
-_QRY_VERSION = 3
+_QRY_VERSION = 4
 # The four keys of a file in std and ore queries, in container order
 _QRY_KEYS = ("sink D", "sink R", "entry-point D", "sanitizer D")
 
@@ -680,34 +680,27 @@ _ORE_NAME = re.compile("ore:[0-9a-f]{24}")  # 12 bytes at DEFAULT_ORE_WIDTH
 def decrypt_report(report: dict, ks: KeyStore) -> dict:
     """Resolve an analysis report into file paths, token names and lines.
 
-    The report comes back from the analyser, so each field is checked
-    where it is read: a malformed report raises FormatError, as does a
-    std or ore token or an ore scope tag that is not 32 lowercase hex
-    digits, and one made under other keys or in another mode raises
-    KeyMismatchError, as does a file id the key store does not hold, a
-    token that no name of its file derives to, or a scope tag that does
-    not open under its file's scope key.  Each node of a file's table is
-    resolved once, to NODE_FIELDS; each finding becomes the path of its
-    nodes, with the first as its sink and the last as its source.
+    The report comes back from the analyser, so it is checked whole before
+    anything in it is opened.  A malformed report raises FormatError, as
+    does a std or ore token or an ore scope tag that is not 32 lowercase
+    hex digits; a report made in another mode, or naming a file id the
+    key store does not hold, raises KeyMismatchError.  Then every token
+    and every ore scope tag of the report opens in one AES call each
+    (plain tokens are parsed), so the cost follows the report, not the
+    names the application holds; a token that opens to no name of its
+    file (`KeyStore.token_name`), an ore line name that does not match,
+    or a scope tag that opens to another file raises KeyMismatchError.
+    Each node of a file's table is resolved once, to NODE_FIELDS; each
+    finding becomes the path of its nodes, with the first as its sink and
+    the last as its source.
     """
     mode = _get(report, "mode", str)
     if mode != ks.mode:
         raise KeyMismatchError(f"report was made in mode {mode!r} but the "
                                f"key store is for mode {ks.mode!r}")
     fields = ORE_NODE_FIELDS if mode == "ore" else NODE_FIELDS
-    line_key = derive_ore_key(ks.master.ore_line)
-    file_tokens = functools.cache(functools.partial(report_names, ks))
-    scope_openers = functools.cache(
-        lambda file_id: scope_opener(derive_scope_key(ks.master, file_id)))
 
-    @functools.cache
-    def resolve_line(name: str) -> int:
-        if not _ORE_NAME.fullmatch(name):
-            raise FormatError(f"report: node field 'line' is not an ore "
-                              f"name, ore: and hex digits: {name!r}")
-        return ore_name_value(line_key, bytes.fromhex(name[4:]))
-
-    def resolve_node(file_id: int, node) -> dict:
+    def check_node(node) -> list:
         if not isinstance(node, list) or len(node) != len(fields):
             message = "report: a node is not a list of " + ", ".join(fields)
             if mode == "ore" and isinstance(node, list) and len(
@@ -718,17 +711,11 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         token, *values = node
         if not isinstance(token, str):
             raise FormatError("report: a node's token is not a string")
-        name = file_tokens(file_id).get(token)
-        if name is None:
-            if mode != "plain" and not _HEX_16.fullmatch(token):
-                raise FormatError(
-                    f"report: token {token!r} is not a token name, "
-                    f"{2 * KEY_BYTES} lowercase hex digits; the report may "
-                    "come from an index of an older version")
-            raise KeyMismatchError(
-                f"token {token!r} is no name of file {file_id} under this "
-                "key store; the report was produced from an index built "
-                "with different keys")
+        if mode != "plain" and not _HEX_16.fullmatch(token):
+            raise FormatError(
+                f"report: token {token!r} is not a token name, "
+                f"{2 * KEY_BYTES} lowercase hex digits; the report may "
+                "come from an index of an older version")
         for field, value in zip(fields[1:], values):
             if type(value) is not (str if mode == "ore" else int):
                 raise FormatError(f"report: node field {field!r} has the "
@@ -738,11 +725,12 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
             if not _HEX_16.fullmatch(tag):
                 raise FormatError(f"report: node field 'scope' is not a scope "
                                   f"tag of 32 lowercase hex digits: {tag!r}")
-            values = [resolve_line(line),
-                      *scope_openers(file_id)(bytes.fromhex(tag))]
-        return dict(zip(NODE_FIELDS, [name, *values]))
+            if not _ORE_NAME.fullmatch(line):
+                raise FormatError(f"report: node field 'line' is not an ore "
+                                  f"name, ore: and hex digits: {line!r}")
+        return node
 
-    def resolve_path(finding, nodes: list[dict]) -> list[dict]:
+    def check_finding(finding, size: int) -> list[int]:
         if not isinstance(finding, list):
             raise FormatError(
                 "report: a finding is not a list of indices into its file's "
@@ -751,16 +739,15 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         if not finding:
             raise FormatError("report: empty finding")
         for i in finding:
-            if type(i) is not int or not 0 <= i < len(nodes):
+            if type(i) is not int or not 0 <= i < size:
                 raise FormatError(f"report: finding names node {i!r}, not "
-                                  f"an index into the file's {len(nodes)} "
-                                  "nodes")
-        return [nodes[i] for i in finding]
+                                  f"an index into the file's {size} nodes")
+        return finding
 
     task = _get(report, "task", str)
     if task not in TASKS:
         raise FormatError(f"report: unknown task {task!r}")
-    out = {"task": task, "mode": mode, "files": []}
+    files = []  # (file id, its checked nodes, its checked findings)
     for entry in _get(report, "files", list):
         file_id = _get(entry, "file", int)
         if file_id not in ks.files:
@@ -769,13 +756,48 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         if "nodes" not in entry:
             raise FormatError(f"report: file {file_id} has no node table; a "
                               "report without one comes from an older version")
-        nodes = [resolve_node(file_id, n) for n in _get(entry, "nodes", list)]
-        resolved = {"file": ks.files[file_id], "findings": []}
-        for finding in _get(entry, "findings", list):
-            path = resolve_path(finding, nodes)
-            resolved["findings"].append(
-                {"sink": path[0], "source": path[-1], "path": path})
-        out["files"].append(resolved)
-    if "warnings" in report:
-        out["warnings"] = list(_get(report, "warnings", list))
+        nodes = [check_node(n) for n in _get(entry, "nodes", list)]
+        files.append((file_id, nodes, [check_finding(f, len(nodes)) for f
+                                       in _get(entry, "findings", list)]))
+    warnings = (list(_get(report, "warnings", list)) if "warnings" in report
+                else None)
+
+    rows = [(file_id, node) for file_id, nodes, _ in files for node in nodes]
+    if mode == "plain":
+        tokens = [parse_token(node[0]) for _, node in rows]
+    else:  # each token is 32 hex digits, so one whole block
+        tokens = open_token_keys(ks.master.det,
+                                 [bytes.fromhex(node[0]) for _, node in rows])
+    names = []
+    for (file_id, node), token in zip(rows, tokens):
+        name = token and ks.token_name(file_id, token)
+        if name is None:
+            raise KeyMismatchError(
+                f"token {node[0]!r} is no name of file {file_id} under this "
+                "key store; the report was produced from an index built "
+                "with different keys")
+        names.append(name)
+    if mode == "ore":
+        line_key = derive_ore_key(ks.master.ore_line)
+        line_of = functools.cache(
+            lambda text: ore_name_value(line_key, bytes.fromhex(text[4:])))
+        scopes = open_scope_tags(ks.master.scope, [f for f, _ in rows],
+                                 [bytes.fromhex(node[2]) for _, node in rows])
+        values = [[line_of(node[1]), *scope]
+                  for (_, node), scope in zip(rows, scopes)]
+    else:
+        values = [node[1:] for _, node in rows]
+    resolved = [dict(zip(NODE_FIELDS, [name, *v]))
+                for name, v in zip(names, values)]
+
+    out = {"task": task, "mode": mode, "files": []}
+    opened = iter(resolved)
+    for file_id, nodes, findings in files:
+        table = [next(opened) for _ in nodes]
+        paths = [[table[i] for i in finding] for finding in findings]
+        out["files"].append({"file": ks.files[file_id], "findings": [
+            {"sink": path[0], "source": path[-1], "path": path}
+            for path in paths]})
+    if warnings is not None:
+        out["warnings"] = warnings
     return out

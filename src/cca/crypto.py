@@ -16,14 +16,16 @@ Four building blocks:
   under the right half's public nonce (`_masks`).  One AES call makes all
   256 of either, and `ore_encrypt` builds both halves in one pass over
   the blocks.  Every index encrypts its lines at DEFAULT_ORE_WIDTH bits.
-* Scope tags: AES-128 of a (depth, order, type) triple under a per-file
-  key, which shows equal triples of one file and nothing else.
+* Scope tags: AES-128 of a (file id, depth, order, type) block under the
+  scope master key, which shows equal triples of one file and nothing else.
 
 Everything derives from four 128-bit master keys: DET, RND, ORE line and
-scope.  Each token key D_t and R_t, and each file's scope key, is
-HMAC-SHA256 under its master key, truncated to KEY_BYTES (RFC 4231,
-section 4.6); the line's ORE key pair is HMAC-SHA256 of b"prf" and
-b"prp" under its master key, truncated alike.
+scope.  Each token key D_t and R_t is AES-128 of the token's identity
+block (`parse_token`) under its master key, a pseudorandom permutation,
+so the owner reads D keys back by decryption (`open_token_keys`), as it
+reads scope tags (`open_scope_tags`).  The line's ORE key pair is
+HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated to
+KEY_BYTES (RFC 4231, section 4.6).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
+import re
 import secrets
 import struct
 from collections.abc import Callable, Iterable
@@ -78,13 +81,14 @@ def generate_master_keys() -> MasterKeys:
     return MasterKeys(*(secrets.token_bytes(KEY_BYTES) for _ in range(4)))
 
 
-def _hmac_keyed(key: bytes, algo: str) -> tuple:
-    """HMAC under key as its two hash states after the padded keys (RFC
-    2104), so that each message costs one copy of each instead of both
-    key hashes again.  SHA-1 and SHA-256 both have 64-byte blocks."""
-    new = getattr(hashlib, algo)
-    block = (key if len(key) <= 64 else new(key).digest()).ljust(64, b"\0")
-    return new(block.translate(_PADS[0])), new(block.translate(_PADS[1]))
+def _hmac_keyed(key: bytes) -> tuple:
+    """HMAC-SHA1 under key as its two hash states after the padded keys
+    (RFC 2104), so that each message costs one copy of each instead of
+    both key hashes again."""
+    block = (key if len(key) <= 64 else hashlib.sha1(key).digest()).ljust(
+        64, b"\0")
+    return (hashlib.sha1(block.translate(_PADS[0])),
+            hashlib.sha1(block.translate(_PADS[1])))
 
 
 def _hmac_with(keyed: tuple, data: bytes) -> bytes:
@@ -94,34 +98,89 @@ def _hmac_with(keyed: tuple, data: bytes) -> bytes:
     return outer.digest()
 
 
+# --- token keys ---------------------------------------------------------------
+
+# Token families by code (docs/formats.md): the six fixed names, then the
+# numbered families, whose names are VAR<n> and FUNC_CALL<n>.
+TOKEN_FAMILIES = ("INPUT", "SQLi_SAN", "SQLi_SENS", "STRING", "XSS_SAN",
+                  "XSS_SENS", "VAR", "FUNC_CALL")
+FIRST_NUMBERED = 6
+# A token identity as one AES block: file id, family code, number, and
+# seven zero check bytes
+_TOKEN_BLOCK = struct.Struct(">IBI7s")
+_TOKEN_CHECK = bytes(7)
+_TOKEN_ID = re.compile(r"(0|[1-9][0-9]*):([A-Za-z_]+)(0|[1-9][0-9]*)?")
+_CODES = {fam: code for code, fam in enumerate(TOKEN_FAMILIES)}
+
+
+def parse_token(identity: str) -> tuple[int, int, int] | None:
+    """(file id, family code, number) of a token identity `FILEID:NAME`,
+    or None if it is not one in its only spelling: a fixed name has
+    number 0, and VAR<n> and FUNC_CALL<n> have n, without leading zeros;
+    file id and number must fit a u32."""
+    match = _TOKEN_ID.fullmatch(identity)
+    if match is None:
+        return None
+    file_id, name, number = match.groups()
+    code = _CODES.get(name)
+    if code is None or (number is None) != (code < FIRST_NUMBERED):
+        return None
+    file_id, number = int(file_id), int(number or 0)
+    if file_id >> 32 or number >> 32:
+        return None
+    return file_id, code, number
+
+
+def _token_blocks(token_ids: Iterable[str]) -> bytes:
+    blocks = bytearray()
+    for token_id in token_ids:
+        fields = parse_token(token_id)
+        if fields is None:
+            raise ValueError(f"not a token identity: {token_id!r}")
+        blocks += _TOKEN_BLOCK.pack(*fields, _TOKEN_CHECK)
+    return bytes(blocks)
+
+
+def _derive(key: bytes, blocks: bytes) -> list[bytes]:
+    """Each 16-byte block AES-128-encrypted under key, in one ECB call."""
+    out = _ecb(key).update(blocks)
+    return [out[i:i + KEY_BYTES] for i in range(0, len(out), KEY_BYTES)]
+
+
 def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
-    """Deterministic key D_t of each token, in order, and no value key R_t.
-
-    This is HMAC-SHA256 under the DET master key, cut to KEY_BYTES, with
-    both padded keys hashed once per call: about 1.5 us a token against 4 us
-    for a one-shot HMAC call (CPython 3.11, OpenSSL hashlib, a 2-vCPU
-    x86-64 VM).
-    """
-    keyed = _hmac_keyed(keys.det, "sha256")
-    return [_hmac_with(keyed, token_id.encode())[:KEY_BYTES]
-            for token_id in token_ids]
-
-
-def derive_scope_key(keys: MasterKeys, file_id: int) -> bytes:
-    """A file's scope key, derived as token keys are: HMAC-SHA256 of its
-    decimal id under the scope master key, cut to KEY_BYTES."""
-    return hmac.digest(keys.scope, str(file_id).encode(), "sha256")[:KEY_BYTES]
+    """Deterministic key D_t of each token, in order, and no value key R_t:
+    AES-128 of the token's block under the DET master key."""
+    return _derive(keys.det, _token_blocks(token_ids))
 
 
 def derive_token_key_pairs(keys: MasterKeys,
                            token_ids: Iterable[str]) -> list[tuple[bytes, bytes]]:
-    """Key pair (D_t, R_t) of each token, in order: the first KEY_BYTES of
-    HMAC-SHA256 under the DET and the RND master key, with each master
-    key's padded keys hashed once per call."""
-    ids = [token_id.encode() for token_id in token_ids]
-    det, rnd = _hmac_keyed(keys.det, "sha256"), _hmac_keyed(keys.rnd, "sha256")
-    return [(_hmac_with(det, i)[:KEY_BYTES], _hmac_with(rnd, i)[:KEY_BYTES])
-            for i in ids]
+    """Key pair (D_t, R_t) of each token, in order: AES-128 of the token's
+    block under the DET and the RND master key, one ECB call per key for
+    the whole batch."""
+    blocks = _token_blocks(token_ids)
+    return list(zip(_derive(keys.det, blocks), _derive(keys.rnd, blocks)))
+
+
+def _decrypt_blocks(key: bytes, blocks: list[bytes]) -> bytes:
+    """Blocks of 16 bytes, each AES-128-decrypted under key, in one ECB
+    call; any other length is a ValueError, as a decryptor would buffer
+    it into the next block."""
+    if any(len(block) != KEY_BYTES for block in blocks):
+        raise ValueError(f"an AES block is {KEY_BYTES} bytes")
+    return _ecb_decryptor(key).update(b"".join(blocks))
+
+
+def open_token_keys(det_key: bytes,
+                    d_keys: list[bytes]) -> list[tuple[int, int, int] | None]:
+    """The (file id, family code, number) in each D key that
+    `derive_det_keys` made under this DET master key, in one AES call;
+    None for a block whose check bytes are not zero or whose code names
+    no family, as under other keys."""
+    return [None if check != _TOKEN_CHECK or code >= len(TOKEN_FAMILIES)
+            else (file_id, code, number)
+            for file_id, code, number, check in _TOKEN_BLOCK.iter_unpack(
+                _decrypt_blocks(det_key, d_keys))]
 
 
 # --- DET ----------------------------------------------------------------------
@@ -134,7 +193,7 @@ def det_encrypt(key: bytes, data: bytes) -> bytes:
 def det_encrypter(key: bytes) -> Callable[[bytes], bytes]:
     """`det_encrypt` under one key, for many messages: the padded keys are
     hashed once, which more than halves the cost of each message."""
-    return partial(_hmac_with, _hmac_keyed(key, "sha1"))
+    return partial(_hmac_with, _hmac_keyed(key))
 
 
 # --- RND ----------------------------------------------------------------------
@@ -245,6 +304,10 @@ _ECB = modes.ECB()
 
 def _ecb(key: bytes):
     return Cipher(algorithms.AES(key), _ECB).encryptor()
+
+
+def _ecb_decryptor(key: bytes):
+    return Cipher(algorithms.AES(key), _ECB).decryptor()
 
 
 def _masks(blocks: bytes) -> bytes:
@@ -391,36 +454,36 @@ def ore_name_value(key: OreKey, name: bytes,
 
 # --- scope tags ---------------------------------------------------------------
 
-_SCOPE_CHECK = bytes(4)  # after depth, order and type, each a signed i32
+_SCOPE_BLOCK = struct.Struct(">Iiii")  # file id, depth, order, type
 
 
 def scope_sealer(key: bytes) -> Callable[[bytes], bytes]:
-    """Tag of a `>iii`-packed triple under a file's scope key: one AES-128
-    block of the triple and the zero check bytes."""
-    update = _ecb(key).update
-    return lambda triple: update(triple + _SCOPE_CHECK)
+    """Tag of a `_SCOPE_BLOCK`-packed (file id, depth, order, type) under
+    the scope master key: that one AES-128 block, encrypted."""
+    return _ecb(key).update
 
 
-def scope_opener(key: bytes) -> Callable[[bytes], tuple[int, int, int]]:
-    """The triple in each tag a `scope_sealer` of this key made; check
-    bytes that are not zero, as under another key, are a KeyMismatchError."""
-    update = Cipher(algorithms.AES(key), _ECB).decryptor().update
-
-    def open_tag(tag: bytes) -> tuple[int, int, int]:
-        block = update(tag)
-        if not block.endswith(_SCOPE_CHECK):
+def open_scope_tags(key: bytes, file_ids: list[int],
+                    tags: list[bytes]) -> list[tuple[int, int, int]]:
+    """The (depth, order, type) in each tag of a file that a
+    `scope_sealer` of this key made, in one AES call.  A file id in the
+    block other than the tag's own, as under other keys or in another
+    file's tag, is a KeyMismatchError."""
+    triples = []
+    for file_id, (owner, *triple) in zip(file_ids, _SCOPE_BLOCK.iter_unpack(
+            _decrypt_blocks(key, tags)), strict=True):
+        if owner != file_id:
             raise KeyMismatchError(
                 "scope tag does not decrypt under this key store; the report "
                 "was produced from an index built with different keys")
-        return struct.unpack(">iii", block[:12])
-
-    return open_tag
+        triples.append(tuple(triple))
+    return triples
 
 
 # --- key store ----------------------------------------------------------------
 
 _KEYS_MAGIC = b"CCAKEYS1"
-_KEYS_VERSION = 6
+_KEYS_VERSION = 7
 
 
 @dataclass
@@ -430,14 +493,27 @@ class KeyStore:
     Besides the master keys this carries the file registry: each file's
     path, and its name counts, (VAR, FUNC_CALL): one past the highest n of
     the VAR<n> and FUNC_CALL<n> names its dependency pairs hold.  The
-    master keys derive the key of every name a file can hold from those
-    (`index.report_names`), so reports open without touching source again.
+    counts bound the names a report token of the file may open to
+    (`token_name`), so reports open without touching source again.
     """
 
     master: MasterKeys
     mode: str
     files: dict[int, str] = field(default_factory=dict)
     counts: dict[int, tuple[int, int]] = field(default_factory=dict)
+
+    def token_name(self, file_id: int, token: tuple[int, int, int]) -> str | None:
+        """The name of a (file id, family code, number) token of file_id,
+        or None if that file's pairs hold no such name: another file's,
+        or a number at or past its family's count (a fixed name's is 0)."""
+        owner, code, number = token
+        if owner != file_id:
+            return None
+        if code < FIRST_NUMBERED:
+            return TOKEN_FAMILIES[code] if number == 0 else None
+        if number < self.counts[file_id][code - FIRST_NUMBERED]:
+            return f"{TOKEN_FAMILIES[code]}{number}"
+        return None
 
 
 def serialize_keys(ks: KeyStore) -> bytes:

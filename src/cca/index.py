@@ -11,7 +11,8 @@ Three build modes share one container format:
 * ore (default): the line is an order-revealing ciphertext, each
   distinct one sealed once in the container's slot table, and an entry
   holds its slot number and that slot's key; depth, order and type are
-  one scope tag under a per-file key (`crypto.scope_sealer`).
+  one scope tag, AES-128 of them and the file id under the scope master
+  key (`crypto.scope_sealer`).
 * std: flow fields are plaintext integers, keys and values encrypted.
 * plain: nothing encrypted, for debugging and baseline measurements.
 """
@@ -26,13 +27,12 @@ from dataclasses import dataclass, field
 
 from .crypto import (
     DEFAULT_ORE_WIDTH,
+    FIRST_NUMBERED,
     KEY_BYTES,
     MODES,
-    KeyStore,
+    TOKEN_FAMILIES,
     MasterKeys,
-    derive_det_keys,
     derive_ore_key,
-    derive_scope_key,
     derive_token_key_pairs,
     det_encrypt,
     ore_encrypt,
@@ -40,13 +40,13 @@ from .crypto import (
     rnd_encrypter,
     scope_sealer,
 )
-from .dcfg import DCFG, VALUE_FAMILIES
+from .dcfg import DCFG
 from .errors import ConfigError, FormatError
 from .fileio import Cursor, atomic_write, blob
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 7
+_VERSION = 8
 SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore line: slot, slot key
 FIELDS = ("line", "depth", "order", "type")  # an entry's flow fields
 _PACK_LAST = {n: struct.Struct(">%di" % n).pack for n in (3, 4)}  # of FIELDS
@@ -71,28 +71,10 @@ def token_identity(file_id: int, token: str) -> str:
     return f"{file_id}:{token}"
 
 
-# Every pair token is a fixed VALUE_FAMILIES name (dcfg), or VAR<n> or
+# Every pair token is a fixed name (dcfg's VALUE_FAMILIES), or VAR<n> or
 # FUNC_CALL<n> with n below its file's count of that family.
-NUMBERED_FAMILIES = ("VAR", "FUNC_CALL")
-FIXED_NAMES = tuple(sorted(VALUE_FAMILIES.difference(NUMBERED_FAMILIES)))
+NUMBERED_FAMILIES = TOKEN_FAMILIES[FIRST_NUMBERED:]
 MAX_NAME_COUNT = 0xFFFF  # the key store holds each count as a u16
-
-
-def candidate_names(counts: tuple[int, int]) -> list[str]:
-    """Every token name a file's pairs can hold, given its name counts."""
-    return [*FIXED_NAMES, *(f"{fam}{n}" for fam, count
-                            in zip(NUMBERED_FAMILIES, counts)
-                            for n in range(count))]
-
-
-def report_names(ks: KeyStore, file_id: int) -> dict[str, str]:
-    """Each candidate token of a file as reports write it -> its name:
-    the hex of its D key (never R), or in plain mode its identity."""
-    names = candidate_names(ks.counts[file_id])
-    idents = [token_identity(file_id, name) for name in names]
-    if ks.mode != "plain":
-        idents = [key.hex() for key in derive_det_keys(ks.master, idents)]
-    return dict(zip(idents, names))
 
 
 def _name_counts(tokens: Iterable[str], path: str) -> tuple[int, int]:
@@ -133,23 +115,30 @@ def build_index(
                  for file_id, dcfg in per_file for pair in dcfg}
         refs, slots = _seal_slots({line: _ore_line(line_key, line, path)
                                    for line, path in lines.items()})
+        seal_scope = scope_sealer(keys.scope)  # one encryptor per build
 
     counts: dict[int, tuple[int, int]] = {}
-    entries: list[tuple[bytes, bytes]] = []
+    files = []  # (file id, path, pairs by left token, its tokens)
     for file_id, dcfg in per_file:
         by_left = dcfg.by_left()
         tokens = {*by_left, *(pair.right.token for pairs in by_left.values()
                               for pair in pairs)}
         path = names.get(file_id, f"file {file_id}")
         counts[file_id] = _name_counts(tokens, path)
-        token_keys = {} if mode == "plain" else dict(zip(
-            tokens, derive_token_key_pairs(
-                keys, [token_identity(file_id, token) for token in tokens])))
-        if mode == "ore":
-            seal_scope = scope_sealer(derive_scope_key(keys, file_id))
+        files.append((file_id, path, by_left, tokens))
+    token_keys = {}  # (file id, token) -> (D, R), every token in one batch
+    if mode != "plain":
+        owned = [(file_id, token) for file_id, _, _, tokens in files
+                 for token in tokens]
+        token_keys = dict(zip(owned, derive_token_key_pairs(
+            keys, [token_identity(*ft) for ft in owned])))
+
+    entries: list[tuple[bytes, bytes]] = []
+    for file_id, path, by_left, _ in files:
+        scope_file = file_id.to_bytes(4, "big")  # a scope block's first field
         for left, pairs in by_left.items():
             if mode != "plain":  # one key pair, and one sealer, per left token
-                d_left, r_left = token_keys[left]
+                d_left, r_left = token_keys[file_id, left]
                 seal = rnd_encrypter(r_left)
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
@@ -159,11 +148,11 @@ def build_index(
                     value = "|".join((token_identity(file_id, right.token),
                                       *map(str, values))).encode()
                 else:
-                    d_right, r_right = token_keys[right.token]
+                    d_right, r_right = token_keys[file_id, right.token]
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"))
                     if mode == "ore":  # the line's slot, then the scope tag
                         fields = refs[right.line] + seal_scope(
-                            _int32s(path, values[1:]))
+                            scope_file + _int32s(path, values[1:]))
                     else:
                         fields = _int32s(path, values)
                     value = seal(d_right + r_right + fields)

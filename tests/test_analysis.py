@@ -6,16 +6,20 @@ import json
 import logging
 import os
 import re
+import struct
 import sys
 import time
 
 import pytest
 import yaml
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cca.analysis
+import cca.crypto
 import cca.errors
+import cca.index
 
 from cca.analysis import (
     FileQuery,
@@ -40,13 +44,19 @@ from cca.analysis import (
     serialize_query,
 )
 from cca.crypto import (
+    FIRST_NUMBERED,
     KEY_BYTES,
+    TOKEN_FAMILIES,
     KeyStore,
     MasterKeys,
+    derive_det_keys,
     derive_ore_key,
     derive_token_key_pairs,
+    generate_master_keys,
     ore_encrypt,
+    ore_name,
     rnd_decrypt,
+    scope_sealer,
 )
 from cca.errors import (
     AuthorizationError,
@@ -683,8 +693,8 @@ def test_scope_tag_under_foreign_scope_key_is_detected(tmp_path):
 
 
 def test_scope_tags_of_another_file_are_a_key_mismatch(tmp_path):
-    # both files read their sink in scope (0, 0, 0), and each tags it
-    # under its own key
+    # both files read their sink in scope (0, 0, 0), and each tag holds
+    # its own file id
     res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode="ore")
     report = analyse(res.index, authorise(res.keys, "xss"))
     a, b = report["files"]
@@ -692,6 +702,122 @@ def test_scope_tags_of_another_file_are_a_key_mismatch(tmp_path):
     a["nodes"][0][2] = b["nodes"][0][2]
     with pytest.raises(KeyMismatchError, match="scope tag"):
         decrypt_report(report, res.keys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(["std", "ore"]),
+       file_id=st.integers(0, 2**32 - 1),
+       counts=st.tuples(st.integers(1, 0xFFFF), st.integers(1, 0xFFFF)),
+       data=st.data())
+def test_every_d_key_and_scope_tag_opens_back_to_its_identity(
+        mode, file_id, counts, data):
+    names = data.draw(st.lists(st.one_of(
+        st.sampled_from(TOKEN_FAMILIES[:FIRST_NUMBERED]),
+        *(st.integers(0, count - 1).map(lambda n, fam=fam: f"{fam}{n}")
+          for fam, count in zip(TOKEN_FAMILIES[FIRST_NUMBERED:], counts))),
+        min_size=1, max_size=6))
+    triples = data.draw(st.lists(st.tuples(
+        *[st.integers(-2**31, 2**31 - 1)] * 3), min_size=len(names),
+        max_size=len(names)))
+    master = generate_master_keys()
+    ks = KeyStore(master, mode, {file_id: "a.php"}, {file_id: counts})
+    d_keys = derive_det_keys(master, [token_identity(file_id, name)
+                                      for name in names])
+    if mode == "ore":
+        line = "ore:" + ore_name(ore_encrypt(derive_ore_key(
+            master.ore_line), 7)).hex()
+        seal = scope_sealer(master.scope)
+        rows = [[d.hex(), line, seal(struct.pack(">Iiii", file_id, *t)).hex()]
+                for d, t in zip(d_keys, triples)]
+    else:
+        rows = [[d.hex(), 7, *t] for d, t in zip(d_keys, triples)]
+    report = {"task": "xss", "mode": mode, "files": [
+        {"file": file_id, "nodes": rows, "findings": [list(range(len(rows)))]}]}
+    (finding,) = decrypt_report(report, ks)["files"][0]["findings"]
+    assert [(n["token"], n["line"], n["depth"], n["order"], n["type"])
+            for n in finding["path"]] == [(name, 7, *t) for name, t
+                                          in zip(names, triples)]
+
+
+def _aes(key: bytes, block: bytes) -> bytes:
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block)
+
+
+def _flip(text: str) -> str:
+    """Hex text with its lowest bit flipped."""
+    return text[:-1] + format(int(text[-1], 16) ^ 1, "x")
+
+
+# How a report row of file 0 is damaged: (the column it replaces, 0 the
+# token or 2 the ore scope tag, and damage(report row, key store of the
+# report, another key store) -> the replacement)
+FOREIGN_FIELDS = {
+    "token of another key store": (0, lambda row, ks, other: derive_det_keys(
+        other.master, ["0:XSS_SENS"])[0].hex()),
+    "token of another file's row": (0, lambda row, ks, other: derive_det_keys(
+        ks.master, ["1:XSS_SENS"])[0].hex()),
+    "token with one bit flipped": (0, lambda row, ks, other: _flip(row[0])),
+    "token numbered at its file's count": (
+        0, lambda row, ks, other: derive_det_keys(
+            ks.master, [f"0:VAR{ks.counts[0][0]}"])[0].hex()),
+    "token of a fixed name with a number": (0, lambda row, ks, other: _aes(
+        ks.master.det, struct.pack(">IBI7x", 0, 0, 1)).hex()),
+    "tag of another key store": (2, lambda row, ks, other: scope_sealer(
+        other.master.scope)(struct.pack(">Iiii", 0, 0, 0, 0)).hex()),
+    "tag of another file's row": (2, lambda row, ks, other: scope_sealer(
+        ks.master.scope)(struct.pack(">Iiii", 1, 0, 0, 0)).hex()),
+    "tag with one bit flipped": (2, lambda row, ks, other: _flip(row[2])),
+}
+
+
+@pytest.mark.parametrize("mode, case", [
+    (mode, case) for case, (column, _) in FOREIGN_FIELDS.items()
+    for mode in ("std", "ore") if column == 0 or mode == "ore"])
+def test_a_foreign_or_damaged_token_or_tag_is_a_key_mismatch(tmp_path, mode,
+                                                             case):
+    column, damage = FOREIGN_FIELDS[case]
+    root = write_app(tmp_path, TWO_FILE_APP)
+    res = encrypt_application(root, mode=mode)
+    other = encrypt_application(root, mode=mode).keys
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    (row, *_) = report["files"][0]["nodes"]
+    row[column] = damage(row, res.keys, other)
+    with pytest.raises(KeyMismatchError,
+                       match="no name of file 0" if column == 0
+                       else "scope tag"):
+        decrypt_report(report, res.keys)
+
+
+@pytest.mark.parametrize("token", ["1:XSS_SENS", "0:VAR3", "0:INPUT0",
+                                   "0:VAR01", "0:FUNC_CALL0", "0:"])
+def test_a_plain_token_outside_its_files_names_is_a_key_mismatch(tmp_path,
+                                                                  token):
+    res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode="plain")
+    assert res.keys.counts[0] == (3, 0)  # FLOW_APP: VAR0 to VAR2
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    report["files"][0]["nodes"][0][0] = token
+    with pytest.raises(KeyMismatchError, match="no name of file 0"):
+        decrypt_report(report, res.keys)
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_decrypt_report_derives_no_token_keys(tmp_path, mode, monkeypatch):
+    # a report opens by decryption, so its cost follows the report and not
+    # the names the application holds
+    res = encrypt_application(write_app(tmp_path, CORPUS["multifile"]),
+                              mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    expected = decrypt_report(report, res.keys)
+    assert expected["files"] and any(f["findings"] for f in expected["files"])
+
+    def derive(*args):
+        raise AssertionError("decrypt_report derived token keys")
+
+    for module in (cca.crypto, cca.index, cca.analysis):
+        for name in ("derive_det_keys", "derive_token_key_pairs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, derive)
+    assert decrypt_report(report, res.keys) == expected
 
 
 def test_report_mode_must_match_the_key_store(tmp_path):

@@ -265,6 +265,12 @@ def test_bench_command(app_dir, capsys):
     assert "benchmark over 1 file(s), 1 repetitions" in out
     assert "encryption overhead (DET+RND):" in out
     assert "encryption overhead (+ORE):" in out
+    # the paper's figure is named as what it is, not as a reference for
+    # the index-build overhead printed beside it
+    assert "% of front end + plain index build" in out
+    assert "reference average" not in out
+    assert "42.7% average is the overhead of the whole confidential " \
+        "analysis" in out
     assert "index size (bytes): plain=" in out
 
 
@@ -580,6 +586,9 @@ MALFORMED = {
     "query of version 1": ("--no-ore", _set_byte("query", 8, 1), "analyse"),
     "ore index of version 5": ("", _set_byte("index", 8, 5), "analyse"),
     "query of version 2": ("--no-ore", _set_byte("query", 8, 2), "analyse"),
+    "ore index of version 7": ("", _set_byte("index", 8, 7), "analyse"),
+    "key store of version 6": ("", _set_byte("keys", 8, 6), "decrypt-report"),
+    "query of version 3": ("", _set_byte("query", 8, 3), "analyse"),
     "query with a 32-byte sink D key": (
         "--no-ore", _widen_query_d_key(32), "analyse"),
     "report token of 64 hex digits": (
@@ -612,6 +621,9 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "query of version 1": "unsupported version 1",
                   "ore index of version 5": "unsupported version 5",
                   "query of version 2": "unsupported version 2",
+                  "ore index of version 7": "unsupported version 7",
+                  "key store of version 6": "unsupported version 6",
+                  "query of version 3": "unsupported version 3",
                   "query with a 32-byte sink D key":
                       "sink D is a 32-byte key, not 16 bytes",
                   "report token of 64 hex digits": "32 lowercase hex digits",

@@ -24,12 +24,13 @@ from cca import (
     rnd_encrypt,
 )
 from cca.crypto import (
+    FIRST_NUMBERED,
+    TOKEN_FAMILIES,
     KeyStore,
     MasterKeys,
     OreKey,
     derive_det_keys,
     derive_ore_key,
-    derive_scope_key,
     derive_token_key_pairs,
     deserialize_keys,
     det_encrypter,
@@ -37,9 +38,11 @@ from cca.crypto import (
     ore_left_bytes,
     ore_name,
     ore_name_value,
+    open_scope_tags,
+    open_token_keys,
+    parse_token,
     rnd_encrypter,
     save_keys,
-    scope_opener,
     scope_sealer,
     serialize_keys,
 )
@@ -71,31 +74,108 @@ def test_token_key_derivation_is_deterministic_and_separated():
     assert derive_det_keys(mk, ["0:VAR0", "1:VAR0"]) == [d1, d4]
 
 
-@given(st.integers(16, 100), st.lists(st.text(max_size=80), max_size=3))
-def test_det_keys_are_hmac_sha256_under_the_det_master_key(key_len, ids):
-    # keys longer than the 64-byte block are hashed first, as RFC 2104 says;
-    # a token key is the first 16 bytes of the digest (RFC 4231, 4.6)
-    mk = MasterKeys(*(bytes([k]) * key_len for k in range(4)))
-    assert derive_det_keys(mk, ids) == [
-        hmac.new(mk.det, i.encode(), "sha256").digest()[:16] for i in ids]
+def _identity(file_id: int, code: int, number: int) -> str:
+    """The identity of a token: a fixed name has no number."""
+    suffix = str(number) if code >= FIRST_NUMBERED else ""
+    return f"{file_id}:{TOKEN_FAMILIES[code]}{suffix}"
 
 
-@given(st.integers(16, 100), st.lists(st.text(max_size=80), max_size=3))
-def test_token_keys_are_truncated_hmac_sha256_under_their_master_keys(
-        key_len, ids):
-    mk = MasterKeys(*(bytes([k]) * key_len for k in range(4)))
-    expected = [(hmac.new(mk.det, i.encode(), "sha256").digest()[:16],
-                 hmac.new(mk.rnd, i.encode(), "sha256").digest()[:16])
-                for i in ids]
+# (file id, family code, number) of a token, in the whole u32 ranges
+TOKENS = st.integers(0, len(TOKEN_FAMILIES) - 1).flatmap(
+    lambda code: st.tuples(
+        st.integers(0, 2**32 - 1), st.just(code),
+        st.integers(0, 2**32 - 1) if code >= FIRST_NUMBERED else st.just(0)))
+
+
+def _block(file_id: int, code: int, number: int) -> bytes:
+    """A token's block, written out: u32 file id, u8 family code, u32
+    number, seven zero bytes."""
+    return (file_id.to_bytes(4, "big") + bytes([code])
+            + number.to_bytes(4, "big") + bytes(7))
+
+
+@given(st.lists(TOKENS, max_size=4))
+def test_det_keys_are_aes_128_of_the_token_block_under_the_det_master_key(
+        tokens):
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
+    ids = [_identity(*t) for t in tokens]
+    assert [parse_token(i) for i in ids] == tokens
+    assert derive_det_keys(mk, ids) == [_aes(mk.det, _block(*t))
+                                        for t in tokens]
+
+
+@given(st.lists(TOKENS, max_size=4))
+def test_token_keys_are_aes_128_of_the_token_block_under_their_master_keys(
+        tokens):
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
+    ids = [_identity(*t) for t in tokens]
+    expected = [(_aes(mk.det, _block(*t)), _aes(mk.rnd, _block(*t)))
+                for t in tokens]
     assert [derive_token_key_pairs(mk, [i])[0] for i in ids] == expected
     assert derive_token_key_pairs(mk, ids) == expected
 
 
-@given(st.lists(st.text(max_size=40), max_size=5))
-def test_batch_token_keys_equal_one_at_a_time_derivation(ids):
+@given(st.lists(TOKENS, max_size=5))
+def test_batch_token_keys_equal_one_at_a_time_derivation(tokens):
     mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
+    ids = [_identity(*t) for t in tokens]
     assert derive_token_key_pairs(mk, ids) == [
         derive_token_key_pairs(mk, [i])[0] for i in ids]
+
+
+def test_token_key_known_answers():
+    # AES-128 of the zero block under the zero key; "0:INPUT" is that block
+    zero = MasterKeys(*(bytes(16) for _ in range(4)))
+    assert derive_det_keys(zero, ["0:INPUT"])[0].hex() == (
+        "66e94bd4ef8a2c3b884cfa59ca342b2e")
+    # FIPS-197's example key; 258:VAR7 is 00000102 06 00000007 and zeros
+    mk = MasterKeys(bytes(range(16)), *(bytes(16) for _ in range(3)))
+    assert derive_det_keys(mk, ["258:VAR7"])[0].hex() == (
+        "3a9b208db5a05b192320f159eb681829")
+
+
+@pytest.mark.parametrize("identity", [
+    "0:VAR", "0:INPUT0", "0:VAR01", "00:VAR1", "-1:VAR1", "0:FOO", "0VAR1",
+    "0:VAR1 ", "4294967296:INPUT", "0:VAR4294967296", "0:XSS_SENS:1",
+    "\u0661:VAR1", "0:var1"])
+def test_identities_outside_the_one_spelling_derive_nothing(identity):
+    mk = generate_master_keys()
+    assert parse_token(identity) is None
+    with pytest.raises(ValueError, match="not a token identity"):
+        derive_det_keys(mk, ["0:INPUT", identity])
+
+
+@given(st.lists(TOKENS, max_size=4))
+def test_d_keys_open_back_to_their_token(tokens):
+    mk = generate_master_keys()
+    keys = derive_det_keys(mk, [_identity(*t) for t in tokens])
+    assert open_token_keys(mk.det, keys) == tokens
+
+
+def test_d_keys_under_other_keys_or_flipped_open_to_nothing():
+    mk, other = generate_master_keys(), generate_master_keys()
+    (key,) = derive_det_keys(mk, ["3:VAR12"])
+    assert open_token_keys(other.det, [key]) == [None]
+    flipped = [(int.from_bytes(key, "big") ^ 1 << bit).to_bytes(16, "big")
+               for bit in range(128)]
+    assert open_token_keys(mk.det, flipped) == [None] * 128
+    # a part of a block is refused, not buffered into the next
+    with pytest.raises(ValueError, match="16 bytes"):
+        open_token_keys(mk.det, [key[:15], key[15:] + key])
+    assert open_token_keys(mk.det, [key]) == [(3, FIRST_NUMBERED, 12)]
+
+
+def test_key_store_names_only_what_a_file_can_hold():
+    ks = KeyStore(generate_master_keys(), "std", {0: "a.php", 1: "b.php"},
+                  {0: (3, 1), 1: (0, 0)})
+    var, call = FIRST_NUMBERED, FIRST_NUMBERED + 1
+    assert ks.token_name(0, (0, 0, 0)) == "INPUT"
+    assert ks.token_name(0, (0, var, 2)) == "VAR2"
+    assert ks.token_name(0, (0, call, 0)) == "FUNC_CALL0"
+    for token in [(1, 0, 0), (0, 0, 1), (0, var, 3), (0, call, 1),
+                  (1, var, 0)]:
+        assert ks.token_name(0, token) is None, token
+    assert ks.token_name(1, (1, 5, 0)) == "XSS_SENS"
 
 
 # --- DET -----------------------------------------------------------------------
@@ -104,14 +184,6 @@ def test_det_matches_published_hmac_sha1_vector():
     # RFC 2202 test case 2.
     digest = det_encrypt(b"Jefe", b"what do ya want for nothing?")
     assert digest.hex() == "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-
-
-def test_det_matches_published_hmac_sha256_vector():
-    # RFC 4231 test case 2, as the DET key of a token under the DET master
-    # key: the digest's first 16 bytes
-    mk = MasterKeys(b"Jefe", *(bytes(16) for _ in range(3)))
-    (digest,) = derive_det_keys(mk, ["what do ya want for nothing?"])
-    assert digest.hex() == "5bdcc146bf60754e6a042426089575c7"
 
 
 @given(st.binary(min_size=1, max_size=100), st.lists(st.binary(max_size=8),
@@ -518,31 +590,39 @@ def test_ore_name_of_the_wrong_length_is_a_format_error():
 
 # --- scope tags ------------------------------------------------------------------
 
-def test_scope_keys_are_truncated_hmac_sha256_of_the_decimal_file_id():
-    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
-    for file_id in (0, 12):
-        assert derive_scope_key(mk, file_id) == hmac.new(
-            mk.scope, str(file_id).encode(), "sha256").digest()[:16]
+def test_scope_tag_known_answer():
+    # FIPS-197's example key; file 258 and the triple (2, 1, -1)
+    packed = struct.pack(">Iiii", 258, 2, 1, -1)
+    assert packed.hex() == "000001020000000200000001ffffffff"
+    assert scope_sealer(bytes(range(16)))(packed).hex() == (
+        "747210d89a2347a6becd83dd6ae2acb0")
 
 
-@given(st.tuples(*[st.integers(-2**31, 2**31 - 1)] * 3))
-def test_scope_tag_is_one_aes_block_of_the_triple_and_zero_check_bytes(triple):
+@given(st.integers(0, 2**32 - 1),
+       st.tuples(*[st.integers(-2**31, 2**31 - 1)] * 3))
+def test_scope_tag_is_one_aes_block_of_the_file_id_and_the_triple(
+        file_id, triple):
     key = bytes(range(16))
-    packed = struct.pack(">iii", *triple)
+    packed = struct.pack(">Iiii", file_id, *triple)
     tag = scope_sealer(key)(packed)
-    assert tag == _aes(key, packed + bytes(4))
-    assert scope_opener(key)(tag) == triple
+    assert tag == _aes(key, packed)
+    assert open_scope_tags(key, [file_id], [tag]) == [triple]
 
 
 def test_scope_tag_under_another_key_or_flipped_is_a_key_mismatch():
-    tag = scope_sealer(b"\x01" * 16)(struct.pack(">iii", 1, 2, -1))
+    key = b"\x01" * 16
+    tag = scope_sealer(key)(struct.pack(">Iiii", 4, 1, 2, -1))
     with pytest.raises(KeyMismatchError, match="scope tag"):
-        scope_opener(b"\x02" * 16)(tag)
-    for position in range(len(tag)):
-        flipped = bytearray(tag)
-        flipped[position] ^= 1
+        open_scope_tags(b"\x02" * 16, [4], [tag])
+    with pytest.raises(KeyMismatchError, match="scope tag"):
+        open_scope_tags(key, [5], [tag])  # another file's
+    for bit in range(128):
+        flipped = int.from_bytes(tag, "big") ^ 1 << bit
         with pytest.raises(KeyMismatchError):
-            scope_opener(b"\x01" * 16)(bytes(flipped))
+            open_scope_tags(key, [4, 4], [tag, flipped.to_bytes(16, "big")])
+    with pytest.raises(ValueError, match="16 bytes"):
+        open_scope_tags(key, [4, 4], [tag + b"\0", tag[1:]])
+    assert open_scope_tags(key, [4], [tag]) == [(1, 2, -1)]
 
 
 # --- key store -----------------------------------------------------------------
@@ -586,12 +666,13 @@ def test_keystore_truncation_rejected():
         deserialize_keys(blob[: len(blob) // 2])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_old_keystore_version_rejected_by_name(version):
     # version 1 held ore value tables, version 2 named ore fields with
     # SHA-256 tags, version 3 held a token directory instead of name counts,
     # version 4 held the DET hash, the ORE width and the master key length,
-    # and version 5 held six master keys, four of them ORE field keys
+    # version 5 held six master keys, four of them ORE field keys, and
+    # version 6 derived token and scope keys with HMAC-SHA256
     blob = serialize_keys(_sample_store())
     with pytest.raises(FormatError, match=f"version {version}"):
         deserialize_keys(blob[:8] + bytes([version]) + blob[9:])

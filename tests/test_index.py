@@ -21,17 +21,21 @@ from cca import (
     translate,
 )
 from cca.crypto import (
+    FIRST_NUMBERED,
     KEY_BYTES,
+    TOKEN_FAMILIES,
+    KeyStore,
     derive_ore_key,
-    derive_scope_key,
     derive_token_key_pairs,
     ore_ciphertext_bytes,
     ore_encrypt,
     ore_name,
     ore_name_value,
-    scope_opener,
+    open_scope_tags,
+    parse_token,
 )
 from cca.dcfg import (
+    VALUE_FAMILIES,
     DCFG,
     DCFGPair,
     ExtendedITLToken,
@@ -41,7 +45,6 @@ from cca.dcfg import (
 from cca.errors import ConfigError, FormatError, KeyMismatchError
 from cca.index import (
     SLOT_REF,
-    candidate_names,
     deserialize_index,
     index_stats,
     load_index,
@@ -223,21 +226,43 @@ def test_same_token_in_two_files_gets_distinct_keys(master):
 
 # --- what the key store needs -----------------------------------------------------
 
+def _names(counts: tuple[int, int]) -> list[str]:
+    """Every token name a file with these name counts can hold."""
+    return [*TOKEN_FAMILIES[:FIRST_NUMBERED],
+            *(f"{fam}{n}" for fam, count
+              in zip(TOKEN_FAMILIES[FIRST_NUMBERED:], counts)
+              for n in range(count))]
+
+
+def _opens(counts: dict, file_id: int, token: str) -> bool:
+    """Whether a key store with these counts names the token of the file."""
+    ks = KeyStore(None, "plain", dict.fromkeys(counts, ""), counts)
+    return ks.token_name(file_id, parse_token(token_identity(file_id,
+                                                             token))) == token
+
+
+def test_token_families_are_the_value_families():
+    assert set(TOKEN_FAMILIES) == VALUE_FAMILIES
+    assert len(TOKEN_FAMILIES) == len(VALUE_FAMILIES)
+
+
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
 def test_name_counts_bound_each_numbered_family(fig_dcfg, master, mode):
     # fig_flow's pairs hold VAR0, VAR1, VAR2 and no FUNC_CALL<n>
     _, counts = build_index([(0, fig_dcfg), (4, DCFG([]))], master, mode=mode)
     assert counts == {0: (3, 0), 4: (0, 0)}
-    assert {"VAR0", "VAR1", "VAR2", "XSS_SENS", "INPUT", "STRING"} <= \
-        set(candidate_names(counts[0]))
+    for token in ("VAR0", "VAR1", "VAR2", "XSS_SENS", "INPUT", "STRING"):
+        assert _opens(counts, 0, token), token
+    assert not _opens(counts, 0, "VAR3")
+    assert not _opens(counts, 0, "FUNC_CALL0")
 
 
 def test_every_corpus_pair_token_is_a_candidate_name(corpus_per_file, master):
     _, counts = build_index(corpus_per_file, master, mode="plain")
     for file_id, dcfg in corpus_per_file:
-        names = set(candidate_names(counts[file_id]))
         for pair in dcfg:
-            assert {pair.left, pair.right.token} <= names
+            assert _opens(counts, file_id, pair.left)
+            assert _opens(counts, file_id, pair.right.token)
 
 
 @pytest.mark.parametrize("token", ["VAR65535", "FUNC_CALL65535"])
@@ -257,7 +282,7 @@ def _slot_refs(index, counts, master):
     """(file id, the line's (slot number, slot key), scope tag) of every
     entry, read with the keys."""
     for file_id, file_counts in counts.items():
-        for token in candidate_names(file_counts):
+        for token in _names(file_counts):
             ((d_key, r_key),) = derive_token_key_pairs(
                 master, [token_identity(file_id, token)])
             counter = 1
@@ -280,11 +305,11 @@ def _ore_fields(index, counts, master):
 
 def _field_values(master, entries):
     """(file id, line, line ciphertext, scope triple, scope tag) of every
-    entry, read with the line key and the file's scope key."""
+    entry, read with the line key and the scope master key."""
     line_key = derive_ore_key(master.ore_line)
     for file_id, ct, tag in entries:
-        yield (file_id, ore_name_value(line_key, ore_name(ct)), ct,
-               scope_opener(derive_scope_key(master, file_id))(tag), tag)
+        (scope,) = open_scope_tags(master.scope, [file_id], [tag])
+        yield (file_id, ore_name_value(line_key, ore_name(ct)), ct, scope, tag)
 
 
 def test_ore_field_names_decrypt_every_field(fig_dcfg, master):
@@ -430,13 +455,13 @@ def test_two_builds_share_no_scope_tag(corpus_per_file):
 
 
 def test_scope_tag_opens_only_under_its_own_files_key(fig_dcfg, master):
+    # one scope key for the index: the file id in the block tells files apart
     index, counts = build_index([(0, fig_dcfg), (1, fig_dcfg)], master,
                                 mode="ore")
-    other = derive_scope_key(master, 1)
     for file_id, _, tag in _slot_refs(index, counts, master):
-        if file_id == 0:
-            with pytest.raises(KeyMismatchError, match="scope tag"):
-                scope_opener(other)(tag)
+        assert open_scope_tags(master.scope, [file_id], [tag]) == [(0, 0, 0)]
+        with pytest.raises(KeyMismatchError, match="scope tag"):
+            open_scope_tags(master.scope, [1 - file_id], [tag])
 
 
 def test_scope_field_out_of_signed_32_bits_names_file_and_field(master):
@@ -509,13 +534,14 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
     # 4 held every field ciphertext in each entry, with biased masks,
-    # version 5 held 32-byte token keys, and version 6 made depth, order
-    # and type order-revealing fields as well
+    # version 5 held 32-byte token keys, version 6 made depth, order and
+    # type order-revealing fields as well, and version 7 derived token
+    # keys with HMAC-SHA256 and tagged scopes under per-file keys
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
