@@ -40,18 +40,22 @@ from .crypto import (
     KEY_BYTES,
     MODES,
     KeyStore,
+    derive_key_pairs,
     derive_ore_key,
-    derive_token_key_pairs,
     det_encrypter,
+    identity_block,
+    name_of,
     ore_ciphertext_bytes,
     ore_compare,
     ore_left_bytes,
     ore_name,
     ore_name_value,
     open_scope_tags,
+    open_token_blocks,
     open_token_keys,
     parse_token,
     rnd_decrypt,
+    token_block,
 )
 from .errors import (
     AuthorizationError,
@@ -60,7 +64,7 @@ from .errors import (
     UsageError,
 )
 from .fileio import Cursor, atomic_write, blob
-from .index import SLOT_REF, EncryptedIndex, token_identity
+from .index import SLOT_REF, EncryptedIndex, plain_key, token_identity
 from .itl import TASKS
 
 log = logging.getLogger(__name__)
@@ -81,7 +85,7 @@ class PathNode:
     token: object  # opaque identity: D bytes or plain token identity
     line: int
     scope: object  # (depth, order, type), or the ore scope tag
-    ref: object = None  # expands the token: (D, R) keys, or plain identity
+    ref: object = None  # expands the token: (D, R) keys, or plain block
     ct: bytes | None = None  # ore: the line's ciphertext
 
 
@@ -142,10 +146,13 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
             raise AuthorizationError(f"policy denies task {task!r}")
     sens_name, san_name = TASKS[task]
     file_ids = sorted(ks.files)
-    refs = [token_identity(file_id, name) for file_id in file_ids
-            for name in (sens_name, "INPUT", san_name)]
-    if ks.mode != "plain":  # every key of the query in one batch
-        refs = derive_token_key_pairs(ks.master, refs)
+    owned = [(file_id, name) for file_id in file_ids
+             for name in (sens_name, "INPUT", san_name)]
+    if ks.mode == "plain":
+        refs = [token_identity(*ft) for ft in owned]
+    else:  # every key of the query in one batch
+        refs = derive_key_pairs(ks.master, b"".join(
+            token_block(*ft) for ft in owned))
         # the entry point and the sanitizer are named by their D keys alone
         refs[1::3] = [d for d, _ in refs[1::3]]
         refs[2::3] = [d for d, _ in refs[2::3]]
@@ -248,19 +255,29 @@ class Reader:
 
 
 class PlainReader(Reader):
-    """Reader for the unencrypted debugging mode."""
+    """Reader for the unencrypted debugging mode.  Tokens are told apart
+    by their identity blocks, and nodes carry their identities as text.
+    A right block is checked as `open_token_keys` checks an opened D key,
+    and must name a token."""
 
-    def _read(self, ref: str) -> list[PathNode]:
+    def graph(self, ref: str) -> list[list[tuple[int, PathNode]]]:
+        block = identity_block(ref)  # a plain query names its sink as text
+        return [[]] if block is None else super().graph(block)
+
+    def _read(self, block: bytes) -> list[PathNode]:
         edges: list[PathNode] = []
-        while (blob := self.index.lookup(
-                f"{ref}#{len(edges) + 1}".encode())) is not None:
-            try:  # a ValueError also covers bad UTF-8 and a wrong field count
-                right, *fields = blob.decode().split("|")
-                line, depth, order, cf_type = map(int, fields)
-            except ValueError:
-                raise FormatError("index: malformed plain-mode value") from None
-            edges.append(PathNode(right, line, (depth, order, cf_type),
-                                  ref=right))
+        while (value := self.index.lookup(
+                plain_key(block, len(edges) + 1))) is not None:
+            right, *fields = struct.unpack(">16s4i", value)
+            (token,) = open_token_blocks(right)
+            name = token and name_of(*token[1:])
+            if name is None:
+                raise FormatError(
+                    "index: a plain value names no token: its identity block "
+                    "has non-zero check bytes, an unknown family code, or a "
+                    "fixed name with a number")
+            edges.append(PathNode(token_identity(token[0], name), fields[0],
+                                  tuple(fields[1:]), ref=right))
         return edges
 
 

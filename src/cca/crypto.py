@@ -2,8 +2,9 @@
 
 Four building blocks:
 
-* DET: deterministic keyed mapping (HMAC-SHA1) used for index keys, so
-  equal tokens map to equal index positions without revealing the token.
+* DET: deterministic keyed mapping (HMAC-SHA1, truncated to 16 bytes)
+  used for index keys, so equal tokens map to equal index positions
+  without revealing the token.
 * RND: randomized authenticated encryption (AES-128-GCM with a fresh
   96-bit nonce) used for index values, so equal payloads are
   indistinguishable.
@@ -21,7 +22,8 @@ Four building blocks:
 
 Everything derives from four 128-bit master keys: DET, RND, ORE line and
 scope.  Each token key D_t and R_t is AES-128 of the token's identity
-block (`parse_token`) under its master key, a pseudorandom permutation,
+block (`token_block`, or `parse_token` for identities that arrive as
+text) under its master key, a pseudorandom permutation,
 so the owner reads D keys back by decryption (`open_token_keys`), as it
 reads scope tags (`open_scope_tags`).  The line's ORE key pair is
 HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated to
@@ -58,6 +60,8 @@ MODES = ("plain", "std", "ore")
 
 _RND_NONCE_BYTES = 12
 _RND_TAG_BYTES = 16
+# What a blob adds to its payload: the nonce and the tag
+RND_OVERHEAD = _RND_NONCE_BYTES + _RND_TAG_BYTES
 
 
 # HMAC's inner and outer pads (RFC 2104), as byte translation tables.
@@ -92,10 +96,11 @@ def _hmac_keyed(key: bytes) -> tuple:
 
 
 def _hmac_with(keyed: tuple, data: bytes) -> bytes:
+    """`det_encrypt` of data under the key `_hmac_keyed` prepared."""
     inner, outer = keyed[0].copy(), keyed[1].copy()
     inner.update(data)
     outer.update(inner.digest())
-    return outer.digest()
+    return outer.digest()[:KEY_BYTES]
 
 
 # --- token keys ---------------------------------------------------------------
@@ -131,13 +136,50 @@ def parse_token(identity: str) -> tuple[int, int, int] | None:
     return file_id, code, number
 
 
+def token_block(file_id: int, name: str) -> bytes:
+    """The identity block of a token the translator named, packed from
+    (file id, name) as `parse_token` reads `FILEID:NAME`, with no text
+    in between; a name of no family is a ValueError."""
+    fam = name.rstrip("0123456789")
+    code = _CODES.get(fam)
+    if code is None or (fam == name) != (code < FIRST_NUMBERED):
+        raise ValueError(f"not a token name: {name!r}")
+    return _TOKEN_BLOCK.pack(file_id, code, int(name[len(fam):] or 0),
+                             _TOKEN_CHECK)
+
+
+def identity_block(identity: str) -> bytes | None:
+    """The identity block of a token identity `FILEID:NAME` that arrives
+    as text, or None if `parse_token` reads no token in it."""
+    fields = parse_token(identity)
+    return None if fields is None else _TOKEN_BLOCK.pack(*fields, _TOKEN_CHECK)
+
+
+def open_token_blocks(blocks: bytes) -> list[tuple[int, int, int] | None]:
+    """The (file id, family code, number) in each identity block; None for
+    a block whose check bytes are not zero or whose code names no family."""
+    return [None if check != _TOKEN_CHECK or code >= len(TOKEN_FAMILIES)
+            else (file_id, code, number)
+            for file_id, code, number, check in _TOKEN_BLOCK.iter_unpack(
+                blocks)]
+
+
+def name_of(code: int, number: int) -> str | None:
+    """The token name of a family code and number: a fixed name has
+    number 0 and a numbered one is FAMILY<n>; None for a fixed name with
+    a number."""
+    if code < FIRST_NUMBERED:
+        return TOKEN_FAMILIES[code] if number == 0 else None
+    return f"{TOKEN_FAMILIES[code]}{number}"
+
+
 def _token_blocks(token_ids: Iterable[str]) -> bytes:
     blocks = bytearray()
     for token_id in token_ids:
-        fields = parse_token(token_id)
-        if fields is None:
+        block = identity_block(token_id)
+        if block is None:
             raise ValueError(f"not a token identity: {token_id!r}")
-        blocks += _TOKEN_BLOCK.pack(*fields, _TOKEN_CHECK)
+        blocks += block
     return bytes(blocks)
 
 
@@ -158,7 +200,12 @@ def derive_token_key_pairs(keys: MasterKeys,
     """Key pair (D_t, R_t) of each token, in order: AES-128 of the token's
     block under the DET and the RND master key, one ECB call per key for
     the whole batch."""
-    blocks = _token_blocks(token_ids)
+    return derive_key_pairs(keys, _token_blocks(token_ids))
+
+
+def derive_key_pairs(keys: MasterKeys,
+                     blocks: bytes) -> list[tuple[bytes, bytes]]:
+    """`derive_token_key_pairs` of identity blocks (`token_block`), joined."""
     return list(zip(_derive(keys.det, blocks), _derive(keys.rnd, blocks)))
 
 
@@ -177,17 +224,15 @@ def open_token_keys(det_key: bytes,
     `derive_det_keys` made under this DET master key, in one AES call;
     None for a block whose check bytes are not zero or whose code names
     no family, as under other keys."""
-    return [None if check != _TOKEN_CHECK or code >= len(TOKEN_FAMILIES)
-            else (file_id, code, number)
-            for file_id, code, number, check in _TOKEN_BLOCK.iter_unpack(
-                _decrypt_blocks(det_key, d_keys))]
+    return open_token_blocks(_decrypt_blocks(det_key, d_keys))
 
 
 # --- DET ----------------------------------------------------------------------
 
 def det_encrypt(key: bytes, data: bytes) -> bytes:
-    """Deterministic keyed digest of data: 20 bytes of HMAC-SHA1."""
-    return hmac.digest(key, data, "sha1")
+    """Deterministic keyed digest of data: the first 16 bytes of
+    HMAC-SHA1, as strong as the 16-byte keys it is made under."""
+    return hmac.digest(key, data, "sha1")[:KEY_BYTES]
 
 
 def det_encrypter(key: bytes) -> Callable[[bytes], bytes]:
@@ -507,13 +552,10 @@ class KeyStore:
         or None if that file's pairs hold no such name: another file's,
         or a number at or past its family's count (a fixed name's is 0)."""
         owner, code, number = token
-        if owner != file_id:
+        if owner != file_id or code >= FIRST_NUMBERED and (
+                number >= self.counts[file_id][code - FIRST_NUMBERED]):
             return None
-        if code < FIRST_NUMBERED:
-            return TOKEN_FAMILIES[code] if number == 0 else None
-        if number < self.counts[file_id][code - FIRST_NUMBERED]:
-            return f"{TOKEN_FAMILIES[code]}{number}"
-        return None
+        return name_of(code, number)
 
 
 def serialize_keys(ks: KeyStore) -> bytes:

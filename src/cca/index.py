@@ -14,12 +14,17 @@ Three build modes share one container format:
   one scope tag, AES-128 of them and the file id under the scope master
   key (`crypto.scope_sealer`).
 * std: flow fields are plaintext integers, keys and values encrypted.
-* plain: nothing encrypted, for debugging and baseline measurements.
+* plain: nothing encrypted, for debugging and baseline measurements: an
+  entry keys its left token's identity block (`crypto.token_block`) and
+  counter, and holds its right token's block and the four fields.
+
+Every mode stores fixed-width records, a 16-byte lookup key and a value
+whose width the mode sets (`VALUE_BYTES`), so the container needs no
+length prefixes.
 """
 
 from __future__ import annotations
 
-import random
 import secrets
 import struct
 from collections.abc import Iterable, Mapping
@@ -30,26 +35,38 @@ from .crypto import (
     FIRST_NUMBERED,
     KEY_BYTES,
     MODES,
+    RND_OVERHEAD,
     TOKEN_FAMILIES,
     MasterKeys,
+    derive_key_pairs,
     derive_ore_key,
-    derive_token_key_pairs,
     det_encrypt,
+    ore_ciphertext_bytes,
     ore_encrypt,
     rnd_encrypt,
     rnd_encrypter,
     scope_sealer,
+    token_block,
 )
 from .dcfg import DCFG
 from .errors import ConfigError, FormatError
-from .fileio import Cursor, atomic_write, blob
+from .fileio import Cursor, atomic_write
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 8
+_VERSION = 9
 SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore line: slot, slot key
 FIELDS = ("line", "depth", "order", "type")  # an entry's flow fields
 _PACK_LAST = {n: struct.Struct(">%di" % n).pack for n in (3, 4)}  # of FIELDS
+# Record widths (docs/formats.md): every lookup key is 16 bytes, and a
+# value is the right token (its block in plain mode, else its D and R
+# keys) and the fields, which std seals as four ints and ore as the
+# line's slot reference and the scope tag.
+LOOKUP_KEY_BYTES = KEY_BYTES
+VALUE_BYTES = {"plain": KEY_BYTES + 16,
+               "std": RND_OVERHEAD + 2 * KEY_BYTES + 16,
+               "ore": RND_OVERHEAD + 2 * KEY_BYTES + SLOT_REF.size + KEY_BYTES}
+SLOT_BYTES = RND_OVERHEAD + ore_ciphertext_bytes()  # a sealed line
 
 
 @dataclass
@@ -69,6 +86,12 @@ class EncryptedIndex:
 def token_identity(file_id: int, token: str) -> str:
     """Index-wide identity of a token: the same name in two files differs."""
     return f"{file_id}:{token}"
+
+
+def plain_key(block: bytes, counter: int) -> bytes:
+    """Lookup key of a plain entry: its left token's identity block with
+    the counter, a u32, in place of the block's last four bytes."""
+    return block[:-4] + counter.to_bytes(4, "big")
 
 
 # Every pair token is a fixed name (dcfg's VALUE_FAMILIES), or VAR<n> or
@@ -126,12 +149,13 @@ def build_index(
         path = names.get(file_id, f"file {file_id}")
         counts[file_id] = _name_counts(tokens, path)
         files.append((file_id, path, by_left, tokens))
-    token_keys = {}  # (file id, token) -> (D, R), every token in one batch
-    if mode != "plain":
-        owned = [(file_id, token) for file_id, _, _, tokens in files
-                 for token in tokens]
-        token_keys = dict(zip(owned, derive_token_key_pairs(
-            keys, [token_identity(*ft) for ft in owned])))
+    # (file id, token) -> its identity block in plain mode, else its
+    # (D, R) keys, every token's in one batch
+    owned = [(file_id, token) for file_id, _, _, tokens in files
+             for token in tokens]
+    blocks = [token_block(*ft) for ft in owned]
+    token_keys = dict(zip(owned, blocks if mode == "plain"
+                          else derive_key_pairs(keys, b"".join(blocks))))
 
     entries: list[tuple[bytes, bytes]] = []
     for file_id, path, by_left, _ in files:
@@ -144,9 +168,9 @@ def build_index(
                 right = pair.right
                 values = (right.line, right.depth, right.order, right.cf_type)
                 if mode == "plain":
-                    key = f"{token_identity(file_id, left)}#{counter}".encode()
-                    value = "|".join((token_identity(file_id, right.token),
-                                      *map(str, values))).encode()
+                    key = plain_key(token_keys[file_id, left], counter)
+                    value = token_keys[file_id, right.token] + _int32s(
+                        path, values)
                 else:
                     d_right, r_right = token_keys[file_id, right.token]
                     key = det_encrypt(d_left, counter.to_bytes(4, "big"))
@@ -159,11 +183,21 @@ def build_index(
                 entries.append((key, value))
 
     if mode != "plain":
-        random.SystemRandom().shuffle(entries)
+        entries = _shuffled(entries)
     table = dict(entries)
     if len(table) != len(entries):
         raise ValueError("two index entries share a lookup key")
     return EncryptedIndex(mode, table, slots), counts
+
+
+def _shuffled(entries) -> list:
+    """entries in a uniformly random order: sorted on a fresh 8-byte tag
+    each, all drawn from the system entropy source in one call; equal
+    tags keep their order."""
+    tags = struct.unpack(">%dQ" % len(entries),
+                         secrets.token_bytes(8 * len(entries)))
+    return [entries[i] for i in sorted(range(len(entries)),
+                                       key=tags.__getitem__)]
 
 
 def _ore_line(key, line: int, path: str) -> bytes:
@@ -177,7 +211,8 @@ def _ore_line(key, line: int, path: str) -> bytes:
 
 def _int32s(path: str, values: tuple[int, ...]) -> bytes:
     """The last len(values) FIELDS as big-endian signed 32-bit integers
-    (std entries, scope tags); ConfigError names one out of range."""
+    (plain and std entries, scope tags); ConfigError names one out of
+    range."""
     try:
         return _PACK_LAST[len(values)](*values)
     except struct.error:
@@ -193,7 +228,7 @@ def _seal_slots(cts: dict) -> tuple[dict, list[bytes]]:
     table.  Slot numbers are a random permutation, drawn before anything
     is sealed, so they follow neither first use nor value order.  Returns
     each ciphertext's key in cts -> its `SLOT_REF`, and the table."""
-    numbers = random.SystemRandom().sample(range(len(cts)), len(cts))
+    numbers = _shuffled(range(len(cts)))
     refs, slots = {}, [b""] * len(cts)
     for (pair, ct), number in zip(cts.items(), numbers):
         key = secrets.token_bytes(KEY_BYTES)
@@ -205,34 +240,44 @@ def _seal_slots(cts: dict) -> tuple[dict, list[bytes]]:
 # --- container ----------------------------------------------------------------
 
 def serialize_index(index: EncryptedIndex) -> bytes:
-    out = bytearray(_MAGIC)
-    out += bytes([_VERSION, MODES.index(index.mode)])
-    out += struct.pack(">I", len(index.table))
-    for key, value in index.table.items():
-        out += blob(key)
-        out += struct.pack(">I", len(value))
-        out += value
-    if index.mode == "ore":
-        out += struct.pack(">I", len(index.slots))
-        for slot in index.slots:
-            out += struct.pack(">I", len(slot))
-            out += slot
-    return bytes(out)
+    """The container: header, then the entries as fixed-width records,
+    then in ore mode the slots; a key, value or slot of another width
+    than the mode's is a ValueError."""
+    width = VALUE_BYTES[index.mode]
+    if any(len(key) != LOOKUP_KEY_BYTES or len(value) != width
+           for key, value in index.table.items()):
+        raise ValueError(f"an index record is a {LOOKUP_KEY_BYTES}-byte key "
+                         f"and a {width}-byte value in {index.mode} mode")
+    if any(len(slot) != SLOT_BYTES for slot in index.slots):
+        raise ValueError(f"an index slot is {SLOT_BYTES} bytes")
+    tail = ([struct.pack(">I", len(index.slots)), *index.slots]
+            if index.mode == "ore" else [])
+    return b"".join([_MAGIC, bytes([_VERSION, MODES.index(index.mode)]),
+                     struct.pack(">I", len(index.table)),
+                     *(key + value for key, value in index.table.items()),
+                     *tail])
+
+
+def _records(cur: Cursor, width: int) -> tuple[bytes, range]:
+    """A u32 count, then that many records of width bytes: their bytes,
+    all checked present before any is read, and where each starts."""
+    body = cur.take(cur.unpack(">I")[0] * width)
+    return body, range(0, len(body), width)
 
 
 def deserialize_index(data: bytes) -> EncryptedIndex:
     cur = Cursor(data, "index", _MAGIC, _VERSION)
     mode = cur.code(MODES, "mode")
-    table = {}
-    for _ in range(cur.unpack(">I")[0]):
-        key = cur.blob()
-        if key in table:
-            raise FormatError("index: repeated lookup key")
-        table[key] = cur.take(cur.unpack(">I")[0])
+    width = LOOKUP_KEY_BYTES + VALUE_BYTES[mode]
+    body, starts = _records(cur, width)
+    table = {body[i:i + LOOKUP_KEY_BYTES]: body[i + LOOKUP_KEY_BYTES:i + width]
+             for i in starts}
+    if len(table) != len(starts):
+        raise FormatError("index: repeated lookup key")
     slots = []
     if mode == "ore":
-        for _ in range(cur.unpack(">I")[0]):
-            slots.append(cur.take(cur.unpack(">I")[0]))
+        body, starts = _records(cur, SLOT_BYTES)
+        slots = [body[i:i + SLOT_BYTES] for i in starts]
     cur.finish()
     return EncryptedIndex(mode, table, slots)
 

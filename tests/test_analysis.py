@@ -52,7 +52,9 @@ from cca.crypto import (
     derive_det_keys,
     derive_ore_key,
     derive_token_key_pairs,
+    det_encrypt,
     generate_master_keys,
+    identity_block,
     ore_encrypt,
     ore_name,
     rnd_decrypt,
@@ -65,7 +67,7 @@ from cca.errors import (
     UsageError,
 )
 from cca.fileio import blob
-from cca.index import token_identity
+from cca.index import plain_key, token_identity
 from cca.itl import TASKS
 from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
@@ -155,6 +157,54 @@ def test_authorise_token_keys_match_direct_derivation(tmp_path):
         res.keys.master, [token_identity(0, "XSS_SAN")])
     assert fq.input_id == input_d
     assert fq.san_id == san_d
+
+
+def test_build_and_authorise_pack_token_pairs_without_parsing(
+        tmp_path, monkeypatch):
+    # encrypt and authorise pack each (file id, name) pair into its block;
+    # no FILEID:NAME text is formatted only to be parsed back
+    def no_parsing(identity):
+        raise AssertionError(f"parsed {identity!r}")
+
+    root = write_app(tmp_path, CORPUS["multifile"])
+    monkeypatch.setattr(cca.crypto, "parse_token", no_parsing)
+    monkeypatch.setattr(cca.analysis, "parse_token", no_parsing)
+    runs = {}
+    for mode in ("plain", "std", "ore"):
+        res = encrypt_application(root, mode=mode)
+        runs[mode] = res, [authorise(res.keys, task) for task in TASKS]
+    monkeypatch.undo()
+
+    # ... and the keys are those the public string functions derive
+    for mode, (res, queries) in runs.items():
+        def ref(file_id, name):
+            identity = token_identity(file_id, name)
+            if mode == "plain":
+                return identity_block(identity)
+            return derive_token_key_pairs(res.keys.master, [identity])[0]
+
+        for fa in res.files:
+            file_id = fa.source.file_id
+            for left, pairs in fa.dcfg.by_left().items():
+                for counter, pair in enumerate(pairs, start=1):
+                    right = ref(file_id, pair.right.token)
+                    if mode == "plain":
+                        key = plain_key(ref(file_id, left), counter)
+                        assert res.index.lookup(key)[:16] == right
+                    else:
+                        d_left, r_left = ref(file_id, left)
+                        value = res.index.lookup(det_encrypt(
+                            d_left, counter.to_bytes(4, "big")))
+                        assert rnd_decrypt(r_left, value)[:32] == b"".join(
+                            right)
+        for query in queries:
+            for fq in query.files:
+                names = (TASKS[query.task][0], "INPUT", TASKS[query.task][1])
+                want = [token_identity(fq.file_id, name) for name in names]
+                if mode != "plain":
+                    want = derive_token_key_pairs(res.keys.master, want)
+                    want[1:] = [d for d, _ in want[1:]]
+                assert [fq.sens, fq.input_id, fq.san_id] == want
 
 
 @pytest.mark.parametrize("mode", ["std", "ore"])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,8 @@ import cca
 from cca import __version__
 from cca.analysis import NODE_FIELDS, load_query, save_query
 from cca.cli import main
-from cca.crypto import load_keys
-from cca.index import load_index, save_index
+from cca.crypto import load_keys, token_block
+from cca.index import load_index, plain_key, save_index
 
 from conftest import HOSTILE_SLOTS, NODE_TABLE_DAMAGE, write_app
 
@@ -259,6 +260,20 @@ def test_stats_command(tmp_path, app_dir, capsys):
     assert "slots: 6" in out.splitlines()
 
 
+@pytest.mark.parametrize("flag,width", [("", 96), ("--no-ore", 76),
+                                        ("--no-encryption", 32)])
+def test_stats_prints_the_record_widths(tmp_path, app_dir, capsys, flag,
+                                        width):
+    index = tmp_path / "i"
+    run("encrypt", "--src", app_dir, "--index", index, "--keys",
+        tmp_path / "k", *filter(None, [flag]))
+    capsys.readouterr()
+    assert run("stats", "--index", index) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "key_bytes: [16]" in lines
+    assert f"value_bytes: [{width}]" in lines
+
+
 def test_bench_command(app_dir, capsys):
     assert run("bench", "--src", app_dir, "--reps", "1") == 0
     out = capsys.readouterr().out
@@ -483,12 +498,24 @@ def _edit_sink_scope_tag(change):
     return _edit_report(edit)
 
 
-def _set_sink_value(value: bytes):
+# file 0's first XSS_SENS entry in a plain index
+PLAIN_SINK_KEY = plain_key(token_block(0, "XSS_SENS"), 1)
+
+
+def _set_sink_value(right: bytes):
+    """Damage: the first sink entry of a plain index names right, with
+    line 5 and scope (0, 0, 0)."""
     def damage(paths):
         index = load_index(paths["index"])
-        index.table[b"0:XSS_SENS#1"] = value
+        index.table[PLAIN_SINK_KEY] = right + struct.pack(">4i", 5, 0, 0, 0)
         save_index(paths["index"], index)
     return damage
+
+
+def _block(code: int, number: int, check: bytes = bytes(7)) -> bytes:
+    """An identity block of file 0: u32 file id, family code, u32 number
+    and the check bytes, as `crypto.token_block` packs one."""
+    return struct.pack(">IBI7s", 0, code, number, check)
 
 
 def _damage_index(damage):
@@ -560,10 +587,14 @@ MALFORMED = {
         "decrypt-report"),
     "report mode differs from the key store": (
         "--no-ore", _set_byte("keys", 9, 0), "decrypt-report"),
-    "plain value with too few fields": (
-        "--no-encryption", _set_sink_value(b"0:VAR1|5"), "analyse"),
-    "plain value with a non-integer field": (
-        "--no-encryption", _set_sink_value(b"0:VAR1|5|x|0|0"), "analyse"),
+    # VAR1 with a check byte set, family code 8, and INPUT numbered 1
+    "plain value with non-zero check bytes": (
+        "--no-encryption", _set_sink_value(_block(6, 1, bytes(6) + b"\x01")),
+        "analyse"),
+    "plain value with an unknown family code": (
+        "--no-encryption", _set_sink_value(_block(8, 1)), "analyse"),
+    "plain value with a numbered fixed name": (
+        "--no-encryption", _set_sink_value(_block(0, 1)), "analyse"),
     "plain query text not UTF-8": (
         "--no-encryption", _replace_bytes("query", b"0:XSS_SENS", b"\xff:XSS_SENS"),
         "analyse"),
@@ -573,11 +604,13 @@ MALFORMED = {
         "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
         "authorise"),
     "index repeats a lookup key": (
-        "--no-encryption",
-        _replace_bytes("index", b"0:XSS_SENS#2", b"0:XSS_SENS#1"), "analyse"),
+        "--no-encryption", _replace_bytes(
+            "index", plain_key(token_block(0, "XSS_SENS"), 2), PLAIN_SINK_KEY),
+        "analyse"),
     "index repeats a lookup key (stats)": (
-        "--no-encryption",
-        _replace_bytes("index", b"0:XSS_SENS#2", b"0:XSS_SENS#1"), "stats"),
+        "--no-encryption", _replace_bytes(
+            "index", plain_key(token_block(0, "XSS_SENS"), 2), PLAIN_SINK_KEY),
+        "stats"),
     "ore index of version 2": ("", _set_byte("index", 8, 2), "analyse"),
     "ore index of version 3": ("", _set_byte("index", 8, 3), "analyse"),
     "ore index of version 4": ("", _set_byte("index", 8, 4), "analyse"),
@@ -587,6 +620,8 @@ MALFORMED = {
     "ore index of version 5": ("", _set_byte("index", 8, 5), "analyse"),
     "query of version 2": ("--no-ore", _set_byte("query", 8, 2), "analyse"),
     "ore index of version 7": ("", _set_byte("index", 8, 7), "analyse"),
+    "ore index of version 8": ("", _set_byte("index", 8, 8), "analyse"),
+    "ore index of version 8 (stats)": ("", _set_byte("index", 8, 8), "stats"),
     "key store of version 6": ("", _set_byte("keys", 8, 6), "decrypt-report"),
     "query of version 3": ("", _set_byte("query", 8, 3), "analyse"),
     "query with a 32-byte sink D key": (
@@ -607,11 +642,20 @@ MALFORMED = {
         "decrypt-report"),
     **{f"ore index with a {case}": ("", _damage_index(damage), "analyse")
        for case, (damage, _, _) in HOSTILE_SLOTS.items()},
+    # replaces the HOSTILE_SLOTS case of this name: a container of
+    # fixed-width slots cannot hold one of another length, and one byte
+    # short it is a truncated container
+    "ore index with a slot of the wrong length": (
+        "", lambda p: p["index"].write_bytes(p["index"].read_bytes()[:-1]),
+        "analyse"),
     **{f"report {case}": ("--no-ore", _edit_report(edit), "decrypt-report")
        for case, (edit, _) in NODE_TABLE_DAMAGE.items()},
 }
 # case -> what its one error line must say, where more than the prefix counts
 MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
+                  "plain value with non-zero check bytes": "names no token",
+                  "plain value with an unknown family code": "names no token",
+                  "plain value with a numbered fixed name": "names no token",
                   "index repeats a lookup key (stats)": "repeated lookup key",
                   "ore index of version 2": "unsupported version 2",
                   "ore index of version 3": "unsupported version 3",
@@ -622,6 +666,8 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "ore index of version 5": "unsupported version 5",
                   "query of version 2": "unsupported version 2",
                   "ore index of version 7": "unsupported version 7",
+                  "ore index of version 8": "unsupported version 8",
+                  "ore index of version 8 (stats)": "unsupported version 8",
                   "key store of version 6": "unsupported version 6",
                   "query of version 3": "unsupported version 3",
                   "query with a 32-byte sink D key":
@@ -636,7 +682,8 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   **{f"report {case}": says
                      for case, (_, says) in NODE_TABLE_DAMAGE.items()},
                   **{f"ore index with a {case}": says
-                     for case, (_, _, says) in HOSTILE_SLOTS.items()}}
+                     for case, (_, _, says) in HOSTILE_SLOTS.items()},
+                  "ore index with a slot of the wrong length": "truncated"}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))

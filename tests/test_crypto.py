@@ -30,21 +30,26 @@ from cca.crypto import (
     MasterKeys,
     OreKey,
     derive_det_keys,
+    derive_key_pairs,
     derive_ore_key,
     derive_token_key_pairs,
     deserialize_keys,
     det_encrypter,
+    identity_block,
+    name_of,
     ore_ciphertext_bytes,
     ore_left_bytes,
     ore_name,
     ore_name_value,
     open_scope_tags,
+    open_token_blocks,
     open_token_keys,
     parse_token,
     rnd_encrypter,
     save_keys,
     scope_sealer,
     serialize_keys,
+    token_block,
 )
 from cca.errors import FormatError, IntegrityError, KeyMismatchError
 
@@ -146,6 +151,36 @@ def test_identities_outside_the_one_spelling_derive_nothing(identity):
 
 
 @given(st.lists(TOKENS, max_size=4))
+def test_pairs_pack_into_the_blocks_their_identities_parse_to(tokens):
+    # (file id, name) packs with no text in between, into the block the
+    # identity FILEID:NAME gives, and derives the same keys
+    mk = generate_master_keys()
+    ids = [_identity(*t) for t in tokens]
+    names = [i.split(":")[1] for i in ids]
+    blocks = [token_block(t[0], name) for t, name in zip(tokens, names)]
+    assert blocks == [_block(*t) for t in tokens]
+    assert blocks == [identity_block(i) for i in ids]
+    assert derive_key_pairs(mk, b"".join(blocks)) == derive_token_key_pairs(
+        mk, ids)
+    assert open_token_blocks(b"".join(blocks)) == tokens
+    assert [name_of(*t[1:]) for t in tokens] == names
+
+
+@pytest.mark.parametrize("name", ["VAR", "FUNC_CALL", "INPUT0", "XSS_SENS3",
+                                  "FOO", "FOO1", "var1", ""])
+def test_a_name_of_no_family_packs_no_block(name):
+    assert identity_block(f"0:{name}") is None
+    with pytest.raises(ValueError, match="not a token name"):
+        token_block(0, name)
+
+
+def test_fixed_names_take_no_number():
+    assert name_of(0, 0) == "INPUT"
+    assert name_of(0, 1) is None
+    assert name_of(FIRST_NUMBERED, 0) == "VAR0"
+
+
+@given(st.lists(TOKENS, max_size=4))
 def test_d_keys_open_back_to_their_token(tokens):
     mk = generate_master_keys()
     keys = derive_det_keys(mk, [_identity(*t) for t in tokens])
@@ -181,9 +216,10 @@ def test_key_store_names_only_what_a_file_can_hold():
 # --- DET -----------------------------------------------------------------------
 
 def test_det_matches_published_hmac_sha1_vector():
-    # RFC 2202 test case 2.
+    # RFC 2202 test case 2, effcdf6ae5eb2fa2d27416d5f184df9c259a7c79,
+    # truncated to its first 16 bytes
     digest = det_encrypt(b"Jefe", b"what do ya want for nothing?")
-    assert digest.hex() == "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
+    assert digest.hex() == "effcdf6ae5eb2fa2d27416d5f184df9c"
 
 
 @given(st.binary(min_size=1, max_size=100), st.lists(st.binary(max_size=8),
@@ -195,7 +231,8 @@ def test_det_encrypter_equals_det_encrypt(key, messages):
 
 
 def test_det_output_sizes():
-    assert len(det_encrypt(b"k" * 16, b"m")) == 20
+    assert len(det_encrypt(b"k" * 16, b"m")) == 16
+    assert len(det_encrypter(b"k" * 16)(b"m")) == 16
 
 
 def test_det_determinism_and_distinctness():

@@ -27,12 +27,15 @@ from cca.crypto import (
     KeyStore,
     derive_ore_key,
     derive_token_key_pairs,
+    name_of,
     ore_ciphertext_bytes,
     ore_encrypt,
     ore_name,
     ore_name_value,
     open_scope_tags,
+    open_token_blocks,
     parse_token,
+    token_block,
 )
 from cca.dcfg import (
     VALUE_FAMILIES,
@@ -45,9 +48,11 @@ from cca.dcfg import (
 from cca.errors import ConfigError, FormatError, KeyMismatchError
 from cca.index import (
     SLOT_REF,
+    EncryptedIndex,
     deserialize_index,
     index_stats,
     load_index,
+    plain_key,
     save_index,
     serialize_index,
     token_identity,
@@ -73,12 +78,27 @@ def master():
 
 # --- plain mode ----------------------------------------------------------------
 
+def _as_text(key: bytes, value: bytes) -> tuple[str, str]:
+    """A plain entry written out: `FILEID:TOKEN#COUNTER` for the key (the
+    left token's identity block, its last four bytes the counter) and
+    `FILEID:RIGHT|line|depth|order|type` for the value (the right token's
+    block and four signed 32-bit fields)."""
+    file_id, code, number, zeros, counter = struct.unpack(">IBI3sI", key)
+    assert zeros == bytes(3)
+    ((right_file, right_code, right_number),) = open_token_blocks(value[:16])
+    right = token_identity(right_file, name_of(right_code, right_number))
+    return (f"{token_identity(file_id, name_of(code, number))}#{counter}",
+            "|".join([right, *map(str, struct.unpack(">4i", value[16:]))]))
+
+
 def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
     # a plain build keys nothing, so it derives no token keys either
-    monkeypatch.setattr(cca.index, "derive_token_key_pairs", None)
+    monkeypatch.setattr(cca.index, "derive_key_pairs", None)
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
 
-    entries = {k.decode(): v.decode() for k, v in index.table.items()}
+    assert {len(k) for k in index.table} == {16}
+    assert {len(v) for v in index.table.values()} == {32}
+    entries = dict(_as_text(k, v) for k, v in index.table.items())
     assert entries == {
         "0:VAR0#1": "0:INPUT|2|0|0|0",
         "0:VAR1#1": "0:STRING|3|0|0|0",
@@ -91,7 +111,7 @@ def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
 
 def test_plain_mode_preserves_build_order(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
-    keys = [k.decode() for k in index.table]
+    keys = [_as_text(k, v)[0] for k, v in index.table.items()]
     assert keys == sorted(keys, key=keys.index)  # stable
     assert keys[0] == "0:VAR0#1"
     assert keys[-1] == "0:XSS_SENS#2"
@@ -100,8 +120,8 @@ def test_plain_mode_preserves_build_order(fig_dcfg, master):
 def test_counters_start_at_one_per_left_token(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
     counters = {}
-    for key in index.table:
-        ident, counter = key.decode().rsplit("#", 1)
+    for key, value in index.table.items():
+        ident, counter = _as_text(key, value)[0].rsplit("#", 1)
         counters.setdefault(ident, []).append(int(counter))
     for ident, seen in counters.items():
         assert seen == list(range(1, len(seen) + 1)), ident
@@ -522,9 +542,11 @@ def test_truncated_container_rejected(fig_dcfg, master):
 def test_repeated_lookup_key_rejected(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
     blob = serialize_index(index)
-    assert b"0:XSS_SENS#2" in blob
+    sens = token_block(0, "XSS_SENS")
+    assert plain_key(sens, 2) in blob
     with pytest.raises(FormatError, match="repeated lookup key"):
-        deserialize_index(blob.replace(b"0:XSS_SENS#2", b"0:XSS_SENS#1"))
+        deserialize_index(blob.replace(plain_key(sens, 2),
+                                       plain_key(sens, 1)))
 
 
 def test_bad_magic_rejected(fig_dcfg, master):
@@ -534,14 +556,15 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
     # 4 held every field ciphertext in each entry, with biased masks,
     # version 5 held 32-byte token keys, version 6 made depth, order and
-    # type order-revealing fields as well, and version 7 derived token
-    # keys with HMAC-SHA256 and tagged scopes under per-file keys
+    # type order-revealing fields as well, version 7 derived token keys
+    # with HMAC-SHA256 and tagged scopes under per-file keys, and version
+    # 8 wrote a length before every record and held 20-byte lookup keys
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -553,7 +576,7 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     stats = index_stats(index)
     assert stats["entries"] == 6
     assert stats["mode"] == "std"
-    assert stats["key_bytes"] == [20]
+    assert stats["key_bytes"] == [16]
     assert stats["value_bytes"] == [12 + 48 + 16]
     assert stats["container_bytes"] > 0
     assert stats["slots"] == stats["slot_bytes"] == 0
@@ -561,4 +584,96 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     stats = index_stats(ore)
     # lines 2-7: one slot each
     assert (stats["slots"], stats["slot_bytes"]) == (6, 6 * (12 + 340 + 16))
+    assert stats["key_bytes"] == [16]
     assert stats["value_bytes"] == [12 + 68 + 16]
+    plain, _ = build_index([(0, fig_dcfg)], master, mode="plain")
+    stats = index_stats(plain)
+    assert (stats["key_bytes"], stats["value_bytes"]) == ([16], [16 + 16])
+
+
+# --- fixed-width records ---------------------------------------------------------
+
+VALUE_WIDTHS = {"plain": 32, "std": 76, "ore": 96}
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_container_size_is_fixed_width_records(fig_dcfg, master, mode):
+    # no length prefixes: a header, N records of 16 + w bytes, and in ore
+    # a slot count and S slots of 368 bytes
+    index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
+    n, s = len(index), len(index.slots)
+    assert (n, s) == (6, 6 if mode == "ore" else 0)
+    expected = 14 + n * (16 + VALUE_WIDTHS[mode])
+    if mode == "ore":
+        expected += 4 + s * 368
+    assert len(serialize_index(index)) == expected
+    assert index_stats(index)["container_bytes"] == expected
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_every_prefix_and_extension_of_a_container_is_rejected(
+        fig_dcfg, master, mode):
+    blob = serialize_index(build_index([(0, fig_dcfg)], master, mode=mode)[0])
+    assert deserialize_index(blob).table
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            deserialize_index(blob[:cut])
+    for extra in range(1, 9):
+        with pytest.raises(FormatError, match="trailing bytes"):
+            deserialize_index(blob + bytes(extra))
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_a_count_past_the_end_is_truncation_before_any_record(
+        fig_dcfg, master, mode):
+    index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
+    blob = serialize_index(index)
+    width = 16 + VALUE_WIDTHS[mode]
+    for count in ((len(blob) - 14) // width + 1, 2**32 - 1):
+        bad = blob[:10] + struct.pack(">I", count) + blob[14:]
+        # the records start at byte 14, and none of them is read
+        with pytest.raises(FormatError, match="truncated at byte 14$"):
+            deserialize_index(bad)
+    if mode == "ore":
+        table_at = 14 + len(index) * width
+        bad = blob[:table_at] + struct.pack(">I", 7) + blob[table_at + 4:]
+        with pytest.raises(FormatError, match=f"truncated at byte "
+                                              f"{table_at + 4}$"):
+            deserialize_index(bad)
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_serialize_rejects_a_key_value_or_slot_of_the_wrong_width(
+        fig_dcfg, master, mode):
+    index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
+    key, value = next(iter(index.table.items()))
+    for table in ({key + b"\0": value}, {key[:-1]: value},
+                  {key: value + b"\0"}, {key: value[:-1]}):
+        with pytest.raises(ValueError, match="16-byte key and a "
+                                             f"{VALUE_WIDTHS[mode]}-byte value"):
+            serialize_index(EncryptedIndex(mode, table, index.slots))
+    if mode == "ore":
+        with pytest.raises(ValueError, match="slot is 368 bytes"):
+            serialize_index(EncryptedIndex(mode, index.table,
+                                           [index.slots[0][:-1]]))
+
+
+def test_entries_sort_on_fresh_tags_drawn_in_one_call(fig_dcfg, master,
+                                                      monkeypatch):
+    # std entries are stored in the order of one 8-byte tag each, all
+    # drawn in one call: descending tags store the build order reversed
+    drawn = []
+
+    def tags(n):
+        drawn.append(n)
+        return struct.pack(">%dQ" % (n // 8), *range(n // 8, 0, -1))
+
+    monkeypatch.setattr(cca.index.secrets, "token_bytes", tags)
+    index, _ = build_index([(0, fig_dcfg)], master, mode="std")
+    assert drawn == [8 * len(index)]
+    built = [det_encrypt(derive_token_key_pairs(
+                 master, [token_identity(0, left)])[0][0],
+                 struct.pack(">I", counter))
+             for left, pairs in fig_dcfg.by_left().items()
+             for counter in range(1, len(pairs) + 1)]
+    assert list(index.table) == built[::-1]
