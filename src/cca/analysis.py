@@ -1,12 +1,13 @@
 """Vulnerability detection over the inverted index.
 
-The analyser holds only a query: per file, the key pair of the task's
-sensitive-sink token plus the bare identities of the entry-point and
-sanitizer tokens.  Each decrypted index value hands over the keys of the
-next token, so detection can walk flows outward from the sinks and nowhere
-else.  Detection has the semantics of four steps: enumerate candidate
-paths, drop impossible orderings, aggregate per sink statement, then
-resolve branch alternatives down to the flow that reaches the sink.
+The analyser holds only a query: per file, the secret of the task's
+sensitive-sink token plus the one-way identities of the entry-point and
+sanitizer tokens, which open nothing.  Each decrypted index value hands
+over the secret of the next token, so detection can walk flows outward
+from the sinks and nowhere else.  Detection has the semantics of four
+steps: enumerate candidate paths, drop impossible orderings, aggregate
+per sink statement, then resolve branch alternatives down to the flow
+that reaches the sink.
 `detect` runs `find_paths`, then the final check.  `find_paths` builds
 only the paths steps 2 and 4 keep, in their order, each choice settled
 where paths diverge from memoised token summaries (IFDS summary edges:
@@ -40,9 +41,11 @@ from .crypto import (
     KEY_BYTES,
     MODES,
     KeyStore,
-    derive_key_pairs,
+    derive_identity,
     derive_ore_key,
-    det_encrypter,
+    derive_secrets,
+    derive_value_key,
+    det_encrypt,
     identity_block,
     name_of,
     ore_ciphertext_bytes,
@@ -82,10 +85,10 @@ class PathNode:
     rank once the file's walk is done; until then it is None.
     """
 
-    token: object  # opaque identity: D bytes or plain token identity
+    token: object  # opaque identity: its secret, or plain token identity
     line: int
     scope: object  # (depth, order, type), or the ore scope tag
-    ref: object = None  # expands the token: (D, R) keys, or plain block
+    ref: object = None  # expands the token: its secret, or plain block
     ct: bytes | None = None  # ore: the line's ciphertext
 
 
@@ -94,9 +97,9 @@ class PathNode:
 @dataclass
 class FileQuery:
     file_id: int
-    sens: object       # token reference of the sensitive-sink token
-    input_id: object   # identity of the entry-point token
-    san_id: object     # identity of the sanitizer token
+    sens: object       # secret of the sensitive-sink token (plain: identity)
+    input_id: object   # one-way identity of the entry-point token
+    san_id: object     # one-way identity of the sanitizer token
 
 
 @dataclass
@@ -150,20 +153,20 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
              for name in (sens_name, "INPUT", san_name)]
     if ks.mode == "plain":
         refs = [token_identity(*ft) for ft in owned]
-    else:  # every key of the query in one batch
-        refs = derive_key_pairs(ks.master, b"".join(
+    else:  # every secret of the query in one batch
+        refs = derive_secrets(ks.master, b"".join(
             token_block(*ft) for ft in owned))
-        # the entry point and the sanitizer are named by their D keys alone
-        refs[1::3] = [d for d, _ in refs[1::3]]
-        refs[2::3] = [d for d, _ in refs[2::3]]
+        # the entry point and the sanitizer are named by their identities
+        refs = [derive_identity(ref) if k % 3 else ref
+                for k, ref in enumerate(refs)]
     return Query(task, ks.mode, [FileQuery(file_id, *refs[3 * i:3 * i + 3])
                                  for i, file_id in enumerate(file_ids)])
 
 
 _QRY_MAGIC = b"CCAQRY1\x00"
-_QRY_VERSION = 4
-# The four keys of a file in std and ore queries, in container order
-_QRY_KEYS = ("sink D", "sink R", "entry-point D", "sanitizer D")
+_QRY_VERSION = 5
+# The three fields of a file in std and ore queries, in container order
+_QRY_KEYS = ("sink S", "entry-point identity", "sanitizer identity")
 
 
 def serialize_query(query: Query) -> bytes:
@@ -173,12 +176,8 @@ def serialize_query(query: Query) -> bytes:
     out += struct.pack(">I", len(query.files))
     for fq in query.files:
         out += struct.pack(">I", fq.file_id)
-        if query.mode == "plain":
-            out += blob(fq.sens.encode()) + blob(b"")
-            out += blob(fq.input_id.encode()) + blob(fq.san_id.encode())
-        else:
-            out += blob(fq.sens[0]) + blob(fq.sens[1])
-            out += blob(fq.input_id) + blob(fq.san_id)
+        for ref in (fq.sens, fq.input_id, fq.san_id):
+            out += blob(ref.encode() if query.mode == "plain" else ref)
     return bytes(out)
 
 
@@ -191,22 +190,17 @@ def deserialize_query(data: bytes) -> Query:
     def token_key(file_id: int, name: str) -> bytes:
         got = cur.blob()
         if len(got) != KEY_BYTES:
-            raise FormatError(f"query: file {file_id}'s {name} is a "
-                              f"{len(got)}-byte key, not {KEY_BYTES} bytes")
+            raise FormatError(f"query: file {file_id}'s {name} is "
+                              f"{len(got)} bytes, not {KEY_BYTES}")
         return got
 
     for _ in range(cur.unpack(">I")[0]):
         (file_id,) = cur.unpack(">I")
         if mode == "plain":
-            sens, empty = cur.text(), cur.blob()
-            if empty:
-                raise FormatError(f"query: file {file_id}'s sink R is "
-                                  f"{len(empty)} bytes, but a plain query "
-                                  "leaves it empty")
-            files.append(FileQuery(file_id, sens, cur.text(), cur.text()))
+            refs = [cur.text() for _ in _QRY_KEYS]
         else:
-            keys = [token_key(file_id, name) for name in _QRY_KEYS]
-            files.append(FileQuery(file_id, tuple(keys[:2]), *keys[2:]))
+            refs = [token_key(file_id, name) for name in _QRY_KEYS]
+        files.append(FileQuery(file_id, *refs))
     cur.finish()
     return Query(task, mode, files)
 
@@ -257,7 +251,7 @@ class Reader:
 class PlainReader(Reader):
     """Reader for the unencrypted debugging mode.  Tokens are told apart
     by their identity blocks, and nodes carry their identities as text.
-    A right block is checked as `open_token_keys` checks an opened D key,
+    A right block is checked as `open_token_keys` checks an opened secret,
     and must name a token."""
 
     def graph(self, ref: str) -> list[list[tuple[int, PathNode]]]:
@@ -282,27 +276,27 @@ class PlainReader(Reader):
 
 
 class IndexReader(Reader):
-    """Counter-probing reader for std mode: fields are plain integers."""
+    """Counter-probing reader for std mode: fields are plain integers.
+    A token's secret makes its lookup keys and, once one answers, its
+    value key."""
 
     field_bytes = 16  # line, depth, order, type
 
-    def _read(self, ref) -> list[PathNode]:
-        d_key, r_key = ref
-        probe = det_encrypter(d_key)
+    def _read(self, secret: bytes) -> list[PathNode]:
         edges: list[PathNode] = []
-        while True:
-            blob = self.index.lookup(probe((len(edges) + 1).to_bytes(4, "big")))
-            if blob is None:
-                return edges
-            payload = rnd_decrypt(r_key, blob)
-            if len(payload) != 2 * KEY_BYTES + self.field_bytes:
+        value_key = None
+        while (blob := self.index.lookup(det_encrypt(
+                secret, (len(edges) + 1).to_bytes(4, "big")))) is not None:
+            value_key = value_key or derive_value_key(secret)
+            payload = rnd_decrypt(value_key, blob)
+            if len(payload) != KEY_BYTES + self.field_bytes:
                 raise FormatError("index value has unexpected payload size")
-            right = (payload[:KEY_BYTES], payload[KEY_BYTES:2 * KEY_BYTES])
-            edges.append(self._node(right, payload[2 * KEY_BYTES:]))
+            edges.append(self._node(payload[:KEY_BYTES], payload[KEY_BYTES:]))
+        return edges
 
-    def _node(self, right, fields: bytes) -> PathNode:
+    def _node(self, right: bytes, fields: bytes) -> PathNode:
         values = struct.unpack(">iiii", fields)
-        return PathNode(right[0], values[0], values[1:], ref=right)
+        return PathNode(right, values[0], values[1:], ref=right)
 
 
 class OreReader(IndexReader):
@@ -318,8 +312,8 @@ class OreReader(IndexReader):
         super().__init__(index)
         self._opened: dict[bytes, bytes] = {}  # slot reference -> ciphertext
 
-    def _node(self, right, fields: bytes) -> PathNode:
-        return PathNode(right[0], None, fields[SLOT_REF.size:], ref=right,
+    def _node(self, right: bytes, fields: bytes) -> PathNode:
+        return PathNode(right, None, fields[SLOT_REF.size:], ref=right,
                         ct=self._open(fields[:SLOT_REF.size]))
 
     def _open(self, ref: bytes) -> bytes:
@@ -402,8 +396,6 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
     graph = reader.graph(fq.sens)
     if not graph[0]:
         return []
-    # the sink's identity: its D key, or its plain identity
-    sens_id = fq.sens[0] if isinstance(fq.sens, tuple) else fq.sens
     bits: dict[object, int] = {}  # scope -> its bit in a signature
     kids = []  # per token: its distinct entries, (line, token, scope bit, node)
     last = []  # per token: the latest line of its entries
@@ -419,7 +411,7 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
     order: dict[tuple, None] = {}  # (sink line, signature), as first met
     work = 0
     for line, first, scope, head in kids[0]:
-        sink = PathNode(sens_id, line, head.scope, fq.sens, head.ct)
+        sink = PathNode(fq.sens, line, head.scope, fq.sens, head.ct)
         # token, tokens before it, signature, targets (None: any), path
         stack = [(first, 1, scope, None, [sink, head])]
         while stack:
@@ -584,9 +576,16 @@ def _tournament(bucket: list[list[PathNode]]) -> list[list[PathNode]]:
 
 def check_vulnerability(paths: list[list[PathNode]],
                         fq: FileQuery) -> list[list[PathNode]]:
-    """Final filter: flows that start at an entry point and skip sanitizers."""
-    return [nodes for nodes in paths if nodes[-1].token == fq.input_id
-            and all(node.token != fq.san_id for node in nodes)]
+    """Final filter: flows that start at an entry point and skip sanitizers.
+
+    In std and ore mode nodes name tokens by their secrets and the query
+    names the entry point and the sanitizer by their identities, so the
+    identity of each distinct token the check meets is derived once."""
+    identity = (functools.cache(derive_identity)
+                if isinstance(fq.input_id, bytes) else lambda token: token)
+    return [nodes for nodes in paths
+            if identity(nodes[-1].token) == fq.input_id
+            and all(identity(node.token) != fq.san_id for node in nodes)]
 
 
 def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
@@ -688,7 +687,7 @@ def _get(mapping, key: str, kind):
     return value
 
 
-# How std and ore reports write a token (its D key) and an ore scope tag,
+# How std and ore reports write a token (its secret) and an ore scope tag,
 # 16 bytes each, and an ore line's name
 _HEX_16 = re.compile("[0-9a-f]{32}")
 _ORE_NAME = re.compile("ore:[0-9a-f]{24}")  # 12 bytes at DEFAULT_ORE_WIDTH

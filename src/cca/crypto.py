@@ -2,9 +2,9 @@
 
 Four building blocks:
 
-* DET: deterministic keyed mapping (HMAC-SHA1, truncated to 16 bytes)
-  used for index keys, so equal tokens map to equal index positions
-  without revealing the token.
+* DET: deterministic keyed mapping (keyed BLAKE2s with a 16-byte
+  digest, RFC 7693) used for index keys, so equal tokens map to equal
+  index positions without revealing the token.
 * RND: randomized authenticated encryption (AES-128-GCM with a fresh
   96-bit nonce) used for index values, so equal payloads are
   indistinguishable.
@@ -20,14 +20,16 @@ Four building blocks:
 * Scope tags: AES-128 of a (file id, depth, order, type) block under the
   scope master key, which shows equal triples of one file and nothing else.
 
-Everything derives from four 128-bit master keys: DET, RND, ORE line and
-scope.  Each token key D_t and R_t is AES-128 of the token's identity
-block (`token_block`, or `parse_token` for identities that arrive as
-text) under its master key, a pseudorandom permutation,
-so the owner reads D keys back by decryption (`open_token_keys`), as it
-reads scope tags (`open_scope_tags`).  The line's ORE key pair is
-HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated to
-KEY_BYTES (RFC 4231, section 4.6).
+Everything derives from three 128-bit master keys: DET, ORE line and
+scope.  A token's secret S is AES-128 of its identity block
+(`token_block`, or `parse_token` for identities that arrive as text)
+under the DET master key, a pseudorandom permutation, so the owner reads
+secrets back by decryption (`open_token_keys`), as it reads scope tags
+(`open_scope_tags`).  From S both sides derive, by DET under S, the
+lookup keys of the token's entries, its value key and its one-way
+identity (`derive_value_key`, `derive_identity`).  The line's ORE key
+pair is HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated
+to KEY_BYTES (RFC 4231, section 4.6).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import struct
 from collections.abc import Callable, Iterable
 from dataclasses import astuple, dataclass, field
 from functools import lru_cache, partial
+from hashlib import blake2s
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -64,43 +67,19 @@ _RND_TAG_BYTES = 16
 RND_OVERHEAD = _RND_NONCE_BYTES + _RND_TAG_BYTES
 
 
-# HMAC's inner and outer pads (RFC 2104), as byte translation tables.
-_PADS = (bytes(b ^ 0x36 for b in range(256)),
-         bytes(b ^ 0x5C for b in range(256)))
-
-
 # --- master keys --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MasterKeys:
-    """The four 128-bit secrets everything else is derived from."""
+    """The three 128-bit secrets everything else is derived from."""
 
     det: bytes
-    rnd: bytes
     ore_line: bytes
     scope: bytes
 
 
 def generate_master_keys() -> MasterKeys:
-    return MasterKeys(*(secrets.token_bytes(KEY_BYTES) for _ in range(4)))
-
-
-def _hmac_keyed(key: bytes) -> tuple:
-    """HMAC-SHA1 under key as its two hash states after the padded keys
-    (RFC 2104), so that each message costs one copy of each instead of
-    both key hashes again."""
-    block = (key if len(key) <= 64 else hashlib.sha1(key).digest()).ljust(
-        64, b"\0")
-    return (hashlib.sha1(block.translate(_PADS[0])),
-            hashlib.sha1(block.translate(_PADS[1])))
-
-
-def _hmac_with(keyed: tuple, data: bytes) -> bytes:
-    """`det_encrypt` of data under the key `_hmac_keyed` prepared."""
-    inner, outer = keyed[0].copy(), keyed[1].copy()
-    inner.update(data)
-    outer.update(inner.digest())
-    return outer.digest()[:KEY_BYTES]
+    return MasterKeys(*(secrets.token_bytes(KEY_BYTES) for _ in range(3)))
 
 
 # --- token keys ---------------------------------------------------------------
@@ -190,23 +169,34 @@ def _derive(key: bytes, blocks: bytes) -> list[bytes]:
 
 
 def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
-    """Deterministic key D_t of each token, in order, and no value key R_t:
-    AES-128 of the token's block under the DET master key."""
-    return _derive(keys.det, _token_blocks(token_ids))
+    """The secret S of each token, in order: AES-128 of the token's block
+    under the DET master key, one ECB call for the whole batch.  S is the
+    DET key of the token's lookup keys."""
+    return derive_secrets(keys, _token_blocks(token_ids))
 
 
-def derive_token_key_pairs(keys: MasterKeys,
-                           token_ids: Iterable[str]) -> list[tuple[bytes, bytes]]:
-    """Key pair (D_t, R_t) of each token, in order: AES-128 of the token's
-    block under the DET and the RND master key, one ECB call per key for
-    the whole batch."""
-    return derive_key_pairs(keys, _token_blocks(token_ids))
+def derive_secrets(keys: MasterKeys, blocks: bytes) -> list[bytes]:
+    """`derive_det_keys` of identity blocks (`token_block`), joined."""
+    return _derive(keys.det, blocks)
 
 
-def derive_key_pairs(keys: MasterKeys,
-                     blocks: bytes) -> list[tuple[bytes, bytes]]:
-    """`derive_token_key_pairs` of identity blocks (`token_block`), joined."""
-    return list(zip(_derive(keys.det, blocks), _derive(keys.rnd, blocks)))
+# The messages DET takes under a token secret besides the u32 counters
+# of its lookup keys: one byte each, so no lookup key is made from one.
+_VALUE_LABEL = b"\x00"
+_IDENTITY_LABEL = b"\x01"
+
+
+def derive_value_key(secret: bytes) -> bytes:
+    """The key that seals the values of a token's entries: DET of a
+    one-byte label under the token's secret."""
+    return det_encrypt(secret, _VALUE_LABEL)
+
+
+def derive_identity(secret: bytes) -> bytes:
+    """A token's one-way identity: DET of another label under its secret,
+    which keys no entry and opens no value, so a query can name a token
+    by it without letting the analyser read the token's entries."""
+    return det_encrypt(secret, _IDENTITY_LABEL)
 
 
 def _decrypt_blocks(key: bytes, blocks: list[bytes]) -> bytes:
@@ -218,27 +208,21 @@ def _decrypt_blocks(key: bytes, blocks: list[bytes]) -> bytes:
     return _ecb_decryptor(key).update(b"".join(blocks))
 
 
-def open_token_keys(det_key: bytes,
-                    d_keys: list[bytes]) -> list[tuple[int, int, int] | None]:
-    """The (file id, family code, number) in each D key that
+def open_token_keys(det_key: bytes, token_secrets: list[bytes],
+                    ) -> list[tuple[int, int, int] | None]:
+    """The (file id, family code, number) in each token secret that
     `derive_det_keys` made under this DET master key, in one AES call;
     None for a block whose check bytes are not zero or whose code names
     no family, as under other keys."""
-    return open_token_blocks(_decrypt_blocks(det_key, d_keys))
+    return open_token_blocks(_decrypt_blocks(det_key, token_secrets))
 
 
 # --- DET ----------------------------------------------------------------------
 
 def det_encrypt(key: bytes, data: bytes) -> bytes:
-    """Deterministic keyed digest of data: the first 16 bytes of
-    HMAC-SHA1, as strong as the 16-byte keys it is made under."""
-    return hmac.digest(key, data, "sha1")[:KEY_BYTES]
-
-
-def det_encrypter(key: bytes) -> Callable[[bytes], bytes]:
-    """`det_encrypt` under one key, for many messages: the padded keys are
-    hashed once, which more than halves the cost of each message."""
-    return partial(_hmac_with, _hmac_keyed(key))
+    """Deterministic keyed digest of data: keyed BLAKE2s with a 16-byte
+    digest (RFC 7693), as strong as the 16-byte keys it is made under."""
+    return blake2s(data, digest_size=KEY_BYTES, key=key).digest()
 
 
 # --- RND ----------------------------------------------------------------------
@@ -258,7 +242,7 @@ def rnd_encrypter(key: bytes) -> Callable[[bytes], bytes]:
 def rnd_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Randomized authenticated encryption: nonce || ciphertext || tag.
 
-    The key (a 16-byte token key R_t or slot key) is the AES-GCM key
+    The key (a 16-byte value key or slot key) is the AES-GCM key
     itself, so RND runs as AES-128-GCM.
     """
     return rnd_encrypter(key)(plaintext)
@@ -528,7 +512,7 @@ def open_scope_tags(key: bytes, file_ids: list[int],
 # --- key store ----------------------------------------------------------------
 
 _KEYS_MAGIC = b"CCAKEYS1"
-_KEYS_VERSION = 7
+_KEYS_VERSION = 8
 
 
 @dataclass
@@ -572,7 +556,7 @@ def serialize_keys(ks: KeyStore) -> bytes:
 def deserialize_keys(data: bytes) -> KeyStore:
     cur = Cursor(data, "key store", _KEYS_MAGIC, _KEYS_VERSION)
     mode = cur.code(MODES, "mode")
-    master = MasterKeys(*(cur.take(KEY_BYTES) for _ in range(4)))
+    master = MasterKeys(*(cur.take(KEY_BYTES) for _ in range(3)))
     files: dict[int, str] = {}
     counts: dict[int, tuple[int, int]] = {}
     for _ in range(cur.unpack(">I")[0]):

@@ -2,9 +2,10 @@
 
 Every pair list for a left token becomes a run of index entries addressed by
 a deterministic per-token counter key, so the analyser can probe entry 1, 2,
-3, ... of a token it holds a key for and learn nothing about the rest.  The
-value of an entry carries the keys of the right-hand token plus the flow
-fields, sealed with randomized encryption so identical edges look unrelated.
+3, ... of a token it holds the secret of and learn nothing about the rest.
+The value of an entry carries the secret of the right-hand token plus the
+flow fields, sealed under the left token's value key with randomized
+encryption so identical edges look unrelated.
 
 Three build modes share one container format:
 
@@ -38,8 +39,9 @@ from .crypto import (
     RND_OVERHEAD,
     TOKEN_FAMILIES,
     MasterKeys,
-    derive_key_pairs,
     derive_ore_key,
+    derive_secrets,
+    derive_value_key,
     det_encrypt,
     ore_ciphertext_bytes,
     ore_encrypt,
@@ -54,19 +56,20 @@ from .fileio import Cursor, atomic_write
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 9
+_VERSION = 10
 SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore line: slot, slot key
 FIELDS = ("line", "depth", "order", "type")  # an entry's flow fields
 _PACK_LAST = {n: struct.Struct(">%di" % n).pack for n in (3, 4)}  # of FIELDS
 # Record widths (docs/formats.md): every lookup key is 16 bytes, and a
-# value is the right token (its block in plain mode, else its D and R
-# keys) and the fields, which std seals as four ints and ore as the
-# line's slot reference and the scope tag.
+# value is the right token (its block in plain mode, else its secret)
+# and the fields, which std seals as four ints and ore as the line's
+# slot reference and the scope tag.
 LOOKUP_KEY_BYTES = KEY_BYTES
 VALUE_BYTES = {"plain": KEY_BYTES + 16,
-               "std": RND_OVERHEAD + 2 * KEY_BYTES + 16,
-               "ore": RND_OVERHEAD + 2 * KEY_BYTES + SLOT_REF.size + KEY_BYTES}
+               "std": RND_OVERHEAD + KEY_BYTES + 16,
+               "ore": RND_OVERHEAD + KEY_BYTES + SLOT_REF.size + KEY_BYTES}
 SLOT_BYTES = RND_OVERHEAD + ore_ciphertext_bytes()  # a sealed line
+_HEADER_BYTES = len(_MAGIC) + 6  # magic, version, mode, entry count
 
 
 @dataclass
@@ -150,20 +153,20 @@ def build_index(
         counts[file_id] = _name_counts(tokens, path)
         files.append((file_id, path, by_left, tokens))
     # (file id, token) -> its identity block in plain mode, else its
-    # (D, R) keys, every token's in one batch
+    # secret, every token's in one batch
     owned = [(file_id, token) for file_id, _, _, tokens in files
              for token in tokens]
     blocks = [token_block(*ft) for ft in owned]
     token_keys = dict(zip(owned, blocks if mode == "plain"
-                          else derive_key_pairs(keys, b"".join(blocks))))
+                          else derive_secrets(keys, b"".join(blocks))))
 
     entries: list[tuple[bytes, bytes]] = []
     for file_id, path, by_left, _ in files:
         scope_file = file_id.to_bytes(4, "big")  # a scope block's first field
         for left, pairs in by_left.items():
-            if mode != "plain":  # one key pair, and one sealer, per left token
-                d_left, r_left = token_keys[file_id, left]
-                seal = rnd_encrypter(r_left)
+            if mode != "plain":  # one secret, and one sealer, per left token
+                s_left = token_keys[file_id, left]
+                seal = rnd_encrypter(derive_value_key(s_left))
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
                 values = (right.line, right.depth, right.order, right.cf_type)
@@ -172,14 +175,13 @@ def build_index(
                     value = token_keys[file_id, right.token] + _int32s(
                         path, values)
                 else:
-                    d_right, r_right = token_keys[file_id, right.token]
-                    key = det_encrypt(d_left, counter.to_bytes(4, "big"))
+                    key = det_encrypt(s_left, counter.to_bytes(4, "big"))
                     if mode == "ore":  # the line's slot, then the scope tag
                         fields = refs[right.line] + seal_scope(
                             scope_file + _int32s(path, values[1:]))
                     else:
                         fields = _int32s(path, values)
-                    value = seal(d_right + r_right + fields)
+                    value = seal(token_keys[file_id, right.token] + fields)
                 entries.append((key, value))
 
     if mode != "plain":
@@ -283,6 +285,8 @@ def deserialize_index(data: bytes) -> EncryptedIndex:
 
 
 def index_stats(index: EncryptedIndex) -> dict:
+    """Sizes of an index; the container's from the record widths, as
+    `serialize_index` would write it (docs/formats.md)."""
     return {
         "mode": index.mode,
         "entries": len(index),
@@ -290,7 +294,9 @@ def index_stats(index: EncryptedIndex) -> dict:
         "value_bytes": sorted({len(v) for v in index.table.values()}),
         "slots": len(index.slots),
         "slot_bytes": sum(map(len, index.slots)),
-        "container_bytes": len(serialize_index(index)),
+        "container_bytes": _HEADER_BYTES + len(index) * (
+            LOOKUP_KEY_BYTES + VALUE_BYTES[index.mode]) + (
+            4 + SLOT_BYTES * len(index.slots) if index.mode == "ore" else 0),
     }
 
 

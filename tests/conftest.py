@@ -103,21 +103,23 @@ def reseal_sink_line_slot(index, keys, edit) -> tuple[int, bytes]:
     key).  Returns the number and key it named before."""
     from cca.crypto import (
         KEY_BYTES,
-        derive_token_key_pairs,
+        derive_det_keys,
+        derive_value_key,
         det_encrypt,
         rnd_decrypt,
         rnd_encrypt,
     )
     from cca.index import SLOT_REF
 
-    d_key, r_key = derive_token_key_pairs(keys.master, ["0:XSS_SENS"])[0]
-    probe = det_encrypt(d_key, (1).to_bytes(4, "big"))
-    payload = rnd_decrypt(r_key, index.table[probe])
-    start = 2 * KEY_BYTES  # the line field's reference follows D and R
+    (secret,) = derive_det_keys(keys.master, ["0:XSS_SENS"])
+    value_key = derive_value_key(secret)
+    probe = det_encrypt(secret, (1).to_bytes(4, "big"))
+    payload = rnd_decrypt(value_key, index.table[probe])
+    start = KEY_BYTES  # the line field's reference follows the right secret
     end = start + SLOT_REF.size
     number, key = SLOT_REF.unpack(payload[start:end])
     index.table[probe] = rnd_encrypt(
-        r_key,
+        value_key,
         payload[:start] + SLOT_REF.pack(*edit(number, key)) + payload[end:])
     return number, key
 

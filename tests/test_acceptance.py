@@ -30,8 +30,8 @@ from cca.analysis import (
     resolve_control_flow,
 )
 from cca.crypto import (
+    derive_det_keys,
     derive_ore_key,
-    derive_token_key_pairs,
     det_encrypt,
     generate_master_keys,
     ore_compare,
@@ -98,7 +98,7 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
         assert first_line == ["VAR0", "OP0", "INPUT", "END_ASSIGN"]
 
         # the sensitive token answers probes 1 and 2 and nothing further
-        ((sens_d, _),) = derive_token_key_pairs(
+        (sens_d,) = derive_det_keys(
             res.keys.master, [token_identity(0, "XSS_SENS")])
         probe = lambda c: res.index.lookup(
             det_encrypt(sens_d, struct.pack(">I", c)))
@@ -121,7 +121,7 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
         # the contested sink keeps the flow through the later rewrite,
         # which the final check then rejects as not reaching an entry point
         survivor = resolved[1]
-        ((var2_d, _),) = derive_token_key_pairs(
+        (var2_d,) = derive_det_keys(
             res.keys.master, [token_identity(0, "VAR2")])
         assert survivor[-1].token == var2_d
         line_key = derive_ore_key(res.keys.master.ore_line)

@@ -50,8 +50,9 @@ from cca.crypto import (
     KeyStore,
     MasterKeys,
     derive_det_keys,
+    derive_identity,
     derive_ore_key,
-    derive_token_key_pairs,
+    derive_value_key,
     det_encrypt,
     generate_master_keys,
     identity_block,
@@ -149,14 +150,12 @@ def test_authorise_plain_refs_are_readable(tmp_path):
 def test_authorise_token_keys_match_direct_derivation(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     (fq,) = authorise(res.keys, "xss").files
-    assert fq.sens == derive_token_key_pairs(
-        res.keys.master, [token_identity(0, "XSS_SENS")])[0]
-    ((input_d, _),) = derive_token_key_pairs(
-        res.keys.master, [token_identity(0, "INPUT")])
-    ((san_d, _),) = derive_token_key_pairs(
-        res.keys.master, [token_identity(0, "XSS_SAN")])
-    assert fq.input_id == input_d
-    assert fq.san_id == san_d
+    # the sink by its secret, the entry point and sanitizer by identities
+    sens, input_s, san_s = derive_det_keys(res.keys.master, [
+        token_identity(0, name) for name in ("XSS_SENS", "INPUT", "XSS_SAN")])
+    assert fq.sens == sens
+    assert fq.input_id == derive_identity(input_s)
+    assert fq.san_id == derive_identity(san_s)
 
 
 def test_build_and_authorise_pack_token_pairs_without_parsing(
@@ -181,7 +180,7 @@ def test_build_and_authorise_pack_token_pairs_without_parsing(
             identity = token_identity(file_id, name)
             if mode == "plain":
                 return identity_block(identity)
-            return derive_token_key_pairs(res.keys.master, [identity])[0]
+            return derive_det_keys(res.keys.master, [identity])[0]
 
         for fa in res.files:
             file_id = fa.source.file_id
@@ -192,40 +191,40 @@ def test_build_and_authorise_pack_token_pairs_without_parsing(
                         key = plain_key(ref(file_id, left), counter)
                         assert res.index.lookup(key)[:16] == right
                     else:
-                        d_left, r_left = ref(file_id, left)
+                        s_left = ref(file_id, left)
                         value = res.index.lookup(det_encrypt(
-                            d_left, counter.to_bytes(4, "big")))
-                        assert rnd_decrypt(r_left, value)[:32] == b"".join(
-                            right)
+                            s_left, counter.to_bytes(4, "big")))
+                        assert rnd_decrypt(derive_value_key(s_left),
+                                           value)[:16] == right
         for query in queries:
             for fq in query.files:
                 names = (TASKS[query.task][0], "INPUT", TASKS[query.task][1])
                 want = [token_identity(fq.file_id, name) for name in names]
                 if mode != "plain":
-                    want = derive_token_key_pairs(res.keys.master, want)
-                    want[1:] = [d for d, _ in want[1:]]
+                    want = derive_det_keys(res.keys.master, want)
+                    want[1:] = [derive_identity(s) for s in want[1:]]
                 assert [fq.sens, fq.input_id, fq.san_id] == want
 
 
 @pytest.mark.parametrize("mode", ["std", "ore"])
 def test_batched_query_equals_per_file_derivation_byte_for_byte(mode):
     # a fixed key store: the query is a function of it alone
-    master = MasterKeys(*(bytes([k]) * KEY_BYTES for k in range(4)))
+    master = MasterKeys(*(bytes([k]) * KEY_BYTES for k in range(3)))
     ks = KeyStore(master, mode, {0: "a.php", 3: "b.php", 7: "c.php"},
                   {0: (2, 0), 3: (0, 1), 7: (0, 0)})
-    def pair(file_id, token):  # one token at a time
-        return derive_token_key_pairs(master,
-                                      [token_identity(file_id, token)])[0]
+    def secret(file_id, token):  # one token at a time
+        return derive_det_keys(master, [token_identity(file_id, token)])[0]
 
     for task, (sens, san) in TASKS.items():
         expected = Query(task, mode, [FileQuery(
-            file_id, pair(file_id, sens), pair(file_id, "INPUT")[0],
-            pair(file_id, san)[0])
+            file_id, secret(file_id, sens),
+            derive_identity(secret(file_id, "INPUT")),
+            derive_identity(secret(file_id, san)))
             for file_id in (0, 3, 7)])
         got = serialize_query(authorise(ks, task))
         assert got == serialize_query(expected)
-        # header, file count, then per file an id and four 16-byte keys
-        assert len(got) == 8 + 3 + 4 + 3 * (4 + 4 * (2 + KEY_BYTES))
+        # header, file count, then per file an id and three 16-byte fields
+        assert len(got) == 8 + 3 + 4 + 3 * (4 + 3 * (2 + KEY_BYTES))
 
 
 # --- policy files --------------------------------------------------------------
@@ -337,30 +336,19 @@ def test_query_container_rejects_trailing_bytes(tmp_path):
 
 @pytest.mark.parametrize("length", [7, 32])
 @pytest.mark.parametrize("k, which", enumerate(
-    ["sink D", "sink R", "entry-point D", "sanitizer D"]))
+    ["sink S", "entry-point identity", "sanitizer identity"]))
 def test_query_container_rejects_a_key_of_another_length(tmp_path, k, which,
                                                          length):
     # 32 bytes is the token key length of version 2 queries
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     query = authorise(res.keys, "xss")
     fq = query.files[0]
-    keys = [*fq.sens, fq.input_id, fq.san_id]
+    keys = [fq.sens, fq.input_id, fq.san_id]
     keys[k] = (keys[k] * 2)[:length]
-    fq.sens, fq.input_id, fq.san_id = (keys[0], keys[1]), keys[2], keys[3]
-    with pytest.raises(FormatError, match=f"file 0's {which} is a "
-                                          f"{length}-byte key, not 16"):
+    fq.sens, fq.input_id, fq.san_id = keys
+    with pytest.raises(FormatError, match=f"file 0's {which} is {length} "
+                                          "bytes, not 16"):
         deserialize_query(serialize_query(query))
-
-
-def test_plain_query_rejects_a_sink_r_that_is_not_empty(tmp_path):
-    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="plain")
-    query = authorise(res.keys, "xss")
-    sens = blob(query.files[0].sens.encode())
-    data = serialize_query(query)
-    assert data.count(sens + blob(b"")) == 1
-    with pytest.raises(FormatError, match="file 0's sink R is 4 bytes, but "
-                                          "a plain query leaves it empty"):
-        deserialize_query(data.replace(sens + blob(b""), sens + blob(b"junk")))
 
 
 # --- analyse input validation ----------------------------------------------------
@@ -509,6 +497,26 @@ def test_final_check_requires_entry_point_and_no_sanitizer():
     assert check_vulnerability([good, sanitized, dead_end], fq) == [good]
 
 
+@pytest.mark.parametrize("mode", ["std", "ore"])
+def test_final_check_derives_each_token_identity_once(tmp_path, mode,
+                                                      monkeypatch):
+    # nodes carry secrets and the query identities: the check derives
+    # the identity of each distinct token it meets once per file
+    res = encrypt_application(write_app(tmp_path, CORPUS["branching"]),
+                              mode=mode)
+    query = authorise(res.keys, "xss")
+    derived = []
+
+    def counting(secret):
+        derived.append(secret)
+        return derive_identity(secret)
+
+    monkeypatch.setattr(cca.analysis, "derive_identity", counting)
+    report = analyse(res.index, query)
+    assert len(report["files"][0]["findings"]) == 6
+    assert derived and len(derived) == len(set(derived))
+
+
 # --- behavior on the corpus programs ---------------------------------------------
 
 
@@ -565,8 +573,8 @@ def test_report_tokens_are_opaque_before_decryption(tmp_path):
     # sink and source are the first and last node, named by index
     token = entry["nodes"][finding[0]][0]
     assert "XSS" not in token
-    # the hex of the sink's 16-byte D key, not a name
-    assert bytes.fromhex(token) == authorise(res.keys, "xss").files[0].sens[0]
+    # the hex of the sink's 16-byte secret, not a name
+    assert bytes.fromhex(token) == authorise(res.keys, "xss").files[0].sens
     assert len(token) == 2 * KEY_BYTES
 
 
@@ -864,7 +872,7 @@ def test_decrypt_report_derives_no_token_keys(tmp_path, mode, monkeypatch):
         raise AssertionError("decrypt_report derived token keys")
 
     for module in (cca.crypto, cca.index, cca.analysis):
-        for name in ("derive_det_keys", "derive_token_key_pairs"):
+        for name in ("derive_det_keys", "derive_secrets"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, derive)
     assert decrypt_report(report, res.keys) == expected

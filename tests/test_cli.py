@@ -260,7 +260,7 @@ def test_stats_command(tmp_path, app_dir, capsys):
     assert "slots: 6" in out.splitlines()
 
 
-@pytest.mark.parametrize("flag,width", [("", 96), ("--no-ore", 76),
+@pytest.mark.parametrize("flag,width", [("", 80), ("--no-ore", 60),
                                         ("--no-encryption", 32)])
 def test_stats_prints_the_record_widths(tmp_path, app_dir, capsys, flag,
                                         width):
@@ -526,11 +526,10 @@ def _damage_index(damage):
     return apply
 
 
-def _truncate_query_r_key(n: int):
+def _truncate_query_identity(n: int):
     def damage(paths):
         query = load_query(paths["query"])
-        d_key, r_key = query.files[0].sens
-        query.files[0].sens = (d_key, r_key[:n])
+        query.files[0].input_id = query.files[0].input_id[:n]
         save_query(paths["query"], query)
     return damage
 
@@ -551,11 +550,11 @@ def _set_byte(name: str, offset: int, value: int):
     return damage
 
 
-def _widen_query_d_key(n: int):
+def _widen_query_sink_secret(n: int):
     def damage(paths):
         query = load_query(paths["query"])
-        d_key, r_key = query.files[0].sens
-        query.files[0].sens = ((d_key * n)[:n], r_key)
+        secret = query.files[0].sens
+        query.files[0].sens = (secret * n)[:n]
         save_query(paths["query"], query)
     return damage
 
@@ -598,8 +597,8 @@ MALFORMED = {
     "plain query text not UTF-8": (
         "--no-encryption", _replace_bytes("query", b"0:XSS_SENS", b"\xff:XSS_SENS"),
         "analyse"),
-    "query R key truncated to 7 bytes": (
-        "--no-ore", _truncate_query_r_key(7), "analyse"),
+    "query entry-point identity truncated to 7 bytes": (
+        "--no-ore", _truncate_query_identity(7), "analyse"),
     "key store text not UTF-8": (
         "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
         "authorise"),
@@ -624,8 +623,12 @@ MALFORMED = {
     "ore index of version 8 (stats)": ("", _set_byte("index", 8, 8), "stats"),
     "key store of version 6": ("", _set_byte("keys", 8, 6), "decrypt-report"),
     "query of version 3": ("", _set_byte("query", 8, 3), "analyse"),
-    "query with a 32-byte sink D key": (
-        "--no-ore", _widen_query_d_key(32), "analyse"),
+    "query with a 32-byte sink secret": (
+        "--no-ore", _widen_query_sink_secret(32), "analyse"),
+    "ore index of version 9": ("", _set_byte("index", 8, 9), "analyse"),
+    "ore index of version 9 (stats)": ("", _set_byte("index", 8, 9), "stats"),
+    "query of version 4": ("", _set_byte("query", 8, 4), "analyse"),
+    "key store of version 7": ("", _set_byte("keys", 8, 7), "decrypt-report"),
     "report token of 64 hex digits": (
         "", _edit_report(lambda r: _sink(r).update(token=_sink(r)["token"] * 2)),
         "decrypt-report"),
@@ -670,8 +673,14 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "ore index of version 8 (stats)": "unsupported version 8",
                   "key store of version 6": "unsupported version 6",
                   "query of version 3": "unsupported version 3",
-                  "query with a 32-byte sink D key":
-                      "sink D is a 32-byte key, not 16 bytes",
+                  "query with a 32-byte sink secret":
+                      "sink S is 32 bytes, not 16",
+                  "query entry-point identity truncated to 7 bytes":
+                      "entry-point identity is 7 bytes, not 16",
+                  "ore index of version 9": "unsupported version 9",
+                  "ore index of version 9 (stats)": "unsupported version 9",
+                  "query of version 4": "unsupported version 4",
+                  "key store of version 7": "unsupported version 7",
                   "report token of 64 hex digits": "32 lowercase hex digits",
                   "report file id outside the key store": "file 99",
                   "ore report row of five columns":

@@ -30,11 +30,11 @@ from cca.crypto import (
     MasterKeys,
     OreKey,
     derive_det_keys,
-    derive_key_pairs,
+    derive_identity,
     derive_ore_key,
-    derive_token_key_pairs,
+    derive_secrets,
+    derive_value_key,
     deserialize_keys,
-    det_encrypter,
     identity_block,
     name_of,
     ore_ciphertext_bytes,
@@ -56,27 +56,28 @@ from cca.errors import FormatError, IntegrityError, KeyMismatchError
 
 # --- master keys ---------------------------------------------------------------
 
-def test_default_security_parameter_gives_four_16_byte_keys():
+def test_default_security_parameter_gives_three_16_byte_keys():
     mk = generate_master_keys()
     parts = astuple(mk)
-    assert len(parts) == 4
+    assert len(parts) == 3
     assert all(len(k) == 16 for k in parts)
-    assert len(set(parts)) == 4
+    assert len(set(parts)) == 3
 
 
 def test_token_key_derivation_is_deterministic_and_separated():
     mk = generate_master_keys()
-    d1, r1 = derive_token_key_pairs(mk, ["0:VAR0"])[0]
-    d2, r2 = derive_token_key_pairs(mk, ["0:VAR0"])[0]
-    d3, r3 = derive_token_key_pairs(mk, ["0:VAR1"])[0]
-    d4, _ = derive_token_key_pairs(mk, ["1:VAR0"])[0]
+    (s1,) = derive_det_keys(mk, ["0:VAR0"])
+    (s2,) = derive_det_keys(mk, ["0:VAR0"])
+    (s3,) = derive_det_keys(mk, ["0:VAR1"])
+    (s4,) = derive_det_keys(mk, ["1:VAR0"])
+    r1, r3 = derive_value_key(s1), derive_value_key(s3)
 
-    assert (d1, r1) == (d2, r2)
-    assert len(d1) == 16 and len(r1) == 16
-    assert d1 != r1
-    assert d1 != d3 and r1 != r3
-    assert d1 != d4  # same token, different file
-    assert derive_det_keys(mk, ["0:VAR0", "1:VAR0"]) == [d1, d4]
+    assert s1 == s2 and derive_value_key(s2) == r1
+    assert len(s1) == 16 and len(r1) == 16 and len(derive_identity(s1)) == 16
+    assert len({s1, r1, derive_identity(s1)}) == 3
+    assert s1 != s3 and r1 != r3
+    assert s1 != s4  # same token, different file
+    assert derive_det_keys(mk, ["0:VAR0", "1:VAR0"]) == [s1, s4]
 
 
 def _identity(file_id: int, code: int, number: int) -> str:
@@ -102,7 +103,7 @@ def _block(file_id: int, code: int, number: int) -> bytes:
 @given(st.lists(TOKENS, max_size=4))
 def test_det_keys_are_aes_128_of_the_token_block_under_the_det_master_key(
         tokens):
-    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(3)))
     ids = [_identity(*t) for t in tokens]
     assert [parse_token(i) for i in ids] == tokens
     assert derive_det_keys(mk, ids) == [_aes(mk.det, _block(*t))
@@ -112,29 +113,35 @@ def test_det_keys_are_aes_128_of_the_token_block_under_the_det_master_key(
 @given(st.lists(TOKENS, max_size=4))
 def test_token_keys_are_aes_128_of_the_token_block_under_their_master_keys(
         tokens):
-    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
+    # the secret is AES-128 of the block under the DET master key, and the
+    # value key and the identity are keyed BLAKE2s-128 of the one-byte
+    # labels 0 and 1 under the secret
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(3)))
     ids = [_identity(*t) for t in tokens]
-    expected = [(_aes(mk.det, _block(*t)), _aes(mk.rnd, _block(*t)))
-                for t in tokens]
-    assert [derive_token_key_pairs(mk, [i])[0] for i in ids] == expected
-    assert derive_token_key_pairs(mk, ids) == expected
+    expected = [_aes(mk.det, _block(*t)) for t in tokens]
+    assert [derive_det_keys(mk, [i])[0] for i in ids] == expected
+    for secret in expected:
+        assert derive_value_key(secret) == hashlib.blake2s(
+            b"\x00", digest_size=16, key=secret).digest()
+        assert derive_identity(secret) == hashlib.blake2s(
+            b"\x01", digest_size=16, key=secret).digest()
 
 
 @given(st.lists(TOKENS, max_size=5))
 def test_batch_token_keys_equal_one_at_a_time_derivation(tokens):
-    mk = MasterKeys(*(bytes([k]) * 16 for k in range(4)))
+    mk = MasterKeys(*(bytes([k]) * 16 for k in range(3)))
     ids = [_identity(*t) for t in tokens]
-    assert derive_token_key_pairs(mk, ids) == [
-        derive_token_key_pairs(mk, [i])[0] for i in ids]
+    assert derive_det_keys(mk, ids) == [derive_det_keys(mk, [i])[0]
+                                        for i in ids]
 
 
 def test_token_key_known_answers():
     # AES-128 of the zero block under the zero key; "0:INPUT" is that block
-    zero = MasterKeys(*(bytes(16) for _ in range(4)))
+    zero = MasterKeys(*(bytes(16) for _ in range(3)))
     assert derive_det_keys(zero, ["0:INPUT"])[0].hex() == (
         "66e94bd4ef8a2c3b884cfa59ca342b2e")
     # FIPS-197's example key; 258:VAR7 is 00000102 06 00000007 and zeros
-    mk = MasterKeys(bytes(range(16)), *(bytes(16) for _ in range(3)))
+    mk = MasterKeys(bytes(range(16)), *(bytes(16) for _ in range(2)))
     assert derive_det_keys(mk, ["258:VAR7"])[0].hex() == (
         "3a9b208db5a05b192320f159eb681829")
 
@@ -160,8 +167,7 @@ def test_pairs_pack_into_the_blocks_their_identities_parse_to(tokens):
     blocks = [token_block(t[0], name) for t, name in zip(tokens, names)]
     assert blocks == [_block(*t) for t in tokens]
     assert blocks == [identity_block(i) for i in ids]
-    assert derive_key_pairs(mk, b"".join(blocks)) == derive_token_key_pairs(
-        mk, ids)
+    assert derive_secrets(mk, b"".join(blocks)) == derive_det_keys(mk, ids)
     assert open_token_blocks(b"".join(blocks)) == tokens
     assert [name_of(*t[1:]) for t in tokens] == names
 
@@ -215,24 +221,47 @@ def test_key_store_names_only_what_a_file_can_hold():
 
 # --- DET -----------------------------------------------------------------------
 
-def test_det_matches_published_hmac_sha1_vector():
-    # RFC 2202 test case 2, effcdf6ae5eb2fa2d27416d5f184df9c259a7c79,
-    # truncated to its first 16 bytes
-    digest = det_encrypt(b"Jefe", b"what do ya want for nothing?")
-    assert digest.hex() == "effcdf6ae5eb2fa2d27416d5f184df9c"
+def _selftest_seq(length: int, seed: int) -> bytes:
+    """RFC 7693 Appendix E's deterministic test input (selftest_seq)."""
+    a, b, out = 0xDEAD4BAD * seed & 0xFFFFFFFF, 1, bytearray()
+    for _ in range(length):
+        a, b = b, (a + b) & 0xFFFFFFFF
+        out.append(b >> 24)
+    return bytes(out)
 
 
-@given(st.binary(min_size=1, max_size=100), st.lists(st.binary(max_size=8),
-                                                    max_size=4))
-def test_det_encrypter_equals_det_encrypt(key, messages):
-    probe = det_encrypter(key)
-    assert [probe(m) for m in messages] == [det_encrypt(key, m)
-                                            for m in messages]
+def test_det_matches_the_rfc_7693_blake2s_self_test():
+    # RFC 7693 Appendix E: BLAKE2s-256 over the digests of inputs of six
+    # lengths, each unkeyed and keyed, at four digest lengths.  Every
+    # 16-byte digest is det_encrypt's: unkeyed under the empty key, and
+    # keyed under a 16-byte key as the index keys it
+    def digest(size: int, key: bytes, data: bytes) -> bytes:
+        if size == 16:
+            return det_encrypt(key, data)
+        return hashlib.blake2s(data, digest_size=size, key=key).digest()
+
+    outer = hashlib.blake2s()
+    for size in (16, 20, 28, 32):
+        for length in (0, 3, 64, 65, 255, 1024):
+            data = _selftest_seq(length, length)
+            outer.update(digest(size, b"", data))
+            outer.update(digest(size, _selftest_seq(size, size), data))
+    assert outer.hexdigest() == ("6a411f08ce25adcdfb02aba641451cec"
+                                 "53c598b24f4fc787fbdc88797f4c1dfe")
+
+
+@given(st.binary(min_size=16, max_size=16), st.integers(1, 64))
+def test_a_secret_derives_distinct_lookup_keys_value_key_and_identity(
+        secret, count):
+    derived = [det_encrypt(secret, c.to_bytes(4, "big"))
+               for c in range(1, count + 1)]
+    derived += [derive_value_key(secret), derive_identity(secret)]
+    assert len(set(derived)) == len(derived)
+    assert secret not in derived
 
 
 def test_det_output_sizes():
     assert len(det_encrypt(b"k" * 16, b"m")) == 16
-    assert len(det_encrypter(b"k" * 16)(b"m")) == 16
 
 
 def test_det_determinism_and_distinctness():
@@ -684,9 +713,10 @@ def test_keystore_roundtrip(tmp_path):
     assert back.mode == "ore"
     assert back.files == ks.files
     assert back.counts == ks.counts
-    # header (magic, version, mode), four master keys, file count, then per
-    # file: u32 id, u16 path length, path, u16 VAR count, u16 FUNC_CALL count
-    assert len(serialize_keys(ks)) == (10 + 4 * 16 + 4
+    # header (magic, version, mode), three master keys, file count, then
+    # per file: u32 id, u16 path length, path, u16 VAR count, u16 FUNC_CALL
+    # count
+    assert len(serialize_keys(ks)) == (10 + 3 * 16 + 4
                                        + (6 + 9 + 4) + (6 + 10 + 4))
 
 
@@ -703,13 +733,14 @@ def test_keystore_truncation_rejected():
         deserialize_keys(blob[: len(blob) // 2])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
 def test_old_keystore_version_rejected_by_name(version):
     # version 1 held ore value tables, version 2 named ore fields with
     # SHA-256 tags, version 3 held a token directory instead of name counts,
     # version 4 held the DET hash, the ORE width and the master key length,
-    # version 5 held six master keys, four of them ORE field keys, and
-    # version 6 derived token and scope keys with HMAC-SHA256
+    # version 5 held six master keys, four of them ORE field keys,
+    # version 6 derived token and scope keys with HMAC-SHA256, and
+    # version 7 held the RND master key
     blob = serialize_keys(_sample_store())
     with pytest.raises(FormatError, match=f"version {version}"):
         deserialize_keys(blob[:8] + bytes([version]) + blob[9:])

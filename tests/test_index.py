@@ -10,6 +10,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 import cca.crypto
 import cca.index
 from cca import (
+    authorise,
     build_index,
     det_encrypt,
     generate_master_keys,
@@ -25,8 +26,9 @@ from cca.crypto import (
     KEY_BYTES,
     TOKEN_FAMILIES,
     KeyStore,
+    derive_det_keys,
     derive_ore_key,
-    derive_token_key_pairs,
+    derive_value_key,
     name_of,
     ore_ciphertext_bytes,
     ore_encrypt,
@@ -45,7 +47,12 @@ from cca.dcfg import (
     annotate_control_flow,
     build_dcfg,
 )
-from cca.errors import ConfigError, FormatError, KeyMismatchError
+from cca.errors import (
+    ConfigError,
+    FormatError,
+    IntegrityError,
+    KeyMismatchError,
+)
 from cca.index import (
     SLOT_REF,
     EncryptedIndex,
@@ -92,8 +99,8 @@ def _as_text(key: bytes, value: bytes) -> tuple[str, str]:
 
 
 def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
-    # a plain build keys nothing, so it derives no token keys either
-    monkeypatch.setattr(cca.index, "derive_key_pairs", None)
+    # a plain build keys nothing, so it derives no token secrets either
+    monkeypatch.setattr(cca.index, "derive_secrets", None)
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
 
     assert {len(k) for k in index.table} == {16}
@@ -134,8 +141,7 @@ def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
 
     expected = []
     for left, pairs in fig_dcfg.by_left().items():
-        ((d_left, _),) = derive_token_key_pairs(master,
-                                                [token_identity(0, left)])
+        (d_left,) = derive_det_keys(master, [token_identity(0, left)])
         for counter in range(1, len(pairs) + 1):
             expected.append(det_encrypt(d_left, struct.pack(">I", counter)))
     assert sorted(index.table) == sorted(expected)
@@ -144,26 +150,22 @@ def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
 def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
 
-    ((d_sens, r_sens),) = derive_token_key_pairs(
-        master, [token_identity(0, "XSS_SENS")])
-    probe = det_encrypt(d_sens, struct.pack(">I", 1))
+    (s_sens,) = derive_det_keys(master, [token_identity(0, "XSS_SENS")])
+    probe = det_encrypt(s_sens, struct.pack(">I", 1))
     blob = index.lookup(probe)
     assert blob is not None
 
-    payload = rnd_decrypt(r_sens, blob)
-    assert len(payload) == 48  # D_right || R_right || four signed 32-bit fields
-    d_right, r_right = payload[:KEY_BYTES], payload[KEY_BYTES:2 * KEY_BYTES]
-    line, depth, order, cf_type = struct.unpack(">iiii",
-                                                payload[2 * KEY_BYTES:])
-    assert (d_right, r_right) == derive_token_key_pairs(
-        master, [token_identity(0, "VAR0")])[0]
+    payload = rnd_decrypt(derive_value_key(s_sens), blob)
+    assert len(payload) == 32  # S_right || four signed 32-bit fields
+    s_right = payload[:KEY_BYTES]
+    line, depth, order, cf_type = struct.unpack(">iiii", payload[KEY_BYTES:])
+    assert [s_right] == derive_det_keys(master, [token_identity(0, "VAR0")])
     assert (line, depth, order, cf_type) == (6, 0, 0, 0)
 
 
 def test_sensitive_counter_three_is_absent(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
-    ((d_sens, _),) = derive_token_key_pairs(
-        master, [token_identity(0, "XSS_SENS")])
+    (d_sens,) = derive_det_keys(master, [token_identity(0, "XSS_SENS")])
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 1)))
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 2)))
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 3))) is None
@@ -236,6 +238,27 @@ def test_empty_input_builds_empty_index(master):
     assert counts == {}
 
 
+@pytest.mark.parametrize("mode", ["std", "ore"])
+def test_query_identities_answer_no_probe_and_open_no_value(
+        corpus_per_file, master, mode):
+    # the entry point and the sanitizer are named by identities, which key
+    # no entry and seal no value, taken as a secret or as a value key
+    index, counts = build_index(corpus_per_file, master, mode=mode)
+    ks = KeyStore(master, mode, {f: f"{f}.php" for f in counts}, counts)
+    counters = [c.to_bytes(4, "big") for c in range(1, len(index) + 1)]
+    identities = {identity for task in ("xss", "sqli")
+                  for fq in authorise(ks, task).files
+                  for identity in (fq.input_id, fq.san_id)}
+    assert len(identities) == 3 * len(counts)  # INPUT and two sanitizers
+    for identity in identities:
+        assert not any(index.lookup(det_encrypt(identity, c))
+                       for c in counters)
+        for key in (identity, derive_value_key(identity)):
+            for value in index.table.values():
+                with pytest.raises(IntegrityError):
+                    rnd_decrypt(key, value)
+
+
 def test_same_token_in_two_files_gets_distinct_keys(master):
     dcfg = _dcfg_for("<?php $a = $_GET['x'];")
     index, _ = build_index([(0, dcfg), (1, dcfg)], master, mode="std")
@@ -303,16 +326,16 @@ def _slot_refs(index, counts, master):
     entry, read with the keys."""
     for file_id, file_counts in counts.items():
         for token in _names(file_counts):
-            ((d_key, r_key),) = derive_token_key_pairs(
-                master, [token_identity(file_id, token)])
+            (secret,) = derive_det_keys(master,
+                                        [token_identity(file_id, token)])
             counter = 1
-            while blob := index.lookup(det_encrypt(d_key,
+            while blob := index.lookup(det_encrypt(secret,
                                                    struct.pack(">I", counter))):
-                payload = rnd_decrypt(r_key, blob)
-                # D_right || R_right || line slot reference || scope tag
-                assert len(payload) == 68
-                ref = SLOT_REF.unpack_from(payload, 2 * KEY_BYTES)
-                yield file_id, ref, payload[2 * KEY_BYTES + SLOT_REF.size:]
+                payload = rnd_decrypt(derive_value_key(secret), blob)
+                # S_right || line slot reference || scope tag
+                assert len(payload) == 52
+                ref = SLOT_REF.unpack_from(payload, KEY_BYTES)
+                yield file_id, ref, payload[KEY_BYTES + SLOT_REF.size:]
                 counter += 1
 
 
@@ -384,8 +407,8 @@ def test_each_slot_holds_one_distinct_ciphertext_under_its_own_key(
     assert len({key for _, key in refs}) == len(refs) == 37
     assert {len(slot) for slot in index.slots} == {
         12 + ore_ciphertext_bytes() + 16}
-    # an ore entry seals D_right || R_right || u32 slot || slot key || tag
-    assert {len(v) for v in index.table.values()} == {12 + 68 + 16}
+    # an ore entry seals S_right || u32 slot || slot key || tag
+    assert {len(v) for v in index.table.values()} == {12 + 52 + 16}
 
 
 def test_corpus_slot_table_holds_each_distinct_line_once(
@@ -556,15 +579,16 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
     # 4 held every field ciphertext in each entry, with biased masks,
     # version 5 held 32-byte token keys, version 6 made depth, order and
     # type order-revealing fields as well, version 7 derived token keys
-    # with HMAC-SHA256 and tagged scopes under per-file keys, and version
-    # 8 wrote a length before every record and held 20-byte lookup keys
+    # with HMAC-SHA256 and tagged scopes under per-file keys, version 8
+    # wrote a length before every record and held 20-byte lookup keys, and
+    # version 9 sealed D and R keys in every value
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -577,7 +601,7 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert stats["entries"] == 6
     assert stats["mode"] == "std"
     assert stats["key_bytes"] == [16]
-    assert stats["value_bytes"] == [12 + 48 + 16]
+    assert stats["value_bytes"] == [12 + 32 + 16]
     assert stats["container_bytes"] > 0
     assert stats["slots"] == stats["slot_bytes"] == 0
     ore, _ = build_index([(0, fig_dcfg)], master, mode="ore")
@@ -585,7 +609,7 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     # lines 2-7: one slot each
     assert (stats["slots"], stats["slot_bytes"]) == (6, 6 * (12 + 340 + 16))
     assert stats["key_bytes"] == [16]
-    assert stats["value_bytes"] == [12 + 68 + 16]
+    assert stats["value_bytes"] == [12 + 52 + 16]
     plain, _ = build_index([(0, fig_dcfg)], master, mode="plain")
     stats = index_stats(plain)
     assert (stats["key_bytes"], stats["value_bytes"]) == ([16], [16 + 16])
@@ -593,7 +617,7 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
 
 # --- fixed-width records ---------------------------------------------------------
 
-VALUE_WIDTHS = {"plain": 32, "std": 76, "ore": 96}
+VALUE_WIDTHS = {"plain": 32, "std": 60, "ore": 80}
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
@@ -608,6 +632,16 @@ def test_container_size_is_fixed_width_records(fig_dcfg, master, mode):
         expected += 4 + s * 368
     assert len(serialize_index(index)) == expected
     assert index_stats(index)["container_bytes"] == expected
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_stats_container_size_is_the_serialized_size_on_the_corpus(
+        corpus_per_file, master, mode, monkeypatch):
+    # index_stats computes the size from the widths, writing nothing out
+    index, _ = build_index(corpus_per_file, master, mode=mode)
+    size = len(serialize_index(index))
+    monkeypatch.setattr(cca.index, "serialize_index", None)
+    assert index_stats(index)["container_bytes"] == size
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
@@ -671,8 +705,8 @@ def test_entries_sort_on_fresh_tags_drawn_in_one_call(fig_dcfg, master,
     monkeypatch.setattr(cca.index.secrets, "token_bytes", tags)
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
     assert drawn == [8 * len(index)]
-    built = [det_encrypt(derive_token_key_pairs(
-                 master, [token_identity(0, left)])[0][0],
+    built = [det_encrypt(derive_det_keys(
+                 master, [token_identity(0, left)])[0],
                  struct.pack(">I", counter))
              for left, pairs in fig_dcfg.by_left().items()
              for counter in range(1, len(pairs) + 1)]
