@@ -3,8 +3,9 @@
 The analyser holds only a query: per file, the secret of the task's
 sensitive-sink token plus the one-way identities of the entry-point and
 sanitizer tokens, which open nothing.  Each decrypted index value hands
-over the secret of the next token, so detection can walk flows outward
-from the sinks and nowhere else.  Detection has the semantics of four
+over the secret of the next token and its entry count, so detection can
+walk flows outward from the sinks and nowhere else, probing below a sink
+only the entries that exist.  Detection has the semantics of four
 steps: enumerate candidate paths, drop impossible orderings, aggregate
 per sink statement, then resolve branch alternatives down to the flow
 that reaches the sink.
@@ -41,6 +42,7 @@ from .crypto import (
     KEY_BYTES,
     MODES,
     KeyStore,
+    counter_nonce,
     derive_identity,
     derive_ore_key,
     derive_secrets,
@@ -67,7 +69,13 @@ from .errors import (
     UsageError,
 )
 from .fileio import Cursor, atomic_write, blob
-from .index import SLOT_REF, EncryptedIndex, plain_key, token_identity
+from .index import (
+    ENTRY_HEAD,
+    SLOT_REF,
+    EncryptedIndex,
+    plain_key,
+    token_identity,
+)
 from .itl import TASKS
 
 log = logging.getLogger(__name__)
@@ -90,6 +98,7 @@ class PathNode:
     scope: object  # (depth, order, type), or the ore scope tag
     ref: object = None  # expands the token: its secret, or plain block
     ct: bytes | None = None  # ore: the line's ciphertext
+    count: int | None = None  # index readers: the entries ref expands to
 
 
 # --- queries ------------------------------------------------------------------
@@ -216,18 +225,25 @@ def load_query(path) -> Query:
 
 # --- index readers ------------------------------------------------------------
 
+# A plain value and a std payload: the head (the right token's identity
+# block or secret, and its entry count), then line, depth, order and type
+_INT_PAYLOAD = struct.Struct(ENTRY_HEAD.format + "4i")
+
+
 class Reader:
     """Reads the flow graph below a sink, token by token.
 
-    Subclasses supply `_read`: a token's entries in counter order.
-    `answered` is whether any probe has hit; a walk reads its sink's
-    entries first, so it is whether any sink had entries.
+    Subclasses supply `_read(ref, count)`: a token's entries in counter
+    order, `count` of them, or for a sink (count None) up to the first
+    probe that misses.  `answered` is whether any probe has hit; a walk
+    reads its sink's entries first, so it is whether any sink had entries.
     """
 
     answered = False
 
     def __init__(self, index) -> None:
         self.index = index
+        self.size = len(index)  # no token has more entries
 
     def graph(self, ref) -> list[list[tuple[int, PathNode]]]:
         """Walk the tokens a sink reaches, depth-first in entry order, and
@@ -236,16 +252,38 @@ class Reader:
         the token it names.  Tokens are told apart by ref, which on an
         honest index names a token exactly as its identity does."""
         ids = {ref: 0}
-        graph = [self._read(ref)]
+        graph = [self._read(ref, None)]
         todo = graph[0][::-1]
         while todo:
             node = todo.pop()
             if node.ref not in ids:
                 ids[node.ref] = len(graph)
-                graph.append(self._read(node.ref))
+                # a token of no entries (a leaf) is not probed
+                graph.append([] if node.count == 0
+                             else self._read(node.ref, node.count))
                 todo += graph[-1][::-1]
         self.answered = self.answered or bool(graph[0])
         return [[(ids[node.ref], node) for node in edges] for edges in graph]
+
+    def _counters(self, count: int | None) -> range:
+        """The counters to probe for a token of count entries: 1 to count,
+        or for a sink (count None) up to one past the index's entries, by
+        which its first miss must come.  A count past the index's entries
+        is a FormatError."""
+        if count is None:
+            return range(1, self.size + 2)
+        if count > self.size:
+            raise FormatError(f"index: a value gives its token {count} "
+                              f"entries, more than the index's {self.size}")
+        return range(1, count + 1)
+
+    @staticmethod
+    def _missed(counter: int, count: int | None) -> None:
+        """A probe missed: that ends a sink's entries (count None), and
+        below a count it is a FormatError."""
+        if count is not None:
+            raise FormatError(f"index: entry {counter} of a token of "
+                              f"{count} entries is missing")
 
 
 class PlainReader(Reader):
@@ -258,11 +296,14 @@ class PlainReader(Reader):
         block = identity_block(ref)  # a plain query names its sink as text
         return [[]] if block is None else super().graph(block)
 
-    def _read(self, block: bytes) -> list[PathNode]:
+    def _read(self, block: bytes, count: int | None) -> list[PathNode]:
         edges: list[PathNode] = []
-        while (value := self.index.lookup(
-                plain_key(block, len(edges) + 1))) is not None:
-            right, *fields = struct.unpack(">16s4i", value)
+        for counter in self._counters(count):
+            value = self.index.lookup(plain_key(block, counter))
+            if value is None:
+                self._missed(counter, count)
+                break
+            right, entries, *fields = _INT_PAYLOAD.unpack(value)
             (token,) = open_token_blocks(right)
             name = token and name_of(*token[1:])
             if name is None:
@@ -271,32 +312,37 @@ class PlainReader(Reader):
                     "has non-zero check bytes, an unknown family code, or a "
                     "fixed name with a number")
             edges.append(PathNode(token_identity(token[0], name), fields[0],
-                                  tuple(fields[1:]), ref=right))
+                                  tuple(fields[1:]), ref=right, count=entries))
         return edges
 
 
 class IndexReader(Reader):
     """Counter-probing reader for std mode: fields are plain integers.
     A token's secret makes its lookup keys and, once one answers, its
-    value key."""
+    value key under the index's salt; entry c opens under the implicit
+    nonce of counter c."""
 
-    field_bytes = 16  # line, depth, order, type
+    payload = _INT_PAYLOAD
 
-    def _read(self, secret: bytes) -> list[PathNode]:
+    def _read(self, secret: bytes, count: int | None) -> list[PathNode]:
         edges: list[PathNode] = []
         value_key = None
-        while (blob := self.index.lookup(det_encrypt(
-                secret, (len(edges) + 1).to_bytes(4, "big")))) is not None:
-            value_key = value_key or derive_value_key(secret)
-            payload = rnd_decrypt(value_key, blob)
-            if len(payload) != KEY_BYTES + self.field_bytes:
+        for counter in self._counters(count):
+            value = self.index.lookup(det_encrypt(
+                secret, counter.to_bytes(4, "big")))
+            if value is None:
+                self._missed(counter, count)
+                break
+            value_key = value_key or derive_value_key(secret, self.index.salt)
+            payload = rnd_decrypt(value_key, counter_nonce(counter) + value)
+            if len(payload) != self.payload.size:
                 raise FormatError("index value has unexpected payload size")
-            edges.append(self._node(payload[:KEY_BYTES], payload[KEY_BYTES:]))
+            edges.append(self._node(self.payload.unpack(payload)))
         return edges
 
-    def _node(self, right: bytes, fields: bytes) -> PathNode:
-        values = struct.unpack(">iiii", fields)
-        return PathNode(right, values[0], values[1:], ref=right)
+    def _node(self, fields: tuple) -> PathNode:
+        right, count, line, *scope = fields
+        return PathNode(right, line, tuple(scope), ref=right, count=count)
 
 
 class OreReader(IndexReader):
@@ -306,15 +352,18 @@ class OreReader(IndexReader):
     A slot is opened when a decrypted entry first names it with that key,
     and kept for the reader's life."""
 
-    field_bytes = SLOT_REF.size + 16  # the line's slot, the scope tag
+    # the head, the line's slot reference, the scope tag
+    payload = struct.Struct(ENTRY_HEAD.format + "%ds%ds" % (SLOT_REF.size,
+                                                            KEY_BYTES))
 
     def __init__(self, index) -> None:
         super().__init__(index)
         self._opened: dict[bytes, bytes] = {}  # slot reference -> ciphertext
 
-    def _node(self, right: bytes, fields: bytes) -> PathNode:
-        return PathNode(right, None, fields[SLOT_REF.size:], ref=right,
-                        ct=self._open(fields[:SLOT_REF.size]))
+    def _node(self, fields: tuple) -> PathNode:
+        right, count, line, scope = fields
+        return PathNode(right, None, scope, ref=right, ct=self._open(line),
+                        count=count)
 
     def _open(self, ref: bytes) -> bytes:
         ct = self._opened.get(ref)
@@ -574,6 +623,14 @@ def _tournament(bucket: list[list[PathNode]]) -> list[list[PathNode]]:
     return [nodes for _, nodes in kept]
 
 
+class _Identities(dict):
+    """Token secret -> its one-way identity, derived on first use."""
+
+    def __missing__(self, token: bytes) -> bytes:
+        self[token] = identity = derive_identity(token)
+        return identity
+
+
 def check_vulnerability(paths: list[list[PathNode]],
                         fq: FileQuery) -> list[list[PathNode]]:
     """Final filter: flows that start at an entry point and skip sanitizers.
@@ -581,8 +638,10 @@ def check_vulnerability(paths: list[list[PathNode]],
     In std and ore mode nodes name tokens by their secrets and the query
     names the entry point and the sanitizer by their identities, so the
     identity of each distinct token the check meets is derived once."""
-    identity = (functools.cache(derive_identity)
-                if isinstance(fq.input_id, bytes) else lambda token: token)
+    if not paths:
+        return []
+    identity = (_Identities().__getitem__ if isinstance(fq.input_id, bytes)
+                else lambda token: token)
     return [nodes for nodes in paths
             if identity(nodes[-1].token) == fq.input_id
             and all(identity(node.token) != fq.san_id for node in nodes)]

@@ -5,9 +5,12 @@ Four building blocks:
 * DET: deterministic keyed mapping (keyed BLAKE2s with a 16-byte
   digest, RFC 7693) used for index keys, so equal tokens map to equal
   index positions without revealing the token.
-* RND: randomized authenticated encryption (AES-128-GCM with a fresh
-  96-bit nonce) used for index values, so equal payloads are
-  indistinguishable.
+* RND: randomized authenticated encryption (AES-128-GCM).  An index
+  value is sealed under its left token's value key, which a per-build
+  salt makes unique, with the implicit nonce 0^8 || u32 counter of its
+  entry (NIST SP 800-38D, section 8.2.1), and stores no nonce; a slot is
+  sealed under its own key with a fresh random 96-bit nonce.  Either
+  way equal payloads are indistinguishable.
 * ORE: an order-revealing scheme with left/right ciphertexts built from
   per-block permuted comparison tables.  Comparing the left half of one
   ciphertext against the right half of another yields <, =, > and nothing
@@ -26,8 +29,9 @@ scope.  A token's secret S is AES-128 of its identity block
 under the DET master key, a pseudorandom permutation, so the owner reads
 secrets back by decryption (`open_token_keys`), as it reads scope tags
 (`open_scope_tags`).  From S both sides derive, by DET under S, the
-lookup keys of the token's entries, its value key and its one-way
-identity (`derive_value_key`, `derive_identity`).  The line's ORE key
+lookup keys of the token's entries, its value key in one index (under
+that index's salt) and its one-way identity (`derive_value_key`,
+`derive_identity`).  The line's ORE key
 pair is HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated
 to KEY_BYTES (RFC 4231, section 4.6).
 """
@@ -65,6 +69,9 @@ _RND_NONCE_BYTES = 12
 _RND_TAG_BYTES = 16
 # What a blob adds to its payload: the nonce and the tag
 RND_OVERHEAD = _RND_NONCE_BYTES + _RND_TAG_BYTES
+# What an index value adds to its payload: the tag; its nonce is implicit
+VALUE_OVERHEAD = _RND_TAG_BYTES
+SALT_BYTES = 16  # an index's build salt, which its value keys take
 
 
 # --- master keys --------------------------------------------------------------
@@ -181,15 +188,17 @@ def derive_secrets(keys: MasterKeys, blocks: bytes) -> list[bytes]:
 
 
 # The messages DET takes under a token secret besides the u32 counters
-# of its lookup keys: one byte each, so no lookup key is made from one.
+# of its lookup keys: a label byte, and for the value key the salt, so
+# 17 bytes and 1 byte, and no lookup key is made from either.
 _VALUE_LABEL = b"\x00"
 _IDENTITY_LABEL = b"\x01"
 
 
-def derive_value_key(secret: bytes) -> bytes:
-    """The key that seals the values of a token's entries: DET of a
-    one-byte label under the token's secret."""
-    return det_encrypt(secret, _VALUE_LABEL)
+def derive_value_key(secret: bytes, salt: bytes) -> bytes:
+    """The key that seals the values of a token's entries in the index of
+    this build salt: DET of a label byte and the salt under the token's
+    secret, so no two builds seal under one key."""
+    return det_encrypt(secret, _VALUE_LABEL + salt)
 
 
 def derive_identity(secret: bytes) -> bytes:
@@ -227,25 +236,31 @@ def det_encrypt(key: bytes, data: bytes) -> bytes:
 
 # --- RND ----------------------------------------------------------------------
 
-def rnd_encrypter(key: bytes) -> Callable[[bytes], bytes]:
-    """`rnd_encrypt` under one key, for many messages: one AES-GCM object
-    serves them all, and each message still draws its own nonce."""
-    seal = AESGCM(key).encrypt
-
-    def encrypt(plaintext: bytes) -> bytes:
-        nonce = os.urandom(_RND_NONCE_BYTES)
-        return nonce + seal(nonce, plaintext, None)
-
-    return encrypt
-
-
 def rnd_encrypt(key: bytes, plaintext: bytes) -> bytes:
-    """Randomized authenticated encryption: nonce || ciphertext || tag.
+    """Randomized authenticated encryption: nonce || ciphertext || tag,
+    under a fresh random nonce.
 
-    The key (a 16-byte value key or slot key) is the AES-GCM key
-    itself, so RND runs as AES-128-GCM.
+    The key (a 16-byte slot key) is the AES-GCM key itself, so RND runs
+    as AES-128-GCM.
     """
-    return rnd_encrypter(key)(plaintext)
+    nonce = os.urandom(_RND_NONCE_BYTES)
+    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+
+
+# counter_nonce(c): the implicit nonce of a token's entry c, eight zero
+# bytes and c as a u32, SP 800-38D's fixed and invocation fields
+counter_nonce = struct.Struct(">8xI").pack
+
+
+def value_sealer(key: bytes) -> Callable[[int, bytes], bytes]:
+    """Seal the values of one token's entries under its value key: entry
+    c's payload under `counter_nonce(c)`, as ciphertext || tag.  The
+    nonce is not stored, so `rnd_decrypt(key, counter_nonce(c) + value)`
+    opens it, and a value under another counter fails.  One AES-GCM
+    object seals them all."""
+    seal = AESGCM(key).encrypt
+    return lambda counter, payload: seal(counter_nonce(counter), payload,
+                                         None)
 
 
 def rnd_decrypt(key: bytes, blob: bytes) -> bytes:

@@ -3,9 +3,14 @@
 Every pair list for a left token becomes a run of index entries addressed by
 a deterministic per-token counter key, so the analyser can probe entry 1, 2,
 3, ... of a token it holds the secret of and learn nothing about the rest.
-The value of an entry carries the secret of the right-hand token plus the
-flow fields, sealed under the left token's value key with randomized
-encryption so identical edges look unrelated.
+The value of an entry carries the secret of the right-hand token, that
+token's entry count, and the flow fields, sealed under the left token's
+value key so identical edges look unrelated.  The value key takes the
+index's random build salt, so it is new in every build, and entry c is
+sealed under the implicit nonce of counter c (`crypto.value_sealer`):
+values store no nonce, and each opens only at its own counter.  The
+count lets a reader probe exactly a token's entries, and a leaf not at
+all.
 
 Three build modes share one container format:
 
@@ -17,7 +22,8 @@ Three build modes share one container format:
 * std: flow fields are plaintext integers, keys and values encrypted.
 * plain: nothing encrypted, for debugging and baseline measurements: an
   entry keys its left token's identity block (`crypto.token_block`) and
-  counter, and holds its right token's block and the four fields.
+  counter, and holds its right token's block, its count and the four
+  fields.
 
 Every mode stores fixed-width records, a 16-byte lookup key and a value
 whose width the mode sets (`VALUE_BYTES`), so the container needs no
@@ -26,6 +32,7 @@ length prefixes.
 
 from __future__ import annotations
 
+import os
 import secrets
 import struct
 from collections.abc import Iterable, Mapping
@@ -37,7 +44,9 @@ from .crypto import (
     KEY_BYTES,
     MODES,
     RND_OVERHEAD,
+    SALT_BYTES,
     TOKEN_FAMILIES,
+    VALUE_OVERHEAD,
     MasterKeys,
     derive_ore_key,
     derive_secrets,
@@ -46,9 +55,9 @@ from .crypto import (
     ore_ciphertext_bytes,
     ore_encrypt,
     rnd_encrypt,
-    rnd_encrypter,
     scope_sealer,
     token_block,
+    value_sealer,
 )
 from .dcfg import DCFG
 from .errors import ConfigError, FormatError
@@ -56,25 +65,31 @@ from .fileio import Cursor, atomic_write
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 10
+_VERSION = 11
 SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore line: slot, slot key
+# A payload's head: its right token (its block in plain mode, else its
+# secret) and that token's entry count
+ENTRY_HEAD = struct.Struct(">%dsH" % KEY_BYTES)
+MAX_ENTRY_COUNT = 0xFFFF  # the head holds the count as a u16
 FIELDS = ("line", "depth", "order", "type")  # an entry's flow fields
 _PACK_LAST = {n: struct.Struct(">%di" % n).pack for n in (3, 4)}  # of FIELDS
 # Record widths (docs/formats.md): every lookup key is 16 bytes, and a
-# value is the right token (its block in plain mode, else its secret)
-# and the fields, which std seals as four ints and ore as the line's
-# slot reference and the scope tag.
+# value is the head and the fields, which std seals as four ints and ore
+# as the line's slot reference and the scope tag.
 LOOKUP_KEY_BYTES = KEY_BYTES
-VALUE_BYTES = {"plain": KEY_BYTES + 16,
-               "std": RND_OVERHEAD + KEY_BYTES + 16,
-               "ore": RND_OVERHEAD + KEY_BYTES + SLOT_REF.size + KEY_BYTES}
+VALUE_BYTES = {"plain": ENTRY_HEAD.size + 16,
+               "std": VALUE_OVERHEAD + ENTRY_HEAD.size + 16,
+               "ore": VALUE_OVERHEAD + ENTRY_HEAD.size + SLOT_REF.size
+               + KEY_BYTES}
 SLOT_BYTES = RND_OVERHEAD + ore_ciphertext_bytes()  # a sealed line
-_HEADER_BYTES = len(_MAGIC) + 6  # magic, version, mode, entry count
+# magic, version, mode, build salt, entry count
+_HEADER_BYTES = len(_MAGIC) + 2 + SALT_BYTES + 4
 
 
 @dataclass
 class EncryptedIndex:
     mode: str
+    salt: bytes  # the build salt, which every value key takes
     table: dict[bytes, bytes]  # lookup key -> value, in container order
     # ore mode: each distinct line ciphertext, sealed under its own key
     slots: list[bytes] = field(default_factory=list)
@@ -126,8 +141,9 @@ def build_index(
     each file's name counts for the key store: one past the highest n of
     the VAR<n> and FUNC_CALL<n> tokens the file's entries key.
 
-    A count above MAX_NAME_COUNT is a ConfigError, and two entries with
-    one lookup key are a ValueError.  In ore mode each distinct line is
+    A name count above MAX_NAME_COUNT, or a left token with more than
+    MAX_ENTRY_COUNT entries, is a ConfigError, and two entries with one
+    lookup key are a ValueError.  In ore mode each distinct line is
     encrypted once per build and sealed once, in a slot of a random number
     (see docs/formats.md); names maps file ids to the paths errors name.
     """
@@ -151,6 +167,11 @@ def build_index(
                               for pair in pairs)}
         path = names.get(file_id, f"file {file_id}")
         counts[file_id] = _name_counts(tokens, path)
+        for left, pairs in by_left.items():
+            if len(pairs) > MAX_ENTRY_COUNT:
+                raise ConfigError(
+                    f"{path}: token {left} has {len(pairs)} entries, more "
+                    f"than an index value's limit of {MAX_ENTRY_COUNT}")
         files.append((file_id, path, by_left, tokens))
     # (file id, token) -> its identity block in plain mode, else its
     # secret, every token's in one batch
@@ -160,20 +181,22 @@ def build_index(
     token_keys = dict(zip(owned, blocks if mode == "plain"
                           else derive_secrets(keys, b"".join(blocks))))
 
+    salt = os.urandom(SALT_BYTES)
     entries: list[tuple[bytes, bytes]] = []
     for file_id, path, by_left, _ in files:
         scope_file = file_id.to_bytes(4, "big")  # a scope block's first field
         for left, pairs in by_left.items():
             if mode != "plain":  # one secret, and one sealer, per left token
                 s_left = token_keys[file_id, left]
-                seal = rnd_encrypter(derive_value_key(s_left))
+                seal = value_sealer(derive_value_key(s_left, salt))
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
                 values = (right.line, right.depth, right.order, right.cf_type)
+                head = ENTRY_HEAD.pack(token_keys[file_id, right.token],
+                                       len(by_left.get(right.token, ())))
                 if mode == "plain":
                     key = plain_key(token_keys[file_id, left], counter)
-                    value = token_keys[file_id, right.token] + _int32s(
-                        path, values)
+                    value = head + _int32s(path, values)
                 else:
                     key = det_encrypt(s_left, counter.to_bytes(4, "big"))
                     if mode == "ore":  # the line's slot, then the scope tag
@@ -181,7 +204,7 @@ def build_index(
                             scope_file + _int32s(path, values[1:]))
                     else:
                         fields = _int32s(path, values)
-                    value = seal(token_keys[file_id, right.token] + fields)
+                    value = seal(counter, head + fields)
                 entries.append((key, value))
 
     if mode != "plain":
@@ -189,7 +212,7 @@ def build_index(
     table = dict(entries)
     if len(table) != len(entries):
         raise ValueError("two index entries share a lookup key")
-    return EncryptedIndex(mode, table, slots), counts
+    return EncryptedIndex(mode, salt, table, slots), counts
 
 
 def _shuffled(entries) -> list:
@@ -243,8 +266,10 @@ def _seal_slots(cts: dict) -> tuple[dict, list[bytes]]:
 
 def serialize_index(index: EncryptedIndex) -> bytes:
     """The container: header, then the entries as fixed-width records,
-    then in ore mode the slots; a key, value or slot of another width
-    than the mode's is a ValueError."""
+    then in ore mode the slots; a salt, key, value or slot of another
+    width than the mode's is a ValueError."""
+    if len(index.salt) != SALT_BYTES:
+        raise ValueError(f"an index salt is {SALT_BYTES} bytes")
     width = VALUE_BYTES[index.mode]
     if any(len(key) != LOOKUP_KEY_BYTES or len(value) != width
            for key, value in index.table.items()):
@@ -255,7 +280,7 @@ def serialize_index(index: EncryptedIndex) -> bytes:
     tail = ([struct.pack(">I", len(index.slots)), *index.slots]
             if index.mode == "ore" else [])
     return b"".join([_MAGIC, bytes([_VERSION, MODES.index(index.mode)]),
-                     struct.pack(">I", len(index.table)),
+                     index.salt, struct.pack(">I", len(index.table)),
                      *(key + value for key, value in index.table.items()),
                      *tail])
 
@@ -270,6 +295,7 @@ def _records(cur: Cursor, width: int) -> tuple[bytes, range]:
 def deserialize_index(data: bytes) -> EncryptedIndex:
     cur = Cursor(data, "index", _MAGIC, _VERSION)
     mode = cur.code(MODES, "mode")
+    salt = cur.take(SALT_BYTES)
     width = LOOKUP_KEY_BYTES + VALUE_BYTES[mode]
     body, starts = _records(cur, width)
     table = {body[i:i + LOOKUP_KEY_BYTES]: body[i + LOOKUP_KEY_BYTES:i + width]
@@ -281,7 +307,7 @@ def deserialize_index(data: bytes) -> EncryptedIndex:
         body, starts = _records(cur, SLOT_BYTES)
         slots = [body[i:i + SLOT_BYTES] for i in starts]
     cur.finish()
-    return EncryptedIndex(mode, table, slots)
+    return EncryptedIndex(mode, salt, table, slots)
 
 
 def index_stats(index: EncryptedIndex) -> dict:

@@ -124,12 +124,21 @@ class TaskKnowledge:
         return None
 
 
+# libyaml parses the bundled file about ten times as fast as PyYAML's
+# pure-Python parser.  A file given by path keeps the pure-Python one:
+# libyaml composes nested nodes by C recursion, and on deeply nested
+# input that overflows the C stack instead of raising an error.
+_BUNDLED_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _read_db(path: Path | str | None,
              default: str | None = None) -> tuple[dict, str]:
     """Parse a YAML mapping: the file at path, else the bundled default."""
+    loader = yaml.SafeLoader
     if path is None:
         text = resources.files("cca.data").joinpath(default).read_text("utf-8")
         where = f"<builtin {default}>"
+        loader = _BUNDLED_LOADER
     else:
         where = str(path)
         try:
@@ -137,7 +146,7 @@ def _read_db(path: Path | str | None,
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{where}: not UTF-8 text: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=loader)
     except (yaml.YAMLError, RecursionError) as exc:  # or nested too deeply
         raise ConfigError(f"{where}: not parseable: {exc}") from exc
     if not isinstance(data, dict):

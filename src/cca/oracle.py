@@ -35,7 +35,7 @@ class DcfgReader(Reader):
     """Feeds plaintext dependency pairs, grouped by left token
     (`DCFG.by_left`), to the shared detection."""
 
-    def _read(self, ref: str) -> list[PathNode]:
+    def _read(self, ref: str, count: int | None) -> list[PathNode]:
         return [
             PathNode(pair.right.token, pair.right.line, pair.right.flow,
                      ref=pair.right.token)

@@ -97,31 +97,47 @@ def finding_paths(report: dict) -> set[tuple]:
     return out
 
 
+def _sink_secret(keys) -> bytes:
+    from cca.crypto import derive_det_keys
+
+    (secret,) = derive_det_keys(keys.master, ["0:XSS_SENS"])
+    return secret
+
+
+def reseal_sink_entry(index, keys, edit) -> bytes:
+    """Re-seal file 0's first XSS_SENS entry of a std or ore index, with
+    its payload replaced by edit(payload).  Returns the payload it held
+    before."""
+    from cca.crypto import (
+        counter_nonce,
+        derive_value_key,
+        det_encrypt,
+        rnd_decrypt,
+        value_sealer,
+    )
+
+    secret = _sink_secret(keys)
+    value_key = derive_value_key(secret, index.salt)
+    probe = det_encrypt(secret, (1).to_bytes(4, "big"))
+    payload = rnd_decrypt(value_key, counter_nonce(1) + index.table[probe])
+    index.table[probe] = value_sealer(value_key)(1, edit(payload))
+    return payload
+
+
 def reseal_sink_line_slot(index, keys, edit) -> tuple[int, bytes]:
     """Re-seal file 0's first XSS_SENS entry of an ore index, with the
     (slot number, slot key) of its line field replaced by edit(number,
     key).  Returns the number and key it named before."""
-    from cca.crypto import (
-        KEY_BYTES,
-        derive_det_keys,
-        derive_value_key,
-        det_encrypt,
-        rnd_decrypt,
-        rnd_encrypt,
-    )
-    from cca.index import SLOT_REF
+    from cca.index import ENTRY_HEAD, SLOT_REF
 
-    (secret,) = derive_det_keys(keys.master, ["0:XSS_SENS"])
-    value_key = derive_value_key(secret)
-    probe = det_encrypt(secret, (1).to_bytes(4, "big"))
-    payload = rnd_decrypt(value_key, index.table[probe])
-    start = KEY_BYTES  # the line field's reference follows the right secret
+    start = ENTRY_HEAD.size  # the line's reference follows the head
     end = start + SLOT_REF.size
-    number, key = SLOT_REF.unpack(payload[start:end])
-    index.table[probe] = rnd_encrypt(
-        value_key,
-        payload[:start] + SLOT_REF.pack(*edit(number, key)) + payload[end:])
-    return number, key
+
+    def reref(payload: bytes) -> bytes:
+        ref = SLOT_REF.pack(*edit(*SLOT_REF.unpack(payload[start:end])))
+        return payload[:start] + ref + payload[end:]
+
+    return SLOT_REF.unpack(reseal_sink_entry(index, keys, reref)[start:end])
 
 
 def _slot_past_the_end(index, keys):
@@ -156,6 +172,60 @@ HOSTILE_SLOTS = {
     "flipped slot key byte": (_flipped_slot_key, "IntegrityError", "tag"),
     "flipped slot byte": (_flipped_slot_byte, "IntegrityError", "tag"),
     "slot of the wrong length": (_short_slot, "FormatError", "339 bytes"),
+}
+
+
+def _set_sink_right_count(count):
+    """Damage: file 0's first sink entry gives its right token count(n)
+    entries, where it has n."""
+    def damage(index, keys):
+        from cca.index import ENTRY_HEAD
+
+        def recount(payload: bytes) -> bytes:
+            right, n = ENTRY_HEAD.unpack_from(payload)
+            return (ENTRY_HEAD.pack(right, count(n, len(index)))
+                    + payload[ENTRY_HEAD.size:])
+
+        reseal_sink_entry(index, keys, recount)
+    return damage
+
+
+def _right_entry_deleted(index, keys):
+    """Damage: the first entry of the right token of file 0's first sink
+    entry is gone from the table."""
+    from cca.crypto import det_encrypt
+    from cca.index import ENTRY_HEAD
+
+    payload = reseal_sink_entry(index, keys, lambda p: p)
+    right, count = ENTRY_HEAD.unpack_from(payload)
+    assert count > 0
+    del index.table[det_encrypt(right, (1).to_bytes(4, "big"))]
+
+
+def _sink_entries_swapped(index, keys):
+    """Damage: file 0's first two sink entries trade places, each value
+    under the other's counter."""
+    from cca.crypto import det_encrypt
+
+    secret = _sink_secret(keys)
+    one, two = (det_encrypt(secret, c.to_bytes(4, "big")) for c in (1, 2))
+    index.table[one], index.table[two] = index.table[two], index.table[one]
+
+
+# case -> (damage(index, keys) to a std or ore index whose file 0 has an
+# XSS sink of at least two entries, the first naming a token with
+# entries, the cca.errors class analysing it raises, what its message says)
+HOSTILE_ENTRIES = {
+    "count past the index": (
+        _set_sink_right_count(lambda n, size: size + 1), "FormatError",
+        "more than the index's"),
+    "count one past the entries": (
+        _set_sink_right_count(lambda n, size: n + 1), "FormatError",
+        "is missing"),
+    "entry missing below its count": (_right_entry_deleted, "FormatError",
+                                      "entry 1 of a token of"),
+    "two values swap counters": (_sink_entries_swapped, "IntegrityError",
+                                 "tag"),
 }
 
 

@@ -49,6 +49,7 @@ from cca.crypto import (
     TOKEN_FAMILIES,
     KeyStore,
     MasterKeys,
+    counter_nonce,
     derive_det_keys,
     derive_identity,
     derive_ore_key,
@@ -74,6 +75,7 @@ from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import encrypt_application
 
 from conftest import (
+    HOSTILE_ENTRIES,
     HOSTILE_SLOTS,
     NODE_TABLE_DAMAGE,
     chain_app,
@@ -194,8 +196,9 @@ def test_build_and_authorise_pack_token_pairs_without_parsing(
                         s_left = ref(file_id, left)
                         value = res.index.lookup(det_encrypt(
                             s_left, counter.to_bytes(4, "big")))
-                        assert rnd_decrypt(derive_value_key(s_left),
-                                           value)[:16] == right
+                        assert rnd_decrypt(
+                            derive_value_key(s_left, res.index.salt),
+                            counter_nonce(counter) + value)[:16] == right
         for query in queries:
             for fq in query.files:
                 names = (TASKS[query.task][0], "INPUT", TASKS[query.task][1])
@@ -925,6 +928,45 @@ def test_hostile_slot_fails_analysis(tmp_path, case):
     damage(res.index, res.keys)
     with pytest.raises(getattr(cca.errors, error), match=says):
         analyse(res.index, query)
+
+
+@pytest.mark.parametrize("mode", ["std", "ore"])
+@pytest.mark.parametrize("case", list(HOSTILE_ENTRIES))
+def test_hostile_entry_fails_analysis(tmp_path, mode, case):
+    damage, error, says = HOSTILE_ENTRIES[case]
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode=mode)
+    query = authorise(res.keys, "xss")
+    assert analyse(res.index, query)["files"][0]["findings"]
+    damage(res.index, res.keys)
+    with pytest.raises(getattr(cca.errors, error), match=says):
+        analyse(res.index, query)
+
+
+@pytest.mark.parametrize("mode", ["std", "ore"])
+def test_probes_are_the_hits_and_one_miss_per_sink(tmp_path, mode,
+                                                   monkeypatch):
+    # every token but a sink is read by its count: no miss below a sink,
+    # and a leaf is never probed
+    root = write_app(tmp_path, {f"{name}/{rel}": text
+                                for name, app in CORPUS.items()
+                                for rel, text in app.items()})
+    res = encrypt_application(root, mode=mode)
+    probes = []
+    lookup = cca.index.EncryptedIndex.lookup
+
+    def counting(index, key):
+        value = lookup(index, key)
+        probes.append(value is not None)
+        return value
+
+    monkeypatch.setattr(cca.index.EncryptedIndex, "lookup", counting)
+    sinks = 0
+    for task in TASKS:
+        query = authorise(res.keys, task)
+        analyse(res.index, query)
+        sinks += len(query.files)
+    assert sinks == 74
+    assert (sum(probes), len(probes)) == (281, 281 + sinks)
 
 
 def test_a_slot_is_opened_once_and_only_when_named(tmp_path, monkeypatch):

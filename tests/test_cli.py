@@ -17,7 +17,12 @@ from cca.cli import main
 from cca.crypto import load_keys, token_block
 from cca.index import load_index, plain_key, save_index
 
-from conftest import HOSTILE_SLOTS, NODE_TABLE_DAMAGE, write_app
+from conftest import (
+    HOSTILE_ENTRIES,
+    HOSTILE_SLOTS,
+    NODE_TABLE_DAMAGE,
+    write_app,
+)
 
 APP = {
     "index.php": (
@@ -260,8 +265,8 @@ def test_stats_command(tmp_path, app_dir, capsys):
     assert "slots: 6" in out.splitlines()
 
 
-@pytest.mark.parametrize("flag,width", [("", 80), ("--no-ore", 60),
-                                        ("--no-encryption", 32)])
+@pytest.mark.parametrize("flag,width", [("", 70), ("--no-ore", 50),
+                                        ("--no-encryption", 34)])
 def test_stats_prints_the_record_widths(tmp_path, app_dir, capsys, flag,
                                         width):
     index = tmp_path / "i"
@@ -503,11 +508,12 @@ PLAIN_SINK_KEY = plain_key(token_block(0, "XSS_SENS"), 1)
 
 
 def _set_sink_value(right: bytes):
-    """Damage: the first sink entry of a plain index names right, with
-    line 5 and scope (0, 0, 0)."""
+    """Damage: the first sink entry of a plain index names right, with no
+    entries, line 5 and scope (0, 0, 0)."""
     def damage(paths):
         index = load_index(paths["index"])
-        index.table[PLAIN_SINK_KEY] = right + struct.pack(">4i", 5, 0, 0, 0)
+        index.table[PLAIN_SINK_KEY] = right + struct.pack(">H4i", 0, 5, 0, 0,
+                                                          0)
         save_index(paths["index"], index)
     return damage
 
@@ -629,6 +635,10 @@ MALFORMED = {
     "ore index of version 9 (stats)": ("", _set_byte("index", 8, 9), "stats"),
     "query of version 4": ("", _set_byte("query", 8, 4), "analyse"),
     "key store of version 7": ("", _set_byte("keys", 8, 7), "decrypt-report"),
+    "ore index of version 10": ("", _set_byte("index", 8, 10), "analyse"),
+    **{f"{mode} index with {case}": (flag, _damage_index(damage), "analyse")
+       for case, (damage, _, _) in HOSTILE_ENTRIES.items()
+       for mode, flag in (("ore", ""), ("std", "--no-ore"))},
     "report token of 64 hex digits": (
         "", _edit_report(lambda r: _sink(r).update(token=_sink(r)["token"] * 2)),
         "decrypt-report"),
@@ -681,6 +691,10 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "ore index of version 9 (stats)": "unsupported version 9",
                   "query of version 4": "unsupported version 4",
                   "key store of version 7": "unsupported version 7",
+                  "ore index of version 10": "unsupported version 10",
+                  **{f"{mode} index with {case}": says
+                     for case, (_, _, says) in HOSTILE_ENTRIES.items()
+                     for mode in ("ore", "std")},
                   "report token of 64 hex digits": "32 lowercase hex digits",
                   "report file id outside the key store": "file 99",
                   "ore report row of five columns":

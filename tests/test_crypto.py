@@ -29,6 +29,7 @@ from cca.crypto import (
     KeyStore,
     MasterKeys,
     OreKey,
+    counter_nonce,
     derive_det_keys,
     derive_identity,
     derive_ore_key,
@@ -45,11 +46,11 @@ from cca.crypto import (
     open_token_blocks,
     open_token_keys,
     parse_token,
-    rnd_encrypter,
     save_keys,
     scope_sealer,
     serialize_keys,
     token_block,
+    value_sealer,
 )
 from cca.errors import FormatError, IntegrityError, KeyMismatchError
 
@@ -70,12 +71,15 @@ def test_token_key_derivation_is_deterministic_and_separated():
     (s2,) = derive_det_keys(mk, ["0:VAR0"])
     (s3,) = derive_det_keys(mk, ["0:VAR1"])
     (s4,) = derive_det_keys(mk, ["1:VAR0"])
-    r1, r3 = derive_value_key(s1), derive_value_key(s3)
+    salt = bytes(range(16))
+    r1, r3 = derive_value_key(s1, salt), derive_value_key(s3, salt)
 
-    assert s1 == s2 and derive_value_key(s2) == r1
+    assert s1 == s2 and derive_value_key(s2, salt) == r1
     assert len(s1) == 16 and len(r1) == 16 and len(derive_identity(s1)) == 16
     assert len({s1, r1, derive_identity(s1)}) == 3
     assert s1 != s3 and r1 != r3
+    # a build salt of its own gives every build its own value keys
+    assert derive_value_key(s1, bytes(16)) != r1
     assert s1 != s4  # same token, different file
     assert derive_det_keys(mk, ["0:VAR0", "1:VAR0"]) == [s1, s4]
 
@@ -114,15 +118,16 @@ def test_det_keys_are_aes_128_of_the_token_block_under_the_det_master_key(
 def test_token_keys_are_aes_128_of_the_token_block_under_their_master_keys(
         tokens):
     # the secret is AES-128 of the block under the DET master key, and the
-    # value key and the identity are keyed BLAKE2s-128 of the one-byte
-    # labels 0 and 1 under the secret
+    # value key and the identity are keyed BLAKE2s-128 under the secret of
+    # the label 0 and the build salt, and of the one-byte label 1
     mk = MasterKeys(*(bytes([k]) * 16 for k in range(3)))
+    salt = bytes(range(16, 32))
     ids = [_identity(*t) for t in tokens]
     expected = [_aes(mk.det, _block(*t)) for t in tokens]
     assert [derive_det_keys(mk, [i])[0] for i in ids] == expected
     for secret in expected:
-        assert derive_value_key(secret) == hashlib.blake2s(
-            b"\x00", digest_size=16, key=secret).digest()
+        assert derive_value_key(secret, salt) == hashlib.blake2s(
+            b"\x00" + salt, digest_size=16, key=secret).digest()
         assert derive_identity(secret) == hashlib.blake2s(
             b"\x01", digest_size=16, key=secret).digest()
 
@@ -250,12 +255,13 @@ def test_det_matches_the_rfc_7693_blake2s_self_test():
                                  "53c598b24f4fc787fbdc88797f4c1dfe")
 
 
-@given(st.binary(min_size=16, max_size=16), st.integers(1, 64))
+@given(st.binary(min_size=16, max_size=16), st.integers(1, 64),
+       st.binary(min_size=16, max_size=16))
 def test_a_secret_derives_distinct_lookup_keys_value_key_and_identity(
-        secret, count):
+        secret, count, salt):
     derived = [det_encrypt(secret, c.to_bytes(4, "big"))
                for c in range(1, count + 1)]
-    derived += [derive_value_key(secret), derive_identity(secret)]
+    derived += [derive_value_key(secret, salt), derive_identity(secret)]
     assert len(set(derived)) == len(derived)
     assert secret not in derived
 
@@ -303,23 +309,36 @@ def test_rnd_known_answer(monkeypatch):
 
 
 def test_rnd_known_answer_at_the_token_key_size(monkeypatch):
-    # AES-128-GCM test case 2 of the same specification: token and slot
-    # keys are 16 bytes, so this is the cipher every index value uses
+    # AES-128-GCM test case 2 of the same specification: value and slot
+    # keys are 16 bytes, so this is the cipher every index value uses; a
+    # value sealer at counter 0 uses the same zero nonce, and stores none
     monkeypatch.setattr("cca.crypto.os.urandom", bytes)
     key, payload = bytes(16), bytes(16)
-    for blob in (rnd_encrypt(key, payload), rnd_encrypter(key)(payload)):
-        assert blob.hex() == (
-            "000000000000000000000000"
-            "0388dace60b6a392f328c2b971b2fe78"
-            "ab6e47d42cec13bdf53a67b21257bddf")
-        assert rnd_decrypt(key, blob) == payload
+    blob = rnd_encrypt(key, payload)
+    assert blob == counter_nonce(0) + value_sealer(key)(0, payload)
+    assert blob.hex() == (
+        "000000000000000000000000"
+        "0388dace60b6a392f328c2b971b2fe78"
+        "ab6e47d42cec13bdf53a67b21257bddf")
+    assert rnd_decrypt(key, blob) == payload
 
 
-def test_rnd_encrypter_draws_a_fresh_nonce_per_message():
-    seal = rnd_encrypter(b"\x03" * 16)
-    blobs = [seal(b"same message") for _ in range(64)]
-    assert len({b[:12] for b in blobs}) == 64
-    assert all(rnd_decrypt(b"\x03" * 16, b) == b"same message" for b in blobs)
+def test_counter_nonce_is_eight_zero_bytes_and_the_u32_counter():
+    assert counter_nonce(1) == bytes(11) + b"\x01"
+    assert counter_nonce(0x01020304).hex() == "000000000000000001020304"
+
+
+def test_a_sealed_value_opens_only_at_its_own_counter():
+    key = b"\x03" * 16
+    seal = value_sealer(key)
+    values = {c: seal(c, b"same message") for c in range(1, 65)}
+    # ciphertext and tag only: the nonce is the counter's
+    assert {len(v) for v in values.values()} == {len(b"same message") + 16}
+    assert len(set(values.values())) == 64
+    for c, value in values.items():
+        assert rnd_decrypt(key, counter_nonce(c) + value) == b"same message"
+        with pytest.raises(IntegrityError):
+            rnd_decrypt(key, counter_nonce(c % 64 + 1) + value)
 
 
 def test_rnd_is_randomized():

@@ -26,6 +26,7 @@ from cca.crypto import (
     KEY_BYTES,
     TOKEN_FAMILIES,
     KeyStore,
+    counter_nonce,
     derive_det_keys,
     derive_ore_key,
     derive_value_key,
@@ -54,6 +55,7 @@ from cca.errors import (
     KeyMismatchError,
 )
 from cca.index import (
+    ENTRY_HEAD,
     SLOT_REF,
     EncryptedIndex,
     deserialize_index,
@@ -88,14 +90,14 @@ def master():
 def _as_text(key: bytes, value: bytes) -> tuple[str, str]:
     """A plain entry written out: `FILEID:TOKEN#COUNTER` for the key (the
     left token's identity block, its last four bytes the counter) and
-    `FILEID:RIGHT|line|depth|order|type` for the value (the right token's
-    block and four signed 32-bit fields)."""
+    `FILEID:RIGHT|count|line|depth|order|type` for the value (the right
+    token's block, its u16 entry count and four signed 32-bit fields)."""
     file_id, code, number, zeros, counter = struct.unpack(">IBI3sI", key)
     assert zeros == bytes(3)
     ((right_file, right_code, right_number),) = open_token_blocks(value[:16])
     right = token_identity(right_file, name_of(right_code, right_number))
     return (f"{token_identity(file_id, name_of(code, number))}#{counter}",
-            "|".join([right, *map(str, struct.unpack(">4i", value[16:]))]))
+            "|".join([right, *map(str, struct.unpack(">H4i", value[16:]))]))
 
 
 def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
@@ -104,15 +106,15 @@ def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
 
     assert {len(k) for k in index.table} == {16}
-    assert {len(v) for v in index.table.values()} == {32}
+    assert {len(v) for v in index.table.values()} == {34}
     entries = dict(_as_text(k, v) for k, v in index.table.items())
     assert entries == {
-        "0:VAR0#1": "0:INPUT|2|0|0|0",
-        "0:VAR1#1": "0:STRING|3|0|0|0",
-        "0:VAR2#1": "0:VAR0|4|0|0|0",
-        "0:VAR2#2": "0:VAR2|5|0|0|0",
-        "0:XSS_SENS#1": "0:VAR0|6|0|0|0",
-        "0:XSS_SENS#2": "0:VAR2|7|0|0|0",
+        "0:VAR0#1": "0:INPUT|0|2|0|0|0",
+        "0:VAR1#1": "0:STRING|0|3|0|0|0",
+        "0:VAR2#1": "0:VAR0|1|4|0|0|0",
+        "0:VAR2#2": "0:VAR2|2|5|0|0|0",
+        "0:XSS_SENS#1": "0:VAR0|1|6|0|0|0",
+        "0:XSS_SENS#2": "0:VAR2|2|7|0|0|0",
     }
 
 
@@ -155,12 +157,30 @@ def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     blob = index.lookup(probe)
     assert blob is not None
 
-    payload = rnd_decrypt(derive_value_key(s_sens), blob)
-    assert len(payload) == 32  # S_right || four signed 32-bit fields
-    s_right = payload[:KEY_BYTES]
-    line, depth, order, cf_type = struct.unpack(">iiii", payload[KEY_BYTES:])
+    assert len(blob) == 34 + 16  # no nonce: the counter's is implicit
+    payload = rnd_decrypt(derive_value_key(s_sens, index.salt),
+                          counter_nonce(1) + blob)
+    # S_right || its u16 entry count || four signed 32-bit fields
+    assert len(payload) == 34
+    s_right, count, *fields = struct.unpack(">16sH4i", payload)
     assert [s_right] == derive_det_keys(master, [token_identity(0, "VAR0")])
-    assert (line, depth, order, cf_type) == (6, 0, 0, 0)
+    assert (count, *fields) == (1, 6, 0, 0, 0)
+
+
+def test_std_values_are_bound_to_their_counter_and_build(fig_dcfg, master):
+    index, _ = build_index([(0, fig_dcfg)], master, mode="std")
+    (s_sens,) = derive_det_keys(master, [token_identity(0, "XSS_SENS")])
+    blob = index.lookup(det_encrypt(s_sens, struct.pack(">I", 1)))
+    with pytest.raises(IntegrityError):  # the nonce of another counter
+        rnd_decrypt(derive_value_key(s_sens, index.salt),
+                    counter_nonce(2) + blob)
+    # a rebuild under the same master keys draws another salt, so its
+    # value keys differ and no (key, nonce) pair repeats
+    again, _ = build_index([(0, fig_dcfg)], master, mode="std")
+    assert len({index.salt, again.salt}) == 2
+    with pytest.raises(IntegrityError):
+        rnd_decrypt(derive_value_key(s_sens, again.salt),
+                    counter_nonce(1) + blob)
 
 
 def test_sensitive_counter_three_is_absent(fig_dcfg, master):
@@ -253,10 +273,11 @@ def test_query_identities_answer_no_probe_and_open_no_value(
     for identity in identities:
         assert not any(index.lookup(det_encrypt(identity, c))
                        for c in counters)
-        for key in (identity, derive_value_key(identity)):
+        for key in (identity, derive_value_key(identity, index.salt)):
             for value in index.table.values():
-                with pytest.raises(IntegrityError):
-                    rnd_decrypt(key, value)
+                for c in (1, 2):
+                    with pytest.raises(IntegrityError):
+                        rnd_decrypt(key, counter_nonce(c) + value)
 
 
 def test_same_token_in_two_files_gets_distinct_keys(master):
@@ -321,6 +342,21 @@ def test_name_count_past_u16_names_file_and_family(master, token):
     assert max(counts[2]) == 65535
 
 
+def test_entry_count_past_u16_names_file_and_token(master):
+    pairs = [DCFGPair("VAR0", ExtendedITLToken("STRING", line, 0, 0, 0))
+             for line in range(1, 65537)]
+    with pytest.raises(ConfigError, match=r"^app/big\.php: token VAR0 has "
+                                          r"65536 entries, more than"):
+        build_index([(2, DCFG(pairs))], master, mode="std",
+                    names={2: "app/big.php"})
+    # 65,535 entries fit, and the value naming VAR0 carries the count
+    sink = DCFGPair("XSS_SENS", ExtendedITLToken("VAR0", 1, 0, 0, 0))
+    index, _ = build_index([(2, DCFG([sink, *pairs[1:]]))], master,
+                           mode="plain")
+    value = index.lookup(plain_key(token_block(2, "XSS_SENS"), 1))
+    assert struct.unpack_from(">H", value, 16) == (65535,)
+
+
 def _slot_refs(index, counts, master):
     """(file id, the line's (slot number, slot key), scope tag) of every
     entry, read with the keys."""
@@ -331,11 +367,12 @@ def _slot_refs(index, counts, master):
             counter = 1
             while blob := index.lookup(det_encrypt(secret,
                                                    struct.pack(">I", counter))):
-                payload = rnd_decrypt(derive_value_key(secret), blob)
-                # S_right || line slot reference || scope tag
-                assert len(payload) == 52
-                ref = SLOT_REF.unpack_from(payload, KEY_BYTES)
-                yield file_id, ref, payload[KEY_BYTES + SLOT_REF.size:]
+                payload = rnd_decrypt(derive_value_key(secret, index.salt),
+                                      counter_nonce(counter) + blob)
+                # S_right || count || line slot reference || scope tag
+                assert len(payload) == 54
+                ref = SLOT_REF.unpack_from(payload, ENTRY_HEAD.size)
+                yield file_id, ref, payload[ENTRY_HEAD.size + SLOT_REF.size:]
                 counter += 1
 
 
@@ -407,8 +444,9 @@ def test_each_slot_holds_one_distinct_ciphertext_under_its_own_key(
     assert len({key for _, key in refs}) == len(refs) == 37
     assert {len(slot) for slot in index.slots} == {
         12 + ore_ciphertext_bytes() + 16}
-    # an ore entry seals S_right || u32 slot || slot key || tag
-    assert {len(v) for v in index.table.values()} == {12 + 52 + 16}
+    # an ore entry seals S_right || u16 count || u32 slot || slot key ||
+    # tag, and stores no nonce
+    assert {len(v) for v in index.table.values()} == {54 + 16}
 
 
 def test_corpus_slot_table_holds_each_distinct_line_once(
@@ -579,7 +617,7 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
@@ -587,8 +625,9 @@ def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 5 held 32-byte token keys, version 6 made depth, order and
     # type order-revealing fields as well, version 7 derived token keys
     # with HMAC-SHA256 and tagged scopes under per-file keys, version 8
-    # wrote a length before every record and held 20-byte lookup keys, and
-    # version 9 sealed D and R keys in every value
+    # wrote a length before every record and held 20-byte lookup keys,
+    # version 9 sealed D and R keys in every value, and version 10 stored
+    # a nonce in every value and no salt or entry counts
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -601,7 +640,7 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert stats["entries"] == 6
     assert stats["mode"] == "std"
     assert stats["key_bytes"] == [16]
-    assert stats["value_bytes"] == [12 + 32 + 16]
+    assert stats["value_bytes"] == [34 + 16]
     assert stats["container_bytes"] > 0
     assert stats["slots"] == stats["slot_bytes"] == 0
     ore, _ = build_index([(0, fig_dcfg)], master, mode="ore")
@@ -609,25 +648,25 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     # lines 2-7: one slot each
     assert (stats["slots"], stats["slot_bytes"]) == (6, 6 * (12 + 340 + 16))
     assert stats["key_bytes"] == [16]
-    assert stats["value_bytes"] == [12 + 52 + 16]
+    assert stats["value_bytes"] == [54 + 16]
     plain, _ = build_index([(0, fig_dcfg)], master, mode="plain")
     stats = index_stats(plain)
-    assert (stats["key_bytes"], stats["value_bytes"]) == ([16], [16 + 16])
+    assert (stats["key_bytes"], stats["value_bytes"]) == ([16], [16 + 18])
 
 
 # --- fixed-width records ---------------------------------------------------------
 
-VALUE_WIDTHS = {"plain": 32, "std": 60, "ore": 80}
+VALUE_WIDTHS = {"plain": 34, "std": 50, "ore": 70}
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
 def test_container_size_is_fixed_width_records(fig_dcfg, master, mode):
-    # no length prefixes: a header, N records of 16 + w bytes, and in ore
-    # a slot count and S slots of 368 bytes
+    # no length prefixes: a 30-byte header with the build salt, N records
+    # of 16 + w bytes, and in ore a slot count and S slots of 368 bytes
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
     n, s = len(index), len(index.slots)
     assert (n, s) == (6, 6 if mode == "ore" else 0)
-    expected = 14 + n * (16 + VALUE_WIDTHS[mode])
+    expected = 30 + n * (16 + VALUE_WIDTHS[mode])
     if mode == "ore":
         expected += 4 + s * 368
     assert len(serialize_index(index)) == expected
@@ -663,13 +702,14 @@ def test_a_count_past_the_end_is_truncation_before_any_record(
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
     blob = serialize_index(index)
     width = 16 + VALUE_WIDTHS[mode]
-    for count in ((len(blob) - 14) // width + 1, 2**32 - 1):
-        bad = blob[:10] + struct.pack(">I", count) + blob[14:]
-        # the records start at byte 14, and none of them is read
-        with pytest.raises(FormatError, match="truncated at byte 14$"):
+    for count in ((len(blob) - 30) // width + 1, 2**32 - 1):
+        bad = blob[:26] + struct.pack(">I", count) + blob[30:]
+        # the records start at byte 30, after the salt and the count, and
+        # none of them is read
+        with pytest.raises(FormatError, match="truncated at byte 30$"):
             deserialize_index(bad)
     if mode == "ore":
-        table_at = 14 + len(index) * width
+        table_at = 30 + len(index) * width
         bad = blob[:table_at] + struct.pack(">I", 7) + blob[table_at + 4:]
         with pytest.raises(FormatError, match=f"truncated at byte "
                                               f"{table_at + 4}$"):
@@ -685,10 +725,15 @@ def test_serialize_rejects_a_key_value_or_slot_of_the_wrong_width(
                   {key: value + b"\0"}, {key: value[:-1]}):
         with pytest.raises(ValueError, match="16-byte key and a "
                                              f"{VALUE_WIDTHS[mode]}-byte value"):
-            serialize_index(EncryptedIndex(mode, table, index.slots))
+            serialize_index(EncryptedIndex(mode, index.salt, table,
+                                           index.slots))
+    for salt in (index.salt[:-1], index.salt + b"\0"):
+        with pytest.raises(ValueError, match="salt is 16 bytes"):
+            serialize_index(EncryptedIndex(mode, salt, index.table,
+                                           index.slots))
     if mode == "ore":
         with pytest.raises(ValueError, match="slot is 368 bytes"):
-            serialize_index(EncryptedIndex(mode, index.table,
+            serialize_index(EncryptedIndex(mode, index.salt, index.table,
                                            [index.slots[0][:-1]]))
 
 
