@@ -41,6 +41,8 @@ from .crypto import (
     DEFAULT_ORE_WIDTH,
     KEY_BYTES,
     MODES,
+    ORE_BLOCK_BITS,
+    ORE_CHECK_BYTES,
     KeyStore,
     counter_nonce,
     derive_identity,
@@ -350,7 +352,7 @@ class OreReader(IndexReader):
 
     A line names a slot of the index's table and the key that opens it.
     A slot is opened when a decrypted entry first names it with that key,
-    and kept for the reader's life."""
+    and kept for the reader's life.  Lines compare at the index's width."""
 
     # the head, the line's slot reference, the scope tag
     payload = struct.Struct(ENTRY_HEAD.format + "%ds%ds" % (SLOT_REF.size,
@@ -373,7 +375,7 @@ class OreReader(IndexReader):
                 raise FormatError(f"index: slot {number} is past the end of "
                                   f"the {len(self.index.slots)}-slot table")
             ct = rnd_decrypt(key, self.index.slots[number])
-            if len(ct) != ore_ciphertext_bytes():
+            if len(ct) != ore_ciphertext_bytes(self.index.ore_width):
                 raise FormatError(f"index: slot {number} holds {len(ct)} "
                                   "bytes, not an order-revealing ciphertext")
             self._opened[ref] = ct
@@ -383,7 +385,8 @@ class OreReader(IndexReader):
         """As Reader.graph, with the walk's lines ranked."""
         graph = super().graph(ref)
         nodes = [node for edges in graph for _, node in edges]
-        for node, rank in zip(nodes, ore_ranks([node.ct for node in nodes])):
+        ranks = ore_ranks([node.ct for node in nodes], self.index.ore_width)
+        for node, rank in zip(nodes, ranks):
             node.line = rank
         return graph
 
@@ -666,14 +669,14 @@ NODE_FIELDS = ("token", "line", "depth", "order", "type")
 ORE_NODE_FIELDS = ("token", "line", "scope")
 
 
-def report_node(node: PathNode) -> tuple:
+def report_node(node: PathNode, width: int = DEFAULT_ORE_WIDTH) -> tuple:
     """Report form of a node, NODE_FIELDS in order; in ore mode
-    ORE_NODE_FIELDS, the line named by `crypto.ore_name` and the scope
-    tag in hex."""
+    ORE_NODE_FIELDS, the line named by `crypto.ore_name` at the index's
+    line width and the scope tag in hex."""
     token = node.token.hex() if isinstance(node.token, bytes) else node.token
     if node.ct is None:
         return token, node.line, *node.scope
-    return token, "ore:" + ore_name(node.ct).hex(), node.scope.hex()
+    return token, "ore:" + ore_name(node.ct, width).hex(), node.scope.hex()
 
 
 def node_to_dict(node: PathNode) -> dict:
@@ -700,8 +703,8 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
             warnings.append(BUDGET_WARNING.format(fq.file_id))
         # keyed on the report form: every path has a sink node of its own
         table: dict[tuple, int] = {}
-        paths = [[table.setdefault(report_node(n), len(table)) for n in nodes]
-                 for nodes in findings]
+        paths = [[table.setdefault(report_node(n, index.ore_width), len(table))
+                  for n in nodes] for nodes in findings]
         report["files"].append({"file": fq.file_id,
                                 "nodes": [list(n) for n in table],
                                 "findings": paths})
@@ -749,7 +752,15 @@ def _get(mapping, key: str, kind):
 # How std and ore reports write a token (its secret) and an ore scope tag,
 # 16 bytes each, and an ore line's name
 _HEX_16 = re.compile("[0-9a-f]{32}")
-_ORE_NAME = re.compile("ore:[0-9a-f]{24}")  # 12 bytes at DEFAULT_ORE_WIDTH
+# of 1 to 4 blocks: n slot bytes and ORE_CHECK_BYTES check bytes
+_ORE_NAME = re.compile("ore:(?:[0-9a-f]{2}){9,12}")
+
+
+def _line_of_name(key, text: str) -> int:
+    """The line an `ore:<hex>` name names, at the width its length gives."""
+    name = bytes.fromhex(text[4:])
+    return ore_name_value(key, name,
+                          ORE_BLOCK_BITS * (len(name) - ORE_CHECK_BYTES))
 
 
 def decrypt_report(report: dict, ks: KeyStore) -> dict:
@@ -802,7 +813,7 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
                                   f"tag of 32 lowercase hex digits: {tag!r}")
             if not _ORE_NAME.fullmatch(line):
                 raise FormatError(f"report: node field 'line' is not an ore "
-                                  f"name, ore: and hex digits: {line!r}")
+                                  f"name of 1 to 4 blocks: {line!r}")
         return node
 
     def check_finding(finding, size: int) -> list[int]:
@@ -854,8 +865,7 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         names.append(name)
     if mode == "ore":
         line_key = derive_ore_key(ks.master.ore_line)
-        line_of = functools.cache(
-            lambda text: ore_name_value(line_key, bytes.fromhex(text[4:])))
+        line_of = functools.cache(lambda text: _line_of_name(line_key, text))
         scopes = open_scope_tags(ks.master.scope, [f for f, _ in rows],
                                  [bytes.fromhex(node[2]) for _, node in rows])
         values = [[line_of(node[1]), *scope]

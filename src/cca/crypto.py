@@ -19,7 +19,8 @@ Four building blocks:
   derived per block; each slot's mask is taken from AES-128 of its tag
   under the right half's public nonce (`_masks`).  One AES call makes all
   256 of either, and `ore_encrypt` builds both halves in one pass over
-  the blocks.  Every index encrypts its lines at DEFAULT_ORE_WIDTH bits.
+  the blocks.  An index encrypts its lines at the fewest blocks its
+  largest line needs, at most DEFAULT_ORE_WIDTH bits.
 * Scope tags: AES-128 of a (file id, depth, order, type) block under the
   scope master key, which shows equal triples of one file and nothing else.
 
@@ -59,7 +60,7 @@ from .fileio import Cursor, atomic_write, blob
 KEY_BYTES = 16
 ORE_BLOCK_BITS = 8
 ORE_BLOCK_DOMAIN = 1 << ORE_BLOCK_BITS  # 256 values per block
-DEFAULT_ORE_WIDTH = 32  # the width of an index's lines (docs/formats.md)
+DEFAULT_ORE_WIDTH = 32  # the widest index lines; the primitives' default
 # Widths the ORE primitives take: whole blocks, under 256 bits.
 ORE_WIDTHS = range(ORE_BLOCK_BITS, 256, ORE_BLOCK_BITS)
 
@@ -463,14 +464,15 @@ def ore_compare(a: bytes, b: bytes, width: int = DEFAULT_ORE_WIDTH) -> int:
 
 # A report names an ORE ciphertext by its left half's slot bytes and the
 # first bytes of the last block's tag: part of the left half, so the name
-# shows the analyser nothing new, and the line key reads it back.
-_ORE_CHECK_BYTES = 8
+# shows the analyser nothing new, and the line key reads it back.  A name
+# is n + ORE_CHECK_BYTES bytes for n blocks.
+ORE_CHECK_BYTES = 8
 
 
 def ore_name(ct: bytes, width: int = DEFAULT_ORE_WIDTH) -> bytes:
-    """Report name of a ciphertext (see `_ORE_CHECK_BYTES`)."""
+    """Report name of a ciphertext (see `ORE_CHECK_BYTES`)."""
     last = ore_left_bytes(width) - 17
-    return ct[16:last + 17:17] + ct[last:last + _ORE_CHECK_BYTES]
+    return ct[16:last + 17:17] + ct[last:last + ORE_CHECK_BYTES]
 
 
 def ore_name_value(key: OreKey, name: bytes,
@@ -481,14 +483,14 @@ def ore_name_value(key: OreKey, name: bytes,
     already recovered; the last block's tag binds every byte.
     """
     n = width // ORE_BLOCK_BITS
-    if len(name) != n + _ORE_CHECK_BYTES:
+    if len(name) != n + ORE_CHECK_BYTES:
         raise FormatError(f"ORE name of {len(name)} bytes at width {width}")
     raw = b""
     for i in range(n):
         raw += key.permutation(i, raw)[name[i]:name[i] + 1]
     slot = name[n - 1]
     tags = key.slot_tags(n - 1, raw[:-1])
-    if not hmac.compare_digest(tags[16 * slot:16 * slot + _ORE_CHECK_BYTES],
+    if not hmac.compare_digest(tags[16 * slot:16 * slot + ORE_CHECK_BYTES],
                                    name[n:]):
         raise KeyMismatchError(
             "order-revealing name does not decrypt under this key store; "

@@ -14,9 +14,10 @@ all.
 
 Three build modes share one container format:
 
-* ore (default): the line is an order-revealing ciphertext, each
-  distinct one sealed once in the container's slot table, and an entry
-  holds its slot number and that slot's key; depth, order and type are
+* ore (default): the line is an order-revealing ciphertext, at the
+  fewest 8-bit blocks the build's largest line needs, each distinct one
+  sealed once in the container's slot table, and an entry holds its slot
+  number and that slot's key; depth, order and type are
   one scope tag, AES-128 of them and the file id under the scope master
   key (`crypto.scope_sealer`).
 * std: flow fields are plaintext integers, keys and values encrypted.
@@ -43,6 +44,7 @@ from .crypto import (
     FIRST_NUMBERED,
     KEY_BYTES,
     MODES,
+    ORE_BLOCK_BITS,
     RND_OVERHEAD,
     SALT_BYTES,
     TOKEN_FAMILIES,
@@ -65,7 +67,7 @@ from .fileio import Cursor, atomic_write
 from .itl import family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 11
+_VERSION = 12
 SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore line: slot, slot key
 # A payload's head: its right token (its block in plain mode, else its
 # secret) and that token's entry count
@@ -81,7 +83,8 @@ VALUE_BYTES = {"plain": ENTRY_HEAD.size + 16,
                "std": VALUE_OVERHEAD + ENTRY_HEAD.size + 16,
                "ore": VALUE_OVERHEAD + ENTRY_HEAD.size + SLOT_REF.size
                + KEY_BYTES}
-SLOT_BYTES = RND_OVERHEAD + ore_ciphertext_bytes()  # a sealed line
+# An ore index's line widths, in bits: 1 to 4 whole blocks
+ORE_LINE_WIDTHS = range(ORE_BLOCK_BITS, DEFAULT_ORE_WIDTH + 1, ORE_BLOCK_BITS)
 # magic, version, mode, build salt, entry count
 _HEADER_BYTES = len(_MAGIC) + 2 + SALT_BYTES + 4
 
@@ -93,6 +96,7 @@ class EncryptedIndex:
     table: dict[bytes, bytes]  # lookup key -> value, in container order
     # ore mode: each distinct line ciphertext, sealed under its own key
     slots: list[bytes] = field(default_factory=list)
+    ore_width: int = 0  # ore mode: the bits every line is encrypted at
 
     def lookup(self, key: bytes) -> bytes | None:
         return self.table.get(key)
@@ -144,19 +148,28 @@ def build_index(
     A name count above MAX_NAME_COUNT, or a left token with more than
     MAX_ENTRY_COUNT entries, is a ConfigError, and two entries with one
     lookup key are a ValueError.  In ore mode each distinct line is
-    encrypted once per build and sealed once, in a slot of a random number
-    (see docs/formats.md); names maps file ids to the paths errors name.
+    encrypted once per build, at the fewest blocks the largest line
+    needs, and sealed once, in a slot of a random number (see
+    docs/formats.md); a line past DEFAULT_ORE_WIDTH bits is a
+    ConfigError.  names maps file ids to the paths errors name.
     """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
     names = names or {}
     refs, slots = {}, []  # ore: line -> its SLOT_REF, and the slot table
+    width = 0  # ore: the line width in bits
     if mode == "ore":
         line_key = derive_ore_key(keys.ore_line)
         lines = {pair.right.line: names.get(file_id, f"file {file_id}")
                  for file_id, dcfg in per_file for pair in dcfg}
-        refs, slots = _seal_slots({line: _ore_line(line_key, line, path)
-                                   for line, path in lines.items()})
+        # the fewest blocks that hold the largest line; past the widest,
+        # that line fails to encrypt
+        top = max(lines, default=0)
+        width = next((w for w in ORE_LINE_WIDTHS if top >> w == 0),
+                     DEFAULT_ORE_WIDTH)
+        refs, slots = _seal_slots({
+            line: _ore_line(line_key, line, path, width)
+            for line, path in lines.items()})
         seal_scope = scope_sealer(keys.scope)  # one encryptor per build
 
     counts: dict[int, tuple[int, int]] = {}
@@ -212,7 +225,7 @@ def build_index(
     table = dict(entries)
     if len(table) != len(entries):
         raise ValueError("two index entries share a lookup key")
-    return EncryptedIndex(mode, salt, table, slots), counts
+    return EncryptedIndex(mode, salt, table, slots, width), counts
 
 
 def _shuffled(entries) -> list:
@@ -225,9 +238,9 @@ def _shuffled(entries) -> list:
                                        key=tags.__getitem__)]
 
 
-def _ore_line(key, line: int, path: str) -> bytes:
+def _ore_line(key, line: int, path: str, width: int) -> bytes:
     try:
-        return ore_encrypt(key, line)
+        return ore_encrypt(key, line, width)
     except ValueError as exc:
         raise ConfigError(
             f"{path}: line value {line} is out of range for "
@@ -264,10 +277,16 @@ def _seal_slots(cts: dict) -> tuple[dict, list[bytes]]:
 
 # --- container ----------------------------------------------------------------
 
+def slot_bytes(width: int) -> int:
+    """Length of a slot: a sealed line ciphertext of width bits."""
+    return RND_OVERHEAD + ore_ciphertext_bytes(width)
+
+
 def serialize_index(index: EncryptedIndex) -> bytes:
     """The container: header, then the entries as fixed-width records,
-    then in ore mode the slots; a salt, key, value or slot of another
-    width than the mode's is a ValueError."""
+    then in ore mode the line width in blocks and the slots; a salt, key,
+    value or slot of another width than the mode's, or an ore line width
+    not in ORE_LINE_WIDTHS, is a ValueError."""
     if len(index.salt) != SALT_BYTES:
         raise ValueError(f"an index salt is {SALT_BYTES} bytes")
     width = VALUE_BYTES[index.mode]
@@ -275,10 +294,15 @@ def serialize_index(index: EncryptedIndex) -> bytes:
            for key, value in index.table.items()):
         raise ValueError(f"an index record is a {LOOKUP_KEY_BYTES}-byte key "
                          f"and a {width}-byte value in {index.mode} mode")
-    if any(len(slot) != SLOT_BYTES for slot in index.slots):
-        raise ValueError(f"an index slot is {SLOT_BYTES} bytes")
-    tail = ([struct.pack(">I", len(index.slots)), *index.slots]
-            if index.mode == "ore" else [])
+    tail, bits = [], index.ore_width
+    if index.mode == "ore":
+        if bits not in ORE_LINE_WIDTHS:
+            raise ValueError(f"ore lines are 8 to 32 bits, not {bits}")
+        if any(len(slot) != slot_bytes(bits) for slot in index.slots):
+            raise ValueError(f"an index slot is {slot_bytes(bits)} bytes "
+                             f"at {bits}-bit lines")
+        tail = [struct.pack(">BI", bits // ORE_BLOCK_BITS, len(index.slots)),
+                *index.slots]
     return b"".join([_MAGIC, bytes([_VERSION, MODES.index(index.mode)]),
                      index.salt, struct.pack(">I", len(index.table)),
                      *(key + value for key, value in index.table.items()),
@@ -302,12 +326,18 @@ def deserialize_index(data: bytes) -> EncryptedIndex:
              for i in starts}
     if len(table) != len(starts):
         raise FormatError("index: repeated lookup key")
-    slots = []
+    slots, line_width = [], 0
     if mode == "ore":
-        body, starts = _records(cur, SLOT_BYTES)
-        slots = [body[i:i + SLOT_BYTES] for i in starts]
+        (blocks,) = cur.unpack(">B")
+        if not 1 <= blocks <= len(ORE_LINE_WIDTHS):
+            raise FormatError(f"index: ORE lines of {blocks} blocks, not 1 "
+                              f"to {len(ORE_LINE_WIDTHS)}")
+        line_width = ORE_LINE_WIDTHS[blocks - 1]
+        size = slot_bytes(line_width)
+        body, starts = _records(cur, size)
+        slots = [body[i:i + size] for i in starts]
     cur.finish()
-    return EncryptedIndex(mode, salt, table, slots)
+    return EncryptedIndex(mode, salt, table, slots, line_width)
 
 
 def index_stats(index: EncryptedIndex) -> dict:
@@ -319,10 +349,13 @@ def index_stats(index: EncryptedIndex) -> dict:
         "key_bytes": sorted({len(key) for key in index.table}),
         "value_bytes": sorted({len(v) for v in index.table.values()}),
         "slots": len(index.slots),
+        "ore_width": index.ore_width,
         "slot_bytes": sum(map(len, index.slots)),
+        # in ore mode the width byte, the slot count and the slots
         "container_bytes": _HEADER_BYTES + len(index) * (
             LOOKUP_KEY_BYTES + VALUE_BYTES[index.mode]) + (
-            4 + SLOT_BYTES * len(index.slots) if index.mode == "ore" else 0),
+            5 + slot_bytes(index.ore_width) * len(index.slots)
+            if index.mode == "ore" else 0),
     }
 
 

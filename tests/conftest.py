@@ -171,7 +171,8 @@ HOSTILE_SLOTS = {
                                    "past the end"),
     "flipped slot key byte": (_flipped_slot_key, "IntegrityError", "tag"),
     "flipped slot byte": (_flipped_slot_byte, "IntegrityError", "tag"),
-    "slot of the wrong length": (_short_slot, "FormatError", "339 bytes"),
+    # a 97-byte ciphertext of one block, one byte short
+    "slot of the wrong length": (_short_slot, "FormatError", "holds 96 bytes"),
 }
 
 

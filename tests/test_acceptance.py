@@ -125,7 +125,8 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
             res.keys.master, [token_identity(0, "VAR2")])
         assert survivor[-1].token == var2_d
         line_key = derive_ore_key(res.keys.master.ore_line)
-        assert ore_name_value(line_key, ore_name(survivor[-1].ct)) == 4
+        assert ore_name_value(line_key, ore_name(
+            survivor[-1].ct, res.index.ore_width), res.index.ore_width) == 4
         (finding_path,) = check_vulnerability(resolved, fq)
         assert len(finding_path) == 3
 

@@ -919,6 +919,31 @@ def test_ore_ranks_are_per_file_whatever_the_reader_walked_before(tmp_path):
     assert [[n.line for n in path] for path in alone] == [[3, 3, 0], [4, 4, 2]]
 
 
+def test_an_app_past_line_256_takes_two_blocks_and_agrees_across_modes(
+        tmp_path):
+    # the shop app with blank lines before its code: every flow line is
+    # past 256, so ore lines take two blocks, and report names 10 bytes
+    app = {path: "\n" * 300 + text for path, text in CORPUS["app_shop"].items()}
+    root = write_app(tmp_path, app)
+    found = {}
+    for mode in ("plain", "std", "ore"):
+        res = encrypt_application(root, mode=mode)
+        assert res.index.ore_width == (16 if mode == "ore" else 0)
+        for task in TASKS:
+            report = analyse(res.index, authorise(res.keys, task))
+            if mode == "ore":
+                names = [node[1] for entry in report["files"]
+                         for node in entry["nodes"]]
+                assert names and all(re.fullmatch("ore:[0-9a-f]{20}", name)
+                                     for name in names)
+            found[mode, task] = decrypt_report(report, res.keys)["files"]
+    for task in TASKS:
+        assert found["plain", task] == found["std", task] == found["ore", task]
+        lines = [node["line"] for entry in found["ore", task]
+                 for finding in entry["findings"] for node in finding["path"]]
+        assert lines and min(lines) > 256
+
+
 @pytest.mark.parametrize("case", list(HOSTILE_SLOTS))
 def test_hostile_slot_fails_analysis(tmp_path, case):
     damage, error, says = HOSTILE_SLOTS[case]

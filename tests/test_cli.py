@@ -277,6 +277,10 @@ def test_stats_prints_the_record_widths(tmp_path, app_dir, capsys, flag,
     lines = capsys.readouterr().out.splitlines()
     assert "key_bytes: [16]" in lines
     assert f"value_bytes: [{width}]" in lines
+    # the line width in bits, next to the slot count: in ore mode lines
+    # 1-6 take one block
+    at = lines.index(f"ore_width: {0 if flag else 8}")
+    assert lines[at - 1] == f"slots: {0 if flag else 6}"
 
 
 def test_bench_command(app_dir, capsys):
@@ -556,6 +560,14 @@ def _set_byte(name: str, offset: int, value: int):
     return damage
 
 
+def _set_ore_width_byte(blocks: int):
+    """Damage: an ore container's line width byte, after its entries."""
+    def damage(paths):
+        (count,) = struct.unpack_from(">I", paths["index"].read_bytes(), 26)
+        _set_byte("index", 30 + count * (16 + 70), blocks)(paths)
+    return damage
+
+
 def _widen_query_sink_secret(n: int):
     def damage(paths):
         query = load_query(paths["query"])
@@ -636,6 +648,20 @@ MALFORMED = {
     "query of version 4": ("", _set_byte("query", 8, 4), "analyse"),
     "key store of version 7": ("", _set_byte("keys", 8, 7), "decrypt-report"),
     "ore index of version 10": ("", _set_byte("index", 8, 10), "analyse"),
+    "ore index of version 11": ("", _set_byte("index", 8, 11), "analyse"),
+    "ore index with line width byte 0": (
+        "", _set_ore_width_byte(0), "analyse"),
+    "ore index with line width byte 5": (
+        "", _set_ore_width_byte(5), "analyse"),
+    "ore index with line width byte 5 (stats)": (
+        "", _set_ore_width_byte(5), "stats"),
+    # a name is n slot bytes and 8 check bytes, for n of 1 to 4
+    "report ore name of 8 bytes": (
+        "", _edit_report(lambda r: _sink(r).update(line="ore:" + "ab" * 8)),
+        "decrypt-report"),
+    "report ore name of 13 bytes": (
+        "", _edit_report(lambda r: _sink(r).update(line="ore:" + "ab" * 13)),
+        "decrypt-report"),
     **{f"{mode} index with {case}": (flag, _damage_index(damage), "analyse")
        for case, (damage, _, _) in HOSTILE_ENTRIES.items()
        for mode, flag in (("ore", ""), ("std", "--no-ore"))},
@@ -692,6 +718,15 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "query of version 4": "unsupported version 4",
                   "key store of version 7": "unsupported version 7",
                   "ore index of version 10": "unsupported version 10",
+                  "ore index of version 11": "unsupported version 11",
+                  "ore index with line width byte 0":
+                      "ORE lines of 0 blocks, not 1 to 4",
+                  "ore index with line width byte 5":
+                      "ORE lines of 5 blocks, not 1 to 4",
+                  "ore index with line width byte 5 (stats)":
+                      "ORE lines of 5 blocks, not 1 to 4",
+                  "report ore name of 8 bytes": "is not an ore name",
+                  "report ore name of 13 bytes": "is not an ore name",
                   **{f"{mode} index with {case}": says
                      for case, (_, _, says) in HOSTILE_ENTRIES.items()
                      for mode in ("ore", "std")},

@@ -383,18 +383,21 @@ def _ore_fields(index, counts, master):
         yield file_id, rnd_decrypt(key, index.slots[number]), tag
 
 
-def _field_values(master, entries):
+def _field_values(index, counts, master):
     """(file id, line, line ciphertext, scope triple, scope tag) of every
-    entry, read with the line key and the scope master key."""
+    entry, read with the line key, at the index's width, and the scope
+    master key."""
     line_key = derive_ore_key(master.ore_line)
-    for file_id, ct, tag in entries:
+    width = index.ore_width
+    for file_id, ct, tag in _ore_fields(index, counts, master):
         (scope,) = open_scope_tags(master.scope, [file_id], [tag])
-        yield (file_id, ore_name_value(line_key, ore_name(ct)), ct, scope, tag)
+        yield (file_id, ore_name_value(line_key, ore_name(ct, width), width),
+               ct, scope, tag)
 
 
 def test_ore_field_names_decrypt_every_field(fig_dcfg, master):
     index, counts = build_index([(0, fig_dcfg)], master, mode="ore")
-    entries = list(_field_values(master, _ore_fields(index, counts, master)))
+    entries = list(_field_values(index, counts, master))
     assert len(entries) == len(index)
     assert {line for _, line, _, _, _ in entries} == {2, 3, 4, 5, 6, 7}
     assert {scope for _, _, _, scope, _ in entries} == {(0, 0, 0)}
@@ -427,8 +430,7 @@ def test_equal_field_values_share_one_ciphertext_per_build(
         corpus_per_file, master):
     index, counts = build_index(corpus_per_file, master, mode="ore")
     by_value: dict[int, set[bytes]] = {}
-    for _, line, ct, _, _ in _field_values(
-            master, _ore_fields(index, counts, master)):
+    for _, line, ct, _, _ in _field_values(index, counts, master):
         by_value.setdefault(line, set()).add(ct)
     assert len(by_value) == 37
     assert all(len(cts) == 1 for cts in by_value.values())
@@ -442,8 +444,10 @@ def test_each_slot_holds_one_distinct_ciphertext_under_its_own_key(
     assert len(index.slots) == 37
     assert {number for number, _ in refs} == set(range(37))
     assert len({key for _, key in refs}) == len(refs) == 37
+    # every corpus line is below 256: one block each
+    assert index.ore_width == 8
     assert {len(slot) for slot in index.slots} == {
-        12 + ore_ciphertext_bytes() + 16}
+        12 + ore_ciphertext_bytes(8) + 16}
     # an ore entry seals S_right || u16 count || u32 slot || slot key ||
     # tag, and stores no nonce
     assert {len(v) for v in index.table.values()} == {54 + 16}
@@ -462,7 +466,9 @@ def test_corpus_slot_table_holds_each_distinct_line_once(
     keys = {number: key for _, (number, key), _
             in _slot_refs(index, counts, master)}
     line_key = derive_ore_key(master.ore_line)
-    lines = [ore_name_value(line_key, ore_name(rnd_decrypt(keys[n], slot)))
+    width = index.ore_width
+    lines = [ore_name_value(line_key, ore_name(rnd_decrypt(keys[n], slot),
+                                               width), width)
              for n, slot in enumerate(index.slots)]
     distinct = {pair.right.line for _, dcfg in corpus_per_file for pair in dcfg}
     assert sorted(lines) == sorted(distinct) and len(lines) == 37
@@ -472,11 +478,11 @@ def test_corpus_slot_table_holds_each_distinct_line_once(
 def _line_slots(corpus_per_file, master) -> dict[int, int]:
     """line value -> its slot number, in one corpus build."""
     index, counts = build_index(corpus_per_file, master, mode="ore")
-    line_key = derive_ore_key(master.ore_line)
+    line_key, width = derive_ore_key(master.ore_line), index.ore_width
     slots = {}
     for _, (number, key), _ in _slot_refs(index, counts, master):
         ct = rnd_decrypt(key, index.slots[number])
-        slots[ore_name_value(line_key, ore_name(ct))] = number
+        slots[ore_name_value(line_key, ore_name(ct, width), width)] = number
     return slots
 
 
@@ -503,8 +509,7 @@ def _scope_tags(per_file, master) -> dict[tuple, set[bytes]]:
     """(file id, scope triple) -> the tags its entries hold, in one build."""
     index, counts = build_index(per_file, master, mode="ore")
     tags: dict[tuple, set[bytes]] = {}
-    for file_id, _, _, scope, tag in _field_values(
-            master, _ore_fields(index, counts, master)):
+    for file_id, _, _, scope, tag in _field_values(index, counts, master):
         tags.setdefault((file_id, scope), set()).add(tag)
     return tags
 
@@ -557,12 +562,62 @@ def _sink_at_line(line: int) -> DCFG:
     return DCFG([DCFGPair("XSS_SENS", ExtendedITLToken("INPUT", line, 0, 0, 0))])
 
 
+def _lines_up_to(top: int) -> DCFG:
+    """Sink entries at lines 0 and top."""
+    return DCFG([DCFGPair("XSS_SENS", ExtendedITLToken("INPUT", line, 0, 0, 0))
+                 for line in (0, top)])
+
+
 def test_out_of_range_field_value_names_file_field_and_width(master):
-    with pytest.raises(ConfigError, match=r"^app/index\.php: line value "
-                                          r"4294967296 .* 32-bit"):
-        build_index([(3, _sink_at_line(2**32))], master, mode="ore",
-                    names={3: "app/index.php"})
+    # 32 bits caps the width a build's largest line sets, whatever its
+    # other lines need
+    for dcfg in (_sink_at_line(2**32), _lines_up_to(2**32)):
+        with pytest.raises(ConfigError, match=r"^app/index\.php: line value "
+                                              r"4294967296 .* 32-bit"):
+            build_index([(3, dcfg)], master, mode="ore",
+                        names={3: "app/index.php"})
     build_index([(3, _sink_at_line(2**32 - 1))], master, mode="ore")
+
+
+# --- ore mode: the line width of a build ----------------------------------------
+
+@pytest.mark.parametrize("top,blocks", [
+    (0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 3), (2**24 - 1, 3),
+    (2**24, 4), (2**32 - 1, 4)])
+def test_ore_lines_take_the_fewest_blocks_the_largest_line_needs(
+        master, top, blocks):
+    index, counts = build_index([(2, _lines_up_to(top))], master, mode="ore")
+    assert index.ore_width == 8 * blocks
+    assert {len(slot) for slot in index.slots} == {44 + 81 * blocks}
+    blob = serialize_index(index)
+    # the width byte, in blocks, follows the entries
+    assert blob[30 + len(index) * (16 + 70)] == blocks
+    back = deserialize_index(blob)
+    assert (back.ore_width, back.slots) == (index.ore_width, index.slots)
+    lines = {line for _, line, _, _, _ in _field_values(index, counts, master)}
+    assert lines == {0, top}
+
+
+def test_an_ore_build_without_lines_takes_one_block(master):
+    index, _ = build_index([], master, mode="ore")
+    assert (index.ore_width, index.slots) == (8, [])
+    assert deserialize_index(serialize_index(index)).ore_width == 8
+
+
+@pytest.mark.parametrize("blocks", [0, 5, 255])
+def test_ore_width_byte_outside_1_to_4_is_rejected(fig_dcfg, master, blocks):
+    index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
+    blob = bytearray(serialize_index(index))
+    at = 30 + len(index) * (16 + 70)
+    assert blob[at] == 1
+    blob[at] = blocks
+    with pytest.raises(FormatError, match=f"ORE lines of {blocks} blocks, "
+                                          "not 1 to 4"):
+        deserialize_index(bytes(blob))
+    # a width the slots do not have reads them at another length
+    blob[at] = 2
+    with pytest.raises(FormatError):
+        deserialize_index(bytes(blob))
 
 
 def test_std_field_out_of_signed_32_bits_names_file_field_and_range(master):
@@ -617,7 +672,7 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
@@ -626,8 +681,9 @@ def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # type order-revealing fields as well, version 7 derived token keys
     # with HMAC-SHA256 and tagged scopes under per-file keys, version 8
     # wrote a length before every record and held 20-byte lookup keys,
-    # version 9 sealed D and R keys in every value, and version 10 stored
-    # a nonce in every value and no salt or entry counts
+    # version 9 sealed D and R keys in every value, version 10 stored a
+    # nonce in every value and no salt or entry counts, and version 11
+    # encrypted every line at 32 bits and stored no width
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -641,17 +697,22 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert stats["mode"] == "std"
     assert stats["key_bytes"] == [16]
     assert stats["value_bytes"] == [34 + 16]
-    assert stats["container_bytes"] > 0
-    assert stats["slots"] == stats["slot_bytes"] == 0
+    assert stats["container_bytes"] == 30 + 6 * (16 + 50)
+    assert stats["slots"] == stats["slot_bytes"] == stats["ore_width"] == 0
     ore, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     stats = index_stats(ore)
-    # lines 2-7: one slot each
-    assert (stats["slots"], stats["slot_bytes"]) == (6, 6 * (12 + 340 + 16))
+    # lines 2-7: one slot each, of one 8-bit block: a 97-byte ciphertext
+    assert (stats["slots"], stats["ore_width"]) == (6, 8)
+    assert stats["slot_bytes"] == 6 * (12 + 97 + 16) == 6 * 125
     assert stats["key_bytes"] == [16]
     assert stats["value_bytes"] == [54 + 16]
+    # the entries, then the width byte, the slot count and the slots
+    assert stats["container_bytes"] == 30 + 6 * (16 + 70) + 1 + 4 + 6 * 125
+    assert list(stats).index("ore_width") == list(stats).index("slots") + 1
     plain, _ = build_index([(0, fig_dcfg)], master, mode="plain")
     stats = index_stats(plain)
     assert (stats["key_bytes"], stats["value_bytes"]) == ([16], [16 + 18])
+    assert stats["ore_width"] == 0
 
 
 # --- fixed-width records ---------------------------------------------------------
@@ -662,13 +723,14 @@ VALUE_WIDTHS = {"plain": 34, "std": 50, "ore": 70}
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
 def test_container_size_is_fixed_width_records(fig_dcfg, master, mode):
     # no length prefixes: a 30-byte header with the build salt, N records
-    # of 16 + w bytes, and in ore a slot count and S slots of 368 bytes
+    # of 16 + w bytes, and in ore a width byte (n = 1: lines 2-7), a slot
+    # count and S slots of 44 + 81 n = 125 bytes
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
     n, s = len(index), len(index.slots)
     assert (n, s) == (6, 6 if mode == "ore" else 0)
     expected = 30 + n * (16 + VALUE_WIDTHS[mode])
     if mode == "ore":
-        expected += 4 + s * 368
+        expected += 1 + 4 + s * 125
     assert len(serialize_index(index)) == expected
     assert index_stats(index)["container_bytes"] == expected
 
@@ -708,8 +770,8 @@ def test_a_count_past_the_end_is_truncation_before_any_record(
         # none of them is read
         with pytest.raises(FormatError, match="truncated at byte 30$"):
             deserialize_index(bad)
-    if mode == "ore":
-        table_at = 30 + len(index) * width
+    if mode == "ore":  # past the width byte
+        table_at = 30 + len(index) * width + 1
         bad = blob[:table_at] + struct.pack(">I", 7) + blob[table_at + 4:]
         with pytest.raises(FormatError, match=f"truncated at byte "
                                               f"{table_at + 4}$"):
@@ -732,9 +794,13 @@ def test_serialize_rejects_a_key_value_or_slot_of_the_wrong_width(
             serialize_index(EncryptedIndex(mode, salt, index.table,
                                            index.slots))
     if mode == "ore":
-        with pytest.raises(ValueError, match="slot is 368 bytes"):
+        with pytest.raises(ValueError, match="slot is 125 bytes at 8-bit"):
             serialize_index(EncryptedIndex(mode, index.salt, index.table,
-                                           [index.slots[0][:-1]]))
+                                           [index.slots[0][:-1]], 8))
+        for width in (0, 12, 40):
+            with pytest.raises(ValueError, match=f"not {width}$"):
+                serialize_index(EncryptedIndex(mode, index.salt, index.table,
+                                               index.slots, width))
 
 
 def test_entries_sort_on_fresh_tags_drawn_in_one_call(fig_dcfg, master,
