@@ -78,7 +78,7 @@ from .index import (
     plain_key,
     token_identity,
 )
-from .itl import TASKS
+from .itl import TASKS, task_name
 
 log = logging.getLogger(__name__)
 # Marks a log record whose message the report also carries as a warning,
@@ -150,10 +150,7 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
     Without a policy file the owner is authorising themselves and every
     task is available; with one, a task runs only if explicitly allowed.
     """
-    task = task.lower()
-    if task not in TASKS:
-        raise UsageError(
-            f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    task = task_name(task)
     if policy_path is not None:
         decisions = read_policy(policy_path)
         if not decisions.get(task, False):

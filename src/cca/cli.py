@@ -33,7 +33,7 @@ from .errors import AuthorizationError, CcaError, UsageError
 from .dcfg import dump_dcfg
 from .frontend import collect_sources, dump_lextokens
 from .index import build_index, index_stats, load_index, save_index
-from .itl import TASKS, dump_itl, load_rules, load_task_knowledge
+from .itl import TASKS, dump_itl, load_rules, load_task_knowledge, task_name
 from .oracle import plaintext_analyse
 from .pipeline import compile_sources, encrypt_application
 
@@ -63,6 +63,11 @@ def _reps(text: str) -> int:
 def _task_display(task: str) -> str:
     """Display name of a task, from its sink token: XSS_SENS gives XSS."""
     return TASKS[task][0].removesuffix("_SENS")
+
+
+# `--task` is checked by task_name as it is parsed, so a bad one stops a
+# command before any work; argparse lets its UsageError through to main
+_TASK_HELP = f"analysis task ({' or '.join(map(_task_display, TASKS))})"
 
 
 def _mode_from_flags(args) -> str:
@@ -271,7 +276,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("authorise", help="issue an analysis query for a task")
     p.add_argument("--keys", required=True, help="key store path")
-    p.add_argument("--task", required=True, help="analysis task (XSS or SQLi)")
+    p.add_argument("--task", required=True, type=task_name, help=_TASK_HELP)
     p.add_argument("--policy", default=None, help="allow/deny policy file")
     p.add_argument("--out", default=None, help="output query path")
     p.set_defaults(func=cmd_authorise)
@@ -291,7 +296,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("oracle", help="plaintext reference analysis")
     p.add_argument("--src", required=True, help="source directory")
-    p.add_argument("--task", required=True, help="analysis task (XSS or SQLi)")
+    p.add_argument("--task", required=True, type=task_name, help=_TASK_HELP)
     add_db_options(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -56,6 +56,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import FormatError, IntegrityError, KeyMismatchError
 from .fileio import Cursor, atomic_write, blob
+from .itl import FIRST_NUMBERED, TOKEN_FAMILIES, family
 
 KEY_BYTES = 16
 ORE_BLOCK_BITS = 8
@@ -92,11 +93,6 @@ def generate_master_keys() -> MasterKeys:
 
 # --- token keys ---------------------------------------------------------------
 
-# Token families by code (docs/formats.md): the six fixed names, then the
-# numbered families, whose names are VAR<n> and FUNC_CALL<n>.
-TOKEN_FAMILIES = ("INPUT", "SQLi_SAN", "SQLi_SENS", "STRING", "XSS_SAN",
-                  "XSS_SENS", "VAR", "FUNC_CALL")
-FIRST_NUMBERED = 6
 # A token identity as one AES block: file id, family code, number, and
 # seven zero check bytes
 _TOKEN_BLOCK = struct.Struct(">IBI7s")
@@ -127,7 +123,7 @@ def token_block(file_id: int, name: str) -> bytes:
     """The identity block of a token the translator named, packed from
     (file id, name) as `parse_token` reads `FILEID:NAME`, with no text
     in between; a name of no family is a ValueError."""
-    fam = name.rstrip("0123456789")
+    fam = family(name)
     code = _CODES.get(fam)
     if code is None or (fam == name) != (code < FIRST_NUMBERED):
         raise ValueError(f"not a token name: {name!r}")

@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .itl import CALL_TOKENS, ITLToken, TranslationContext, family
+from .itl import (CALL_TOKENS, TOKEN_FAMILIES, ITLToken, TranslationContext,
+                  family)
 
 # Token families that may appear as the value end of a dependency pair.
-VALUE_FAMILIES = frozenset({"VAR", "INPUT", "STRING", "FUNC_CALL", *CALL_TOKENS})
+VALUE_FAMILIES = frozenset(TOKEN_FAMILIES)
 
 # Families that open a call and collect the following arguments.
 OPENER_FAMILIES = frozenset({"FUNC_CALL", *CALL_TOKENS})

@@ -41,13 +41,11 @@ from dataclasses import dataclass, field
 
 from .crypto import (
     DEFAULT_ORE_WIDTH,
-    FIRST_NUMBERED,
     KEY_BYTES,
     MODES,
     ORE_BLOCK_BITS,
     RND_OVERHEAD,
     SALT_BYTES,
-    TOKEN_FAMILIES,
     VALUE_OVERHEAD,
     MasterKeys,
     derive_ore_key,
@@ -64,7 +62,7 @@ from .crypto import (
 from .dcfg import DCFG
 from .errors import ConfigError, FormatError
 from .fileio import Cursor, atomic_write
-from .itl import family
+from .itl import NUMBERED_FAMILIES, family
 
 _MAGIC = b"CCAIDX1\x00"
 _VERSION = 12
@@ -118,7 +116,6 @@ def plain_key(block: bytes, counter: int) -> bytes:
 
 # Every pair token is a fixed name (dcfg's VALUE_FAMILIES), or VAR<n> or
 # FUNC_CALL<n> with n below its file's count of that family.
-NUMBERED_FAMILIES = TOKEN_FAMILIES[FIRST_NUMBERED:]
 MAX_NAME_COUNT = 0xFFFF  # the key store holds each count as a u16
 
 

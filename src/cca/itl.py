@@ -18,19 +18,36 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError, StructureError, TranslationError
+from .errors import ConfigError, StructureError, TranslationError, UsageError
 from .frontend import LexToken
 
 # Analysis tasks in container code order (xss is 0, sqli 1), each with the
-# task tokens of its sensitive sinks and of its sanitizers.
+# task tokens of its sensitive sinks and of its sanitizers.  Every other
+# module takes the task vocabulary from here.
 TASKS = {"xss": ("XSS_SENS", "XSS_SAN"), "sqli": ("SQLi_SENS", "SQLi_SAN")}
 
 # Task tokens that stand for a call: every sink, then every sanitizer.
 CALL_TOKENS = (tuple(sens for sens, _ in TASKS.values())
                + tuple(san for _, san in TASKS.values()))
 
-# Task tokens applied from task knowledge.
+# Task tokens applied from task knowledge: the sections of its file.
 TASK_TOKENS = ("INPUT",) + CALL_TOKENS
+
+# Token families by code (docs/formats.md, "family code"): the fixed names
+# a dependency pair holds, sorted, then the numbered families VAR<n> and
+# FUNC_CALL<n>.  Every token block carries the code, so a change here
+# needs a new index version.
+TOKEN_FAMILIES = (*sorted(("STRING",) + TASK_TOKENS), "VAR", "FUNC_CALL")
+FIRST_NUMBERED = TOKEN_FAMILIES.index("VAR")
+NUMBERED_FAMILIES = TOKEN_FAMILIES[FIRST_NUMBERED:]
+
+
+def task_name(task: str) -> str:
+    """The task a name given in any case stands for, lower-cased."""
+    if task.lower() not in TASKS:
+        raise UsageError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    return task.lower()
+
 
 # Ending tokens appended while translating (twelve).
 ENDING_TOKENS = (
@@ -107,21 +124,13 @@ _REMOVED_RULES = ("metacharacter_drops", "ending_tokens", "abstract_names")
 
 @dataclass(frozen=True)
 class TaskKnowledge:
-    """The names under each task token; fields follow TASK_TOKENS order."""
+    """Entry-point names, and the task token of each lower-case call name."""
 
     inputs: frozenset[str]
-    xss_sens: frozenset[str]
-    sqli_sens: frozenset[str]
-    xss_san: frozenset[str]
-    sqli_san: frozenset[str]
+    calls: dict[str, str]
 
     def function_token(self, name: str) -> str | None:
-        name = name.lower()
-        for token, names in zip(CALL_TOKENS, (self.xss_sens, self.sqli_sens,
-                                              self.xss_san, self.sqli_san)):
-            if name in names:
-                return token
-        return None
+        return self.calls.get(name.lower())
 
 
 # libyaml parses the bundled file about ten times as fast as PyYAML's
@@ -185,12 +194,13 @@ def _bundled_task_knowledge() -> TaskKnowledge:
 
 def _parse_task_knowledge(path: Path | str | None) -> TaskKnowledge:
     data, where = _read_db(path, "task_knowledge.yaml")
-    sets: dict[str, frozenset[str]] = {}
+    for key in data:
+        if key not in TASK_TOKENS:
+            raise ConfigError(f"{where}: unknown section {key!r}")
     for token in TASK_TOKENS:
-        if token not in data or not isinstance(data[token], list) or not data[token]:
+        if not isinstance(data.get(token), list) or not data[token]:
             raise ConfigError(f"{where}: missing or empty section {token!r}")
-        names = data[token]
-        for name in names:
+        for name in data[token]:
             if not isinstance(name, str) or not name:
                 raise ConfigError(f"{where}: bad name {name!r} under {token}")
             if token == "INPUT":
@@ -202,17 +212,15 @@ def _parse_task_knowledge(path: Path | str | None) -> TaskKnowledge:
                 raise ConfigError(
                     f"{where}: function name {name!r} must not be a variable"
                 )
-        # Function names match case-insensitively, entry points exactly.
-        sets[token] = frozenset(names if token == "INPUT" else (n.lower() for n in names))
-    seen: dict[str, str] = {}
-    for token, names in sets.items():
-        for name in names:
-            if name in seen:
+    # Function names match case-insensitively, entry points exactly.
+    calls: dict[str, str] = {}
+    for token in CALL_TOKENS:
+        for name in map(str.lower, data[token]):
+            if calls.setdefault(name, token) != token:
                 raise ConfigError(
-                    f"{where}: {name!r} appears under both {seen[name]} and {token}"
+                    f"{where}: {name!r} appears under both {calls[name]} and {token}"
                 )
-            seen[name] = token
-    return TaskKnowledge(*(sets[token] for token in TASK_TOKENS))
+    return TaskKnowledge(frozenset(data["INPUT"]), calls)
 
 
 # --- translation -------------------------------------------------------------

@@ -27,8 +27,7 @@ from .analysis import (
     node_to_dict,
 )
 from .dcfg import DCFG
-from .errors import UsageError
-from .itl import TASKS
+from .itl import TASKS, task_name
 
 
 class DcfgReader(Reader):
@@ -50,9 +49,7 @@ def plaintext_analyse(per_file: list[tuple[int, DCFG]], task: str,
     Returns a report shaped like a decrypted encrypted-mode report so the
     two can be compared field for field.
     """
-    task = task.lower()
-    if task not in TASKS:
-        raise UsageError(f"unknown task {task!r}")
+    task = task_name(task)
     sens_name, san_name = TASKS[task]
     report: dict = {"task": task, "mode": "oracle", "files": []}
     for file_id, dcfg in sorted(per_file, key=lambda item: item[0]):
@@ -81,9 +78,7 @@ def enumerate_findings(dcfg: DCFG, task: str) -> set[tuple]:
     cf_type) nodes, sink first.  Implements the complete detection
     semantics without calling into the analysis module.
     """
-    task = task.lower()
-    if task not in TASKS:
-        raise UsageError(f"unknown task {task!r}")
+    task = task_name(task)
     sens_name, san_name = TASKS[task]
 
     adjacency: dict[str, list[tuple]] = {}

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import cca
+import cca.cli
 from cca import __version__
 from cca.analysis import NODE_FIELDS, load_query, save_query
 from cca.cli import main
@@ -311,6 +312,22 @@ def test_usage_error_is_exit_code_1(tmp_path, app_dir, capsys):
     capsys.readouterr()
 
 
+def test_unknown_task_is_rejected_before_any_work(tmp_path, app_dir, capsys,
+                                                 monkeypatch):
+    def no_compiling(*args, **kwargs):
+        raise AssertionError("compile_sources called")
+
+    monkeypatch.setattr(cca.cli, "compile_sources", no_compiling)
+    keys = tmp_path / "k"
+    errs = []
+    for argv in (("authorise", "--keys", keys, "--task", "foo"),
+                 ("oracle", "--src", app_dir, "--task", "foo")):
+        assert run(*argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs == ["usage error: unknown task 'foo'; expected one of "
+                    "('xss', 'sqli')\n"] * 2
+
+
 @pytest.mark.parametrize("argv", [
     ("bench", "--reps", "0"),
     ("bench", "--reps", "two"),
@@ -413,6 +430,8 @@ BAD_TASK_KNOWLEDGE = {
         "function name '$clean' must not be a variable"),
     "name under two sections": (
         "XSS_SAN", "[ECHO]", "'echo' appears under both XSS_SENS and XSS_SAN"),
+    "extra section": ("XSS_SENSE", "[printf]",
+                      "unknown section 'XSS_SENSE'"),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -308,6 +309,24 @@ def _opens(counts: dict, file_id: int, token: str) -> bool:
 def test_token_families_are_the_value_families():
     assert set(TOKEN_FAMILIES) == VALUE_FAMILIES
     assert len(TOKEN_FAMILIES) == len(VALUE_FAMILIES)
+
+
+FORMATS_MD = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+
+def test_family_codes_are_the_documented_table():
+    rows = {}
+    for line in FORMATS_MD.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if cells[0] in ("family code", "name") and len(cells) == 9:
+            rows[cells[0]] = cells[1:]
+    assert rows["family code"] == [str(code) for code in range(8)]
+    documented = tuple(name.removesuffix("<n>") for name in rows["name"])
+    pinned = ("INPUT", "SQLi_SAN", "SQLi_SENS", "STRING", "XSS_SAN",
+              "XSS_SENS", "VAR", "FUNC_CALL")
+    assert documented == TOKEN_FAMILIES == pinned, (
+        "every token block carries its family code, so changing a code "
+        "needs a new index version")
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,14 +83,22 @@ def test_rules_file_sets_string_splitting(tmp_path, default_tk):
     assert [t.token for t in tokens] == ["VAR0", "OP0", "STRING", "END_ASSIGN"]
 
 
+def _names_by_token(tk: TaskKnowledge) -> dict[str, set[str]]:
+    names: dict[str, set[str]] = {}
+    for name, token in tk.calls.items():
+        names.setdefault(token, set()).add(name)
+    return names
+
+
 def test_task_knowledge_defaults(default_tk):
     assert "$_get" not in default_tk.inputs  # variables match exactly
     assert "$_GET" in default_tk.inputs
     assert len(default_tk.inputs) == 10
-    assert default_tk.xss_sens == frozenset({"echo", "print", "exit"})
-    assert len(default_tk.sqli_sens) == 9
-    assert len(default_tk.xss_san) == 5
-    assert len(default_tk.sqli_san) == 5
+    names = _names_by_token(default_tk)
+    assert names["XSS_SENS"] == {"echo", "print", "exit"}
+    assert len(names["SQLi_SENS"]) == 9
+    assert len(names["XSS_SAN"]) == 5
+    assert len(names["SQLi_SAN"]) == 5
 
 
 TK_BLOCK_STYLE = """\
@@ -109,10 +118,9 @@ def test_block_and_flow_style_task_knowledge_loads(tmp_path):
     tk.write_text(TK_BLOCK_STYLE)
     assert load_task_knowledge(tk) == TaskKnowledge(
         inputs=frozenset({"$_GET", "$_POST"}),
-        xss_sens=frozenset({"echo", "print"}),
-        sqli_sens=frozenset({"mysql_query", "pg_query"}),
-        xss_san=frozenset({"htmlspecialchars"}),
-        sqli_san=frozenset({"addslashes"}))
+        calls={"echo": "XSS_SENS", "print": "XSS_SENS",
+               "mysql_query": "SQLi_SENS", "pg_query": "SQLi_SENS",
+               "htmlspecialchars": "XSS_SAN", "addslashes": "SQLi_SAN"})
 
 
 _LOAD_TK = """\
@@ -132,6 +140,9 @@ BAD_YAML = {
     "closed nesting": ("[" * 30000 + "]" * 30000, "not parseable"),
     "block nesting": ("- " * 30000 + "x", "not parseable"),
     "deepest nesting for libyaml": ("[" * 1000 + "]" * 1000, ""),
+    "unknown section": (
+        (Path(cca.__file__).parent / "data" / "task_knowledge.yaml").read_text("utf-8")
+        + "XSS_SENSE: [printf]\n", "unknown section 'XSS_SENSE'"),
 }
 
 
@@ -155,11 +166,12 @@ def test_malformed_or_over_nested_yaml_is_a_config_error(tmp_path, case,
 
 
 def test_task_knowledge_sets_disjoint(default_tk):
-    groups = [default_tk.xss_sens, default_tk.sqli_sens,
-              default_tk.xss_san, default_tk.sqli_san]
-    for i, a in enumerate(groups):
-        for b in groups[i + 1:]:
-            assert not (a & b)
+    # each call name has one token, and the 22 names of the bundled file
+    # all stay in the mapping
+    counts = Counter(default_tk.calls.values())
+    assert counts == {"XSS_SENS": 3, "SQLi_SENS": 9, "XSS_SAN": 5,
+                      "SQLi_SAN": 5}
+    assert not default_tk.inputs & default_tk.calls.keys()
 
 
 def test_function_lookup_is_case_insensitive(default_tk):
