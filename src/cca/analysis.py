@@ -72,9 +72,8 @@ from .errors import (
 )
 from .fileio import Cursor, atomic_write, blob
 from .index import (
-    ENTRY_HEAD,
-    SLOT_REF,
     EncryptedIndex,
+    payload_struct,
     plain_key,
     token_identity,
 )
@@ -135,9 +134,10 @@ def read_policy(path) -> dict[str, bool]:
         parts = line.split()
         if len(parts) != 2 or parts[0] not in ("allow", "deny"):
             raise UsageError(f"{path}:{lineno}: bad policy line {raw.strip()!r}")
-        task = parts[1].lower()
-        if task not in TASKS:
-            raise UsageError(f"{path}:{lineno}: unknown task {parts[1]!r}")
+        try:
+            task = task_name(parts[1])
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
         # deny wins over allow regardless of order
         if decisions.get(task) is not False:
             decisions[task] = parts[0] == "allow"
@@ -224,11 +224,6 @@ def load_query(path) -> Query:
 
 # --- index readers ------------------------------------------------------------
 
-# A plain value and a std payload: the head (the right token's identity
-# block or secret, and its entry count), then line, depth, order and type
-_INT_PAYLOAD = struct.Struct(ENTRY_HEAD.format + "4i")
-
-
 class Reader:
     """Reads the flow graph below a sink, token by token.
 
@@ -243,6 +238,11 @@ class Reader:
     def __init__(self, index) -> None:
         self.index = index
         self.size = len(index)  # no token has more entries
+
+    @functools.cached_property
+    def payload(self) -> struct.Struct:
+        """An index payload at the index's integer widths."""
+        return payload_struct(self.index.mode, self.index.widths)
 
     def graph(self, ref) -> list[list[tuple[int, PathNode]]]:
         """Walk the tokens a sink reaches, depth-first in entry order, and
@@ -302,7 +302,7 @@ class PlainReader(Reader):
             if value is None:
                 self._missed(counter, count)
                 break
-            right, entries, *fields = _INT_PAYLOAD.unpack(value)
+            right, entries, *fields = self.payload.unpack(value)
             (token,) = open_token_blocks(right)
             name = token and name_of(*token[1:])
             if name is None:
@@ -320,8 +320,6 @@ class IndexReader(Reader):
     A token's secret makes its lookup keys and, once one answers, its
     value key under the index's salt; entry c opens under the implicit
     nonce of counter c."""
-
-    payload = _INT_PAYLOAD
 
     def _read(self, secret: bytes, count: int | None) -> list[PathNode]:
         edges: list[PathNode] = []
@@ -351,23 +349,19 @@ class OreReader(IndexReader):
     A slot is opened when a decrypted entry first names it with that key,
     and kept for the reader's life.  Lines compare at the index's width."""
 
-    # the head, the line's slot reference, the scope tag
-    payload = struct.Struct(ENTRY_HEAD.format + "%ds%ds" % (SLOT_REF.size,
-                                                            KEY_BYTES))
-
     def __init__(self, index) -> None:
         super().__init__(index)
-        self._opened: dict[bytes, bytes] = {}  # slot reference -> ciphertext
+        # (slot number, slot key) -> ciphertext
+        self._opened: dict[tuple[int, bytes], bytes] = {}
 
     def _node(self, fields: tuple) -> PathNode:
-        right, count, line, scope = fields
-        return PathNode(right, None, scope, ref=right, ct=self._open(line),
-                        count=count)
+        right, count, number, key, scope = fields
+        return PathNode(right, None, scope, ref=right,
+                        ct=self._open(number, key), count=count)
 
-    def _open(self, ref: bytes) -> bytes:
-        ct = self._opened.get(ref)
+    def _open(self, number: int, key: bytes) -> bytes:
+        ct = self._opened.get((number, key))
         if ct is None:
-            number, key = SLOT_REF.unpack(ref)
             if number >= len(self.index.slots):
                 raise FormatError(f"index: slot {number} is past the end of "
                                   f"the {len(self.index.slots)}-slot table")
@@ -375,7 +369,7 @@ class OreReader(IndexReader):
             if len(ct) != ore_ciphertext_bytes(self.index.ore_width):
                 raise FormatError(f"index: slot {number} holds {len(ct)} "
                                   "bytes, not an order-revealing ciphertext")
-            self._opened[ref] = ct
+            self._opened[number, key] = ct
         return ct
 
     def graph(self, ref) -> list[list[tuple[int, PathNode]]]:

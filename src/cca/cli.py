@@ -187,6 +187,8 @@ def cmd_oracle(args) -> int:
 def cmd_stats(args) -> int:
     index = load_index(args.index)
     for key, value in index_stats(index).items():
+        if isinstance(value, dict):  # the integer widths: count=1 ...
+            value = " ".join(f"{name}={size}" for name, size in value.items())
         print(f"{key}: {value}")
     return 0
 

@@ -27,17 +27,21 @@ Three build modes share one container format:
   fields.
 
 Every mode stores fixed-width records, a 16-byte lookup key and a value
-whose width the mode sets (`VALUE_BYTES`), so the container needs no
-length prefixes.
+whose width the mode and the build's integer widths set (`value_bytes`),
+so the container needs no length prefixes.  Each build stores the entry
+count, the flow fields (plain and std) and the slot number (ore) at the
+fewest bytes that build needs, and the header holds those widths.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import secrets
 import struct
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .crypto import (
     DEFAULT_ORE_WIDTH,
@@ -65,26 +69,58 @@ from .fileio import Cursor, atomic_write
 from .itl import NUMBERED_FAMILIES, family
 
 _MAGIC = b"CCAIDX1\x00"
-_VERSION = 12
-SLOT_REF = struct.Struct(">I%ds" % KEY_BYTES)  # an ore line: slot, slot key
-# A payload's head: its right token (its block in plain mode, else its
-# secret) and that token's entry count
-ENTRY_HEAD = struct.Struct(">%dsH" % KEY_BYTES)
-MAX_ENTRY_COUNT = 0xFFFF  # the head holds the count as a u16
+_VERSION = 13
 FIELDS = ("line", "depth", "order", "type")  # an entry's flow fields
-_PACK_LAST = {n: struct.Struct(">%di" % n).pack for n in (3, 4)}  # of FIELDS
-# Record widths (docs/formats.md): every lookup key is 16 bytes, and a
-# value is the head and the fields, which std seals as four ints and ore
-# as the line's slot reference and the scope tag.
+_FIELD_ATTRS = ("line", "depth", "order", "cf_type")  # of ExtendedITLToken
+# The integers of a payload that each build stores at the fewest bytes it
+# needs (docs/formats.md, "Integer widths"), in the order the header
+# holds their widths: the right token's entry count, then the flow
+# fields in plain and std, or the line's slot number in ore.
+NARROWED = {"plain": ("count", *FIELDS), "std": ("count", *FIELDS),
+            "ore": ("count", "slot")}
+# Each integer's widths in bytes -> its struct code: counts and slot
+# numbers are unsigned, flow fields signed
+_CODES = {"count": {1: "B", 2: "H"}, "slot": {1: "B", 2: "H", 4: "I"},
+          **dict.fromkeys(FIELDS, {1: "b", 2: "h", 4: "i"})}
+MAX_ENTRY_COUNT = 0xFFFF  # a count takes at most 2 bytes
+_SCOPE_INTS = struct.Struct(">3i")  # depth, order and type in a scope tag
 LOOKUP_KEY_BYTES = KEY_BYTES
-VALUE_BYTES = {"plain": ENTRY_HEAD.size + 16,
-               "std": VALUE_OVERHEAD + ENTRY_HEAD.size + 16,
-               "ore": VALUE_OVERHEAD + ENTRY_HEAD.size + SLOT_REF.size
-               + KEY_BYTES}
 # An ore index's line widths, in bits: 1 to 4 whole blocks
 ORE_LINE_WIDTHS = range(ORE_BLOCK_BITS, DEFAULT_ORE_WIDTH + 1, ORE_BLOCK_BITS)
-# magic, version, mode, build salt, entry count
+# magic, version, mode, build salt, entry count; the widths come after
+# the salt
 _HEADER_BYTES = len(_MAGIC) + 2 + SALT_BYTES + 4
+
+
+@functools.lru_cache
+def payload_struct(mode: str, widths: tuple[int, ...]) -> struct.Struct:
+    """A payload at an index's integer widths: the right token (its block
+    in plain mode, else its secret) and its entry count, then the four
+    flow fields, or in ore mode the line's slot number and slot key and
+    the scope tag."""
+    codes = "".join(_CODES[name][size]
+                    for name, size in zip(NARROWED[mode], widths))
+    tail = "%ds%ds" % (KEY_BYTES, KEY_BYTES) if mode == "ore" else ""
+    return struct.Struct(">%ds%s%s" % (KEY_BYTES, codes, tail))
+
+
+def value_bytes(mode: str, widths: tuple[int, ...]) -> int:
+    """Width of an index value: the payload, sealed outside plain mode."""
+    return payload_struct(mode, widths).size + (
+        0 if mode == "plain" else VALUE_OVERHEAD)
+
+
+def _width_error(mode: str, widths: tuple[int, ...]) -> str | None:
+    """What is wrong with an index's integer widths, or None."""
+    names = NARROWED[mode]
+    if len(widths) != len(names):
+        return (f"{mode} indexes hold {len(names)} integer widths, "
+                f"not {len(widths)}")
+    for name, size in zip(names, widths):
+        if size not in _CODES[name]:
+            *most, last = map(str, _CODES[name])
+            return f"{name} width {size}, not {', '.join(most)} or {last} bytes"
+    return None
 
 
 @dataclass
@@ -95,6 +131,8 @@ class EncryptedIndex:
     # ore mode: each distinct line ciphertext, sealed under its own key
     slots: list[bytes] = field(default_factory=list)
     ore_width: int = 0  # ore mode: the bits every line is encrypted at
+    # each NARROWED integer's width in bytes, in NARROWED[mode] order
+    widths: tuple[int, ...] = ()
 
     def lookup(self, key: bytes) -> bytes | None:
         return self.table.get(key)
@@ -144,16 +182,18 @@ def build_index(
 
     A name count above MAX_NAME_COUNT, or a left token with more than
     MAX_ENTRY_COUNT entries, is a ConfigError, and two entries with one
-    lookup key are a ValueError.  In ore mode each distinct line is
-    encrypted once per build, at the fewest blocks the largest line
-    needs, and sealed once, in a slot of a random number (see
-    docs/formats.md); a line past DEFAULT_ORE_WIDTH bits is a
+    lookup key are a ValueError.  Counts, flow fields and slot numbers
+    take the fewest bytes the build needs (`_widths`).  In ore mode each
+    distinct line is encrypted once per build, at the fewest blocks the
+    largest line needs, and sealed once, in a slot of a random number
+    (see docs/formats.md); a line past DEFAULT_ORE_WIDTH bits is a
     ConfigError.  names maps file ids to the paths errors name.
     """
     if mode not in MODES:
         raise ValueError(f"unknown index mode {mode!r}")
     names = names or {}
-    refs, slots = {}, []  # ore: line -> its SLOT_REF, and the slot table
+    # ore: line -> its (slot number, slot key), and the slot table
+    refs, slots = {}, []
     width = 0  # ore: the line width in bits
     if mode == "ore":
         line_key = derive_ore_key(keys.ore_line)
@@ -191,9 +231,11 @@ def build_index(
     token_keys = dict(zip(owned, blocks if mode == "plain"
                           else derive_secrets(keys, b"".join(blocks))))
 
+    widths = _widths(mode, files, len(slots))
+    pack = payload_struct(mode, widths).pack
     salt = os.urandom(SALT_BYTES)
     entries: list[tuple[bytes, bytes]] = []
-    for file_id, path, by_left, _ in files:
+    for file_id, _, by_left, _ in files:
         scope_file = file_id.to_bytes(4, "big")  # a scope block's first field
         for left, pairs in by_left.items():
             if mode != "plain":  # one secret, and one sealer, per left token
@@ -201,20 +243,22 @@ def build_index(
                 seal = value_sealer(derive_value_key(s_left, salt))
             for counter, pair in enumerate(pairs, start=1):
                 right = pair.right
-                values = (right.line, right.depth, right.order, right.cf_type)
-                head = ENTRY_HEAD.pack(token_keys[file_id, right.token],
-                                       len(by_left.get(right.token, ())))
+                secret = token_keys[file_id, right.token]
+                count = len(by_left.get(right.token, ()))
+                if mode == "ore":  # the line's slot, then the scope tag
+                    payload = pack(secret, count, *refs[right.line],
+                                   seal_scope(scope_file + _SCOPE_INTS.pack(
+                                       right.depth, right.order,
+                                       right.cf_type)))
+                else:
+                    payload = pack(secret, count, right.line, right.depth,
+                                   right.order, right.cf_type)
                 if mode == "plain":
                     key = plain_key(token_keys[file_id, left], counter)
-                    value = head + _int32s(path, values)
+                    value = payload
                 else:
                     key = det_encrypt(s_left, counter.to_bytes(4, "big"))
-                    if mode == "ore":  # the line's slot, then the scope tag
-                        fields = refs[right.line] + seal_scope(
-                            scope_file + _int32s(path, values[1:]))
-                    else:
-                        fields = _int32s(path, values)
-                    value = seal(counter, head + fields)
+                    value = seal(counter, payload)
                 entries.append((key, value))
 
     if mode != "plain":
@@ -222,7 +266,53 @@ def build_index(
     table = dict(entries)
     if len(table) != len(entries):
         raise ValueError("two index entries share a lookup key")
-    return EncryptedIndex(mode, salt, table, slots, width), counts
+    return EncryptedIndex(mode, salt, table, slots, width, widths), counts
+
+
+def _widths(mode: str, files: list, slot_count: int) -> tuple[int, ...]:
+    """The integer widths of one build, in NARROWED[mode] order: the
+    fewest bytes that hold the most entries of any left token, then in
+    ore mode the largest slot number, else every value of each flow
+    field, signed.  A signed field value past 32 bits is a ConfigError,
+    in ore mode too, whose scope tags hold depth, order and type so."""
+    most = max((len(pairs) for _, _, by_left, _ in files
+                for pairs in by_left.values()), default=0)
+    rights = [pair.right for _, _, by_left, _ in files
+              for pairs in by_left.values() for pair in pairs]
+    sizes = []
+    for name, attr in zip(FIELDS, _FIELD_ATTRS):
+        if mode == "ore" and name == "line":  # ore lines are unsigned
+            continue
+        values = list(map(attrgetter(attr), rights))
+        size = _signed_bytes(min(values, default=0), max(values, default=0))
+        if size is None:  # name the first file holding a value out of range
+            value, path = next(
+                (getattr(pair.right, attr), path)
+                for _, path, by_left, _ in files for pairs in by_left.values()
+                for pair in pairs
+                if not -2**31 <= getattr(pair.right, attr) < 2**31)
+            raise ConfigError(
+                f"{path}: {name} value {value} is out of range for signed "
+                f"32-bit fields [{-2**31}, {2**31 - 1}]")
+        sizes.append(size)
+    if mode == "ore":
+        return _unsigned_bytes(most), _unsigned_bytes(max(slot_count - 1, 0))
+    return (_unsigned_bytes(most), *sizes)
+
+
+def _unsigned_bytes(top: int) -> int:
+    """The fewest of 1, 2 or 4 bytes that hold 0 to top."""
+    return next(size for size in (1, 2, 4) if top >> 8 * size == 0)
+
+
+def _signed_bytes(low: int, high: int) -> int | None:
+    """The fewest of 1, 2 or 4 bytes whose signed range holds low to
+    high, or None."""
+    for size in (1, 2, 4):
+        bound = 1 << 8 * size - 1
+        if -bound <= low and high < bound:
+            return size
+    return None
 
 
 def _shuffled(entries) -> list:
@@ -244,31 +334,18 @@ def _ore_line(key, line: int, path: str, width: int) -> bytes:
             f"{DEFAULT_ORE_WIDTH}-bit ORE fields") from exc
 
 
-def _int32s(path: str, values: tuple[int, ...]) -> bytes:
-    """The last len(values) FIELDS as big-endian signed 32-bit integers
-    (plain and std entries, scope tags); ConfigError names one out of
-    range."""
-    try:
-        return _PACK_LAST[len(values)](*values)
-    except struct.error:
-        name, value = next((name, v) for name, v in zip(
-            FIELDS[-len(values):], values) if not -2**31 <= v < 2**31)
-        raise ConfigError(
-            f"{path}: {name} value {value} is out of range for signed "
-            f"32-bit fields [{-2**31}, {2**31 - 1}]") from None
-
-
 def _seal_slots(cts: dict) -> tuple[dict, list[bytes]]:
     """Seal each ciphertext once, under a fresh key, in a slot of the
     table.  Slot numbers are a random permutation, drawn before anything
     is sealed, so they follow neither first use nor value order.  Returns
-    each ciphertext's key in cts -> its `SLOT_REF`, and the table."""
+    each ciphertext's key in cts -> its (slot number, slot key), and the
+    table."""
     numbers = _shuffled(range(len(cts)))
     refs, slots = {}, [b""] * len(cts)
     for (pair, ct), number in zip(cts.items(), numbers):
         key = secrets.token_bytes(KEY_BYTES)
         slots[number] = rnd_encrypt(key, ct)
-        refs[pair] = SLOT_REF.pack(number, key)
+        refs[pair] = number, key
     return refs, slots
 
 
@@ -281,12 +358,16 @@ def slot_bytes(width: int) -> int:
 
 def serialize_index(index: EncryptedIndex) -> bytes:
     """The container: header, then the entries as fixed-width records,
-    then in ore mode the line width in blocks and the slots; a salt, key,
-    value or slot of another width than the mode's, or an ore line width
-    not in ORE_LINE_WIDTHS, is a ValueError."""
+    then in ore mode the line width in blocks and the slots; integer
+    widths outside their sets, a salt, key, value or slot of another
+    width than the mode and the widths make, or an ore line width not in
+    ORE_LINE_WIDTHS, is a ValueError."""
     if len(index.salt) != SALT_BYTES:
         raise ValueError(f"an index salt is {SALT_BYTES} bytes")
-    width = VALUE_BYTES[index.mode]
+    problem = _width_error(index.mode, index.widths)
+    if problem:
+        raise ValueError(f"index: {problem}")
+    width = value_bytes(index.mode, index.widths)
     if any(len(key) != LOOKUP_KEY_BYTES or len(value) != width
            for key, value in index.table.items()):
         raise ValueError(f"an index record is a {LOOKUP_KEY_BYTES}-byte key "
@@ -301,7 +382,8 @@ def serialize_index(index: EncryptedIndex) -> bytes:
         tail = [struct.pack(">BI", bits // ORE_BLOCK_BITS, len(index.slots)),
                 *index.slots]
     return b"".join([_MAGIC, bytes([_VERSION, MODES.index(index.mode)]),
-                     index.salt, struct.pack(">I", len(index.table)),
+                     index.salt, bytes(index.widths),
+                     struct.pack(">I", len(index.table)),
                      *(key + value for key, value in index.table.items()),
                      *tail])
 
@@ -317,7 +399,11 @@ def deserialize_index(data: bytes) -> EncryptedIndex:
     cur = Cursor(data, "index", _MAGIC, _VERSION)
     mode = cur.code(MODES, "mode")
     salt = cur.take(SALT_BYTES)
-    width = LOOKUP_KEY_BYTES + VALUE_BYTES[mode]
+    widths = tuple(cur.take(len(NARROWED[mode])))
+    problem = _width_error(mode, widths)
+    if problem:
+        raise FormatError(f"index: {problem}")
+    width = LOOKUP_KEY_BYTES + value_bytes(mode, widths)
     body, starts = _records(cur, width)
     table = {body[i:i + LOOKUP_KEY_BYTES]: body[i + LOOKUP_KEY_BYTES:i + width]
              for i in starts}
@@ -334,7 +420,7 @@ def deserialize_index(data: bytes) -> EncryptedIndex:
         body, starts = _records(cur, size)
         slots = [body[i:i + size] for i in starts]
     cur.finish()
-    return EncryptedIndex(mode, salt, table, slots, line_width)
+    return EncryptedIndex(mode, salt, table, slots, line_width, widths)
 
 
 def index_stats(index: EncryptedIndex) -> dict:
@@ -347,10 +433,11 @@ def index_stats(index: EncryptedIndex) -> dict:
         "value_bytes": sorted({len(v) for v in index.table.values()}),
         "slots": len(index.slots),
         "ore_width": index.ore_width,
+        "int_bytes": dict(zip(NARROWED[index.mode], index.widths)),
         "slot_bytes": sum(map(len, index.slots)),
         # in ore mode the width byte, the slot count and the slots
-        "container_bytes": _HEADER_BYTES + len(index) * (
-            LOOKUP_KEY_BYTES + VALUE_BYTES[index.mode]) + (
+        "container_bytes": _HEADER_BYTES + len(index.widths) + len(index) * (
+            LOOKUP_KEY_BYTES + value_bytes(index.mode, index.widths)) + (
             5 + slot_bytes(index.ore_width) * len(index.slots)
             if index.mode == "ore" else 0),
     }

@@ -128,16 +128,16 @@ def reseal_sink_line_slot(index, keys, edit) -> tuple[int, bytes]:
     """Re-seal file 0's first XSS_SENS entry of an ore index, with the
     (slot number, slot key) of its line field replaced by edit(number,
     key).  Returns the number and key it named before."""
-    from cca.index import ENTRY_HEAD, SLOT_REF
+    from cca.index import payload_struct
 
-    start = ENTRY_HEAD.size  # the line's reference follows the head
-    end = start + SLOT_REF.size
+    # right, count, slot number, slot key, scope tag
+    fields = payload_struct(index.mode, index.widths)
 
     def reref(payload: bytes) -> bytes:
-        ref = SLOT_REF.pack(*edit(*SLOT_REF.unpack(payload[start:end])))
-        return payload[:start] + ref + payload[end:]
+        right, count, number, key, tag = fields.unpack(payload)
+        return fields.pack(right, count, *edit(number, key), tag)
 
-    return SLOT_REF.unpack(reseal_sink_entry(index, keys, reref)[start:end])
+    return tuple(fields.unpack(reseal_sink_entry(index, keys, reref))[2:4])
 
 
 def _slot_past_the_end(index, keys):
@@ -180,12 +180,13 @@ def _set_sink_right_count(count):
     """Damage: file 0's first sink entry gives its right token count(n)
     entries, where it has n."""
     def damage(index, keys):
-        from cca.index import ENTRY_HEAD
+        from cca.index import payload_struct
+
+        fields = payload_struct(index.mode, index.widths)
 
         def recount(payload: bytes) -> bytes:
-            right, n = ENTRY_HEAD.unpack_from(payload)
-            return (ENTRY_HEAD.pack(right, count(n, len(index)))
-                    + payload[ENTRY_HEAD.size:])
+            right, n, *rest = fields.unpack(payload)
+            return fields.pack(right, count(n, len(index)), *rest)
 
         reseal_sink_entry(index, keys, recount)
     return damage
@@ -195,10 +196,10 @@ def _right_entry_deleted(index, keys):
     """Damage: the first entry of the right token of file 0's first sink
     entry is gone from the table."""
     from cca.crypto import det_encrypt
-    from cca.index import ENTRY_HEAD
+    from cca.index import payload_struct
 
     payload = reseal_sink_entry(index, keys, lambda p: p)
-    right, count = ENTRY_HEAD.unpack_from(payload)
+    right, count, *_ = payload_struct(index.mode, index.widths).unpack(payload)
     assert count > 0
     del index.table[det_encrypt(right, (1).to_bytes(4, "big"))]
 

@@ -289,6 +289,15 @@ def test_policy_unknown_task_rejected(tmp_path):
         read_policy(policy)
 
 
+def test_policy_unknown_task_lists_the_tasks_at_its_line(tmp_path):
+    # the message of task_name, which --task gives too, after the place
+    policy = write_policy(tmp_path, "deny xss\nallow RCE\n")
+    with pytest.raises(UsageError) as exc:
+        read_policy(policy)
+    assert str(exc.value) == (f"{policy}:2: unknown task 'RCE'; expected "
+                              "one of ('xss', 'sqli')")
+
+
 def test_policy_not_utf8_rejected_naming_the_file(tmp_path):
     policy = tmp_path / "policy.txt"
     policy.write_bytes(b"\xffallow xss\n")

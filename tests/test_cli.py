@@ -16,7 +16,7 @@ from cca import __version__
 from cca.analysis import NODE_FIELDS, load_query, save_query
 from cca.cli import main
 from cca.crypto import load_keys, token_block
-from cca.index import load_index, plain_key, save_index
+from cca.index import load_index, payload_struct, plain_key, save_index
 
 from conftest import (
     HOSTILE_ENTRIES,
@@ -266,8 +266,8 @@ def test_stats_command(tmp_path, app_dir, capsys):
     assert "slots: 6" in out.splitlines()
 
 
-@pytest.mark.parametrize("flag,width", [("", 70), ("--no-ore", 50),
-                                        ("--no-encryption", 34)])
+@pytest.mark.parametrize("flag,width", [("", 66), ("--no-ore", 37),
+                                        ("--no-encryption", 21)])
 def test_stats_prints_the_record_widths(tmp_path, app_dir, capsys, flag,
                                         width):
     index = tmp_path / "i"
@@ -282,6 +282,17 @@ def test_stats_prints_the_record_widths(tmp_path, app_dir, capsys, flag,
     # 1-6 take one block
     at = lines.index(f"ore_width: {0 if flag else 8}")
     assert lines[at - 1] == f"slots: {0 if flag else 6}"
+    # then the integer widths in bytes: every count, field (lines 1-6,
+    # depth 0) and slot number of this app fits one byte
+    assert lines[at + 1] == ("int_bytes: count=1 slot=1" if not flag else
+                             "int_bytes: count=1 line=1 depth=1 order=1 "
+                             "type=1")
+    # the header (30 bytes and the widths), 6 records of 16 + width, and
+    # in ore the line width byte, the slot count and 6 slots of 125 bytes
+    size = 30 + (2 if not flag else 5) + 6 * (16 + width)
+    if not flag:
+        size += 1 + 4 + 6 * 125
+    assert lines[-1] == f"container_bytes: {size}"
 
 
 def test_bench_command(app_dir, capsys):
@@ -535,8 +546,8 @@ def _set_sink_value(right: bytes):
     entries, line 5 and scope (0, 0, 0)."""
     def damage(paths):
         index = load_index(paths["index"])
-        index.table[PLAIN_SINK_KEY] = right + struct.pack(">H4i", 0, 5, 0, 0,
-                                                          0)
+        index.table[PLAIN_SINK_KEY] = payload_struct(
+            "plain", index.widths).pack(right, 0, 5, 0, 0, 0)
         save_index(paths["index"], index)
     return damage
 
@@ -580,11 +591,33 @@ def _set_byte(name: str, offset: int, value: int):
 
 
 def _set_ore_width_byte(blocks: int):
-    """Damage: an ore container's line width byte, after its entries."""
+    """Damage: an ore container's line width byte, after its entries: a
+    header of 30 bytes and 2 integer widths, and records of 16 + 66 bytes
+    at one byte per integer."""
     def damage(paths):
-        (count,) = struct.unpack_from(">I", paths["index"].read_bytes(), 26)
-        _set_byte("index", 30 + count * (16 + 70), blocks)(paths)
+        (count,) = struct.unpack_from(">I", paths["index"].read_bytes(), 28)
+        _set_byte("index", 32 + count * (16 + 66), blocks)(paths)
     return damage
+
+
+# The integer width bytes follow the 16-byte salt at byte 26, in the
+# order of cca.index.NARROWED: count, line, depth, order, type in plain
+# and std, count, slot in ore
+WIDTH_AT = {name: 26 + i for i, name in enumerate(
+    ("count", "line", "depth", "order", "type"))} | {"slot": 27}
+# (mode, encrypt flag, integer, width byte) -> what the error names
+BAD_WIDTHS = {
+    ("std", "--no-ore", "count", 0): "count width 0, not 1 or 2 bytes",
+    ("std", "--no-ore", "count", 4): "count width 4, not 1 or 2 bytes",
+    ("std", "--no-ore", "line", 3): "line width 3, not 1, 2 or 4 bytes",
+    ("std", "--no-ore", "type", 5): "type width 5, not 1, 2 or 4 bytes",
+    ("plain", "--no-encryption", "depth", 0):
+        "depth width 0, not 1, 2 or 4 bytes",
+    ("ore", "", "count", 3): "count width 3, not 1 or 2 bytes",
+    ("ore", "", "slot", 0): "slot width 0, not 1, 2 or 4 bytes",
+    ("ore", "", "slot", 3): "slot width 3, not 1, 2 or 4 bytes",
+    ("ore", "", "slot", 5): "slot width 5, not 1, 2 or 4 bytes",
+}
 
 
 def _widen_query_sink_secret(n: int):
@@ -674,6 +707,14 @@ MALFORMED = {
         "", _set_ore_width_byte(5), "analyse"),
     "ore index with line width byte 5 (stats)": (
         "", _set_ore_width_byte(5), "stats"),
+    "ore index of version 12": ("", _set_byte("index", 8, 12), "analyse"),
+    "std index of version 12 (stats)": (
+        "--no-ore", _set_byte("index", 8, 12), "stats"),
+    **{f"{mode} index with {name} width byte {size}": (
+        flag, _set_byte("index", WIDTH_AT[name], size), "analyse")
+       for mode, flag, name, size in BAD_WIDTHS},
+    "ore index with slot width byte 5 (stats)": (
+        "", _set_byte("index", WIDTH_AT["slot"], 5), "stats"),
     # a name is n slot bytes and 8 check bytes, for n of 1 to 4
     "report ore name of 8 bytes": (
         "", _edit_report(lambda r: _sink(r).update(line="ore:" + "ab" * 8)),
@@ -744,6 +785,12 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                       "ORE lines of 5 blocks, not 1 to 4",
                   "ore index with line width byte 5 (stats)":
                       "ORE lines of 5 blocks, not 1 to 4",
+                  "ore index of version 12": "unsupported version 12",
+                  "std index of version 12 (stats)": "unsupported version 12",
+                  **{f"{mode} index with {name} width byte {size}": says
+                     for (mode, _, name, size), says in BAD_WIDTHS.items()},
+                  "ore index with slot width byte 5 (stats)":
+                      "slot width 5, not 1, 2 or 4 bytes",
                   "report ore name of 8 bytes": "is not an ore name",
                   "report ore name of 13 bytes": "is not an ore name",
                   **{f"{mode} index with {case}": says
@@ -810,6 +857,21 @@ def test_policy_denial_is_exit_code_3(tmp_path, app_dir, capsys):
     assert run("authorise", "--keys", keys, "--task", "xss",
                "--policy", policy) == 3
     assert "authorization denied:" in capsys.readouterr().err
+
+
+def test_policy_naming_an_unknown_task_is_exit_code_1(tmp_path, app_dir,
+                                                      capsys):
+    keys = tmp_path / "k"
+    policy = tmp_path / "policy.txt"
+    policy.write_text("allow rce\n")
+    run("encrypt", "--src", app_dir, "--index", tmp_path / "i", "--keys", keys)
+    capsys.readouterr()
+    assert run("authorise", "--keys", keys, "--task", "xss",
+               "--policy", policy) == 1
+    # the line's place, then the message --task gives, with the tasks
+    assert capsys.readouterr().err == (
+        f"usage error: {policy}:1: unknown task 'rce'; expected one of "
+        "('xss', 'sqli')\n")
 
 
 def test_version_flag(capsys):

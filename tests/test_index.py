@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 import cca.crypto
 import cca.index
 from cca import (
+    analyse,
     authorise,
     build_index,
+    decrypt_report,
     det_encrypt,
     generate_master_keys,
     lex,
@@ -56,17 +59,17 @@ from cca.errors import (
     KeyMismatchError,
 )
 from cca.index import (
-    ENTRY_HEAD,
-    SLOT_REF,
-    EncryptedIndex,
+    FIELDS,
     deserialize_index,
     index_stats,
     load_index,
+    payload_struct,
     plain_key,
     save_index,
     serialize_index,
     token_identity,
 )
+from cca.oracle import plaintext_analyse
 from corpus import CORPUS
 
 
@@ -92,13 +95,14 @@ def _as_text(key: bytes, value: bytes) -> tuple[str, str]:
     """A plain entry written out: `FILEID:TOKEN#COUNTER` for the key (the
     left token's identity block, its last four bytes the counter) and
     `FILEID:RIGHT|count|line|depth|order|type` for the value (the right
-    token's block, its u16 entry count and four signed 32-bit fields)."""
+    token's block, then its entry count and four signed fields, one byte
+    each: every width of a figure build)."""
     file_id, code, number, zeros, counter = struct.unpack(">IBI3sI", key)
     assert zeros == bytes(3)
     ((right_file, right_code, right_number),) = open_token_blocks(value[:16])
     right = token_identity(right_file, name_of(right_code, right_number))
     return (f"{token_identity(file_id, name_of(code, number))}#{counter}",
-            "|".join([right, *map(str, struct.unpack(">H4i", value[16:]))]))
+            "|".join([right, *map(str, struct.unpack(">B4b", value[16:]))]))
 
 
 def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
@@ -107,7 +111,9 @@ def test_plain_mode_keys_and_values(fig_dcfg, master, monkeypatch):
     index, _ = build_index([(0, fig_dcfg)], master, mode="plain")
 
     assert {len(k) for k in index.table} == {16}
-    assert {len(v) for v in index.table.values()} == {34}
+    # the count and the four fields each fit one byte
+    assert index.widths == (1, 1, 1, 1, 1)
+    assert {len(v) for v in index.table.values()} == {21}
     entries = dict(_as_text(k, v) for k, v in index.table.items())
     assert entries == {
         "0:VAR0#1": "0:INPUT|0|2|0|0|0",
@@ -158,12 +164,12 @@ def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     blob = index.lookup(probe)
     assert blob is not None
 
-    assert len(blob) == 34 + 16  # no nonce: the counter's is implicit
+    assert len(blob) == 21 + 16  # no nonce: the counter's is implicit
     payload = rnd_decrypt(derive_value_key(s_sens, index.salt),
                           counter_nonce(1) + blob)
-    # S_right || its u16 entry count || four signed 32-bit fields
-    assert len(payload) == 34
-    s_right, count, *fields = struct.unpack(">16sH4i", payload)
+    # S_right || its entry count || four signed fields, each one byte
+    assert len(payload) == 21
+    s_right, count, *fields = struct.unpack(">16sB4b", payload)
     assert [s_right] == derive_det_keys(master, [token_identity(0, "VAR0")])
     assert (count, *fields) == (1, 6, 0, 0, 0)
 
@@ -389,9 +395,9 @@ def _slot_refs(index, counts, master):
                 payload = rnd_decrypt(derive_value_key(secret, index.salt),
                                       counter_nonce(counter) + blob)
                 # S_right || count || line slot reference || scope tag
-                assert len(payload) == 54
-                ref = SLOT_REF.unpack_from(payload, ENTRY_HEAD.size)
-                yield file_id, ref, payload[ENTRY_HEAD.size + SLOT_REF.size:]
+                _, _, *ref, tag = payload_struct("ore", index.widths).unpack(
+                    payload)
+                yield file_id, tuple(ref), tag
                 counter += 1
 
 
@@ -467,9 +473,10 @@ def test_each_slot_holds_one_distinct_ciphertext_under_its_own_key(
     assert index.ore_width == 8
     assert {len(slot) for slot in index.slots} == {
         12 + ore_ciphertext_bytes(8) + 16}
-    # an ore entry seals S_right || u16 count || u32 slot || slot key ||
-    # tag, and stores no nonce
-    assert {len(v) for v in index.table.values()} == {54 + 16}
+    # an ore entry seals S_right || count || slot || slot key || tag, the
+    # count and the slot number one byte each, and stores no nonce
+    assert index.widths == (1, 1)
+    assert {len(v) for v in index.table.values()} == {50 + 16}
 
 
 def test_corpus_slot_table_holds_each_distinct_line_once(
@@ -610,7 +617,7 @@ def test_ore_lines_take_the_fewest_blocks_the_largest_line_needs(
     assert {len(slot) for slot in index.slots} == {44 + 81 * blocks}
     blob = serialize_index(index)
     # the width byte, in blocks, follows the entries
-    assert blob[30 + len(index) * (16 + 70)] == blocks
+    assert blob[32 + len(index) * (16 + 66)] == blocks
     back = deserialize_index(blob)
     assert (back.ore_width, back.slots) == (index.ore_width, index.slots)
     lines = {line for _, line, _, _, _ in _field_values(index, counts, master)}
@@ -627,7 +634,7 @@ def test_an_ore_build_without_lines_takes_one_block(master):
 def test_ore_width_byte_outside_1_to_4_is_rejected(fig_dcfg, master, blocks):
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = bytearray(serialize_index(index))
-    at = 30 + len(index) * (16 + 70)
+    at = 32 + len(index) * (16 + 66)
     assert blob[at] == 1
     blob[at] = blocks
     with pytest.raises(FormatError, match=f"ORE lines of {blocks} blocks, "
@@ -637,6 +644,19 @@ def test_ore_width_byte_outside_1_to_4_is_rejected(fig_dcfg, master, blocks):
     blob[at] = 2
     with pytest.raises(FormatError):
         deserialize_index(bytes(blob))
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_a_field_out_of_signed_32_bits_names_the_file_that_holds_it(
+        master, mode):
+    # the widths come from the whole build; the error names the file
+    ok = DCFG([DCFGPair("XSS_SENS", ExtendedITLToken("INPUT", 1, 0, 0, 0))])
+    bad = DCFG([DCFGPair("XSS_SENS", ExtendedITLToken("INPUT", 1, -2**31 - 1,
+                                                      0, 0))])
+    with pytest.raises(ConfigError, match=r"^b\.php: depth value -2147483649 "
+                                          r"is out of range for signed 32-bit"):
+        build_index([(0, ok), (1, bad), (2, ok)], master, mode=mode,
+                    names={0: "a.php", 1: "b.php", 2: "c.php"})
 
 
 def test_std_field_out_of_signed_32_bits_names_file_field_and_range(master):
@@ -691,7 +711,7 @@ def test_bad_magic_rejected(fig_dcfg, master):
         deserialize_index(b"XXXXXXXX" + blob[8:])
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # version 1 sealed values with CBC + HMAC, version 2 masked ore fields
     # with SHA-256, version 3 held the DET hash and the ORE width, version
@@ -701,8 +721,9 @@ def test_old_index_version_rejected_by_name(fig_dcfg, master, version):
     # with HMAC-SHA256 and tagged scopes under per-file keys, version 8
     # wrote a length before every record and held 20-byte lookup keys,
     # version 9 sealed D and R keys in every value, version 10 stored a
-    # nonce in every value and no salt or entry counts, and version 11
-    # encrypted every line at 32 bits and stored no width
+    # nonce in every value and no salt or entry counts, version 11
+    # encrypted every line at 32 bits and stored no width, and version 12
+    # stored every count, field and slot number at its widest
     index, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     blob = serialize_index(index)
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -715,8 +736,12 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert stats["entries"] == 6
     assert stats["mode"] == "std"
     assert stats["key_bytes"] == [16]
-    assert stats["value_bytes"] == [34 + 16]
-    assert stats["container_bytes"] == 30 + 6 * (16 + 50)
+    assert stats["value_bytes"] == [21 + 16]
+    # the count and the four fields of lines 2-7 each fit one byte
+    assert stats["int_bytes"] == dict.fromkeys(
+        ["count", "line", "depth", "order", "type"], 1)
+    # a header of 30 bytes and the 5 widths
+    assert stats["container_bytes"] == 35 + 6 * (16 + 37)
     assert stats["slots"] == stats["slot_bytes"] == stats["ore_width"] == 0
     ore, _ = build_index([(0, fig_dcfg)], master, mode="ore")
     stats = index_stats(ore)
@@ -724,30 +749,36 @@ def test_stats_report_counts_and_sizes(fig_dcfg, master):
     assert (stats["slots"], stats["ore_width"]) == (6, 8)
     assert stats["slot_bytes"] == 6 * (12 + 97 + 16) == 6 * 125
     assert stats["key_bytes"] == [16]
-    assert stats["value_bytes"] == [54 + 16]
-    # the entries, then the width byte, the slot count and the slots
-    assert stats["container_bytes"] == 30 + 6 * (16 + 70) + 1 + 4 + 6 * 125
+    assert stats["value_bytes"] == [50 + 16]
+    assert stats["int_bytes"] == {"count": 1, "slot": 1}
+    # a header with 2 widths, the entries, then the line width byte, the
+    # slot count and the slots
+    assert stats["container_bytes"] == 32 + 6 * (16 + 66) + 1 + 4 + 6 * 125
     assert list(stats).index("ore_width") == list(stats).index("slots") + 1
+    assert list(stats).index("int_bytes") == list(stats).index("ore_width") + 1
     plain, _ = build_index([(0, fig_dcfg)], master, mode="plain")
     stats = index_stats(plain)
-    assert (stats["key_bytes"], stats["value_bytes"]) == ([16], [16 + 18])
+    assert (stats["key_bytes"], stats["value_bytes"]) == ([16], [16 + 5])
     assert stats["ore_width"] == 0
 
 
 # --- fixed-width records ---------------------------------------------------------
 
-VALUE_WIDTHS = {"plain": 34, "std": 50, "ore": 70}
+# at one byte per integer; a header holds 5 widths in plain and std, 2 in ore
+VALUE_WIDTHS = {"plain": 21, "std": 37, "ore": 66}
+HEADER_BYTES = {"plain": 35, "std": 35, "ore": 32}
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
 def test_container_size_is_fixed_width_records(fig_dcfg, master, mode):
-    # no length prefixes: a 30-byte header with the build salt, N records
-    # of 16 + w bytes, and in ore a width byte (n = 1: lines 2-7), a slot
-    # count and S slots of 44 + 81 n = 125 bytes
+    # no length prefixes: a 30-byte header with the build salt, and 5 or
+    # 2 integer widths, N records of 16 + w bytes, and in ore a width
+    # byte (n = 1: lines 2-7), a slot count and S slots of 44 + 81 n =
+    # 125 bytes
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
     n, s = len(index), len(index.slots)
     assert (n, s) == (6, 6 if mode == "ore" else 0)
-    expected = 30 + n * (16 + VALUE_WIDTHS[mode])
+    expected = HEADER_BYTES[mode] + n * (16 + VALUE_WIDTHS[mode])
     if mode == "ore":
         expected += 1 + 4 + s * 125
     assert len(serialize_index(index)) == expected
@@ -782,15 +813,15 @@ def test_a_count_past_the_end_is_truncation_before_any_record(
         fig_dcfg, master, mode):
     index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
     blob = serialize_index(index)
-    width = 16 + VALUE_WIDTHS[mode]
-    for count in ((len(blob) - 30) // width + 1, 2**32 - 1):
-        bad = blob[:26] + struct.pack(">I", count) + blob[30:]
-        # the records start at byte 30, after the salt and the count, and
+    width, at = 16 + VALUE_WIDTHS[mode], HEADER_BYTES[mode]
+    for count in ((len(blob) - at) // width + 1, 2**32 - 1):
+        bad = blob[:at - 4] + struct.pack(">I", count) + blob[at:]
+        # the records start after the salt, the widths and the count, and
         # none of them is read
-        with pytest.raises(FormatError, match="truncated at byte 30$"):
+        with pytest.raises(FormatError, match=f"truncated at byte {at}$"):
             deserialize_index(bad)
     if mode == "ore":  # past the width byte
-        table_at = 30 + len(index) * width + 1
+        table_at = at + len(index) * width + 1
         bad = blob[:table_at] + struct.pack(">I", 7) + blob[table_at + 4:]
         with pytest.raises(FormatError, match=f"truncated at byte "
                                               f"{table_at + 4}$"):
@@ -806,20 +837,16 @@ def test_serialize_rejects_a_key_value_or_slot_of_the_wrong_width(
                   {key: value + b"\0"}, {key: value[:-1]}):
         with pytest.raises(ValueError, match="16-byte key and a "
                                              f"{VALUE_WIDTHS[mode]}-byte value"):
-            serialize_index(EncryptedIndex(mode, index.salt, table,
-                                           index.slots))
+            serialize_index(replace(index, table=table))
     for salt in (index.salt[:-1], index.salt + b"\0"):
         with pytest.raises(ValueError, match="salt is 16 bytes"):
-            serialize_index(EncryptedIndex(mode, salt, index.table,
-                                           index.slots))
+            serialize_index(replace(index, salt=salt))
     if mode == "ore":
         with pytest.raises(ValueError, match="slot is 125 bytes at 8-bit"):
-            serialize_index(EncryptedIndex(mode, index.salt, index.table,
-                                           [index.slots[0][:-1]], 8))
+            serialize_index(replace(index, slots=[index.slots[0][:-1]]))
         for width in (0, 12, 40):
             with pytest.raises(ValueError, match=f"not {width}$"):
-                serialize_index(EncryptedIndex(mode, index.salt, index.table,
-                                               index.slots, width))
+                serialize_index(replace(index, ore_width=width))
 
 
 def test_entries_sort_on_fresh_tags_drawn_in_one_call(fig_dcfg, master,
@@ -841,3 +868,103 @@ def test_entries_sort_on_fresh_tags_drawn_in_one_call(fig_dcfg, master,
              for left, pairs in fig_dcfg.by_left().items()
              for counter in range(1, len(pairs) + 1)]
     assert list(index.table) == built[::-1]
+
+
+# --- integer widths ----------------------------------------------------------------
+
+def _round_trip(per_file, master, mode, tmp_path):
+    """Build, save and load an index, then analyse an xss query over it
+    and decrypt the report, which must equal plaintext detection over the
+    same pairs, where nothing is encoded.  Returns the loaded index and
+    the decrypted report."""
+    index, counts = build_index(per_file, master, mode=mode)
+    save_index(tmp_path / "app.ccaidx", index)
+    back = load_index(tmp_path / "app.ccaidx")
+    assert (back.widths, back.table) == (index.widths, index.table)
+    ks = KeyStore(master, mode, {f: f"{f}.php" for f in counts}, counts)
+    resolved = decrypt_report(analyse(back, authorise(ks, "xss")), ks)
+    reference = plaintext_analyse(per_file, "xss", file_names=ks.files)
+    assert resolved["files"] == reference["files"]
+    assert all(entry["findings"] for entry in resolved["files"])
+    return back, resolved
+
+
+@pytest.mark.parametrize("value,size", [
+    (127, 1), (128, 2), (-128, 1), (-129, 2), (32_767, 2), (32_768, 4),
+    (-32_768, 2), (-32_769, 4), (2**31 - 1, 4), (-2**31, 4)])
+@pytest.mark.parametrize("mode", ["plain", "std"])
+def test_each_field_takes_the_fewest_signed_bytes_that_hold_it(
+        master, tmp_path, mode, value, size):
+    for i, name in enumerate(FIELDS):
+        fields = [0] * 4
+        fields[i] = value
+        dcfg = DCFG([DCFGPair("XSS_SENS", ExtendedITLToken("INPUT", *fields))])
+        index, report = _round_trip([(2, dcfg)], master, mode, tmp_path)
+        # the count, then line, depth, order and type: only this one
+        # field is wider than a byte
+        assert index.widths == (1, *(size if j == i else 1 for j in range(4)))
+        assert len(next(iter(index.table.values()))) == (
+            16 + 1 + 3 + size + (16 if mode == "std" else 0))
+        (finding,) = report["files"][0]["findings"]
+        assert finding["source"][name] == value
+
+
+@pytest.mark.parametrize("entries,size", [(255, 1), (256, 2)])
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_the_count_takes_one_byte_up_to_255_entries(
+        master, tmp_path, mode, entries, size):
+    # the sink's one entry names VAR0, which the reader then probes
+    # exactly its count of times
+    pairs = [DCFGPair("XSS_SENS", ExtendedITLToken("VAR0", 1, 0, 0, 0)),
+             *(DCFGPair("VAR0", ExtendedITLToken("INPUT", 2, 0, k, 0))
+               for k in range(entries))]
+    index, report = _round_trip([(2, DCFG(pairs))], master, mode, tmp_path)
+    assert index.widths[0] == size
+    if mode == "plain":  # the sink's value names VAR0 and its count
+        value = index.lookup(plain_key(token_block(2, "XSS_SENS"), 1))
+        assert payload_struct(mode, index.widths).unpack(value)[1] == entries
+
+
+@pytest.mark.parametrize("slots,size", [(256, 1), (257, 2)])
+def test_the_slot_number_takes_one_byte_up_to_256_slots(
+        master, tmp_path, slots, size):
+    # two files of distinct lines, so no token has more than 255 entries
+    half = slots // 2
+    per_file = [(f, DCFG([DCFGPair("XSS_SENS", ExtendedITLToken(
+        "INPUT", line, 0, 0, 0)) for line in lines]))
+        for f, lines in enumerate([range(half), range(half, slots)])]
+    index, _ = _round_trip(per_file, master, "ore", tmp_path)
+    assert len(index.slots) == slots
+    assert index.widths == (1, size)
+    assert {len(v) for v in index.table.values()} == {16 + 1 + size + 48}
+    assert index_stats(index)["int_bytes"] == {"count": 1, "slot": size}
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+@pytest.mark.parametrize("size", [0, 3, 5])
+def test_a_width_byte_outside_its_set_is_rejected(fig_dcfg, master, mode,
+                                                  size):
+    blob = serialize_index(build_index([(0, fig_dcfg)], master, mode=mode)[0])
+    # the widths follow the salt, count first
+    for at, name in enumerate(cca.index.NARROWED[mode], start=26):
+        assert blob[at] == 1
+        bad = blob[:at] + bytes([size]) + blob[at + 1:]
+        with pytest.raises(FormatError, match=f"^index: {name} width {size}, "
+                                              "not 1"):
+            deserialize_index(bad)
+    # 4 bytes is in the set of every integer but the count
+    bad = blob[:26] + bytes([4]) + blob[27:]
+    with pytest.raises(FormatError, match="count width 4, not 1 or 2 bytes"):
+        deserialize_index(bad)
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_serialize_rejects_widths_outside_their_sets(fig_dcfg, master, mode):
+    index, _ = build_index([(0, fig_dcfg)], master, mode=mode)
+    with pytest.raises(ValueError, match="count width 4, not 1 or 2 bytes"):
+        serialize_index(replace(index, widths=(4, *index.widths[1:])))
+    with pytest.raises(ValueError, match="integer widths, not 1$"):
+        serialize_index(replace(index, widths=(1,)))
+    # records of other widths than the widths make
+    with pytest.raises(ValueError, match="-byte value in"):
+        serialize_index(replace(index, widths=(2, *index.widths[1:])))
