@@ -2,13 +2,14 @@
 
 The analyser holds only a query: per file, the secret of the task's
 sensitive-sink token plus the one-way identities of the entry-point and
-sanitizer tokens, which open nothing.  Each decrypted index value hands
-over the secret of the next token and its entry count, so detection can
-walk flows outward from the sinks and nowhere else, probing below a sink
-only the entries that exist.  Detection has the semantics of four
-steps: enumerate candidate paths, drop impossible orderings, aggregate
-per sink statement, then resolve branch alternatives down to the flow
-that reaches the sink.
+sanitizer tokens, which open nothing; in plain mode all three are
+identity blocks, which are also the tokens' identities.  Each decrypted
+index value hands over the secret of the next token and its entry
+count, so detection can walk flows outward from the sinks and nowhere
+else, probing below a sink only the entries that exist.  Detection has
+the semantics of four steps: enumerate candidate paths, drop impossible
+orderings, aggregate per sink statement, then resolve branch
+alternatives down to the flow that reaches the sink.
 `detect` runs `find_paths`, then the final check.  `find_paths` builds
 only the paths steps 2 and 4 keep, in their order, each choice settled
 where paths diverge from memoised token summaries (IFDS summary edges:
@@ -19,13 +20,15 @@ Detection runs alike in every mode and over plaintext dependency pairs
 (see the oracle module); only the reader differs.  One reader walk per
 sink reads each token the file's sink reaches once and hands `find_paths`
 that graph with int token positions, int lines and scopes, which
-detection only tests for equality.  The plain and std readers decode
-lines and (depth, order, type) scopes as ints.  The ore reader keeps each
-scope tag as it is and, once the walk is done, sorts the file's line
-ciphertexts with the comparison order-revealing encryption offers and
-replaces each by its rank.  Ranks tell the analyser nothing the
-comparisons did not; reports still name ore lines by part of their left
-half, never by rank (docs/formats.md).
+detection only tests for equality.  Readers differ only in how a
+token's reference (its secret, or in plain mode its identity block)
+makes lookup keys and opens values, and in how they decode an entry:
+the plain and std readers decode lines and (depth, order, type) scopes
+as ints.  The ore reader keeps each scope tag as it is and, once the
+walk is done, sorts the file's line ciphertexts with the comparison
+order-revealing encryption offers and replaces each by its rank.  Ranks
+tell the analyser nothing the comparisons did not; reports still name
+ore lines by part of their left half, never by rank (docs/formats.md).
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from .crypto import (
     derive_secrets,
     derive_value_key,
     det_encrypt,
-    identity_block,
-    name_of,
     ore_ciphertext_bytes,
     ore_compare,
     ore_left_bytes,
@@ -60,7 +61,6 @@ from .crypto import (
     open_scope_tags,
     open_token_blocks,
     open_token_keys,
-    parse_token,
     rnd_decrypt,
     token_block,
 )
@@ -70,13 +70,8 @@ from .errors import (
     KeyMismatchError,
     UsageError,
 )
-from .fileio import Cursor, atomic_write, blob
-from .index import (
-    EncryptedIndex,
-    payload_struct,
-    plain_key,
-    token_identity,
-)
+from .fileio import Cursor, atomic_write
+from .index import EncryptedIndex, payload_struct, plain_key
 from .itl import TASKS, task_name
 
 log = logging.getLogger(__name__)
@@ -87,19 +82,20 @@ IN_REPORT = {"in_report": True}
 
 @dataclass(slots=True)
 class PathNode:
-    """One token occurrence on a flow: its identity, line and scope.
+    """One token occurrence on a flow: its token, line and scope.
 
     A reader hands out one node per decoded index entry, and every path
     through that entry shares it.  The ore reader fills the line with its
     rank once the file's walk is done; until then it is None.
     """
 
-    token: object  # opaque identity: its secret, or plain token identity
+    # the token's reference, which expands it: its secret, or in plain
+    # mode its identity block; the oracle's: its name
+    token: object
     line: int
     scope: object  # (depth, order, type), or the ore scope tag
-    ref: object = None  # expands the token: its secret, or plain block
     ct: bytes | None = None  # ore: the line's ciphertext
-    count: int | None = None  # index readers: the entries ref expands to
+    count: int | None = None  # index readers: the entries token expands to
 
 
 # --- queries ------------------------------------------------------------------
@@ -107,7 +103,9 @@ class PathNode:
 @dataclass
 class FileQuery:
     file_id: int
-    sens: object       # secret of the sensitive-sink token (plain: identity)
+    # in a query 16 bytes each, in plain mode the tokens' identity blocks;
+    # the oracle names the tokens instead
+    sens: object       # secret of the sensitive-sink token
     input_id: object   # one-way identity of the entry-point token
     san_id: object     # one-way identity of the sanitizer token
 
@@ -157,13 +155,10 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
             raise AuthorizationError(f"policy denies task {task!r}")
     sens_name, san_name = TASKS[task]
     file_ids = sorted(ks.files)
-    owned = [(file_id, name) for file_id in file_ids
-             for name in (sens_name, "INPUT", san_name)]
-    if ks.mode == "plain":
-        refs = [token_identity(*ft) for ft in owned]
-    else:  # every secret of the query in one batch
-        refs = derive_secrets(ks.master, b"".join(
-            token_block(*ft) for ft in owned))
+    refs = [token_block(file_id, name) for file_id in file_ids
+            for name in (sens_name, "INPUT", san_name)]
+    if ks.mode != "plain":  # every secret of the query in one batch
+        refs = derive_secrets(ks.master, b"".join(refs))
         # the entry point and the sanitizer are named by their identities
         refs = [derive_identity(ref) if k % 3 else ref
                 for k, ref in enumerate(refs)]
@@ -172,20 +167,21 @@ def authorise(ks: KeyStore, task: str, policy_path=None) -> Query:
 
 
 _QRY_MAGIC = b"CCAQRY1\x00"
-_QRY_VERSION = 5
-# The three fields of a file in std and ore queries, in container order
-_QRY_KEYS = ("sink S", "entry-point identity", "sanitizer identity")
+_QRY_VERSION = 6
 
 
 def serialize_query(query: Query) -> bytes:
+    """The container: header, then per file its id and its three 16-byte
+    fields; a field of another width is a ValueError."""
     out = bytearray(_QRY_MAGIC)
     out += bytes([_QRY_VERSION, list(TASKS).index(query.task),
                   MODES.index(query.mode)])
     out += struct.pack(">I", len(query.files))
     for fq in query.files:
-        out += struct.pack(">I", fq.file_id)
-        for ref in (fq.sens, fq.input_id, fq.san_id):
-            out += blob(ref.encode() if query.mode == "plain" else ref)
+        refs = (fq.sens, fq.input_id, fq.san_id)
+        if any(len(ref) != KEY_BYTES for ref in refs):
+            raise ValueError(f"a query field is {KEY_BYTES} bytes")
+        out += struct.pack(">I", fq.file_id) + b"".join(refs)
     return bytes(out)
 
 
@@ -193,22 +189,9 @@ def deserialize_query(data: bytes) -> Query:
     cur = Cursor(data, "query", _QRY_MAGIC, _QRY_VERSION)
     task = cur.code(TASKS, "task")
     mode = cur.code(MODES, "mode")
-    files = []
-
-    def token_key(file_id: int, name: str) -> bytes:
-        got = cur.blob()
-        if len(got) != KEY_BYTES:
-            raise FormatError(f"query: file {file_id}'s {name} is "
-                              f"{len(got)} bytes, not {KEY_BYTES}")
-        return got
-
-    for _ in range(cur.unpack(">I")[0]):
-        (file_id,) = cur.unpack(">I")
-        if mode == "plain":
-            refs = [cur.text() for _ in _QRY_KEYS]
-        else:
-            refs = [token_key(file_id, name) for name in _QRY_KEYS]
-        files.append(FileQuery(file_id, *refs))
+    files = [FileQuery(*cur.unpack(">I"),
+                       *(cur.take(KEY_BYTES) for _ in range(3)))
+             for _ in range(cur.unpack(">I")[0])]
     cur.finish()
     return Query(task, mode, files)
 
@@ -227,9 +210,13 @@ def load_query(path) -> Query:
 class Reader:
     """Reads the flow graph below a sink, token by token.
 
-    Subclasses supply `_read(ref, count)`: a token's entries in counter
-    order, `count` of them, or for a sink (count None) up to the first
-    probe that misses.  `answered` is whether any probe has hit; a walk
+    `_read(ref, count)` gives a token's entries in counter order, `count`
+    of them, or for a sink (count None) up to the first probe that
+    misses: it probes the lookup keys `_key` makes from the token's
+    reference and opens each value found with the `_opener` of that
+    reference, which subclasses supply.  `identity` gives the identity of
+    a node's token that the final check compares with the query's: here
+    the token itself.  `answered` is whether any probe has hit; a walk
     reads its sink's entries first, so it is whether any sink had entries.
     """
 
@@ -238,6 +225,10 @@ class Reader:
     def __init__(self, index) -> None:
         self.index = index
         self.size = len(index)  # no token has more entries
+
+    @staticmethod
+    def identity(token):
+        return token
 
     @functools.cached_property
     def payload(self) -> struct.Struct:
@@ -248,21 +239,41 @@ class Reader:
         """Walk the tokens a sink reaches, depth-first in entry order, and
         read each once.  Returns each token's entries, the sink's first and
         the rest in reading order, each with the position in that list of
-        the token it names.  Tokens are told apart by ref, which on an
-        honest index names a token exactly as its identity does."""
+        the token it names.  Tokens are told apart by their references,
+        which on an honest index name them exactly as their identities
+        do."""
         ids = {ref: 0}
         graph = [self._read(ref, None)]
         todo = graph[0][::-1]
         while todo:
             node = todo.pop()
-            if node.ref not in ids:
-                ids[node.ref] = len(graph)
+            if node.token not in ids:
+                ids[node.token] = len(graph)
                 # a token of no entries (a leaf) is not probed
                 graph.append([] if node.count == 0
-                             else self._read(node.ref, node.count))
+                             else self._read(node.token, node.count))
                 todo += graph[-1][::-1]
         self.answered = self.answered or bool(graph[0])
-        return [[(ids[node.ref], node) for node in edges] for edges in graph]
+        return [[(ids[node.token], node) for node in edges] for edges in graph]
+
+    def _read(self, ref, count: int | None) -> list[PathNode]:
+        edges: list[PathNode] = []
+        open_value = None  # made once a probe answers
+        for counter in self._counters(count):
+            value = self.index.lookup(self._key(ref, counter))
+            if value is None:
+                self._missed(counter, count)
+                break
+            open_value = open_value or self._opener(ref)
+            payload = open_value(counter, value)
+            if len(payload) != self.payload.size:
+                raise FormatError("index value has unexpected payload size")
+            edges.append(self._node(self.payload.unpack(payload)))
+        return edges
+
+    def _node(self, fields: tuple) -> PathNode:
+        right, count, line, *scope = fields
+        return PathNode(right, line, tuple(scope), count=count)
 
     def _counters(self, count: int | None) -> range:
         """The counters to probe for a token of count entries: 1 to count,
@@ -286,60 +297,45 @@ class Reader:
 
 
 class PlainReader(Reader):
-    """Reader for the unencrypted debugging mode.  Tokens are told apart
-    by their identity blocks, and nodes carry their identities as text.
-    A right block is checked as `open_token_keys` checks an opened secret,
-    and must name a token."""
+    """Reader for the unencrypted debugging mode.  A token's identity
+    block keys its entries (`plain_key`) and is its identity, and a value
+    is its payload.  A right block must name a token, as
+    `open_token_keys` checks an opened secret."""
 
-    def graph(self, ref: str) -> list[list[tuple[int, PathNode]]]:
-        block = identity_block(ref)  # a plain query names its sink as text
-        return [[]] if block is None else super().graph(block)
+    _key = staticmethod(plain_key)
 
-    def _read(self, block: bytes, count: int | None) -> list[PathNode]:
-        edges: list[PathNode] = []
-        for counter in self._counters(count):
-            value = self.index.lookup(plain_key(block, counter))
-            if value is None:
-                self._missed(counter, count)
-                break
-            right, entries, *fields = self.payload.unpack(value)
-            (token,) = open_token_blocks(right)
-            name = token and name_of(*token[1:])
-            if name is None:
-                raise FormatError(
-                    "index: a plain value names no token: its identity block "
-                    "has non-zero check bytes, an unknown family code, or a "
-                    "fixed name with a number")
-            edges.append(PathNode(token_identity(token[0], name), fields[0],
-                                  tuple(fields[1:]), ref=right, count=entries))
-        return edges
+    @staticmethod
+    def _opener(block: bytes):
+        return lambda counter, value: value
+
+    def _node(self, fields: tuple) -> PathNode:
+        if open_token_blocks(fields[0]) == [None]:
+            raise FormatError(
+                "index: a plain value names no token: its identity block "
+                "has non-zero check bytes, an unknown family code, or a "
+                "fixed name with a number")
+        return super()._node(fields)
 
 
 class IndexReader(Reader):
     """Counter-probing reader for std mode: fields are plain integers.
     A token's secret makes its lookup keys and, once one answers, its
     value key under the index's salt; entry c opens under the implicit
-    nonce of counter c."""
+    nonce of counter c.  The identity of each secret the final check
+    meets is derived once per reader."""
 
-    def _read(self, secret: bytes, count: int | None) -> list[PathNode]:
-        edges: list[PathNode] = []
-        value_key = None
-        for counter in self._counters(count):
-            value = self.index.lookup(det_encrypt(
-                secret, counter.to_bytes(4, "big")))
-            if value is None:
-                self._missed(counter, count)
-                break
-            value_key = value_key or derive_value_key(secret, self.index.salt)
-            payload = rnd_decrypt(value_key, counter_nonce(counter) + value)
-            if len(payload) != self.payload.size:
-                raise FormatError("index value has unexpected payload size")
-            edges.append(self._node(self.payload.unpack(payload)))
-        return edges
+    def __init__(self, index) -> None:
+        super().__init__(index)
+        self.identity = functools.cache(derive_identity)
 
-    def _node(self, fields: tuple) -> PathNode:
-        right, count, line, *scope = fields
-        return PathNode(right, line, tuple(scope), ref=right, count=count)
+    @staticmethod
+    def _key(secret: bytes, counter: int) -> bytes:
+        return det_encrypt(secret, counter.to_bytes(4, "big"))
+
+    def _opener(self, secret: bytes):
+        key = derive_value_key(secret, self.index.salt)
+        return lambda counter, value: rnd_decrypt(
+            key, counter_nonce(counter) + value)
 
 
 class OreReader(IndexReader):
@@ -356,8 +352,8 @@ class OreReader(IndexReader):
 
     def _node(self, fields: tuple) -> PathNode:
         right, count, number, key, scope = fields
-        return PathNode(right, None, scope, ref=right,
-                        ct=self._open(number, key), count=count)
+        return PathNode(right, None, scope, ct=self._open(number, key),
+                        count=count)
 
     def _open(self, number: int, key: bytes) -> bytes:
         ct = self._opened.get((number, key))
@@ -454,7 +450,7 @@ def find_paths(reader, fq: FileQuery) -> list[list[PathNode]]:
     order: dict[tuple, None] = {}  # (sink line, signature), as first met
     work = 0
     for line, first, scope, head in kids[0]:
-        sink = PathNode(fq.sens, line, head.scope, fq.sens, head.ct)
+        sink = PathNode(fq.sens, line, head.scope, head.ct)
         # token, tokens before it, signature, targets (None: any), path
         stack = [(first, 1, scope, None, [sink, head])]
         while stack:
@@ -617,25 +613,13 @@ def _tournament(bucket: list[list[PathNode]]) -> list[list[PathNode]]:
     return [nodes for _, nodes in kept]
 
 
-class _Identities(dict):
-    """Token secret -> its one-way identity, derived on first use."""
-
-    def __missing__(self, token: bytes) -> bytes:
-        self[token] = identity = derive_identity(token)
-        return identity
-
-
-def check_vulnerability(paths: list[list[PathNode]],
-                        fq: FileQuery) -> list[list[PathNode]]:
+def check_vulnerability(paths: list[list[PathNode]], fq: FileQuery,
+                        identity) -> list[list[PathNode]]:
     """Final filter: flows that start at an entry point and skip sanitizers.
 
-    In std and ore mode nodes name tokens by their secrets and the query
-    names the entry point and the sanitizer by their identities, so the
-    identity of each distinct token the check meets is derived once."""
-    if not paths:
-        return []
-    identity = (_Identities().__getitem__ if isinstance(fq.input_id, bytes)
-                else lambda token: token)
+    The query names the entry point and the sanitizer by their
+    identities, and `identity` gives that of a node's token: the
+    reader's (`Reader.identity`)."""
     return [nodes for nodes in paths
             if identity(nodes[-1].token) == fq.input_id
             and all(identity(node.token) != fq.san_id for node in nodes)]
@@ -649,7 +633,7 @@ def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
         paths = find_paths(reader, fq)
     except _OverBudget:
         return [], False
-    return check_vulnerability(paths, fq), True
+    return check_vulnerability(paths, fq, reader.identity), True
 
 
 # --- full run and reports -------------------------------------------------------
@@ -661,18 +645,18 @@ ORE_NODE_FIELDS = ("token", "line", "scope")
 
 
 def report_node(node: PathNode, width: int = DEFAULT_ORE_WIDTH) -> tuple:
-    """Report form of a node, NODE_FIELDS in order; in ore mode
-    ORE_NODE_FIELDS, the line named by `crypto.ore_name` at the index's
-    line width and the scope tag in hex."""
-    token = node.token.hex() if isinstance(node.token, bytes) else node.token
+    """Report form of a node, NODE_FIELDS in order with the token in hex;
+    in ore mode ORE_NODE_FIELDS, the line named by `crypto.ore_name` at
+    the index's line width and the scope tag in hex."""
     if node.ct is None:
-        return token, node.line, *node.scope
-    return token, "ore:" + ore_name(node.ct, width).hex(), node.scope.hex()
+        return node.token.hex(), node.line, *node.scope
+    return (node.token.hex(), "ore:" + ore_name(node.ct, width).hex(),
+            node.scope.hex())
 
 
 def node_to_dict(node: PathNode) -> dict:
     """Decrypted-report form of a plaintext node."""
-    return dict(zip(NODE_FIELDS, report_node(node)))
+    return dict(zip(NODE_FIELDS, (node.token, node.line, *node.scope)))
 
 
 def analyse(index: EncryptedIndex, query: Query) -> dict:
@@ -740,8 +724,8 @@ def _get(mapping, key: str, kind):
     return value
 
 
-# How std and ore reports write a token (its secret) and an ore scope tag,
-# 16 bytes each, and an ore line's name
+# How reports write a token (its secret, or in plain mode its identity
+# block) and an ore scope tag, 16 bytes each, and an ore line's name
 _HEX_16 = re.compile("[0-9a-f]{32}")
 # of 1 to 4 blocks: n slot bytes and ORE_CHECK_BYTES check bytes
 _ORE_NAME = re.compile("ore:(?:[0-9a-f]{2}){9,12}")
@@ -759,14 +743,15 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
 
     The report comes back from the analyser, so it is checked whole before
     anything in it is opened.  A malformed report raises FormatError, as
-    does a std or ore token or an ore scope tag that is not 32 lowercase
-    hex digits; a report made in another mode, or naming a file id the
-    key store does not hold, raises KeyMismatchError.  Then every token
-    and every ore scope tag of the report opens in one AES call each
-    (plain tokens are parsed), so the cost follows the report, not the
-    names the application holds; a token that opens to no name of its
-    file (`KeyStore.token_name`), an ore line name that does not match,
-    or a scope tag that opens to another file raises KeyMismatchError.
+    does a token or an ore scope tag that is not 32 lowercase hex digits;
+    a report made in another mode, or naming a file id the key store
+    does not hold, raises KeyMismatchError.  Then every token and every
+    ore scope tag of the report opens in one AES call each (plain tokens
+    are identity blocks, read as they are), so the cost follows the
+    report, not the names the application holds; a token that opens to
+    no name of its file (`KeyStore.token_name`), an ore line name that
+    does not match, or a scope tag that opens to another file raises
+    KeyMismatchError.
     Each node of a file's table is resolved once, to NODE_FIELDS; each
     finding becomes the path of its nodes, with the first as its sink and
     the last as its source.
@@ -788,7 +773,7 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         token, *values = node
         if not isinstance(token, str):
             raise FormatError("report: a node's token is not a string")
-        if mode != "plain" and not _HEX_16.fullmatch(token):
+        if not _HEX_16.fullmatch(token):
             raise FormatError(
                 f"report: token {token!r} is not a token name, "
                 f"{2 * KEY_BYTES} lowercase hex digits; the report may "
@@ -840,11 +825,10 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
                 else None)
 
     rows = [(file_id, node) for file_id, nodes, _ in files for node in nodes]
-    if mode == "plain":
-        tokens = [parse_token(node[0]) for _, node in rows]
-    else:  # each token is 32 hex digits, so one whole block
-        tokens = open_token_keys(ks.master.det,
-                                 [bytes.fromhex(node[0]) for _, node in rows])
+    # each token is 32 hex digits, so one whole block
+    blocks = [bytes.fromhex(node[0]) for _, node in rows]
+    tokens = (open_token_blocks(b"".join(blocks)) if mode == "plain"
+              else open_token_keys(ks.master.det, blocks))
     names = []
     for (file_id, node), token in zip(rows, tokens):
         name = token and ks.token_name(file_id, token)

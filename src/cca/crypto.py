@@ -26,15 +26,15 @@ Four building blocks:
 
 Everything derives from three 128-bit master keys: DET, ORE line and
 scope.  A token's secret S is AES-128 of its identity block
-(`token_block`, or `parse_token` for identities that arrive as text)
-under the DET master key, a pseudorandom permutation, so the owner reads
-secrets back by decryption (`open_token_keys`), as it reads scope tags
-(`open_scope_tags`).  From S both sides derive, by DET under S, the
-lookup keys of the token's entries, its value key in one index (under
-that index's salt) and its one-way identity (`derive_value_key`,
-`derive_identity`).  The line's ORE key
-pair is HMAC-SHA256 of b"prf" and b"prp" under its master key, truncated
-to KEY_BYTES (RFC 4231, section 4.6).
+(`token_block`) under the DET master key, a pseudorandom permutation, so
+the owner reads secrets back by decryption (`open_token_keys`), as it
+reads scope tags (`open_scope_tags`).  A plain index, query and report
+name a token by its identity block itself, which `open_token_blocks`
+reads.  From S both sides derive, by DET under S, the lookup keys of the
+token's entries, its value key in one index (under that index's salt)
+and its one-way identity (`derive_value_key`, `derive_identity`).  The
+line's ORE key pair is HMAC-SHA256 of b"prf" and b"prp" under its master
+key, truncated to KEY_BYTES (RFC 4231, section 4.6).
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-import re
 import secrets
 import struct
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, field
 from functools import lru_cache, partial
 from hashlib import blake2s
@@ -97,32 +96,13 @@ def generate_master_keys() -> MasterKeys:
 # seven zero check bytes
 _TOKEN_BLOCK = struct.Struct(">IBI7s")
 _TOKEN_CHECK = bytes(7)
-_TOKEN_ID = re.compile(r"(0|[1-9][0-9]*):([A-Za-z_]+)(0|[1-9][0-9]*)?")
 _CODES = {fam: code for code, fam in enumerate(TOKEN_FAMILIES)}
-
-
-def parse_token(identity: str) -> tuple[int, int, int] | None:
-    """(file id, family code, number) of a token identity `FILEID:NAME`,
-    or None if it is not one in its only spelling: a fixed name has
-    number 0, and VAR<n> and FUNC_CALL<n> have n, without leading zeros;
-    file id and number must fit a u32."""
-    match = _TOKEN_ID.fullmatch(identity)
-    if match is None:
-        return None
-    file_id, name, number = match.groups()
-    code = _CODES.get(name)
-    if code is None or (number is None) != (code < FIRST_NUMBERED):
-        return None
-    file_id, number = int(file_id), int(number or 0)
-    if file_id >> 32 or number >> 32:
-        return None
-    return file_id, code, number
 
 
 def token_block(file_id: int, name: str) -> bytes:
     """The identity block of a token the translator named, packed from
-    (file id, name) as `parse_token` reads `FILEID:NAME`, with no text
-    in between; a name of no family is a ValueError."""
+    (file id, name): a fixed name has number 0, and VAR<n> and
+    FUNC_CALL<n> have n; a name of no family is a ValueError."""
     fam = family(name)
     code = _CODES.get(fam)
     if code is None or (fam == name) != (code < FIRST_NUMBERED):
@@ -131,18 +111,12 @@ def token_block(file_id: int, name: str) -> bytes:
                              _TOKEN_CHECK)
 
 
-def identity_block(identity: str) -> bytes | None:
-    """The identity block of a token identity `FILEID:NAME` that arrives
-    as text, or None if `parse_token` reads no token in it."""
-    fields = parse_token(identity)
-    return None if fields is None else _TOKEN_BLOCK.pack(*fields, _TOKEN_CHECK)
-
-
 def open_token_blocks(blocks: bytes) -> list[tuple[int, int, int] | None]:
     """The (file id, family code, number) in each identity block; None for
-    a block whose check bytes are not zero or whose code names no family."""
+    a block that names no token: its check bytes are not zero, its code
+    names no family, or it gives a fixed name a number (`name_of`)."""
     return [None if check != _TOKEN_CHECK or code >= len(TOKEN_FAMILIES)
-            else (file_id, code, number)
+            or name_of(code, number) is None else (file_id, code, number)
             for file_id, code, number, check in _TOKEN_BLOCK.iter_unpack(
                 blocks)]
 
@@ -156,31 +130,17 @@ def name_of(code: int, number: int) -> str | None:
     return f"{TOKEN_FAMILIES[code]}{number}"
 
 
-def _token_blocks(token_ids: Iterable[str]) -> bytes:
-    blocks = bytearray()
-    for token_id in token_ids:
-        block = identity_block(token_id)
-        if block is None:
-            raise ValueError(f"not a token identity: {token_id!r}")
-        blocks += block
-    return bytes(blocks)
-
-
 def _derive(key: bytes, blocks: bytes) -> list[bytes]:
     """Each 16-byte block AES-128-encrypted under key, in one ECB call."""
     out = _ecb(key).update(blocks)
     return [out[i:i + KEY_BYTES] for i in range(0, len(out), KEY_BYTES)]
 
 
-def derive_det_keys(keys: MasterKeys, token_ids: Iterable[str]) -> list[bytes]:
-    """The secret S of each token, in order: AES-128 of the token's block
-    under the DET master key, one ECB call for the whole batch.  S is the
-    DET key of the token's lookup keys."""
-    return derive_secrets(keys, _token_blocks(token_ids))
-
-
 def derive_secrets(keys: MasterKeys, blocks: bytes) -> list[bytes]:
-    """`derive_det_keys` of identity blocks (`token_block`), joined."""
+    """The secret S of each token of identity blocks (`token_block`),
+    joined, in order: AES-128 of the block under the DET master key, one
+    ECB call for the whole batch.  S is the DET key of the token's lookup
+    keys."""
     return _derive(keys.det, blocks)
 
 
@@ -217,9 +177,9 @@ def _decrypt_blocks(key: bytes, blocks: list[bytes]) -> bytes:
 def open_token_keys(det_key: bytes, token_secrets: list[bytes],
                     ) -> list[tuple[int, int, int] | None]:
     """The (file id, family code, number) in each token secret that
-    `derive_det_keys` made under this DET master key, in one AES call;
-    None for a block whose check bytes are not zero or whose code names
-    no family, as under other keys."""
+    `derive_secrets` made under this DET master key, in one AES call;
+    None for a block that names no token (`open_token_blocks`), as under
+    other keys."""
     return open_token_blocks(_decrypt_blocks(det_key, token_secrets))
 
 

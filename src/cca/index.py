@@ -87,9 +87,6 @@ _SCOPE_INTS = struct.Struct(">3i")  # depth, order and type in a scope tag
 LOOKUP_KEY_BYTES = KEY_BYTES
 # An ore index's line widths, in bits: 1 to 4 whole blocks
 ORE_LINE_WIDTHS = range(ORE_BLOCK_BITS, DEFAULT_ORE_WIDTH + 1, ORE_BLOCK_BITS)
-# magic, version, mode, build salt, entry count; the widths come after
-# the salt
-_HEADER_BYTES = len(_MAGIC) + 2 + SALT_BYTES + 4
 
 
 @functools.lru_cache
@@ -139,11 +136,6 @@ class EncryptedIndex:
 
     def __len__(self) -> int:
         return len(self.table)
-
-
-def token_identity(file_id: int, token: str) -> str:
-    """Index-wide identity of a token: the same name in two files differs."""
-    return f"{file_id}:{token}"
 
 
 def plain_key(block: bytes, counter: int) -> bytes:
@@ -424,8 +416,8 @@ def deserialize_index(data: bytes) -> EncryptedIndex:
 
 
 def index_stats(index: EncryptedIndex) -> dict:
-    """Sizes of an index; the container's from the record widths, as
-    `serialize_index` would write it (docs/formats.md)."""
+    """Sizes of an index, the container's as `serialize_index` writes it
+    (docs/formats.md)."""
     return {
         "mode": index.mode,
         "entries": len(index),
@@ -435,11 +427,7 @@ def index_stats(index: EncryptedIndex) -> dict:
         "ore_width": index.ore_width,
         "int_bytes": dict(zip(NARROWED[index.mode], index.widths)),
         "slot_bytes": sum(map(len, index.slots)),
-        # in ore mode the width byte, the slot count and the slots
-        "container_bytes": _HEADER_BYTES + len(index.widths) + len(index) * (
-            LOOKUP_KEY_BYTES + value_bytes(index.mode, index.widths)) + (
-            5 + slot_bytes(index.ore_width) * len(index.slots)
-            if index.mode == "ore" else 0),
+        "container_bytes": len(serialize_index(index)),
     }
 
 

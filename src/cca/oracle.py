@@ -36,8 +36,7 @@ class DcfgReader(Reader):
 
     def _read(self, ref: str, count: int | None) -> list[PathNode]:
         return [
-            PathNode(pair.right.token, pair.right.line, pair.right.flow,
-                     ref=pair.right.token)
+            PathNode(pair.right.token, pair.right.line, pair.right.flow)
             for pair in self.index.get(ref, [])
         ]
 

@@ -98,9 +98,9 @@ def finding_paths(report: dict) -> set[tuple]:
 
 
 def _sink_secret(keys) -> bytes:
-    from cca.crypto import derive_det_keys
+    from cca.crypto import derive_secrets, token_block
 
-    (secret,) = derive_det_keys(keys.master, ["0:XSS_SENS"])
+    (secret,) = derive_secrets(keys.master, token_block(0, "XSS_SENS"))
     return secret
 
 

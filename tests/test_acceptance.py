@@ -30,8 +30,8 @@ from cca.analysis import (
     resolve_control_flow,
 )
 from cca.crypto import (
-    derive_det_keys,
     derive_ore_key,
+    derive_secrets,
     det_encrypt,
     generate_master_keys,
     ore_compare,
@@ -40,10 +40,11 @@ from cca.crypto import (
     ore_name_value,
     rnd_decrypt,
     rnd_encrypt,
+    token_block,
 )
 from cca.dcfg import build_dcfg
 from cca.frontend import collect_sources, lex
-from cca.index import build_index, index_stats, token_identity
+from cca.index import build_index, index_stats
 from cca.itl import ALL_FAMILIES, load_rules, load_task_knowledge, translate
 from cca.oracle import enumerate_findings, plaintext_analyse
 from cca.pipeline import compile_sources, encrypt_application
@@ -98,8 +99,7 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
         assert first_line == ["VAR0", "OP0", "INPUT", "END_ASSIGN"]
 
         # the sensitive token answers probes 1 and 2 and nothing further
-        (sens_d,) = derive_det_keys(
-            res.keys.master, [token_identity(0, "XSS_SENS")])
+        (sens_d,) = derive_secrets(res.keys.master, token_block(0, "XSS_SENS"))
         probe = lambda c: res.index.lookup(
             det_encrypt(sens_d, struct.pack(">I", c)))
         assert probe(1) is not None
@@ -121,13 +121,12 @@ def test_criterion_1_worked_example_fidelity(tmp_path):
         # the contested sink keeps the flow through the later rewrite,
         # which the final check then rejects as not reaching an entry point
         survivor = resolved[1]
-        (var2_d,) = derive_det_keys(
-            res.keys.master, [token_identity(0, "VAR2")])
+        (var2_d,) = derive_secrets(res.keys.master, token_block(0, "VAR2"))
         assert survivor[-1].token == var2_d
         line_key = derive_ore_key(res.keys.master.ore_line)
         assert ore_name_value(line_key, ore_name(
             survivor[-1].ct, res.index.ore_width), res.index.ore_width) == 4
-        (finding_path,) = check_vulnerability(resolved, fq)
+        (finding_path,) = check_vulnerability(resolved, fq, reader.identity)
         assert len(finding_path) == 3
 
         # the full blind run decrypts to exactly one vulnerable path

@@ -13,7 +13,7 @@ import yaml
 import cca
 import cca.cli
 from cca import __version__
-from cca.analysis import NODE_FIELDS, load_query, save_query
+from cca.analysis import NODE_FIELDS
 from cca.cli import main
 from cca.crypto import load_keys, token_block
 from cca.index import load_index, payload_struct, plain_key, save_index
@@ -566,11 +566,15 @@ def _damage_index(damage):
     return apply
 
 
-def _truncate_query_identity(n: int):
+def _resize_query_field(k: int, n: int):
+    """Damage: field k of the query's first file (0 the sink S, 1 the
+    entry-point identity) as n bytes.  The 16-byte fields follow a header
+    and file count of 15 bytes and the file's u32 id."""
     def damage(paths):
-        query = load_query(paths["query"])
-        query.files[0].input_id = query.files[0].input_id[:n]
-        save_query(paths["query"], query)
+        data = paths["query"].read_bytes()
+        at = 15 + 4 + 16 * k
+        field = (data[at:at + 16] * 2)[:n]
+        paths["query"].write_bytes(data[:at] + field + data[at + 16:])
     return damage
 
 
@@ -620,15 +624,6 @@ BAD_WIDTHS = {
 }
 
 
-def _widen_query_sink_secret(n: int):
-    def damage(paths):
-        query = load_query(paths["query"])
-        secret = query.files[0].sens
-        query.files[0].sens = (secret * n)[:n]
-        save_query(paths["query"], query)
-    return damage
-
-
 COMMANDS = {
     "authorise": lambda p: ("authorise", "--keys", p["keys"], "--task", "xss",
                             "--out", p["query"]),
@@ -664,11 +659,8 @@ MALFORMED = {
         "--no-encryption", _set_sink_value(_block(8, 1)), "analyse"),
     "plain value with a numbered fixed name": (
         "--no-encryption", _set_sink_value(_block(0, 1)), "analyse"),
-    "plain query text not UTF-8": (
-        "--no-encryption", _replace_bytes("query", b"0:XSS_SENS", b"\xff:XSS_SENS"),
-        "analyse"),
     "query entry-point identity truncated to 7 bytes": (
-        "--no-ore", _truncate_query_identity(7), "analyse"),
+        "--no-ore", _resize_query_field(1, 7), "analyse"),
     "key store text not UTF-8": (
         "--no-ore", _replace_bytes("keys", b"index.php", b"\xffndex.php"),
         "authorise"),
@@ -694,7 +686,7 @@ MALFORMED = {
     "key store of version 6": ("", _set_byte("keys", 8, 6), "decrypt-report"),
     "query of version 3": ("", _set_byte("query", 8, 3), "analyse"),
     "query with a 32-byte sink secret": (
-        "--no-ore", _widen_query_sink_secret(32), "analyse"),
+        "--no-ore", _resize_query_field(0, 32), "analyse"),
     "ore index of version 9": ("", _set_byte("index", 8, 9), "analyse"),
     "ore index of version 9 (stats)": ("", _set_byte("index", 8, 9), "stats"),
     "query of version 4": ("", _set_byte("query", 8, 4), "analyse"),
@@ -728,6 +720,12 @@ MALFORMED = {
     "report token of 64 hex digits": (
         "", _edit_report(lambda r: _sink(r).update(token=_sink(r)["token"] * 2)),
         "decrypt-report"),
+    # how plain reports named tokens before query version 6
+    "plain report token in text": (
+        "--no-encryption", _edit_report(
+            lambda r: _sink(r).update(token="0:XSS_SENS")), "decrypt-report"),
+    "query of version 5": ("--no-encryption", _set_byte("query", 8, 5),
+                           "analyse"),
     "report file id outside the key store": (
         "--no-ore", _edit_report(lambda r: r["files"][0].update(file=99)),
         "decrypt-report"),
@@ -769,10 +767,11 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "ore index of version 8 (stats)": "unsupported version 8",
                   "key store of version 6": "unsupported version 6",
                   "query of version 3": "unsupported version 3",
+                  # fields are fixed-width: the file is long or short
                   "query with a 32-byte sink secret":
-                      "sink S is 32 bytes, not 16",
+                      "trailing bytes after the last field",
                   "query entry-point identity truncated to 7 bytes":
-                      "entry-point identity is 7 bytes, not 16",
+                      "query: truncated",
                   "ore index of version 9": "unsupported version 9",
                   "ore index of version 9 (stats)": "unsupported version 9",
                   "query of version 4": "unsupported version 4",
@@ -797,6 +796,8 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                      for case, (_, _, says) in HOSTILE_ENTRIES.items()
                      for mode in ("ore", "std")},
                   "report token of 64 hex digits": "32 lowercase hex digits",
+                  "plain report token in text": "32 lowercase hex digits",
+                  "query of version 5": "unsupported version 5",
                   "report file id outside the key store": "file 99",
                   "ore report row of five columns":
                       "an ore row of five columns comes from an older version",

@@ -30,13 +30,11 @@ from cca.crypto import (
     MasterKeys,
     OreKey,
     counter_nonce,
-    derive_det_keys,
     derive_identity,
     derive_ore_key,
     derive_secrets,
     derive_value_key,
     deserialize_keys,
-    identity_block,
     name_of,
     ore_ciphertext_bytes,
     ore_left_bytes,
@@ -45,7 +43,6 @@ from cca.crypto import (
     open_scope_tags,
     open_token_blocks,
     open_token_keys,
-    parse_token,
     save_keys,
     scope_sealer,
     serialize_keys,
@@ -65,12 +62,17 @@ def test_default_security_parameter_gives_three_16_byte_keys():
     assert len(set(parts)) == 3
 
 
+def _secrets(mk: MasterKeys, *pairs: tuple[int, str]) -> list[bytes]:
+    """The secrets of (file id, name) pairs, from their blocks joined."""
+    return derive_secrets(mk, b"".join(token_block(*p) for p in pairs))
+
+
 def test_token_key_derivation_is_deterministic_and_separated():
     mk = generate_master_keys()
-    (s1,) = derive_det_keys(mk, ["0:VAR0"])
-    (s2,) = derive_det_keys(mk, ["0:VAR0"])
-    (s3,) = derive_det_keys(mk, ["0:VAR1"])
-    (s4,) = derive_det_keys(mk, ["1:VAR0"])
+    (s1,) = _secrets(mk, (0, "VAR0"))
+    (s2,) = _secrets(mk, (0, "VAR0"))
+    (s3,) = _secrets(mk, (0, "VAR1"))
+    (s4,) = _secrets(mk, (1, "VAR0"))
     salt = bytes(range(16))
     r1, r3 = derive_value_key(s1, salt), derive_value_key(s3, salt)
 
@@ -81,13 +83,12 @@ def test_token_key_derivation_is_deterministic_and_separated():
     # a build salt of its own gives every build its own value keys
     assert derive_value_key(s1, bytes(16)) != r1
     assert s1 != s4  # same token, different file
-    assert derive_det_keys(mk, ["0:VAR0", "1:VAR0"]) == [s1, s4]
+    assert _secrets(mk, (0, "VAR0"), (1, "VAR0")) == [s1, s4]
 
 
-def _identity(file_id: int, code: int, number: int) -> str:
-    """The identity of a token: a fixed name has no number."""
-    suffix = str(number) if code >= FIRST_NUMBERED else ""
-    return f"{file_id}:{TOKEN_FAMILIES[code]}{suffix}"
+def _pair(file_id: int, code: int, number: int) -> tuple[int, str]:
+    """The (file id, name) pair of a token: a fixed name has no number."""
+    return file_id, name_of(code, number)
 
 
 # (file id, family code, number) of a token, in the whole u32 ranges
@@ -108,10 +109,8 @@ def _block(file_id: int, code: int, number: int) -> bytes:
 def test_det_keys_are_aes_128_of_the_token_block_under_the_det_master_key(
         tokens):
     mk = MasterKeys(*(bytes([k]) * 16 for k in range(3)))
-    ids = [_identity(*t) for t in tokens]
-    assert [parse_token(i) for i in ids] == tokens
-    assert derive_det_keys(mk, ids) == [_aes(mk.det, _block(*t))
-                                        for t in tokens]
+    assert _secrets(mk, *(_pair(*t) for t in tokens)) == [
+        _aes(mk.det, _block(*t)) for t in tokens]
 
 
 @given(st.lists(TOKENS, max_size=4))
@@ -122,9 +121,8 @@ def test_token_keys_are_aes_128_of_the_token_block_under_their_master_keys(
     # the label 0 and the build salt, and of the one-byte label 1
     mk = MasterKeys(*(bytes([k]) * 16 for k in range(3)))
     salt = bytes(range(16, 32))
-    ids = [_identity(*t) for t in tokens]
     expected = [_aes(mk.det, _block(*t)) for t in tokens]
-    assert [derive_det_keys(mk, [i])[0] for i in ids] == expected
+    assert [_secrets(mk, _pair(*t))[0] for t in tokens] == expected
     for secret in expected:
         assert derive_value_key(secret, salt) == hashlib.blake2s(
             b"\x00" + salt, digest_size=16, key=secret).digest()
@@ -135,52 +133,36 @@ def test_token_keys_are_aes_128_of_the_token_block_under_their_master_keys(
 @given(st.lists(TOKENS, max_size=5))
 def test_batch_token_keys_equal_one_at_a_time_derivation(tokens):
     mk = MasterKeys(*(bytes([k]) * 16 for k in range(3)))
-    ids = [_identity(*t) for t in tokens]
-    assert derive_det_keys(mk, ids) == [derive_det_keys(mk, [i])[0]
-                                        for i in ids]
+    pairs = [_pair(*t) for t in tokens]
+    assert _secrets(mk, *pairs) == [_secrets(mk, p)[0] for p in pairs]
 
 
 def test_token_key_known_answers():
-    # AES-128 of the zero block under the zero key; "0:INPUT" is that block
+    # AES-128 of the zero block under the zero key; INPUT of file 0 is
+    # that block
     zero = MasterKeys(*(bytes(16) for _ in range(3)))
-    assert derive_det_keys(zero, ["0:INPUT"])[0].hex() == (
+    assert _secrets(zero, (0, "INPUT"))[0].hex() == (
         "66e94bd4ef8a2c3b884cfa59ca342b2e")
-    # FIPS-197's example key; 258:VAR7 is 00000102 06 00000007 and zeros
+    # FIPS-197's example key; VAR7 of file 258 is 00000102 06 00000007
+    # and zeros
     mk = MasterKeys(bytes(range(16)), *(bytes(16) for _ in range(2)))
-    assert derive_det_keys(mk, ["258:VAR7"])[0].hex() == (
+    assert _secrets(mk, (258, "VAR7"))[0].hex() == (
         "3a9b208db5a05b192320f159eb681829")
-
-
-@pytest.mark.parametrize("identity", [
-    "0:VAR", "0:INPUT0", "0:VAR01", "00:VAR1", "-1:VAR1", "0:FOO", "0VAR1",
-    "0:VAR1 ", "4294967296:INPUT", "0:VAR4294967296", "0:XSS_SENS:1",
-    "\u0661:VAR1", "0:var1"])
-def test_identities_outside_the_one_spelling_derive_nothing(identity):
-    mk = generate_master_keys()
-    assert parse_token(identity) is None
-    with pytest.raises(ValueError, match="not a token identity"):
-        derive_det_keys(mk, ["0:INPUT", identity])
 
 
 @given(st.lists(TOKENS, max_size=4))
 def test_pairs_pack_into_the_blocks_their_identities_parse_to(tokens):
-    # (file id, name) packs with no text in between, into the block the
-    # identity FILEID:NAME gives, and derives the same keys
-    mk = generate_master_keys()
-    ids = [_identity(*t) for t in tokens]
-    names = [i.split(":")[1] for i in ids]
-    blocks = [token_block(t[0], name) for t, name in zip(tokens, names)]
+    # (file id, name) packs with no text in between into the block that
+    # opens back to the token and its name
+    blocks = [token_block(*_pair(*t)) for t in tokens]
     assert blocks == [_block(*t) for t in tokens]
-    assert blocks == [identity_block(i) for i in ids]
-    assert derive_secrets(mk, b"".join(blocks)) == derive_det_keys(mk, ids)
     assert open_token_blocks(b"".join(blocks)) == tokens
-    assert [name_of(*t[1:]) for t in tokens] == names
+    assert [token_block(t[0], name_of(*t[1:])) for t in tokens] == blocks
 
 
 @pytest.mark.parametrize("name", ["VAR", "FUNC_CALL", "INPUT0", "XSS_SENS3",
                                   "FOO", "FOO1", "var1", ""])
 def test_a_name_of_no_family_packs_no_block(name):
-    assert identity_block(f"0:{name}") is None
     with pytest.raises(ValueError, match="not a token name"):
         token_block(0, name)
 
@@ -189,18 +171,21 @@ def test_fixed_names_take_no_number():
     assert name_of(0, 0) == "INPUT"
     assert name_of(0, 1) is None
     assert name_of(FIRST_NUMBERED, 0) == "VAR0"
+    # so a block that gives a fixed name a number names no token
+    assert open_token_blocks(_block(0, 0, 1) + _block(0, 0, 0)) == [
+        None, (0, 0, 0)]
 
 
 @given(st.lists(TOKENS, max_size=4))
 def test_d_keys_open_back_to_their_token(tokens):
     mk = generate_master_keys()
-    keys = derive_det_keys(mk, [_identity(*t) for t in tokens])
+    keys = _secrets(mk, *(_pair(*t) for t in tokens))
     assert open_token_keys(mk.det, keys) == tokens
 
 
 def test_d_keys_under_other_keys_or_flipped_open_to_nothing():
     mk, other = generate_master_keys(), generate_master_keys()
-    (key,) = derive_det_keys(mk, ["3:VAR12"])
+    (key,) = _secrets(mk, (3, "VAR12"))
     assert open_token_keys(other.det, [key]) == [None]
     flipped = [(int.from_bytes(key, "big") ^ 1 << bit).to_bytes(16, "big")
                for bit in range(128)]

@@ -31,8 +31,8 @@ from cca.crypto import (
     TOKEN_FAMILIES,
     KeyStore,
     counter_nonce,
-    derive_det_keys,
     derive_ore_key,
+    derive_secrets,
     derive_value_key,
     name_of,
     ore_ciphertext_bytes,
@@ -41,7 +41,6 @@ from cca.crypto import (
     ore_name_value,
     open_scope_tags,
     open_token_blocks,
-    parse_token,
     token_block,
 )
 from cca.dcfg import (
@@ -67,7 +66,6 @@ from cca.index import (
     plain_key,
     save_index,
     serialize_index,
-    token_identity,
 )
 from cca.oracle import plaintext_analyse
 from corpus import CORPUS
@@ -100,8 +98,8 @@ def _as_text(key: bytes, value: bytes) -> tuple[str, str]:
     file_id, code, number, zeros, counter = struct.unpack(">IBI3sI", key)
     assert zeros == bytes(3)
     ((right_file, right_code, right_number),) = open_token_blocks(value[:16])
-    right = token_identity(right_file, name_of(right_code, right_number))
-    return (f"{token_identity(file_id, name_of(code, number))}#{counter}",
+    right = f"{right_file}:{name_of(right_code, right_number)}"
+    return (f"{file_id}:{name_of(code, number)}#{counter}",
             "|".join([right, *map(str, struct.unpack(">B4b", value[16:]))]))
 
 
@@ -150,7 +148,7 @@ def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
 
     expected = []
     for left, pairs in fig_dcfg.by_left().items():
-        (d_left,) = derive_det_keys(master, [token_identity(0, left)])
+        (d_left,) = derive_secrets(master, token_block(0, left))
         for counter in range(1, len(pairs) + 1):
             expected.append(det_encrypt(d_left, struct.pack(">I", counter)))
     assert sorted(index.table) == sorted(expected)
@@ -159,7 +157,7 @@ def test_std_mode_keys_match_independent_derivation(fig_dcfg, master):
 def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
 
-    (s_sens,) = derive_det_keys(master, [token_identity(0, "XSS_SENS")])
+    (s_sens,) = derive_secrets(master, token_block(0, "XSS_SENS"))
     probe = det_encrypt(s_sens, struct.pack(">I", 1))
     blob = index.lookup(probe)
     assert blob is not None
@@ -170,13 +168,13 @@ def test_std_mode_payload_opens_to_chained_keys_and_fields(fig_dcfg, master):
     # S_right || its entry count || four signed fields, each one byte
     assert len(payload) == 21
     s_right, count, *fields = struct.unpack(">16sB4b", payload)
-    assert [s_right] == derive_det_keys(master, [token_identity(0, "VAR0")])
+    assert [s_right] == derive_secrets(master, token_block(0, "VAR0"))
     assert (count, *fields) == (1, 6, 0, 0, 0)
 
 
 def test_std_values_are_bound_to_their_counter_and_build(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
-    (s_sens,) = derive_det_keys(master, [token_identity(0, "XSS_SENS")])
+    (s_sens,) = derive_secrets(master, token_block(0, "XSS_SENS"))
     blob = index.lookup(det_encrypt(s_sens, struct.pack(">I", 1)))
     with pytest.raises(IntegrityError):  # the nonce of another counter
         rnd_decrypt(derive_value_key(s_sens, index.salt),
@@ -192,7 +190,7 @@ def test_std_values_are_bound_to_their_counter_and_build(fig_dcfg, master):
 
 def test_sensitive_counter_three_is_absent(fig_dcfg, master):
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
-    (d_sens,) = derive_det_keys(master, [token_identity(0, "XSS_SENS")])
+    (d_sens,) = derive_secrets(master, token_block(0, "XSS_SENS"))
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 1)))
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 2)))
     assert index.lookup(det_encrypt(d_sens, struct.pack(">I", 3))) is None
@@ -308,8 +306,8 @@ def _names(counts: tuple[int, int]) -> list[str]:
 def _opens(counts: dict, file_id: int, token: str) -> bool:
     """Whether a key store with these counts names the token of the file."""
     ks = KeyStore(None, "plain", dict.fromkeys(counts, ""), counts)
-    return ks.token_name(file_id, parse_token(token_identity(file_id,
-                                                             token))) == token
+    (opened,) = open_token_blocks(token_block(file_id, token))
+    return ks.token_name(file_id, opened) == token
 
 
 def test_token_families_are_the_value_families():
@@ -387,8 +385,7 @@ def _slot_refs(index, counts, master):
     entry, read with the keys."""
     for file_id, file_counts in counts.items():
         for token in _names(file_counts):
-            (secret,) = derive_det_keys(master,
-                                        [token_identity(file_id, token)])
+            (secret,) = derive_secrets(master, token_block(file_id, token))
             counter = 1
             while blob := index.lookup(det_encrypt(secret,
                                                    struct.pack(">I", counter))):
@@ -787,12 +784,12 @@ def test_container_size_is_fixed_width_records(fig_dcfg, master, mode):
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
 def test_stats_container_size_is_the_serialized_size_on_the_corpus(
-        corpus_per_file, master, mode, monkeypatch):
-    # index_stats computes the size from the widths, writing nothing out
+        corpus_per_file, master, mode, tmp_path):
+    # the size index_stats gives is that of the saved container
     index, _ = build_index(corpus_per_file, master, mode=mode)
-    size = len(serialize_index(index))
-    monkeypatch.setattr(cca.index, "serialize_index", None)
-    assert index_stats(index)["container_bytes"] == size
+    save_index(tmp_path / "index", index)
+    assert index_stats(index)["container_bytes"] == (
+        tmp_path / "index").stat().st_size
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
@@ -862,8 +859,7 @@ def test_entries_sort_on_fresh_tags_drawn_in_one_call(fig_dcfg, master,
     monkeypatch.setattr(cca.index.secrets, "token_bytes", tags)
     index, _ = build_index([(0, fig_dcfg)], master, mode="std")
     assert drawn == [8 * len(index)]
-    built = [det_encrypt(derive_det_keys(
-                 master, [token_identity(0, left)])[0],
+    built = [det_encrypt(derive_secrets(master, token_block(0, left))[0],
                  struct.pack(">I", counter))
              for left, pairs in fig_dcfg.by_left().items()
              for counter in range(1, len(pairs) + 1)]
