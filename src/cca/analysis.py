@@ -638,20 +638,20 @@ def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
 
 # --- full run and reports -------------------------------------------------------
 
-# The fields of a node in a report's node table, in order, in plain and
-# std reports and in decrypted ones; an ore report writes ORE_NODE_FIELDS
+REPORT_VERSION = 2
+# The fields of a node in a decrypted report, and the columns of a plain or
+# std report's node table, whose token is an index into its file's refs;
+# an ore report's rows are ORE_NODE_FIELDS, each an index into the refs
 NODE_FIELDS = ("token", "line", "depth", "order", "type")
 ORE_NODE_FIELDS = ("token", "line", "scope")
-
-
-def report_node(node: PathNode, width: int = DEFAULT_ORE_WIDTH) -> tuple:
-    """Report form of a node, NODE_FIELDS in order with the token in hex;
-    in ore mode ORE_NODE_FIELDS, the line named by `crypto.ore_name` at
-    the index's line width and the scope tag in hex."""
-    if node.ct is None:
-        return node.token.hex(), node.line, *node.scope
-    return (node.token.hex(), "ore:" + ore_name(node.ct, width).hex(),
-            node.scope.hex())
+# What a ref a column names must be, and how an error says it: a token
+# (its secret, or in plain mode its identity block) and an ore scope tag
+# of 16 bytes; an ore line name of 1 to 4 blocks, n slot bytes and
+# ORE_CHECK_BYTES check bytes (crypto.ore_name)
+_HEX_16 = (re.compile("[0-9a-f]{32}"), "32 lowercase hex digits")
+_REF = {"token": _HEX_16, "scope": _HEX_16,
+        "line": (re.compile("(?:[0-9a-f]{2}){9,12}"), "an ore name of 1 to "
+                 "4 blocks, 18 to 24 lowercase hex digits")}
 
 
 def node_to_dict(node: PathNode) -> dict:
@@ -659,30 +659,50 @@ def node_to_dict(node: PathNode) -> dict:
     return dict(zip(NODE_FIELDS, (node.token, node.line, *node.scope)))
 
 
-def analyse(index: EncryptedIndex, query: Query) -> dict:
-    """Run the full detection over one index with one query.
+def report_entry(file_id: int, findings: list[list[PathNode]],
+                 width: int) -> dict:
+    """A file's report entry: each distinct opaque string of its findings
+    once, in first-use order, in hex (`refs`); each distinct node once, in
+    first-use order, as a row of NODE_FIELDS with the token as the index
+    of its ref, or in ore mode of ORE_NODE_FIELDS, all ref indices, the
+    line named by `crypto.ore_name` at the index's line width (`nodes`);
+    and each finding as the indices of its path's nodes, sink first."""
+    refs: dict[bytes, int] = {}
 
-    Each file lists its distinct nodes once, in first-use order, and each
-    finding as the indices of its path's nodes, sink first."""
+    def ref(value: bytes) -> int:
+        return refs.setdefault(value, len(refs))
+
+    def row(node: PathNode) -> tuple:
+        if node.ct is None:
+            return ref(node.token), node.line, *node.scope
+        return ref(node.token), ref(ore_name(node.ct, width)), ref(node.scope)
+
+    table: dict[tuple, int] = {}  # every path has a sink node of its own
+    paths = [[table.setdefault(row(n), len(table)) for n in nodes]
+             for nodes in findings]
+    return {"file": file_id, "refs": [value.hex() for value in refs],
+            "nodes": [list(n) for n in table], "findings": paths}
+
+
+def analyse(index: EncryptedIndex, query: Query) -> dict:
+    """Run the full detection over one index with one query.  The report
+    holds the entry (`report_entry`) of each file with findings."""
     if query.mode != index.mode:
         raise FormatError(
             f"query was authorised for mode {query.mode!r} but the index "
             f"was built in mode {index.mode!r}"
         )
     reader = make_reader(index)
-    report: dict = {"task": query.task, "mode": query.mode, "files": []}
+    report: dict = {"version": REPORT_VERSION, "task": query.task,
+                    "mode": query.mode, "files": []}
     warnings = []
     for fq in sorted(query.files, key=lambda f: f.file_id):
         findings, complete = detect(reader, fq)
         if not complete:
             warnings.append(BUDGET_WARNING.format(fq.file_id))
-        # keyed on the report form: every path has a sink node of its own
-        table: dict[tuple, int] = {}
-        paths = [[table.setdefault(report_node(n, index.ore_width), len(table))
-                  for n in nodes] for nodes in findings]
-        report["files"].append({"file": fq.file_id,
-                                "nodes": [list(n) for n in table],
-                                "findings": paths})
+        if findings:
+            report["files"].append(report_entry(fq.file_id, findings,
+                                                index.ore_width))
     if not reader.answered and len(index) > 0:
         warnings.append(
             "no sensitive entries answered any probe: the index has no sink "
@@ -724,80 +744,36 @@ def _get(mapping, key: str, kind):
     return value
 
 
-# How reports write a token (its secret, or in plain mode its identity
-# block) and an ore scope tag, 16 bytes each, and an ore line's name
-_HEX_16 = re.compile("[0-9a-f]{32}")
-# of 1 to 4 blocks: n slot bytes and ORE_CHECK_BYTES check bytes
-_ORE_NAME = re.compile("ore:(?:[0-9a-f]{2}){9,12}")
-
-
-def _line_of_name(key, text: str) -> int:
-    """The line an `ore:<hex>` name names, at the width its length gives."""
-    name = bytes.fromhex(text[4:])
-    return ore_name_value(key, name,
-                          ORE_BLOCK_BITS * (len(name) - ORE_CHECK_BYTES))
-
-
 def decrypt_report(report: dict, ks: KeyStore) -> dict:
     """Resolve an analysis report into file paths, token names and lines.
 
     The report comes back from the analyser, so it is checked whole before
-    anything in it is opened.  A malformed report raises FormatError, as
-    does a token or an ore scope tag that is not 32 lowercase hex digits;
-    a report made in another mode, or naming a file id the key store
-    does not hold, raises KeyMismatchError.  Then every token and every
-    ore scope tag of the report opens in one AES call each (plain tokens
-    are identity blocks, read as they are), so the cost follows the
-    report, not the names the application holds; a token that opens to
-    no name of its file (`KeyStore.token_name`), an ore line name that
-    does not match, or a scope tag that opens to another file raises
-    KeyMismatchError.
-    Each node of a file's table is resolved once, to NODE_FIELDS; each
-    finding becomes the path of its nodes, with the first as its sink and
-    the last as its source.
-    """
+    anything in it is opened: a report of another version, a malformed one
+    or a ref that is not what its column names (_REF) raises FormatError,
+    and one of another mode, or naming a file id the key store does not
+    hold, KeyMismatchError.  Then each distinct ref of a file opens once,
+    all tokens in one AES call and all scope tags in another (plain tokens
+    are identity blocks, read as they are).  A token that opens to no name
+    of its file (`KeyStore.token_name`), an ore line name that does not
+    match or a scope tag of another file raises KeyMismatchError; a plain
+    token, with no keys to blame, FormatError.  Every file of the key
+    store comes out, in file-id order, each finding as the path of its
+    nodes (NODE_FIELDS) from sink to source."""
+    version = report.get("version") if isinstance(report, dict) else None
+    if type(version) is not int or version != REPORT_VERSION:
+        raise FormatError(f"report of version {version!r}: this cca reads "
+                          f"report version {REPORT_VERSION} only")
     mode = _get(report, "mode", str)
     if mode != ks.mode:
         raise KeyMismatchError(f"report was made in mode {mode!r} but the "
                                f"key store is for mode {ks.mode!r}")
     fields = ORE_NODE_FIELDS if mode == "ore" else NODE_FIELDS
-
-    def check_node(node) -> list:
-        if not isinstance(node, list) or len(node) != len(fields):
-            message = "report: a node is not a list of " + ", ".join(fields)
-            if mode == "ore" and isinstance(node, list) and len(
-                    node) == len(NODE_FIELDS):
-                message += ("; an ore row of five columns comes from an "
-                            "older version")
-            raise FormatError(message)
-        token, *values = node
-        if not isinstance(token, str):
-            raise FormatError("report: a node's token is not a string")
-        if not _HEX_16.fullmatch(token):
-            raise FormatError(
-                f"report: token {token!r} is not a token name, "
-                f"{2 * KEY_BYTES} lowercase hex digits; the report may "
-                "come from an index of an older version")
-        for field, value in zip(fields[1:], values):
-            if type(value) is not (str if mode == "ore" else int):
-                raise FormatError(f"report: node field {field!r} has the "
-                                  "wrong type")
-        if mode == "ore":
-            line, tag = values
-            if not _HEX_16.fullmatch(tag):
-                raise FormatError(f"report: node field 'scope' is not a scope "
-                                  f"tag of 32 lowercase hex digits: {tag!r}")
-            if not _ORE_NAME.fullmatch(line):
-                raise FormatError(f"report: node field 'line' is not an ore "
-                                  f"name of 1 to 4 blocks: {line!r}")
-        return node
+    columns = fields if mode == "ore" else fields[:1]  # those that are refs
 
     def check_finding(finding, size: int) -> list[int]:
         if not isinstance(finding, list):
-            raise FormatError(
-                "report: a finding is not a list of indices into its file's "
-                "nodes; a report whose findings are objects with a path "
-                "comes from an older version")
+            raise FormatError("report: a finding is not a list of indices "
+                              "into its file's nodes")
         if not finding:
             raise FormatError("report: empty finding")
         for i in finding:
@@ -809,55 +785,78 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
     task = _get(report, "task", str)
     if task not in TASKS:
         raise FormatError(f"report: unknown task {task!r}")
-    files = []  # (file id, its checked nodes, its checked findings)
+    files = {}  # file id -> (its checked rows, its checked findings)
+    # column -> (file id, ref index) -> the ref's text, then its bytes
+    used = {c: {} for c in columns}
     for entry in _get(report, "files", list):
         file_id = _get(entry, "file", int)
+        if files and file_id <= last:
+            raise FormatError(f"report: file {file_id} follows file {last}; "
+                              "file ids must ascend")
         if file_id not in ks.files:
             raise KeyMismatchError(f"report names file {file_id}, which this "
                                    "key store does not hold")
-        if "nodes" not in entry:
-            raise FormatError(f"report: file {file_id} has no node table; a "
-                              "report without one comes from an older version")
-        nodes = [check_node(n) for n in _get(entry, "nodes", list)]
-        files.append((file_id, nodes, [check_finding(f, len(nodes)) for f
-                                       in _get(entry, "findings", list)]))
+        last, refs = file_id, _get(entry, "refs", list)
+        rows = _get(entry, "nodes", list)
+        for row in rows:
+            if not isinstance(row, list) or len(row) != len(fields):
+                raise FormatError("report: a node is not a list of "
+                                  + ", ".join(fields))
+            for field, value in zip(fields, row):
+                if type(value) is not int:
+                    raise FormatError(f"report: node field {field!r} has the "
+                                      "wrong type")
+            for c, i in zip(columns, row):
+                if not 0 <= i < len(refs):
+                    raise FormatError(f"report: node field {c!r} names ref "
+                                      f"{i}, not an index into the file's "
+                                      f"{len(refs)} refs")
+                used[c][file_id, i] = refs[i]
+        files[file_id] = rows, [check_finding(f, len(rows))
+                                for f in _get(entry, "findings", list)]
+    for c, texts in used.items():  # each ref a row names, once per column
+        pattern, form = _REF[c]
+        for k, text in texts.items():
+            if not isinstance(text, str) or not pattern.fullmatch(text):
+                raise FormatError(f"report: {c} {text!r} is not {form}")
+            texts[k] = bytes.fromhex(text)
     warnings = (list(_get(report, "warnings", list)) if "warnings" in report
                 else None)
 
-    rows = [(file_id, node) for file_id, nodes, _ in files for node in nodes]
-    # each token is 32 hex digits, so one whole block
-    blocks = [bytes.fromhex(node[0]) for _, node in rows]
-    tokens = (open_token_blocks(b"".join(blocks)) if mode == "plain"
-              else open_token_keys(ks.master.det, blocks))
-    names = []
-    for (file_id, node), token in zip(rows, tokens):
-        name = token and ks.token_name(file_id, token)
-        if name is None:
+    names = used["token"]  # (file id, ref index) -> the token's name
+    blocks = list(names.values())
+    for (f, i), block, token in zip(list(names), blocks, open_token_blocks(
+            b"".join(blocks)) if mode == "plain"
+            else open_token_keys(ks.master.det, blocks)):
+        names[f, i] = token and ks.token_name(f, token)
+        if names[f, i] is None:
+            message = f"token {block.hex()!r} is no name of file {f}"
+            if mode == "plain":  # which has no keys to blame
+                raise FormatError(f"report: {message}")
             raise KeyMismatchError(
-                f"token {node[0]!r} is no name of file {file_id} under this "
-                "key store; the report was produced from an index built "
-                "with different keys")
-        names.append(name)
+                f"{message} under this key store; the report was produced "
+                "from an index built with different keys")
     if mode == "ore":
         line_key = derive_ore_key(ks.master.ore_line)
-        line_of = functools.cache(lambda text: _line_of_name(line_key, text))
-        scopes = open_scope_tags(ks.master.scope, [f for f, _ in rows],
-                                 [bytes.fromhex(node[2]) for _, node in rows])
-        values = [[line_of(node[1]), *scope]
-                  for (_, node), scope in zip(rows, scopes)]
-    else:
-        values = [node[1:] for _, node in rows]
-    resolved = [dict(zip(NODE_FIELDS, [name, *v]))
-                for name, v in zip(names, values)]
+        line_of = functools.cache(lambda name: ore_name_value(
+            line_key, name, ORE_BLOCK_BITS * (len(name) - ORE_CHECK_BYTES)))
+        lines = {k: line_of(name) for k, name in used["line"].items()}
+        scopes = dict(zip(used["scope"], open_scope_tags(
+            ks.master.scope, [f for f, _ in used["scope"]],
+            list(used["scope"].values()))))
 
     out = {"task": task, "mode": mode, "files": []}
-    opened = iter(resolved)
-    for file_id, nodes, findings in files:
-        table = [next(opened) for _ in nodes]
-        paths = [[table[i] for i in finding] for finding in findings]
-        out["files"].append({"file": ks.files[file_id], "findings": [
-            {"sink": path[0], "source": path[-1], "path": path}
-            for path in paths]})
+    for f in sorted(ks.files):
+        rows, findings = files.get(f, ((), ()))
+        if mode == "ore":
+            rows = [(names[f, t], lines[f, n], *scopes[f, s])
+                    for t, n, s in rows]
+        else:
+            rows = [(names[f, t], *rest) for t, *rest in rows]
+        table = [dict(zip(NODE_FIELDS, row)) for row in rows]
+        out["files"].append({"file": ks.files[f], "findings": [
+            {"sink": table[k[0]], "source": table[k[-1]],
+             "path": [table[i] for i in k]} for k in findings]})
     if warnings is not None:
         out["warnings"] = warnings
     return out

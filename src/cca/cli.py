@@ -140,7 +140,7 @@ def cmd_analyse(args) -> int:
     out = Path(args.out) if args.out else Path("report.json")
     save_report(out, report)
     total = sum(len(f["findings"]) for f in report["files"])
-    over = {BUDGET_WARNING.format(entry["file"]) for entry in report["files"]}
+    over = {BUDGET_WARNING.format(fq.file_id) for fq in query.files}
     incomplete = not over.isdisjoint(report.get("warnings", ()))
     print(f"analysis {'incomplete' if incomplete else 'complete'}: "
           f"{total} finding(s) -> {out}")

@@ -236,14 +236,38 @@ def _file0(report: dict) -> dict:
 
 
 def _old_format(report: dict) -> None:
-    """Rewrite file 0's entry in the report format of older versions:
-    each finding an object with the path of its nodes, no node table."""
-    from cca.analysis import NODE_FIELDS
+    """Rewrite the report in the layout of version 1, as older versions
+    wrote it: no version, and each row with its strings written out in
+    place of ref indices, an ore line name prefixed with "ore:"."""
+    del report["version"]
+    for entry in report["files"]:
+        refs = entry.pop("refs")
+        for row in entry["nodes"]:
+            for k in range(len(ref_columns(report))):
+                row[k] = ("ore:" if k == 1 else "") + refs[row[k]]
 
-    entry = _file0(report)
-    rows = [dict(zip(NODE_FIELDS, n)) for n in entry.pop("nodes")]
-    entry["findings"] = [{"path": [rows[i] for i in f]}
-                         for f in entry["findings"]]
+
+def ref_columns(report: dict) -> tuple[str, ...]:
+    """The columns of a report's rows that are indices into `refs`."""
+    return ("token", "line", "scope") if report["mode"] == "ore" else ("token",)
+
+
+def set_ref(entry: dict, row: list, column: int, text) -> None:
+    """Point a row's column at text, a new ref of its file's entry."""
+    row[column] = len(entry["refs"])
+    entry["refs"].append(text)
+
+
+def _first_ref(report: dict) -> str:
+    """The ref file 0's first row names for its token."""
+    return _file0(report)["refs"][_file0(report)["nodes"][0][0]]
+
+
+def _token_index(index):
+    """Edit: file 0's first row names ref index(report) for its token."""
+    def edit(report: dict) -> None:
+        _file0(report)["nodes"][0][0] = index(report)
+    return edit
 
 
 def _row_of_the_other_shape(report: dict) -> None:
@@ -254,8 +278,9 @@ def _row_of_the_other_shape(report: dict) -> None:
 
 
 def _last_field_cut_to_31_characters(report: dict) -> None:
-    """File 0's first row with its last field, the scope tag of an ore
-    report or the type of a plain or std one, as 31 characters of text."""
+    """File 0's first row with its last field, the ref index of the scope
+    tag of an ore report or the type of a plain or std one, as 31
+    characters of text."""
     row = _file0(report)["nodes"][0]
     row[-1] = str(row[-1]).rjust(31, "0")[:31]
 
@@ -295,8 +320,28 @@ NODE_TABLE_DAMAGE = {
     "finding of the old shape": (
         lambda r: _file0(r)["findings"].append({"path": []}),
         "a finding is not a list of indices into its file's nodes"),
-    "file entry of the old format": (_old_format,
-                                     "comes from an older version"),
+    # a report of version 1 fails on its version, whatever its shape
+    "file entry of the old format": (_old_format, "report of version None"),
+    "ref index past the refs": (
+        _token_index(lambda r: len(_file0(r)["refs"])),
+        "node field 'token' names ref"),
+    "negative ref index": (_token_index(lambda r: -1), "names ref -1"),
+    "bool ref index": (_token_index(lambda r: True),
+                       "node field 'token' has the wrong type"),
+    "ref not hex": (
+        lambda r: set_ref(_file0(r), _file0(r)["nodes"][0], 0, "zz" * 16),
+        "is not 32 lowercase hex digits"),
+    "ref of the wrong length for its column": (
+        lambda r: set_ref(_file0(r), _file0(r)["nodes"][0], 0,
+                          _first_ref(r)[:-2]),
+        "is not 32 lowercase hex digits"),
+    "ref that is not a string": (
+        lambda r: set_ref(_file0(r), _file0(r)["nodes"][0], 0, 7),
+        "token 7 is not 32 lowercase hex digits"),
+    "refs is an object": (lambda r: _file0(r).update(refs={}),
+                          "field 'refs' has the wrong type"),
+    "duplicated file id": (lambda r: r["files"].append(_file0(r)),
+                           "file 0 follows file 0; file ids must ascend"),
 }
 
 

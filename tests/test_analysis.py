@@ -81,6 +81,8 @@ from conftest import (
     NODE_TABLE_DAMAGE,
     chain_app,
     flatten_findings,
+    ref_columns,
+    set_ref,
     write_app,
 )
 from corpus import CORPUS
@@ -608,11 +610,14 @@ def test_plain_report_resolves_without_key_material(tmp_path):
 def test_report_tokens_are_opaque_before_decryption(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     report = analyse(res.index, authorise(res.keys, "xss"))
+    assert list(report) == ["version", "task", "mode", "files"]
+    assert report["version"] == 2
     (entry,) = report["files"]
-    assert list(entry) == ["file", "nodes", "findings"]
+    assert list(entry) == ["file", "refs", "nodes", "findings"]
     (finding,) = entry["findings"]
-    # sink and source are the first and last node, named by index
-    token = entry["nodes"][finding[0]][0]
+    # sink and source are the first and last node, named by index, and a
+    # row names its token by the index of its ref
+    token = entry["refs"][entry["nodes"][finding[0]][0]]
     assert "XSS" not in token
     # the hex of the sink's 16-byte secret, not a name
     assert bytes.fromhex(token) == authorise(res.keys, "xss").files[0].sens
@@ -635,7 +640,7 @@ def test_report_token_that_is_no_token_name_is_a_format_error(
     report = analyse(res.index, authorise(res.keys, "xss"))
     entry = report["files"][0]
     sink = entry["nodes"][entry["findings"][0][0]]
-    sink[0] = edit(sink[0])
+    entry["refs"][sink[0]] = edit(entry["refs"][sink[0]])
     with pytest.raises(FormatError, match="32 lowercase hex digits"):
         decrypt_report(report, res.keys)
 
@@ -661,11 +666,101 @@ def test_findings_under_another_file_are_a_key_mismatch(tmp_path, mode):
     report = analyse(res.index, authorise(res.keys, "xss"))
     a, b = report["files"]
     assert a["findings"] and b["findings"]
-    # a finding names nodes of its own file's table, so move both
-    for key in ("nodes", "findings"):
+    # a finding names nodes of its own file's table, and a row refs of
+    # its file's, so move all three; a plain report has no keys to blame
+    for key in ("refs", "nodes", "findings"):
         a[key], b[key] = b[key], a[key]
-    with pytest.raises(KeyMismatchError, match="no name of file 0"):
+    error = FormatError if mode == "plain" else KeyMismatchError
+    with pytest.raises(error, match="is no name of file 0"):
         decrypt_report(report, res.keys)
+
+
+@pytest.mark.parametrize("token", ["VAR0 of file 1", "VAR3 of file 0"])
+def test_plain_token_of_no_token_of_its_file_is_a_format_error(tmp_path,
+                                                               token):
+    # a plain report names tokens by their identity blocks, which open
+    # without keys: a block of another file, or of a number past its
+    # family's count, is a malformed report, not one of other keys
+    res = encrypt_application(write_app(tmp_path, TWO_FILE_APP),
+                              mode="plain")
+    assert res.keys.counts[0][0] == 3  # file 0 names VAR0 to VAR2
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    entry = report["files"][0]
+    name, _, _, file_id = token.split()
+    block = token_block(int(file_id), name)
+    set_ref(entry, entry["nodes"][0], 0, block.hex())
+    with pytest.raises(FormatError) as caught:
+        decrypt_report(report, res.keys)
+    assert str(caught.value) == (f"report: token {block.hex()!r} is no name "
+                                 "of file 0")
+    assert not isinstance(caught.value, KeyMismatchError)
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_report_lists_only_files_with_findings(tmp_path, mode):
+    # b.php has no echo: its file id is left out of the report, and the
+    # decrypted report still lists it, with no findings
+    app = {"a.php": "<?php $a = $_GET['user'];\n",
+           "b.php": FLOW_APP["index.php"]}
+    res = encrypt_application(write_app(tmp_path, app), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    assert [entry["file"] for entry in report["files"]] == [1]
+    resolved = decrypt_report(report, res.keys)
+    assert [(e["file"], len(e["findings"])) for e in resolved["files"]] == [
+        ("a.php", 0), ("b.php", 1)]
+    # nor does an sqli report, which finds nothing, list any file
+    assert analyse(res.index, authorise(res.keys, "sqli"))["files"] == []
+
+
+@pytest.mark.parametrize("mode", ["plain", "std", "ore"])
+def test_report_file_ids_must_ascend(tmp_path, mode):
+    res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode=mode)
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    report["files"].reverse()
+    with pytest.raises(FormatError,
+                       match="file 0 follows file 1; file ids must ascend"):
+        decrypt_report(report, res.keys)
+
+
+@pytest.mark.parametrize("version", [None, 1, 3, "2", 2.0, True])
+def test_report_of_another_version_is_a_format_error(tmp_path, version):
+    res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    if version is None:
+        del report["version"]
+    else:
+        report["version"] = version
+    with pytest.raises(FormatError, match=re.escape(
+            f"report of version {version!r}: this cca reads report version "
+            "2 only")):
+        decrypt_report(report, res.keys)
+    with pytest.raises(FormatError, match="report of version None"):
+        decrypt_report([report], res.keys)  # not an object at all
+
+
+def test_each_distinct_token_and_scope_tag_opens_once(tmp_path, monkeypatch):
+    # the diamonds' findings share rows, and their rows share tokens and
+    # scope tags
+    res = encrypt_application(write_app(tmp_path, chain_app(7, {3, 5})),
+                              mode="ore")
+    report = analyse(res.index, authorise(res.keys, "xss"))
+    (entry,) = report["files"]
+    calls = {}
+    for name in ("open_token_keys", "open_scope_tags"):
+        real = getattr(cca.analysis, name)
+
+        def counting(key, *args, real=real, name=name):
+            calls[name] = len(args[-1])
+            return real(key, *args)
+
+        monkeypatch.setattr(cca.analysis, name, counting)
+    resolved = decrypt_report(report, res.keys)
+    rows = entry["nodes"]
+    assert calls == {"open_token_keys": len({row[0] for row in rows}),
+                     "open_scope_tags": len({row[2] for row in rows})}
+    assert max(calls.values()) < len(rows)
+    assert decrypted_paths(resolved) == decrypted_paths(
+        run_decrypted(tmp_path, "std", chain_app(7, {3, 5}), "xss"))
 
 
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
@@ -762,11 +857,12 @@ def test_encrypted_fields_stay_opaque_in_reports(tmp_path):
     report = analyse(res.index, authorise(res.keys, "xss"))
     (entry,) = report["files"]
     (finding,) = entry["findings"]
-    # an ore row is the token, the line's ORE name and the scope tag
-    assert all(len(node) == 3 and node[1].startswith("ore:")
-               and re.fullmatch("[0-9a-f]{32}", node[2])
+    # an ore row is the refs of the token, the line's one-block ORE name
+    # and the scope tag
+    refs = entry["refs"]
+    assert all(len(node) == 3 and re.fullmatch("[0-9a-f]{18}", refs[node[1]])
+               and re.fullmatch("[0-9a-f]{32}", refs[node[2]])
                for node in entry["nodes"])
-    assert entry["nodes"][finding[0]][1].startswith("ore:")
     resolved = decrypt_report(report, res.keys)
     assert resolved["files"][0]["findings"][0]["sink"]["line"] == 5
 
@@ -800,8 +896,9 @@ def test_scope_tags_of_another_file_are_a_key_mismatch(tmp_path):
     res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode="ore")
     report = analyse(res.index, authorise(res.keys, "xss"))
     a, b = report["files"]
-    assert a["nodes"][0][2] != b["nodes"][0][2]
-    a["nodes"][0][2] = b["nodes"][0][2]
+    tag = b["refs"][b["nodes"][0][2]]
+    assert a["refs"][a["nodes"][0][2]] != tag
+    set_ref(a, a["nodes"][0], 2, tag)
     with pytest.raises(KeyMismatchError, match="scope tag"):
         decrypt_report(report, res.keys)
 
@@ -826,16 +923,22 @@ def test_every_d_key_and_scope_tag_opens_back_to_its_identity(
     d_keys = [token_block(file_id, name) for name in names]
     if mode != "plain":
         d_keys = derive_secrets(master, b"".join(d_keys))
+    refs: dict[str, int] = {}
+
+    def ref(value: bytes) -> int:
+        return refs.setdefault(value.hex(), len(refs))
+
     if mode == "ore":
-        line = "ore:" + ore_name(ore_encrypt(derive_ore_key(
-            master.ore_line), 7)).hex()
+        line = ore_name(ore_encrypt(derive_ore_key(master.ore_line), 7))
         seal = scope_sealer(master.scope)
-        rows = [[d.hex(), line, seal(struct.pack(">Iiii", file_id, *t)).hex()]
+        rows = [[ref(d), ref(line),
+                 ref(seal(struct.pack(">Iiii", file_id, *t)))]
                 for d, t in zip(d_keys, triples)]
     else:
-        rows = [[d.hex(), 7, *t] for d, t in zip(d_keys, triples)]
-    report = {"task": "xss", "mode": mode, "files": [
-        {"file": file_id, "nodes": rows, "findings": [list(range(len(rows)))]}]}
+        rows = [[ref(d), 7, *t] for d, t in zip(d_keys, triples)]
+    report = {"version": 2, "task": "xss", "mode": mode, "files": [
+        {"file": file_id, "refs": list(refs), "nodes": rows,
+         "findings": [list(range(len(rows)))]}]}
     (finding,) = decrypt_report(report, ks)["files"][0]["findings"]
     assert [(n["token"], n["line"], n["depth"], n["order"], n["type"])
             for n in finding["path"]] == [(name, 7, *t) for name, t
@@ -847,11 +950,11 @@ def _flip(text: str) -> str:
     return text[:-1] + format(int(text[-1], 16) ^ 1, "x")
 
 
-# How a report row of file 0 is damaged: (the column it replaces, 0 the
-# token or 2 the ore scope tag; the modes it applies to; and damage(report
-# row, key store of the report, another key store, token) -> the
-# replacement, where token(master keys, identity block) is that token as
-# the report's mode writes it)
+# How a report row of file 0 is damaged: (the column whose ref it
+# replaces, 0 the token or 2 the ore scope tag; the modes it applies to;
+# and damage(the row's refs, key store of the report, another key store,
+# token) -> the replacement, where token(master keys, identity block) is
+# that token as the report's mode writes it)
 FOREIGN_FIELDS = {
     "token of another key store": (
         0, ("std", "ore"), lambda row, ks, other, token: token(
@@ -898,9 +1001,12 @@ def test_a_foreign_or_damaged_token_or_tag_is_a_key_mismatch(tmp_path, mode,
         return block.hex()
 
     report = analyse(res.index, authorise(res.keys, "xss"))
-    (row, *_) = report["files"][0]["nodes"]
-    row[column] = damage(row, res.keys, other, token)
-    with pytest.raises(KeyMismatchError,
+    entry = report["files"][0]
+    (row, *_) = entry["nodes"]
+    refs = [entry["refs"][i] for i in row[:len(ref_columns(report))]]
+    set_ref(entry, row, column, damage(refs, res.keys, other, token))
+    # a plain report, which no key opens, is malformed instead
+    with pytest.raises(FormatError if mode == "plain" else KeyMismatchError,
                        match="no name of file 0" if column == 0
                        else "scope tag"):
         decrypt_report(report, res.keys)
@@ -976,9 +1082,9 @@ def test_an_app_past_line_256_takes_two_blocks_and_agrees_across_modes(
         for task in TASKS:
             report = analyse(res.index, authorise(res.keys, task))
             if mode == "ore":
-                names = [node[1] for entry in report["files"]
+                names = [entry["refs"][node[1]] for entry in report["files"]
                          for node in entry["nodes"]]
-                assert names and all(re.fullmatch("ore:[0-9a-f]{20}", name)
+                assert names and all(re.fullmatch("[0-9a-f]{20}", name)
                                      for name in names)
             found[mode, task] = decrypt_report(report, res.keys)["files"]
     for task in TASKS:

@@ -13,7 +13,7 @@ import yaml
 import cca
 import cca.cli
 from cca import __version__
-from cca.analysis import NODE_FIELDS
+from cca.analysis import NODE_FIELDS, ORE_NODE_FIELDS
 from cca.cli import main
 from cca.crypto import load_keys, token_block
 from cca.index import load_index, payload_struct, plain_key, save_index
@@ -22,6 +22,8 @@ from conftest import (
     HOSTILE_ENTRIES,
     HOSTILE_SLOTS,
     NODE_TABLE_DAMAGE,
+    ref_columns,
+    set_ref,
     write_app,
 )
 
@@ -512,28 +514,37 @@ def _edit_report(change):
 
 
 class _NodeView:
-    """A report node's fields by name, written through to its table row."""
+    """A report node's fields by name, written through to its table row;
+    a field that is a ref is read from its file's refs and written as a
+    new ref."""
 
-    def __init__(self, row: list) -> None:
-        self.row = row
+    def __init__(self, report: dict) -> None:
+        self.entry = report["files"][0]
+        self.row = self.entry["nodes"][_first_finding(report)[0]]
+        self.refs = ref_columns(report)
+        self.fields = ORE_NODE_FIELDS if report["mode"] == "ore" else NODE_FIELDS
 
     def __getitem__(self, field: str):
-        return self.row[NODE_FIELDS.index(field)]
+        value = self.row[self.fields.index(field)]
+        return self.entry["refs"][value] if field in self.refs else value
 
     def update(self, **fields) -> None:
         for field, value in fields.items():
-            self.row[NODE_FIELDS.index(field)] = value
+            if field in self.refs:
+                set_ref(self.entry, self.row, self.fields.index(field), value)
+            else:
+                self.row[self.fields.index(field)] = value
 
 
 def _sink(report: dict) -> _NodeView:
-    return _NodeView(report["files"][0]["nodes"][_first_finding(report)[0]])
+    """File 0's first sink row."""
+    return _NodeView(report)
 
 
 def _edit_sink_scope_tag(change):
     """Edit the scope tag of an ore report's first sink row."""
     def edit(report: dict) -> None:
-        row = _sink(report).row
-        row[2] = change(row[2])
+        _sink(report).update(scope=change(_sink(report)["scope"]))
     return _edit_report(edit)
 
 
@@ -709,10 +720,10 @@ MALFORMED = {
         "", _set_byte("index", WIDTH_AT["slot"], 5), "stats"),
     # a name is n slot bytes and 8 check bytes, for n of 1 to 4
     "report ore name of 8 bytes": (
-        "", _edit_report(lambda r: _sink(r).update(line="ore:" + "ab" * 8)),
+        "", _edit_report(lambda r: _sink(r).update(line="ab" * 8)),
         "decrypt-report"),
     "report ore name of 13 bytes": (
-        "", _edit_report(lambda r: _sink(r).update(line="ore:" + "ab" * 13)),
+        "", _edit_report(lambda r: _sink(r).update(line="ab" * 13)),
         "decrypt-report"),
     **{f"{mode} index with {case}": (flag, _damage_index(damage), "analyse")
        for case, (damage, _, _) in HOSTILE_ENTRIES.items()
@@ -728,6 +739,11 @@ MALFORMED = {
                            "analyse"),
     "report file id outside the key store": (
         "--no-ore", _edit_report(lambda r: r["files"][0].update(file=99)),
+        "decrypt-report"),
+    "report of version 1": (
+        "", _edit_report(lambda r: r.update(version=1)), "decrypt-report"),
+    "report without a version": (
+        "--no-ore", _edit_report(lambda r: r.pop("version")),
         "decrypt-report"),
     "ore report row of five columns": (
         "", _edit_report(lambda r: _sink(r).row.extend(_sink(r).row[1:3])),
@@ -797,10 +813,13 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                      for mode in ("ore", "std")},
                   "report token of 64 hex digits": "32 lowercase hex digits",
                   "plain report token in text": "32 lowercase hex digits",
+                  "report of version 1": "report of version 1: this cca "
+                                         "reads report version 2 only",
+                  "report without a version": "report of version None",
                   "query of version 5": "unsupported version 5",
                   "report file id outside the key store": "file 99",
                   "ore report row of five columns":
-                      "an ore row of five columns comes from an older version",
+                      "a node is not a list of token, line, scope",
                   "report scope tag in upper case": "32 lowercase hex digits",
                   "report scope tag under other keys":
                       "scope tag does not decrypt under this key store",

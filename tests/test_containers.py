@@ -1,4 +1,4 @@
-"""The three binary containers and the report, as untrusted input.
+"""The three binary containers and the JSON report, as untrusted input.
 
 Bytes written by the serialisers read back and re-serialise unchanged in
 every mode; damaged bytes or a damaged report raise a CcaError and
@@ -6,6 +6,7 @@ nothing else.
 """
 
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from cca.analysis import (
     authorise,
     decrypt_report,
     deserialize_query,
+    dump_report,
+    load_report,
     serialize_query,
 )
 from cca.crypto import MODES, deserialize_keys, serialize_keys
@@ -53,6 +56,7 @@ class Run:
         self.blobs = {"index": serialize_index(res.index),
                       "keys": serialize_keys(res.keys),
                       "query": serialize_query(query)}
+        self.report_bytes = dump_report(self.report).encode()
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +69,13 @@ def test_containers_reserialise_byte_identically(runs, mode):
     for kind, (write, read) in CODECS.items():
         blob = runs[mode].blobs[kind]
         assert write(read(blob)) == blob, kind
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_report_reserialises_byte_identically(runs, mode):
+    # the fourth codec: dump_report writes it, json.loads reads it
+    text = runs[mode].report_bytes.decode()
+    assert dump_report(json.loads(text)) == text
 
 
 @pytest.mark.parametrize("kind", sorted(CODECS))
@@ -104,6 +115,50 @@ def test_damaged_containers_raise_only_cca_errors(runs, mode, kind, data):
         pass
 
 
+@pytest.fixture(scope="module")
+def report_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("report") / "report.json"
+
+
+def _open_report(path, blob: bytes, keys) -> None:
+    """Read report bytes as `cca decrypt-report` does."""
+    path.write_bytes(blob)
+    decrypt_report(load_report(path), keys)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_damaged_report_bytes_raise_only_cca_errors(runs, report_path, mode,
+                                                    data):
+    blob = data.draw(damaged(runs[mode].report_bytes))
+    if data.draw(st.booleans()):  # and a byte that is no UTF-8
+        at = data.draw(st.integers(0, len(blob)))
+        blob = (blob[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3"]))
+                + blob[at:])
+    try:
+        _open_report(report_path, blob, runs[mode].keys)
+    except CcaError:
+        pass
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:len(blob) // 2], lambda blob: blob[:-1],
+    lambda blob: blob.replace(b'"refs"', b'"rEfs"'),
+    lambda blob: blob.replace(b'"version":2', b'"version":3'),
+    lambda blob: b"\xff" + blob,
+    lambda blob: blob.replace(b'"files"', b'"fil\xe9s"')],
+    ids=["cut in half", "last byte cut", "a flipped byte in a key",
+         "a flipped version byte", "invalid UTF-8 first",
+         "invalid UTF-8 inside"])
+def test_report_bytes_damaged_so_is_a_format_error(runs, report_path, mode,
+                                                  damage):
+    with pytest.raises(FormatError):
+        _open_report(report_path, damage(runs[mode].report_bytes),
+                     runs[mode].keys)
+
+
 @settings(max_examples=50)
 @given(data=st.data())
 def test_analyse_on_a_damaged_plain_index_raises_only_cca_errors(runs, data):
@@ -129,6 +184,11 @@ JUNK = st.one_of(
     st.just("ore:zz"), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.sampled_from(["token", "line", "file"]),
                     st.integers(), max_size=2),
+    # ref damage: an index past or before the refs, a ref that is no hex,
+    # one of a length no column takes, upper case, and an ore line name
+    # where a 16-byte ref belongs
+    st.integers(-2, 40), st.sampled_from(["zz" * 16, "ab" * 15, "AB" * 16,
+                                          "ab" * 9, "ab" * 13]),
 )
 
 
