@@ -47,7 +47,6 @@ from .crypto import (
     ORE_BLOCK_BITS,
     ORE_CHECK_BYTES,
     KeyStore,
-    counter_nonce,
     derive_identity,
     derive_ore_key,
     derive_secrets,
@@ -63,6 +62,7 @@ from .crypto import (
     open_token_keys,
     rnd_decrypt,
     token_block,
+    value_opener,
 )
 from .errors import (
     AuthorizationError,
@@ -333,9 +333,7 @@ class IndexReader(Reader):
         return det_encrypt(secret, counter.to_bytes(4, "big"))
 
     def _opener(self, secret: bytes):
-        key = derive_value_key(secret, self.index.salt)
-        return lambda counter, value: rnd_decrypt(
-            key, counter_nonce(counter) + value)
+        return value_opener(derive_value_key(secret, self.index.salt))
 
 
 class OreReader(IndexReader):
@@ -638,20 +636,15 @@ def detect(reader, fq: FileQuery) -> tuple[list[list[PathNode]], bool]:
 
 # --- full run and reports -------------------------------------------------------
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 # The fields of a node in a decrypted report, and the columns of a plain or
-# std report's node table, whose token is an index into its file's refs;
-# an ore report's rows are ORE_NODE_FIELDS, each an index into the refs
+# std report's node table; an ore report's rows are ORE_NODE_FIELDS
 NODE_FIELDS = ("token", "line", "depth", "order", "type")
 ORE_NODE_FIELDS = ("token", "line", "scope")
-# What a ref a column names must be, and how an error says it: a token
-# (its secret, or in plain mode its identity block) and an ore scope tag
-# of 16 bytes; an ore line name of 1 to 4 blocks, n slot bytes and
-# ORE_CHECK_BYTES check bytes (crypto.ore_name)
-_HEX_16 = (re.compile("[0-9a-f]{32}"), "32 lowercase hex digits")
-_REF = {"token": _HEX_16, "scope": _HEX_16,
-        "line": (re.compile("(?:[0-9a-f]{2}){9,12}"), "an ore name of 1 to "
-                 "4 blocks, 18 to 24 lowercase hex digits")}
+# A file's tokens and ore scope tags are each one hex string of 16-byte
+# blocks; an ore line name is n slot bytes and 8 check bytes (ore_name)
+_BLOCKS = re.compile("(?:[0-9a-f]{32})*")
+_LINE = re.compile("(?:[0-9a-f]{2}){9,12}")
 
 
 def node_to_dict(node: PathNode) -> dict:
@@ -659,34 +652,35 @@ def node_to_dict(node: PathNode) -> dict:
     return dict(zip(NODE_FIELDS, (node.token, node.line, *node.scope)))
 
 
-def report_entry(file_id: int, findings: list[list[PathNode]],
-                 width: int) -> dict:
-    """A file's report entry: each distinct opaque string of its findings
-    once, in first-use order, in hex (`refs`); each distinct node once, in
-    first-use order, as a row of NODE_FIELDS with the token as the index
-    of its ref, or in ore mode of ORE_NODE_FIELDS, all ref indices, the
-    line named by `crypto.ore_name` at the index's line width (`nodes`);
-    and each finding as the indices of its path's nodes, sink first."""
-    refs: dict[bytes, int] = {}
-
-    def ref(value: bytes) -> int:
-        return refs.setdefault(value, len(refs))
+def report_entry(file_id: int, findings: list[list[PathNode]], width: int,
+                 lines: dict[bytes, int]) -> dict:
+    """A file's report entry (docs/formats.md): its tokens but the entry
+    point (token 0) and in ore mode its scope tags, each once in first-use
+    order; its nodes, each once, with ore lines named in `lines`, which
+    this extends; and its findings, as indices of their nodes."""
+    tokens = {findings[0][-1].token: 0}  # the entry point, where all end
+    scopes: dict[bytes, int] = {}
 
     def row(node: PathNode) -> tuple:
-        if node.ct is None:
-            return ref(node.token), node.line, *node.scope
-        return ref(node.token), ref(ore_name(node.ct, width)), ref(node.scope)
+        token = tokens.setdefault(node.token, len(tokens))
+        if not width:
+            return token, node.line, *node.scope
+        return (token, lines.setdefault(ore_name(node.ct, width), len(lines)),
+                scopes.setdefault(node.scope, len(scopes)))
 
     table: dict[tuple, int] = {}  # every path has a sink node of its own
     paths = [[table.setdefault(row(n), len(table)) for n in nodes]
              for nodes in findings]
-    return {"file": file_id, "refs": [value.hex() for value in refs],
-            "nodes": [list(n) for n in table], "findings": paths}
+    entry = {"file": file_id, "tokens": b"".join(list(tokens)[1:]).hex()}
+    if width:
+        entry["scopes"] = b"".join(scopes).hex()
+    return entry | {"nodes": [list(n) for n in table], "findings": paths}
 
 
 def analyse(index: EncryptedIndex, query: Query) -> dict:
     """Run the full detection over one index with one query.  The report
-    holds the entry (`report_entry`) of each file with findings."""
+    holds the entry (`report_entry`) of each file with findings, and in
+    ore mode before them `lines`, each line name they use once."""
     if query.mode != index.mode:
         raise FormatError(
             f"query was authorised for mode {query.mode!r} but the index "
@@ -694,15 +688,19 @@ def analyse(index: EncryptedIndex, query: Query) -> dict:
         )
     reader = make_reader(index)
     report: dict = {"version": REPORT_VERSION, "task": query.task,
-                    "mode": query.mode, "files": []}
-    warnings = []
+                    "mode": query.mode}
+    lines: dict[bytes, int] = {}
+    files, warnings = [], []
     for fq in sorted(query.files, key=lambda f: f.file_id):
         findings, complete = detect(reader, fq)
         if not complete:
             warnings.append(BUDGET_WARNING.format(fq.file_id))
         if findings:
-            report["files"].append(report_entry(fq.file_id, findings,
-                                                index.ore_width))
+            files.append(report_entry(fq.file_id, findings, index.ore_width,
+                                      lines))
+    if index.mode == "ore":
+        report["lines"] = [name.hex() for name in lines]
+    report["files"] = files
     if not reader.answered and len(index) > 0:
         warnings.append(
             "no sensitive entries answered any probe: the index has no sink "
@@ -744,20 +742,29 @@ def _get(mapping, key: str, kind):
     return value
 
 
+def _blocks(entry: dict, key: str, file_id: int) -> list[bytes]:
+    """The distinct 16-byte blocks a file's hex string `key` spells."""
+    text = _get(entry, key, str)
+    blocks = [text[i:i + 32] for i in range(0, len(text), 32)]
+    if not _BLOCKS.fullmatch(text) or len(set(blocks)) < len(blocks):
+        raise FormatError(f"report: the {key} of file {file_id} are not "
+                          "distinct blocks of 32 lowercase hex digits")
+    return [bytes.fromhex(block) for block in blocks]
+
+
 def decrypt_report(report: dict, ks: KeyStore) -> dict:
     """Resolve an analysis report into file paths, token names and lines.
 
     The report comes back from the analyser, so it is checked whole before
-    anything in it is opened: a report of another version, a malformed one
-    or a ref that is not what its column names (_REF) raises FormatError,
-    and one of another mode, or naming a file id the key store does not
-    hold, KeyMismatchError.  Then each distinct ref of a file opens once,
-    all tokens in one AES call and all scope tags in another (plain tokens
-    are identity blocks, read as they are).  A token that opens to no name
-    of its file (`KeyStore.token_name`), an ore line name that does not
-    match or a scope tag of another file raises KeyMismatchError; a plain
-    token, with no keys to blame, FormatError.  Every file of the key
-    store comes out, in file-id order, each finding as the path of its
+    anything in it is opened (docs/formats.md): a malformed report or one
+    of another version raises FormatError, and one of another mode or
+    naming a file id the key store does not hold KeyMismatchError.  Then
+    all tokens open in one AES call (plain ones are identity blocks, read
+    as they are), all scope tags in another and each line name once; token
+    0 is INPUT.  A token of no name of its file, a line name that does not
+    match or a scope tag of another file is a KeyMismatchError, or for a
+    plain token, with no keys to blame, a FormatError.  Every file of the
+    key store comes out, in file-id order, each finding as the path of its
     nodes (NODE_FIELDS) from sink to source."""
     version = report.get("version") if isinstance(report, dict) else None
     if type(version) is not int or version != REPORT_VERSION:
@@ -767,8 +774,17 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
     if mode != ks.mode:
         raise KeyMismatchError(f"report was made in mode {mode!r} but the "
                                f"key store is for mode {ks.mode!r}")
-    fields = ORE_NODE_FIELDS if mode == "ore" else NODE_FIELDS
-    columns = fields if mode == "ore" else fields[:1]  # those that are refs
+    task = _get(report, "task", str)
+    if task not in TASKS:
+        raise FormatError(f"report: unknown task {task!r}")
+    out = {"task": task, "mode": mode, "files": []}
+    ore = mode == "ore"
+    fields = ORE_NODE_FIELDS if ore else NODE_FIELDS
+    line_names = _get(report, "lines", list) if ore else []
+    for text in line_names:
+        if not isinstance(text, str) or not _LINE.fullmatch(text):
+            raise FormatError(f"report: line {text!r} is not an ore name of "
+                              "1 to 4 blocks, 18 to 24 lowercase hex digits")
 
     def check_finding(finding, size: int) -> list[int]:
         if not isinstance(finding, list):
@@ -782,12 +798,8 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
                                   f"an index into the file's {size} nodes")
         return finding
 
-    task = _get(report, "task", str)
-    if task not in TASKS:
-        raise FormatError(f"report: unknown task {task!r}")
     files = {}  # file id -> (its checked rows, its checked findings)
-    # column -> (file id, ref index) -> the ref's text, then its bytes
-    used = {c: {} for c in columns}
+    tokens, tags = {}, {}  # (file id, index in its row column) -> block
     for entry in _get(report, "files", list):
         file_id = _get(entry, "file", int)
         if files and file_id <= last:
@@ -796,67 +808,59 @@ def decrypt_report(report: dict, ks: KeyStore) -> dict:
         if file_id not in ks.files:
             raise KeyMismatchError(f"report names file {file_id}, which this "
                                    "key store does not hold")
-        last, refs = file_id, _get(entry, "refs", list)
+        last, blocks = file_id, _blocks(entry, "tokens", file_id)
+        tokens.update(((file_id, k), b) for k, b in enumerate(blocks, 1))
+        sizes = [len(blocks) + 1]  # the refs each index column may name
+        if ore:
+            blocks = _blocks(entry, "scopes", file_id)
+            tags.update(((file_id, k), b) for k, b in enumerate(blocks))
+            sizes += [len(line_names), len(blocks)]
         rows = _get(entry, "nodes", list)
         for row in rows:
             if not isinstance(row, list) or len(row) != len(fields):
                 raise FormatError("report: a node is not a list of "
                                   + ", ".join(fields))
-            for field, value in zip(fields, row):
-                if type(value) is not int:
+            for field, i in zip(fields, row):
+                if type(i) is not int:
                     raise FormatError(f"report: node field {field!r} has the "
                                       "wrong type")
-            for c, i in zip(columns, row):
-                if not 0 <= i < len(refs):
-                    raise FormatError(f"report: node field {c!r} names ref "
-                                      f"{i}, not an index into the file's "
-                                      f"{len(refs)} refs")
-                used[c][file_id, i] = refs[i]
+            for field, i, size in zip(fields, row, sizes):
+                if not 0 <= i < size:
+                    raise FormatError(f"report: node field {field!r} names "
+                                      f"ref {i}, not an index into its "
+                                      f"{size} refs")
         files[file_id] = rows, [check_finding(f, len(rows))
                                 for f in _get(entry, "findings", list)]
-    for c, texts in used.items():  # each ref a row names, once per column
-        pattern, form = _REF[c]
-        for k, text in texts.items():
-            if not isinstance(text, str) or not pattern.fullmatch(text):
-                raise FormatError(f"report: {c} {text!r} is not {form}")
-            texts[k] = bytes.fromhex(text)
-    warnings = (list(_get(report, "warnings", list)) if "warnings" in report
-                else None)
+    if "warnings" in report:
+        out["warnings"] = list(_get(report, "warnings", list))
 
-    names = used["token"]  # (file id, ref index) -> the token's name
-    blocks = list(names.values())
-    for (f, i), block, token in zip(list(names), blocks, open_token_blocks(
+    names = {(f, 0): "INPUT" for f in files}  # (file id, token) -> name
+    blocks = list(tokens.values())
+    for (f, k), block, token in zip(tokens, blocks, open_token_blocks(
             b"".join(blocks)) if mode == "plain"
             else open_token_keys(ks.master.det, blocks)):
-        names[f, i] = token and ks.token_name(f, token)
-        if names[f, i] is None:
+        names[f, k] = token and ks.token_name(f, token)
+        if names[f, k] is None:
             message = f"token {block.hex()!r} is no name of file {f}"
             if mode == "plain":  # which has no keys to blame
                 raise FormatError(f"report: {message}")
             raise KeyMismatchError(
                 f"{message} under this key store; the report was produced "
                 "from an index built with different keys")
-    if mode == "ore":
+    if ore:
         line_key = derive_ore_key(ks.master.ore_line)
-        line_of = functools.cache(lambda name: ore_name_value(
-            line_key, name, ORE_BLOCK_BITS * (len(name) - ORE_CHECK_BYTES)))
-        lines = {k: line_of(name) for k, name in used["line"].items()}
-        scopes = dict(zip(used["scope"], open_scope_tags(
-            ks.master.scope, [f for f, _ in used["scope"]],
-            list(used["scope"].values()))))
+        lines = [ore_name_value(line_key, name, ORE_BLOCK_BITS * (
+            len(name) - ORE_CHECK_BYTES)) for name in map(bytes.fromhex,
+                                                          line_names)]
+        scopes = dict(zip(tags, open_scope_tags(
+            ks.master.scope, [f for f, _ in tags], list(tags.values()))))
 
-    out = {"task": task, "mode": mode, "files": []}
     for f in sorted(ks.files):
         rows, findings = files.get(f, ((), ()))
-        if mode == "ore":
-            rows = [(names[f, t], lines[f, n], *scopes[f, s])
-                    for t, n, s in rows]
-        else:
-            rows = [(names[f, t], *rest) for t, *rest in rows]
+        rows = ([(names[f, t], lines[n], *scopes[f, s]) for t, n, s in rows]
+                if ore else [(names[f, t], *rest) for t, *rest in rows])
         table = [dict(zip(NODE_FIELDS, row)) for row in rows]
         out["files"].append({"file": ks.files[f], "findings": [
             {"sink": table[k[0]], "source": table[k[-1]],
              "path": [table[i] for i in k]} for k in findings]})
-    if warnings is not None:
-        out["warnings"] = warnings
     return out

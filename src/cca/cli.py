@@ -335,10 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuthorizationError as exc:
         print(f"authorization denied: {exc}", file=sys.stderr)
         return 3
-    except CcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

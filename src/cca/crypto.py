@@ -212,12 +212,25 @@ counter_nonce = struct.Struct(">8xI").pack
 def value_sealer(key: bytes) -> Callable[[int, bytes], bytes]:
     """Seal the values of one token's entries under its value key: entry
     c's payload under `counter_nonce(c)`, as ciphertext || tag.  The
-    nonce is not stored, so `rnd_decrypt(key, counter_nonce(c) + value)`
-    opens it, and a value under another counter fails.  One AES-GCM
+    nonce is not stored, so `value_opener(key)` opens it at counter c,
+    and a value under another counter fails.  One AES-GCM
     object seals them all."""
     seal = AESGCM(key).encrypt
     return lambda counter, payload: seal(counter_nonce(counter), payload,
                                          None)
+
+
+def value_opener(key: bytes) -> Callable[[int, bytes], bytes]:
+    """Open what `value_sealer(key)` sealed, entry c's at counter c, with
+    one AES-GCM object; a value that fails raises IntegrityError."""
+    decrypt = AESGCM(key).decrypt
+
+    def open_value(counter: int, value: bytes) -> bytes:
+        try:
+            return decrypt(counter_nonce(counter), value, None)
+        except InvalidTag:
+            raise IntegrityError("authentication tag mismatch") from None
+    return open_value
 
 
 def rnd_decrypt(key: bytes, blob: bytes) -> bytes:

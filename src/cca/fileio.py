@@ -8,6 +8,7 @@ text and the ban on trailing bytes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -22,19 +23,20 @@ def atomic_write(path: str | Path, data: bytes, private: bool = False) -> None:
     With private=True the file is created owner-readable only (0600), which
     key material requires.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=f".{path.name}.", suffix=".tmp")
+    path, tmp = Path(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                   suffix=".tmp")
         os.fchmod(fd, 0o600 if private else 0o644)
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the path, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -238,29 +238,50 @@ def _file0(report: dict) -> dict:
 def _old_format(report: dict) -> None:
     """Rewrite the report in the layout of version 1, as older versions
     wrote it: no version, and each row with its strings written out in
-    place of ref indices, an ore line name prefixed with "ore:"."""
-    del report["version"]
+    place of indices, an ore line name prefixed with "ore:" (the entry
+    point, which later versions leave out, as 32 zeros)."""
     for entry in report["files"]:
-        refs = entry.pop("refs")
         for row in entry["nodes"]:
-            for k in range(len(ref_columns(report))):
-                row[k] = ("ore:" if k == 1 else "") + refs[row[k]]
+            refs = row_refs(report, entry, row)
+            row[:len(refs)] = [("ore:" if k == 1 else "") + (ref or "0" * 32)
+                               for k, ref in enumerate(refs)]
+        del entry["tokens"]
+        entry.pop("scopes", None)
+    del report["version"]
+    report.pop("lines", None)
 
 
 def ref_columns(report: dict) -> tuple[str, ...]:
-    """The columns of a report's rows that are indices into `refs`."""
+    """The columns of a report's rows that are indices of strings."""
     return ("token", "line", "scope") if report["mode"] == "ore" else ("token",)
 
 
+def _block(text: str, k: int) -> str:
+    """Block k of a hex string of 16-byte blocks."""
+    return text[32 * k:32 * k + 32]
+
+
+def row_refs(report: dict, entry: dict, row: list) -> list:
+    """The strings a row names: its token's block (None for token 0, the
+    entry point), and in ore mode its line name and scope tag."""
+    refs = [_block(entry["tokens"], row[0] - 1) if row[0] else None]
+    if report["mode"] == "ore":
+        refs += [report["lines"][row[1]], _block(entry["scopes"], row[2])]
+    return refs
+
+
 def set_ref(entry: dict, row: list, column: int, text) -> None:
-    """Point a row's column at text, a new ref of its file's entry."""
-    row[column] = len(entry["refs"])
-    entry["refs"].append(text)
+    """Point a row's column, 0 its token or 2 its ore scope tag, at text,
+    appended as a new block of its file's tokens or scopes."""
+    key = "scopes" if column else "tokens"
+    row[column] = len(entry[key]) // 32 + (key == "tokens")
+    entry[key] += text
 
 
 def _first_ref(report: dict) -> str:
-    """The ref file 0's first row names for its token."""
-    return _file0(report)["refs"][_file0(report)["nodes"][0][0]]
+    """The block of file 0's first row's token, the sink: block 1."""
+    assert _file0(report)["nodes"][0][0] == 1
+    return _block(_file0(report)["tokens"], 0)
 
 
 def _token_index(index):
@@ -323,23 +344,27 @@ NODE_TABLE_DAMAGE = {
     # a report of version 1 fails on its version, whatever its shape
     "file entry of the old format": (_old_format, "report of version None"),
     "ref index past the refs": (
-        _token_index(lambda r: len(_file0(r)["refs"])),
+        _token_index(lambda r: len(_file0(r)["tokens"]) // 32 + 1),
         "node field 'token' names ref"),
     "negative ref index": (_token_index(lambda r: -1), "names ref -1"),
     "bool ref index": (_token_index(lambda r: True),
                        "node field 'token' has the wrong type"),
     "ref not hex": (
         lambda r: set_ref(_file0(r), _file0(r)["nodes"][0], 0, "zz" * 16),
-        "is not 32 lowercase hex digits"),
+        "the tokens of file 0 are not distinct blocks of 32 lowercase "
+        "hex digits"),
     "ref of the wrong length for its column": (
         lambda r: set_ref(_file0(r), _file0(r)["nodes"][0], 0,
                           _first_ref(r)[:-2]),
-        "is not 32 lowercase hex digits"),
-    "ref that is not a string": (
-        lambda r: set_ref(_file0(r), _file0(r)["nodes"][0], 0, 7),
-        "token 7 is not 32 lowercase hex digits"),
-    "refs is an object": (lambda r: _file0(r).update(refs={}),
-                          "field 'refs' has the wrong type"),
+        "the tokens of file 0 are not distinct blocks of 32 lowercase "
+        "hex digits"),
+    "repeated token block": (
+        lambda r: set_ref(_file0(r), _file0(r)["nodes"][0], 0, _first_ref(r)),
+        "the tokens of file 0 are not distinct blocks"),
+    "ref that is not a string": (lambda r: _file0(r).update(tokens=7),
+                                 "field 'tokens' has the wrong type"),
+    "refs is an object": (lambda r: _file0(r).update(tokens={}),
+                          "field 'tokens' has the wrong type"),
     "duplicated file id": (lambda r: r["files"].append(_file0(r)),
                            "file 0 follows file 0; file ids must ascend"),
 }

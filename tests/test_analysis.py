@@ -31,6 +31,7 @@ from cca.analysis import (
     check_vulnerability,
     decrypt_report,
     deserialize_query,
+    dump_report,
     find_paths,
     load_query,
     load_report,
@@ -59,6 +60,7 @@ from cca.crypto import (
     generate_master_keys,
     ore_encrypt,
     ore_name,
+    open_token_keys,
     rnd_decrypt,
     scope_sealer,
     token_block,
@@ -81,7 +83,7 @@ from conftest import (
     NODE_TABLE_DAMAGE,
     chain_app,
     flatten_findings,
-    ref_columns,
+    row_refs,
     set_ref,
     write_app,
 )
@@ -611,13 +613,16 @@ def test_report_tokens_are_opaque_before_decryption(tmp_path):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     report = analyse(res.index, authorise(res.keys, "xss"))
     assert list(report) == ["version", "task", "mode", "files"]
-    assert report["version"] == 2
+    assert report["version"] == 3
     (entry,) = report["files"]
-    assert list(entry) == ["file", "refs", "nodes", "findings"]
+    assert list(entry) == ["file", "tokens", "nodes", "findings"]
     (finding,) = entry["findings"]
-    # sink and source are the first and last node, named by index, and a
-    # row names its token by the index of its ref
-    token = entry["refs"][entry["nodes"][finding[0]][0]]
+    # sink and source are the first and last node, named by index; a row
+    # names its token by its block in tokens, from 1, and the entry point,
+    # which tokens leaves out, by 0
+    sink, source = (entry["nodes"][i] for i in (finding[0], finding[-1]))
+    assert (sink[0], source[0]) == (1, 0)
+    token = entry["tokens"][:2 * KEY_BYTES]
     assert "XSS" not in token
     # the hex of the sink's 16-byte secret, not a name
     assert bytes.fromhex(token) == authorise(res.keys, "xss").files[0].sens
@@ -635,12 +640,13 @@ def test_report_token_that_is_no_token_name_is_a_format_error(
         tmp_path, mode, edit):
     # a report of a version 5 index names tokens by 64 hex digits, and
     # plain reports of query version 5 by FILEID:NAME text: the report is
-    # malformed for these keys, not made under others
+    # malformed for these keys, not made under others.  The sink's block,
+    # block 1, is edited in place, so 64 digits repeat it
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode=mode)
     report = analyse(res.index, authorise(res.keys, "xss"))
     entry = report["files"][0]
-    sink = entry["nodes"][entry["findings"][0][0]]
-    entry["refs"][sink[0]] = edit(entry["refs"][sink[0]])
+    assert entry["nodes"][entry["findings"][0][0]][0] == 1
+    entry["tokens"] = edit(entry["tokens"][:32]) + entry["tokens"][32:]
     with pytest.raises(FormatError, match="32 lowercase hex digits"):
         decrypt_report(report, res.keys)
 
@@ -666,9 +672,10 @@ def test_findings_under_another_file_are_a_key_mismatch(tmp_path, mode):
     report = analyse(res.index, authorise(res.keys, "xss"))
     a, b = report["files"]
     assert a["findings"] and b["findings"]
-    # a finding names nodes of its own file's table, and a row refs of
-    # its file's, so move all three; a plain report has no keys to blame
-    for key in ("refs", "nodes", "findings"):
+    # a finding names nodes of its own file's table, and a row tokens and
+    # scope tags of its file's, so move them all; a plain report has no
+    # keys to blame
+    for key in set(a) - {"file"}:
         a[key], b[key] = b[key], a[key]
     error = FormatError if mode == "plain" else KeyMismatchError
     with pytest.raises(error, match="is no name of file 0"):
@@ -712,6 +719,33 @@ def test_report_lists_only_files_with_findings(tmp_path, mode):
     assert analyse(res.index, authorise(res.keys, "sqli"))["files"] == []
 
 
+CORPUS_TREE = {f"{name}/{rel}": text for name, app in CORPUS.items()
+               for rel, text in app.items()}
+
+
+@pytest.mark.parametrize("mode, size", [("std", 8067), ("ore", 10156)])
+def test_corpus_reports_of_version_3_keep_their_size(tmp_path, mode, size):
+    # the 35 corpus apps, one directory each, so file ids are fixed: the
+    # xss and sqli reports take exactly this many bytes (version 2: 9,563
+    # in std, 13,179 in ore)
+    res = encrypt_application(write_app(tmp_path, CORPUS_TREE), mode=mode)
+    total = 0
+    for task in TASKS:
+        report = analyse(res.index, authorise(res.keys, task))
+        text = dump_report(report)
+        total += len(text.encode())
+        # the entry point is token 0, never a block
+        blocks = [bytes.fromhex(block) for entry in report["files"]
+                  for block in re.findall("[0-9a-f]{32}", entry["tokens"])]
+        names = {res.keys.token_name(token[0], token) for token
+                 in open_token_keys(res.keys.master.det, blocks)}
+        assert blocks and None not in names and "INPUT" not in names
+        if mode == "ore":  # each line name once in the report
+            assert report["lines"] and all(
+                text.count(f'"{name}"') == 1 for name in report["lines"])
+    assert total == size
+
+
 @pytest.mark.parametrize("mode", ["plain", "std", "ore"])
 def test_report_file_ids_must_ascend(tmp_path, mode):
     res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode=mode)
@@ -722,7 +756,7 @@ def test_report_file_ids_must_ascend(tmp_path, mode):
         decrypt_report(report, res.keys)
 
 
-@pytest.mark.parametrize("version", [None, 1, 3, "2", 2.0, True])
+@pytest.mark.parametrize("version", [None, 1, 2, "3", 2.0, 3.0, True])
 def test_report_of_another_version_is_a_format_error(tmp_path, version):
     res = encrypt_application(write_app(tmp_path, FLOW_APP), mode="std")
     report = analyse(res.index, authorise(res.keys, "xss"))
@@ -732,20 +766,20 @@ def test_report_of_another_version_is_a_format_error(tmp_path, version):
         report["version"] = version
     with pytest.raises(FormatError, match=re.escape(
             f"report of version {version!r}: this cca reads report version "
-            "2 only")):
+            "3 only")):
         decrypt_report(report, res.keys)
     with pytest.raises(FormatError, match="report of version None"):
         decrypt_report([report], res.keys)  # not an object at all
 
 
 def test_each_distinct_token_and_scope_tag_opens_once(tmp_path, monkeypatch):
-    # the diamonds' findings share rows, and their rows share tokens and
-    # scope tags
+    # the diamonds' findings share rows, and their rows share tokens, line
+    # names and scope tags; the entry point (token 0) opens by nothing
     res = encrypt_application(write_app(tmp_path, chain_app(7, {3, 5})),
                               mode="ore")
     report = analyse(res.index, authorise(res.keys, "xss"))
     (entry,) = report["files"]
-    calls = {}
+    calls = {"ore_name_value": 0}
     for name in ("open_token_keys", "open_scope_tags"):
         real = getattr(cca.analysis, name)
 
@@ -754,9 +788,17 @@ def test_each_distinct_token_and_scope_tag_opens_once(tmp_path, monkeypatch):
             return real(key, *args)
 
         monkeypatch.setattr(cca.analysis, name, counting)
+    real_name_value = cca.analysis.ore_name_value
+
+    def counting_names(*args):
+        calls["ore_name_value"] += 1
+        return real_name_value(*args)
+
+    monkeypatch.setattr(cca.analysis, "ore_name_value", counting_names)
     resolved = decrypt_report(report, res.keys)
     rows = entry["nodes"]
-    assert calls == {"open_token_keys": len({row[0] for row in rows}),
+    assert calls == {"open_token_keys": len({row[0] for row in rows} - {0}),
+                     "ore_name_value": len({row[1] for row in rows}),
                      "open_scope_tags": len({row[2] for row in rows})}
     assert max(calls.values()) < len(rows)
     assert decrypted_paths(resolved) == decrypted_paths(
@@ -857,12 +899,13 @@ def test_encrypted_fields_stay_opaque_in_reports(tmp_path):
     report = analyse(res.index, authorise(res.keys, "xss"))
     (entry,) = report["files"]
     (finding,) = entry["findings"]
-    # an ore row is the refs of the token, the line's one-block ORE name
-    # and the scope tag
-    refs = entry["refs"]
-    assert all(len(node) == 3 and re.fullmatch("[0-9a-f]{18}", refs[node[1]])
-               and re.fullmatch("[0-9a-f]{32}", refs[node[2]])
-               for node in entry["nodes"])
+    # an ore row is the token's index, the index of the line's one-block
+    # ORE name in the report's lines and that of its scope tag
+    for node in entry["nodes"]:
+        token, line, scope = row_refs(report, entry, node)
+        assert len(node) == 3 and re.fullmatch("[0-9a-f]{18}", line)
+        assert re.fullmatch("[0-9a-f]{32}", scope)
+        assert token is None or re.fullmatch("[0-9a-f]{32}", token)
     resolved = decrypt_report(report, res.keys)
     assert resolved["files"][0]["findings"][0]["sink"]["line"] == 5
 
@@ -896,8 +939,8 @@ def test_scope_tags_of_another_file_are_a_key_mismatch(tmp_path):
     res = encrypt_application(write_app(tmp_path, TWO_FILE_APP), mode="ore")
     report = analyse(res.index, authorise(res.keys, "xss"))
     a, b = report["files"]
-    tag = b["refs"][b["nodes"][0][2]]
-    assert a["refs"][a["nodes"][0][2]] != tag
+    tag = row_refs(report, b, b["nodes"][0])[2]
+    assert row_refs(report, a, a["nodes"][0])[2] != tag
     set_ref(a, a["nodes"][0], 2, tag)
     with pytest.raises(KeyMismatchError, match="scope tag"):
         decrypt_report(report, res.keys)
@@ -923,22 +966,26 @@ def test_every_d_key_and_scope_tag_opens_back_to_its_identity(
     d_keys = [token_block(file_id, name) for name in names]
     if mode != "plain":
         d_keys = derive_secrets(master, b"".join(d_keys))
-    refs: dict[str, int] = {}
+    tokens: dict[bytes, int] = {}
+    tags: dict[bytes, int] = {}
 
-    def ref(value: bytes) -> int:
-        return refs.setdefault(value.hex(), len(refs))
+    def ref(table: dict, value: bytes) -> int:
+        return table.setdefault(value, len(table))
 
+    entry = {"file": file_id}
+    report = {"version": 3, "task": "xss", "mode": mode, "files": [entry]}
     if mode == "ore":
         line = ore_name(ore_encrypt(derive_ore_key(master.ore_line), 7))
+        report["lines"] = [line.hex()]
         seal = scope_sealer(master.scope)
-        rows = [[ref(d), ref(line),
-                 ref(seal(struct.pack(">Iiii", file_id, *t)))]
+        rows = [[1 + ref(tokens, d), 0,
+                 ref(tags, seal(struct.pack(">Iiii", file_id, *t)))]
                 for d, t in zip(d_keys, triples)]
+        entry["scopes"] = b"".join(tags).hex()
     else:
-        rows = [[ref(d), 7, *t] for d, t in zip(d_keys, triples)]
-    report = {"version": 2, "task": "xss", "mode": mode, "files": [
-        {"file": file_id, "refs": list(refs), "nodes": rows,
-         "findings": [list(range(len(rows)))]}]}
+        rows = [[1 + ref(tokens, d), 7, *t] for d, t in zip(d_keys, triples)]
+    entry |= {"tokens": b"".join(tokens).hex(), "nodes": rows,
+              "findings": [list(range(len(rows)))]}
     (finding,) = decrypt_report(report, ks)["files"][0]["findings"]
     assert [(n["token"], n["line"], n["depth"], n["order"], n["type"])
             for n in finding["path"]] == [(name, 7, *t) for name, t
@@ -1003,8 +1050,8 @@ def test_a_foreign_or_damaged_token_or_tag_is_a_key_mismatch(tmp_path, mode,
     report = analyse(res.index, authorise(res.keys, "xss"))
     entry = report["files"][0]
     (row, *_) = entry["nodes"]
-    refs = [entry["refs"][i] for i in row[:len(ref_columns(report))]]
-    set_ref(entry, row, column, damage(refs, res.keys, other, token))
+    set_ref(entry, row, column, damage(row_refs(report, entry, row),
+                                       res.keys, other, token))
     # a plain report, which no key opens, is malformed instead
     with pytest.raises(FormatError if mode == "plain" else KeyMismatchError,
                        match="no name of file 0" if column == 0
@@ -1082,8 +1129,7 @@ def test_an_app_past_line_256_takes_two_blocks_and_agrees_across_modes(
         for task in TASKS:
             report = analyse(res.index, authorise(res.keys, task))
             if mode == "ore":
-                names = [entry["refs"][node[1]] for entry in report["files"]
-                         for node in entry["nodes"]]
+                names = report["lines"]
                 assert names and all(re.fullmatch("[0-9a-f]{20}", name)
                                      for name in names)
             found[mode, task] = decrypt_report(report, res.keys)["files"]

@@ -23,6 +23,7 @@ from conftest import (
     HOSTILE_SLOTS,
     NODE_TABLE_DAMAGE,
     ref_columns,
+    row_refs,
     set_ref,
     write_app,
 )
@@ -515,25 +516,33 @@ def _edit_report(change):
 
 class _NodeView:
     """A report node's fields by name, written through to its table row;
-    a field that is a ref is read from its file's refs and written as a
-    new ref."""
+    a field that is an index reads the string it names (`row_refs`) and
+    is written as a new one: a block of its file's tokens or scopes, or
+    an ore line name of the report."""
 
     def __init__(self, report: dict) -> None:
+        self.report = report
         self.entry = report["files"][0]
         self.row = self.entry["nodes"][_first_finding(report)[0]]
         self.refs = ref_columns(report)
         self.fields = ORE_NODE_FIELDS if report["mode"] == "ore" else NODE_FIELDS
 
     def __getitem__(self, field: str):
-        value = self.row[self.fields.index(field)]
-        return self.entry["refs"][value] if field in self.refs else value
+        k = self.fields.index(field)
+        if field in self.refs:
+            return row_refs(self.report, self.entry, self.row)[k]
+        return self.row[k]
 
     def update(self, **fields) -> None:
         for field, value in fields.items():
-            if field in self.refs:
-                set_ref(self.entry, self.row, self.fields.index(field), value)
+            k = self.fields.index(field)
+            if field in self.refs and field == "line":
+                self.row[k] = len(self.report["lines"])
+                self.report["lines"].append(value)
+            elif field in self.refs:
+                set_ref(self.entry, self.row, k, value)
             else:
-                self.row[self.fields.index(field)] = value
+                self.row[k] = value
 
 
 def _sink(report: dict) -> _NodeView:
@@ -814,7 +823,7 @@ MALFORMED_SAYS = {"index repeats a lookup key": "repeated lookup key",
                   "report token of 64 hex digits": "32 lowercase hex digits",
                   "plain report token in text": "32 lowercase hex digits",
                   "report of version 1": "report of version 1: this cca "
-                                         "reads report version 2 only",
+                                         "reads report version 3 only",
                   "report without a version": "report of version None",
                   "query of version 5": "unsupported version 5",
                   "report file id outside the key store": "file 99",
@@ -866,6 +875,34 @@ def test_deeply_nested_report_is_exit_code_2(tmp_path, app_dir):
 def test_missing_file_is_exit_code_2(tmp_path, capsys):
     assert run("stats", "--index", tmp_path / "absent") == 2
     assert "error:" in capsys.readouterr().err
+
+
+# command -> its argv, writing to `target`, from the artifacts of paths
+WRITES = {
+    "encrypt --index": lambda p, target: (
+        "encrypt", "--src", p["app"], "--index", target, "--keys", p["keys"]),
+    "analyse --out": lambda p, target: (
+        *COMMANDS["analyse"](p)[:-1], target),
+    "decrypt-report --out": lambda p, target: (
+        *COMMANDS["decrypt-report"](p), "--out", target),
+}
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_writing_into_a_missing_directory_names_the_path(tmp_path, app_dir,
+                                                        capsys, command):
+    paths = {name: tmp_path / name for name in ("index", "keys", "query",
+                                                "report")} | {"app": app_dir}
+    assert run(*WRITES["encrypt --index"](paths, paths["index"])) == 0
+    for step in ("authorise", "analyse"):
+        assert run(*COMMANDS[step](paths)) == 0
+    capsys.readouterr()
+    target = tmp_path / "nodir" / "out.json"
+    assert run(*WRITES[command](paths, target)) == 2
+    # the path given, not the temp file the write went through
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{target}'\n")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_policy_denial_is_exit_code_3(tmp_path, app_dir, capsys):

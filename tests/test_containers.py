@@ -145,8 +145,8 @@ def test_damaged_report_bytes_raise_only_cca_errors(runs, report_path, mode,
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("damage", [
     lambda blob: blob[:len(blob) // 2], lambda blob: blob[:-1],
-    lambda blob: blob.replace(b'"refs"', b'"rEfs"'),
-    lambda blob: blob.replace(b'"version":2', b'"version":3'),
+    lambda blob: blob.replace(b'"tokens"', b'"tOkens"'),
+    lambda blob: blob.replace(b'"version":3', b'"version":4'),
     lambda blob: b"\xff" + blob,
     lambda blob: blob.replace(b'"files"', b'"fil\xe9s"')],
     ids=["cut in half", "last byte cut", "a flipped byte in a key",
@@ -184,11 +184,12 @@ JUNK = st.one_of(
     st.just("ore:zz"), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.sampled_from(["token", "line", "file"]),
                     st.integers(), max_size=2),
-    # ref damage: an index past or before the refs, a ref that is no hex,
-    # one of a length no column takes, upper case, and an ore line name
-    # where a 16-byte ref belongs
+    # string damage: an index past or before a file's blocks or the
+    # report's lines, hex that is no hex, of a length no field takes, in
+    # upper case, a repeated block, and an ore line name where blocks
+    # belong
     st.integers(-2, 40), st.sampled_from(["zz" * 16, "ab" * 15, "AB" * 16,
-                                          "ab" * 9, "ab" * 13]),
+                                          "ab" * 32, "ab" * 9, "ab" * 13]),
 )
 
 

@@ -47,6 +47,7 @@ from cca.crypto import (
     scope_sealer,
     serialize_keys,
     token_block,
+    value_opener,
     value_sealer,
 )
 from cca.errors import FormatError, IntegrityError, KeyMismatchError
@@ -324,6 +325,18 @@ def test_a_sealed_value_opens_only_at_its_own_counter():
         assert rnd_decrypt(key, counter_nonce(c) + value) == b"same message"
         with pytest.raises(IntegrityError):
             rnd_decrypt(key, counter_nonce(c % 64 + 1) + value)
+
+
+def test_a_value_opener_opens_what_the_sealer_sealed_at_that_counter():
+    key = b"\x03" * 16
+    value = value_sealer(key)(7, b"payload")
+    open_value = value_opener(key)
+    assert open_value(7, value) == b"payload"
+    flipped = bytes([value[0] ^ 1]) + value[1:]
+    for counter, damaged in ((8, value), (7, flipped), (7, value[:-1]),
+                             (7, value[:5])):
+        with pytest.raises(IntegrityError, match="tag mismatch"):
+            open_value(counter, damaged)
 
 
 def test_rnd_is_randomized():
